@@ -2,6 +2,7 @@
 //! scheme (the paper's central §II claim), the tomography reconstructor,
 //! and the coincidence-window choice behind every CAR figure.
 
+use qfc_faults::QfcResult;
 use qfc_mathkit::cast;
 use serde::{Deserialize, Serialize};
 
@@ -12,7 +13,7 @@ use qfc_quantum::bell::werner_state;
 use qfc_quantum::fidelity::state_fidelity;
 use qfc_tomography::counts::simulate_counts_seeded;
 use qfc_tomography::reconstruct::{
-    linear_reconstruction, mle_reconstruction, MleAcceleration, MleOptions,
+    try_linear_reconstruction, try_mle_reconstruction, MleAcceleration, MleOptions,
 };
 use qfc_tomography::settings::all_settings;
 
@@ -89,7 +90,12 @@ pub struct TomographyAblationRow {
 /// physical cone. Each row also runs the over-relaxed RρR schedule
 /// against the classic one at the same tolerance, recording the
 /// iteration cut the accelerated path buys.
-pub fn tomography_ablation(shots: &[u64], seed: u64) -> Vec<TomographyAblationRow> {
+///
+/// # Errors
+///
+/// Propagates the first reconstruction error in row order (degenerate
+/// counts, e.g. a zero-shot row).
+pub fn tomography_ablation(shots: &[u64], seed: u64) -> QfcResult<Vec<TomographyAblationRow>> {
     let truth = werner_state(0.83, 0.0);
     let settings = all_settings(2);
     // Each statistics level samples and reconstructs on its own
@@ -97,24 +103,26 @@ pub fn tomography_ablation(shots: &[u64], seed: u64) -> Vec<TomographyAblationRo
     let indexed: Vec<(usize, u64)> = shots.iter().copied().enumerate().collect();
     qfc_runtime::par_map(&indexed, |&(row, n)| {
         let data = simulate_counts_seeded(&truth, &settings, n, split_seed(seed, cast::usize_to_u64(row)));
-        let lin = linear_reconstruction(&data);
-        let mle = mle_reconstruction(&data, &MleOptions::default());
-        let accel = mle_reconstruction(
+        let lin = try_linear_reconstruction(&data)?;
+        let mle = try_mle_reconstruction(&data, &MleOptions::default())?;
+        let accel = try_mle_reconstruction(
             &data,
             &MleOptions {
                 acceleration: MleAcceleration::accelerated(),
                 ..MleOptions::default()
             },
-        );
-        TomographyAblationRow {
+        )?;
+        Ok(TomographyAblationRow {
             shots_per_setting: n,
             linear_fidelity: state_fidelity(&lin, &truth),
             mle_fidelity: state_fidelity(&mle.rho, &truth),
             mle_iterations: mle.iterations,
             accelerated_fidelity: state_fidelity(&accel.rho, &truth),
             accelerated_iterations: accel.iterations,
-        }
+        })
     })
+    .into_iter()
+    .collect()
 }
 
 /// One row of the coincidence-window ablation.
@@ -171,7 +179,7 @@ mod tests {
 
     #[test]
     fn mle_wins_at_low_counts() {
-        let rows = tomography_ablation(&[20, 2000], 99);
+        let rows = tomography_ablation(&[20, 2000], 99).expect("both rows reconstruct");
         // At high statistics both are excellent.
         assert!(rows[1].linear_fidelity > 0.99);
         assert!(rows[1].mle_fidelity > 0.99);

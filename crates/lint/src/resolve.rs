@@ -146,7 +146,8 @@ pub enum ClosureRole {
     Merge,
 }
 
-/// One closure argument of a `par_map`/`par_chunks`/`par_shots` call.
+/// One closure argument of a `par_map`/`par_chunks`/`par_shots`/
+/// `par_for_each_mut` call.
 #[derive(Debug, Clone)]
 pub struct ParClosure {
     /// Which runtime entry point the closure is passed to.
@@ -177,7 +178,7 @@ pub struct FileSymbols {
 }
 
 /// Runtime entry points whose closure arguments run on the worker pool.
-pub const PAR_ENTRY_POINTS: &[&str] = &["par_map", "par_chunks", "par_shots"];
+pub const PAR_ENTRY_POINTS: &[&str] = &["par_map", "par_chunks", "par_shots", "par_for_each_mut"];
 
 /// Identifiers that can directly precede `(` without being a call.
 fn is_call_keyword(name: &str) -> bool {

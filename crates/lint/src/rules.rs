@@ -208,11 +208,6 @@ pub fn rule_by_name(name: &str) -> Option<&'static Rule> {
     RULES.iter().find(|r| r.name == name)
 }
 
-/// Crate directories under `crates/` that are *not* library crates and
-/// are therefore outside the lint scope (the bench harness trades rigor
-/// for throughput by design).
-pub const NON_LIBRARY_DIRS: &[&str] = &["bench"];
-
 /// Workloads that must be present in the bench baseline referenced by
 /// `scripts/ci.sh --check-baseline` (the `ci-roster` check): dropping
 /// one from the baseline would silently remove its allocation and
@@ -234,8 +229,8 @@ pub const GATED_WORKLOADS: &[&str] = &[
 /// Crates the clippy no-unwrap roster must always gate when they exist
 /// in the workspace (the `ci-roster` check). `qfc-campaign` is pinned
 /// explicitly: its crash-recovery guarantees rest on error-path
-/// returns, so excluding it from the panic-freedom gate (the way
-/// `qfc-bench` is excluded) would be a silent robustness regression.
+/// returns, so excluding it from the panic-freedom gate would be a
+/// silent robustness regression.
 pub const CLIPPY_REQUIRED: &[&str] = &["qfc-campaign"];
 
 /// Crates exempt from `error-taxonomy`: they sit *below* `qfc-faults`

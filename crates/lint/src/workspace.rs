@@ -17,7 +17,7 @@ use std::path::{Path, PathBuf};
 use crate::callgraph::{self, FileCtx, GraphSummary};
 use crate::engine::{analyze_source, finalize_file, Analysis, Finding};
 use crate::lexer::{lex, TokKind};
-use crate::rules::{Profile, NON_LIBRARY_DIRS};
+use crate::rules::Profile;
 use crate::semantic;
 use crate::LintError;
 
@@ -94,9 +94,6 @@ pub fn run(root: &Path) -> Result<RunReport, LintError> {
         let Some(dirname) = dir.file_name().and_then(|n| n.to_str()).map(String::from) else {
             continue;
         };
-        if NON_LIBRARY_DIRS.contains(&dirname.as_str()) {
-            continue;
-        }
         let name = package_name(&dir.join("Cargo.toml"))?.unwrap_or(format!("qfc-{dirname}"));
         crates.push(CrateInfo { name, dir });
     }
@@ -234,8 +231,8 @@ pub fn run(root: &Path) -> Result<RunReport, LintError> {
 /// The `ci-roster` check: `scripts/ci.sh` must (a) invoke `qfc-lint`,
 /// (b) either derive its clippy roster from `crates/*` (the `for d in
 /// crates/*/` idiom) or hand-list every library crate — and in either
-/// form never exclude a [`crate::rules::CLIPPY_REQUIRED`] crate the way
-/// `qfc-bench` is excluded — (c) when it wires a bench baseline via
+/// form never exclude a [`crate::rules::CLIPPY_REQUIRED`] crate through
+/// an exclusion branch — (c) when it wires a bench baseline via
 /// `--check-baseline`, that baseline must carry every gated workload
 /// ([`crate::rules::GATED_WORKLOADS`]) so neither a sweep kernel nor
 /// the campaign engine can drop out of the bench-regression gate
@@ -293,7 +290,7 @@ fn check_ci_roster(root: &Path, crates: &[String], findings: &mut Vec<Finding>) 
     }
     // A required crate (e.g. qfc-campaign) must never be carved out of
     // the clippy roster: neither skipped by an exclusion branch in the
-    // dynamic loop (the `!= "qfc-bench"` idiom) nor omitted from a
+    // dynamic loop (a `!= "<crate>"` test) nor omitted from a
     // hand-written list.
     for name in crate::rules::CLIPPY_REQUIRED {
         if !crates.iter().any(|c| c == name) {

@@ -113,13 +113,15 @@ fn baseline_must_carry_every_gated_workload() {
         "ci-roster did not flag the dropped campaign workload: {msgs:?}"
     );
 
-    // Baseline carrying every gated workload: fully clean.
+    // Baseline carrying every gated workload: fully clean. Built from
+    // the rule's own roster so the fixture cannot drift from it.
+    let workloads: Vec<String> = qfc_lint::rules::GATED_WORKLOADS
+        .iter()
+        .map(|w| format!("{{\"name\": \"{w}\"}}"))
+        .collect();
     fs::write(
         root.join("BENCH_baseline.json"),
-        "{\"workloads\": [{\"name\": \"ring-dispersion-sweep\"},\
-          {\"name\": \"opo-threshold-sweep\"},\
-          {\"name\": \"campaign-checkpoint\"},\
-          {\"name\": \"streaming-tomography\"}]}\n",
+        format!("{{\"workloads\": [{}]}}\n", workloads.join(",")),
     )
     .expect("baseline");
     let report = qfc_lint::run(&root).expect("lint run");
@@ -153,8 +155,8 @@ fn campaign_crate_cannot_be_carved_out_of_the_clippy_roster() {
     .expect("lib.rs");
     fs::create_dir_all(root.join("scripts")).expect("scripts dir");
 
-    // The roster derives dynamically but carves qfc-campaign out with the
-    // same exclusion idiom ci.sh uses for qfc-bench: ci-roster must fire.
+    // The roster derives dynamically but carves qfc-campaign out with an
+    // exclusion branch in the loop: ci-roster must fire.
     fs::write(
         root.join("scripts/ci.sh"),
         "#!/usr/bin/env bash\ncargo run -p qfc-lint -- --deny\n\

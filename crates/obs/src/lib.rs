@@ -60,11 +60,13 @@ use std::time::Instant;
 
 /// Counters pre-registered (in this order) by [`Collector::new`], so the
 /// exported registry order never depends on instrumentation-touch order.
-pub const REGISTERED_COUNTERS: [&str; 15] = [
+pub const REGISTERED_COUNTERS: [&str; 17] = [
     "shots_simulated",
     "coincidences_counted",
     "mle_iterations",
+    "mle_accelerated_steps",
     "bootstrap_replicas",
+    "tomography_stream_shards",
     "faults_injected",
     "shards_executed",
     "recovery_relocks",

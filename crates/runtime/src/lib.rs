@@ -1,9 +1,10 @@
 //! Deterministic parallel execution engine for shot-based simulations.
 //!
 //! Every Monte-Carlo hot loop in the workspace runs through this crate's
-//! three entry points — [`par_map`], [`par_chunks`] and [`par_shots`] —
-//! which share one invariant: **results are bitwise-identical regardless
-//! of how many worker threads execute them.**
+//! entry points — [`par_map`], [`par_chunks`], [`par_shots`] and the
+//! in-place [`par_for_each_mut`] — which share one invariant: **results
+//! are bitwise-identical regardless of how many worker threads execute
+//! them.**
 //!
 //! The invariant holds by construction:
 //!
@@ -29,7 +30,8 @@
 
 use qfc_mathkit::cast;
 use std::cell::Cell;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::Ordering;
+use std::sync::{Mutex, PoisonError};
 
 use qfc_mathkit::rng::split_seed;
 
@@ -172,11 +174,9 @@ pub fn with_threads<T>(threads: usize, f: impl FnOnce() -> T) -> T {
 /// Executes `n_tasks` indexed tasks on the pool and returns their
 /// results in task-index order.
 ///
-/// This is the single scheduling primitive behind the public entry
-/// points. Workers pull task indices from a shared atomic counter
-/// (dynamic load balancing), collect `(index, result)` pairs locally,
-/// and the caller reassembles them by index — so the output order never
-/// depends on scheduling.
+/// Behind [`par_map`], [`par_chunks`] and [`par_shots`]: on the pool,
+/// each task writes its result into its own index slot (see
+/// [`run_on_pool`]), so the output order never depends on scheduling.
 fn execute<U, F>(n_tasks: usize, task: F) -> Vec<U>
 where
     U: Send,
@@ -199,28 +199,40 @@ where
         };
     }
 
-    let next = AtomicUsize::new(0);
     let mut slots: Vec<Option<U>> = Vec::with_capacity(n_tasks);
     slots.resize_with(n_tasks, || None);
+    run_on_pool(threads, obs.as_ref(), &mut slots, |i, slot| {
+        *slot = Some(task(i));
+    });
+    slots
+        .into_iter()
+        .map(|slot| slot.unwrap_or_else(|| unreachable!("every task index produced a result"))) // qfc-lint: allow(panic-reachability) — invariant: run_on_pool visits every slot exactly once
+        .collect()
+}
 
+/// Runs `f(i, &mut slots[i])` for every slot on `threads` scoped
+/// workers. Workers pull the next slot from a shared iterator (dynamic
+/// load balancing); each slot is visited exactly once and only its own
+/// task writes it, so the slot contents never depend on scheduling.
+fn run_on_pool<T, F>(threads: usize, obs: Option<&qfc_obs::Collector>, slots: &mut [T], f: F)
+where
+    T: Send,
+    F: Fn(usize, &mut T) + Sync,
+{
+    let queue = Mutex::new(slots.iter_mut().enumerate());
     std::thread::scope(|scope| {
-        let obs = &obs;
-        let next = &next;
-        let task = &task;
+        let (queue, f) = (&queue, &f);
         let workers: Vec<_> = (0..threads)
             .map(|_| {
                 scope.spawn(move || {
                     IN_WORKER.with(|c| c.set(true));
-                    let drain = || {
-                        let mut local = Vec::new();
-                        loop {
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            if i >= n_tasks {
-                                break;
-                            }
-                            local.push((i, task(i)));
-                        }
-                        local
+                    // The guard is dropped before `f` runs, so a panicking
+                    // task never leaves the queue mid-update and a
+                    // poisoned lock is still a valid queue.
+                    let drain = || loop {
+                        let next = queue.lock().unwrap_or_else(PoisonError::into_inner).next();
+                        let Some((i, slot)) = next else { break };
+                        f(i, slot);
                     };
                     match obs {
                         Some(collector) => collector.run_task(drain),
@@ -230,22 +242,47 @@ where
             })
             .collect();
         for worker in workers {
-            let local = match worker.join() {
-                Ok(local) => local,
+            if let Err(payload) = worker.join() {
                 // Re-raise the worker's panic on the caller thread so a
                 // panicking task behaves exactly like serial execution.
-                Err(payload) => std::panic::resume_unwind(payload),
-            };
-            for (i, value) in local {
-                slots[i] = Some(value);
+                std::panic::resume_unwind(payload);
             }
         }
     });
+}
 
-    slots
-        .into_iter()
-        .map(|slot| slot.unwrap_or_else(|| unreachable!("every task index produced a result"))) // qfc-lint: allow(panic-reachability) — invariant: the scatter loop above fills every slot exactly once
-        .collect()
+/// Runs `f(i, &mut slots[i])` for every slot in parallel, in place —
+/// the primitive for kernels that keep per-task working state across
+/// calls (the tomography sweep reuses one partial-`R` buffer per chunk
+/// for a whole reconstruction).
+///
+/// Each slot is written only by its own task, so the result is
+/// bitwise-identical at any thread count as long as `f` depends only on
+/// its arguments. On one thread it is a plain loop that allocates
+/// nothing.
+pub fn par_for_each_mut<T, F>(slots: &mut [T], f: F)
+where
+    T: Send,
+    F: Fn(usize, &mut T) + Sync,
+{
+    let threads = max_threads().min(slots.len());
+    // Same observability contract as `execute`.
+    let obs = qfc_obs::current();
+    let _span = qfc_obs::span("runtime.execute");
+    qfc_obs::gauge_set("pool_threads", cast::to_f64(threads.max(1)));
+    if threads <= 1 {
+        let mut serial = || {
+            for (i, slot) in slots.iter_mut().enumerate() {
+                f(i, slot);
+            }
+        };
+        match &obs {
+            Some(collector) => collector.run_task(serial),
+            None => serial(),
+        }
+        return;
+    }
+    run_on_pool(threads, obs.as_ref(), slots, f);
 }
 
 /// Maps `f` over `items` in parallel, preserving input order.
@@ -374,6 +411,19 @@ mod tests {
         assert_eq!(sums.last().unwrap(), &(10, (100..103).sum::<u64>()));
         let total: u64 = sums.iter().map(|(_, s)| s).sum();
         assert_eq!(total, items.iter().sum::<u64>());
+    }
+
+    #[test]
+    fn par_for_each_mut_writes_every_slot_in_place() {
+        let expect: Vec<u64> = (0..37).map(|i| split_seed(i, 7)).collect();
+        for threads in [1, 3, 8] {
+            let mut slots = vec![0u64; 37];
+            with_threads(threads, || {
+                par_for_each_mut(&mut slots, |i, slot| *slot = split_seed(i as u64, 7));
+            });
+            assert_eq!(slots, expect, "thread count {threads}");
+        }
+        par_for_each_mut(&mut [0u8; 0], |_, _| unreachable!("no slots"));
     }
 
     #[test]

@@ -150,11 +150,15 @@ where
 mod tests {
     use super::*;
     use crate::counts::simulate_counts;
-    use crate::reconstruct::linear_reconstruction;
+    use crate::reconstruct::try_linear_reconstruction;
     use crate::settings::all_settings;
     use qfc_mathkit::rng::rng_from_seed;
     use qfc_quantum::bell::{bell_phi_plus, werner_state};
     use qfc_quantum::fidelity::fidelity_with_pure;
+
+    fn linear(data: &TomographyData) -> DensityMatrix {
+        try_linear_reconstruction(data).expect("complete data")
+    }
 
     #[test]
     fn resample_preserves_totals() {
@@ -177,7 +181,7 @@ mod tests {
             302,
             &data,
             24,
-            linear_reconstruction,
+            linear,
             |rho| fidelity_with_pure(rho, &target),
         );
         // Central value near the analytic Werner fidelity (3V+1)/4 = 0.8725.
@@ -194,10 +198,10 @@ mod tests {
         let target = bell_phi_plus();
         let small = simulate_counts(&mut rng, &truth, &all_settings(2), 60);
         let large = simulate_counts(&mut rng, &truth, &all_settings(2), 6000);
-        let est_small = bootstrap_functional(31, &small, 16, linear_reconstruction, |r| {
+        let est_small = bootstrap_functional(31, &small, 16, linear, |r| {
             fidelity_with_pure(r, &target)
         });
-        let est_large = bootstrap_functional(32, &large, 16, linear_reconstruction, |r| {
+        let est_large = bootstrap_functional(32, &large, 16, linear, |r| {
             fidelity_with_pure(r, &target)
         });
         assert!(
@@ -214,7 +218,7 @@ mod tests {
         let mut rng = rng_from_seed(304);
         let truth = werner_state(0.8, 0.0);
         let data = simulate_counts(&mut rng, &truth, &all_settings(2), 100);
-        let _ = bootstrap_functional(304, &data, 1, linear_reconstruction, |_| 0.0);
+        let _ = bootstrap_functional(304, &data, 1, linear, |_| 0.0);
     }
 
     #[test]
@@ -257,7 +261,7 @@ mod tests {
         let target = bell_phi_plus();
         let data = simulate_counts(&mut rng, &truth, &all_settings(2), 200);
         let run = || {
-            bootstrap_functional(305, &data, 12, linear_reconstruction, |r| {
+            bootstrap_functional(305, &data, 12, linear, |r| {
                 fidelity_with_pure(r, &target)
             })
         };

@@ -11,15 +11,16 @@
 //! ```
 //! use qfc_tomography::settings::all_settings;
 //! use qfc_tomography::counts::exact_counts;
-//! use qfc_tomography::reconstruct::linear_reconstruction;
+//! use qfc_tomography::reconstruct::try_linear_reconstruction;
 //! use qfc_quantum::bell::bell_phi_plus;
 //! use qfc_quantum::density::DensityMatrix;
 //! use qfc_quantum::fidelity::state_fidelity;
 //!
 //! let truth = DensityMatrix::from_pure(&bell_phi_plus());
 //! let data = exact_counts(&truth, &all_settings(2), 1_000_000);
-//! let rec = linear_reconstruction(&data);
+//! let rec = try_linear_reconstruction(&data)?;
 //! assert!(state_fidelity(&rec, &truth) > 0.999);
+//! # Ok::<(), qfc_faults::QfcError>(())
 //! ```
 
 #![forbid(unsafe_code)]
@@ -39,8 +40,7 @@ pub use rank1::{
     ProjectorRepr, ProjectorReprSet,
 };
 pub use reconstruct::{
-    linear_reconstruction, mle_reconstruction, try_mle_reconstruction, MleAcceleration,
-    MleOptions, MleResult,
+    try_linear_reconstruction, try_mle_reconstruction, MleAcceleration, MleOptions, MleResult,
 };
 pub use settings::{all_settings, PauliBasis, Setting};
 pub use stream::{try_stream_counts_seeded, CountAccumulator};

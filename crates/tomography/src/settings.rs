@@ -162,70 +162,6 @@ pub fn all_settings(n: usize) -> Vec<Setting> {
     }
 }
 
-/// Cached outcome projectors for a list of settings.
-///
-/// [`Setting::outcome_projector`] rebuilds its Kronecker chain on every
-/// call; the MLE RρR loop evaluates each projector hundreds of times per
-/// reconstruction, and a bootstrap evaluates each reconstruction dozens
-/// of times. This cache builds every projector exactly once — via the
-/// same `outcome_projector` code path, so the cached matrices are
-/// bit-identical to freshly built ones — and hands out references.
-#[derive(Debug, Clone)]
-pub struct ProjectorSet {
-    /// `projectors[s][o]` for setting `s`, outcome `o`.
-    projectors: Vec<Vec<CMatrix>>,
-    /// Hilbert-space dimension `2ⁿ`.
-    dim: usize,
-}
-
-impl ProjectorSet {
-    /// Precomputes all `Σ_s 2ⁿ` outcome projectors.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `settings` is empty or the settings measure different
-    /// qubit counts.
-    pub fn new(settings: &[Setting]) -> Self {
-        assert!(!settings.is_empty(), "projector set needs at least one setting");
-        let n = settings[0].qubits();
-        let projectors: Vec<Vec<CMatrix>> = settings
-            .iter()
-            .map(|setting| {
-                assert_eq!(setting.qubits(), n, "settings measure different qubit counts");
-                (0..setting.outcomes()).map(|o| setting.outcome_projector(o)).collect()
-            })
-            .collect();
-        Self {
-            projectors,
-            dim: 1 << n,
-        }
-    }
-
-    /// Hilbert-space dimension.
-    #[inline]
-    pub fn dim(&self) -> usize {
-        self.dim
-    }
-
-    /// Number of settings covered.
-    #[inline]
-    pub fn settings(&self) -> usize {
-        self.projectors.len()
-    }
-
-    /// Outcomes of setting `s`.
-    #[inline]
-    pub fn outcomes(&self, s: usize) -> usize {
-        self.projectors[s].len()
-    }
-
-    /// The cached projector of outcome `o` in setting `s`.
-    #[inline]
-    pub fn projector(&self, s: usize, o: usize) -> &CMatrix {
-        &self.projectors[s][o]
-    }
-}
-
 /// The Pauli string `σ_{s₁} ⊗ … ⊗ σ_{sₙ}` as a matrix, where `None`
 /// denotes identity on that qubit.
 pub fn pauli_string_matrix(string: &[Option<PauliBasis>]) -> CMatrix {
@@ -340,35 +276,5 @@ mod tests {
             Setting::from_bases(&[PauliBasis::X, PauliBasis::Z]),
             Setting(vec![PauliBasis::X, PauliBasis::Z])
         );
-    }
-
-    #[test]
-    fn projector_set_caches_bit_identical_projectors() {
-        let settings = all_settings(2);
-        let cache = ProjectorSet::new(&settings);
-        assert_eq!(cache.dim(), 4);
-        assert_eq!(cache.settings(), 9);
-        for (s, setting) in settings.iter().enumerate() {
-            assert_eq!(cache.outcomes(s), setting.outcomes());
-            for o in 0..setting.outcomes() {
-                let fresh = setting.outcome_projector(o);
-                let cached = cache.projector(s, o);
-                assert!(
-                    fresh
-                        .as_slice()
-                        .iter()
-                        .zip(cached.as_slice())
-                        .all(|(a, b)| a.re.to_bits() == b.re.to_bits()
-                            && a.im.to_bits() == b.im.to_bits()),
-                    "setting {s} outcome {o}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one setting")]
-    fn projector_set_rejects_empty() {
-        let _ = ProjectorSet::new(&[]);
     }
 }

@@ -28,7 +28,9 @@ fn main() {
         "{:>16} {:>16} {:>14} {:>10} {:>14} {:>10}",
         "shots/setting", "linear F", "MLE F", "MLE it", "accel F", "accel it"
     );
-    for row in tomography_ablation(&[10, 30, 100, 300, 1000, 10_000], 2018) {
+    let rows = tomography_ablation(&[10, 30, 100, 300, 1000, 10_000], 2018)
+        .expect("every statistics level reconstructs");
+    for row in rows {
         println!(
             "{:>16} {:>16.4} {:>14.4} {:>10} {:>14.4} {:>10}",
             row.shots_per_setting,

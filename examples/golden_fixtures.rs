@@ -1,10 +1,11 @@
 //! Regenerates the byte-identity golden fixtures under `tests/golden/`.
 //!
-//! The fixtures pin the exact JSON output of every shot-based kernel that
-//! the zero-allocation rework touches (categorical sampling, MLE RρR,
-//! bootstrap resampling, detector/timetag pipelines). They were generated
-//! from the pre-rework tree and must never change: `tests/byte_identity.rs`
-//! fails if any kernel drifts by a single byte.
+//! The fixtures pin the exact JSON output of every shot-based kernel
+//! (categorical sampling, bootstrap resampling, detector/timetag
+//! pipelines) and of the MLE engine; `tests/byte_identity.rs` fails if
+//! any of them drifts by a single byte. Regenerate only for a change that
+//! moves bytes on purpose, and record the old-vs-new values in
+//! CHANGES.md.
 //!
 //! Run from the workspace root: `cargo run --release --example golden_fixtures`
 
@@ -23,7 +24,7 @@ use qfc::tomography::rank1::{
     deterministic_bases, exact_counts_repr, synthetic_low_rank_state, try_mle_repr,
     ProjectorReprSet,
 };
-use qfc::tomography::reconstruct::{mle_reconstruction, MleOptions};
+use qfc::tomography::reconstruct::{try_mle_reconstruction, MleOptions};
 use qfc::tomography::settings::all_settings;
 
 fn write_fixture(dir: &Path, name: &str, json: &str) {
@@ -52,13 +53,12 @@ fn main() {
     write_fixture(&dir, "tomography_counts.json", &serde_json::to_string(&data).expect("json"));
 
     // MLE RρR reconstruction of those counts.
-    let mle = mle_reconstruction(&data, &MleOptions::default());
+    let mle = try_mle_reconstruction(&data, &MleOptions::default()).expect("MLE");
     write_fixture(&dir, "mle_reconstruction.json", &serde_json::to_string(&mle).expect("json"));
 
-    // Rank-1 + packed-GEMM qudit MLE (the large-d fast path). This is a
-    // *new* path pinning its *own* baseline — deterministic and bitwise
-    // thread-invariant, but intentionally not byte-comparable to the
-    // classic dense fixture above.
+    // Qudit MLE: a d = 8 state measured in orthonormal bases and
+    // reconstructed by the rank-1 engine directly (bitwise
+    // thread-invariant).
     let qudit_truth = synthetic_low_rank_state(8, 2, 5).expect("synthetic state");
     let qudit_bases = deterministic_bases(8, 9, 21).expect("bases");
     let qudit_set = ProjectorReprSet::try_rank1_from_bases(&qudit_bases).expect("set");
@@ -82,7 +82,7 @@ fn main() {
         23,
         &data,
         6,
-        |d| mle_reconstruction(d, &opts).rho,
+        |d| try_mle_reconstruction(d, &opts).expect("replica MLE").rho,
         |rho| fidelity_with_pure(rho, &target),
     );
     write_fixture(&dir, "bootstrap_mle.json", &serde_json::to_string(&boot).expect("json"));

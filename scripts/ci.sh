@@ -1,15 +1,19 @@
 #!/usr/bin/env bash
-# Tier-1 gate: release build, root test suite, workspace static analysis
-# (qfc-lint), per-crate lints, and a seconds-scale bench smoke run that
-# cross-checks serial vs parallel determinism. Run from the repository root.
+# Tier-1 gate: release build, root test suite, every crate's tests, the
+# paper's headline runs, workspace static analysis (qfc-lint), per-crate
+# lints, and a seconds-scale bench smoke run that cross-checks serial vs
+# parallel determinism. Run from the repository root.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 echo "==> cargo build --release"
 cargo build --release
 
-echo "==> cargo test -q"
-cargo test -q
+echo "==> cargo test -q --workspace (root suite plus every crate's tests)"
+cargo test -q --workspace
+
+echo "==> paper headline numbers (release, the #[ignore]d full-paper runs)"
+cargo test --release -q --test paper_numbers -- --ignored
 
 echo "==> qfc-lint --deny (workspace static analysis)"
 cargo run --release -p qfc-lint -- --deny
@@ -34,10 +38,7 @@ echo "==> cargo clippy (library no-unwrap gate)"
 roster=()
 for d in crates/*/; do
   name="$(sed -n 's/^name = "\(.*\)"/\1/p' "$d/Cargo.toml" | head -n1)"
-  # qfc-bench is a binary crate (no library target to gate).
-  if [ "$name" != "qfc-bench" ]; then
-    roster+=(-p "$name")
-  fi
+  roster+=(-p "$name")
 done
 cargo clippy --no-deps --lib "${roster[@]}" \
   -- -D warnings -D clippy::unwrap_used -D clippy::expect_used

@@ -88,9 +88,7 @@ use qfc::tomography::rank1::{
     deterministic_bases, exact_counts_repr, synthetic_low_rank_state, try_mle_repr,
     ProjectorReprSet,
 };
-use qfc::tomography::reconstruct::{
-    mle_reconstruction, try_mle_reconstruction, MleAcceleration, MleOptions,
-};
+use qfc::tomography::reconstruct::{try_mle_reconstruction, MleAcceleration, MleOptions};
 use qfc::tomography::settings::all_settings;
 use qfc::tomography::stream::try_stream_counts_seeded;
 
@@ -453,7 +451,7 @@ fn run(
                 17,
                 &data,
                 replicas,
-                |d| mle_reconstruction(d, &MleOptions::default()).rho,
+                |d| try_mle_reconstruction(d, &MleOptions::default()).expect("replica reconstructs").rho,
                 |rho| fidelity_with_pure(rho, &target),
             );
             serde_json::to_string(&est).expect("estimate serializes")

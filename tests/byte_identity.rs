@@ -1,13 +1,15 @@
-//! Byte-identity gate for the zero-allocation kernel rework.
+//! Byte-identity gate for the kernel reworks.
 //!
-//! The fixtures under `tests/golden/` were generated from the tree *before*
-//! the shot kernels were converted to precomputed sampling tables and
-//! in-place linear algebra (`cargo run --release --example golden_fixtures`
-//! regenerates them, but they must never change). Each test re-runs one
-//! workload through the reworked kernels and demands the serialized JSON
-//! match the pre-rework output byte for byte — the strongest possible
-//! statement that the optimizations are pure refactors of the arithmetic,
-//! not statistical approximations of it.
+//! The fixtures under `tests/golden/` pin the serialized JSON of every
+//! shot-based kernel and of the MLE engine
+//! (`cargo run --release --example golden_fixtures` regenerates them).
+//! Each test re-runs one workload and demands the output match its
+//! fixture byte for byte — the strongest possible statement that an
+//! optimization is a pure refactor of the arithmetic, not a statistical
+//! approximation of it. A change that must move bytes re-baselines once,
+//! on purpose, with an old-vs-new equivalence table in CHANGES.md (the
+//! one-engine MLE re-baseline of `mle_reconstruction.json`,
+//! `bootstrap_mle.json` and `four_photon.json` is the precedent).
 
 use std::fs;
 use std::path::PathBuf;
@@ -24,7 +26,7 @@ use qfc::tomography::rank1::{
     deterministic_bases, exact_counts_repr, synthetic_low_rank_state, try_mle_repr,
     ProjectorReprSet,
 };
-use qfc::tomography::reconstruct::{mle_reconstruction, MleOptions};
+use qfc::tomography::reconstruct::{try_mle_reconstruction, MleOptions};
 use qfc::tomography::settings::all_settings;
 
 fn golden(name: &str) -> String {
@@ -46,7 +48,7 @@ fn assert_bytes_match(name: &str, fresh: &str) {
             .unwrap_or_else(|| fresh.len().min(pinned.len()));
         let lo = at.saturating_sub(60);
         panic!(
-            "{name}: reworked kernel output drifted from the pre-rework golden \
+            "{name}: output drifted from the golden fixture \
              at byte {at}\n  golden: …{}…\n  fresh:  …{}…",
             &pinned[lo..(at + 60).min(pinned.len())],
             &fresh[lo..(at + 60).min(fresh.len())],
@@ -81,7 +83,7 @@ fn tomography_counts_match_pre_rework_bytes() {
 fn mle_reconstruction_matches_pre_rework_bytes() {
     let truth = werner_state(0.83, 0.0);
     let data = simulate_counts_seeded(&truth, &all_settings(2), 500, 17);
-    let mle = mle_reconstruction(&data, &MleOptions::default());
+    let mle = try_mle_reconstruction(&data, &MleOptions::default()).expect("MLE");
     assert_bytes_match(
         "mle_reconstruction.json",
         &serde_json::to_string(&mle).expect("json"),
@@ -102,7 +104,7 @@ fn bootstrap_mle_matches_pre_rework_bytes() {
         23,
         &data,
         6,
-        |d| mle_reconstruction(d, &opts).rho,
+        |d| try_mle_reconstruction(d, &opts).expect("replica MLE").rho,
         |rho| fidelity_with_pure(rho, &target),
     );
     assert_bytes_match(
@@ -111,9 +113,8 @@ fn bootstrap_mle_matches_pre_rework_bytes() {
     );
 }
 
-/// The `qudit_mle_rank1.json` reconstruction: the rank-1 + packed-GEMM
-/// fast path's own pinned baseline (it is a new path, deliberately not
-/// byte-comparable to the classic dense fixture).
+/// The `qudit_mle_rank1.json` reconstruction: a d = 8 qudit measured in
+/// orthonormal bases, reconstructed by the rank-1 engine directly.
 fn qudit_rank1_json() -> String {
     let truth = synthetic_low_rank_state(8, 2, 5).expect("synthetic state");
     let bases = deterministic_bases(8, 9, 21).expect("bases");

@@ -5,11 +5,16 @@
 //! name and nesting, never by scheduling order.
 
 use qfc::core::heralded::{try_run_heralded_experiment, HeraldedConfig};
+use qfc::core::multiphoton::{try_run_multiphoton_experiment, MultiPhotonConfig};
 use qfc::core::source::QfcSource;
 use qfc::core::timebin::{try_run_timebin_experiment, TimeBinConfig};
 use qfc::faults::FaultSchedule;
-use qfc::obs::Collector;
+use qfc::obs::{Collector, REGISTERED_COUNTERS};
+use qfc::quantum::bell::werner_state;
 use qfc::runtime::with_threads;
+use qfc::tomography::counts::simulate_counts_seeded;
+use qfc::tomography::reconstruct::{try_mle_reconstruction, MleAcceleration, MleOptions};
+use qfc::tomography::settings::all_settings;
 
 fn heralded_cfg() -> HeraldedConfig {
     let mut cfg = HeraldedConfig::fast_demo();
@@ -93,6 +98,35 @@ fn trace_records_driver_phases_and_counters() {
     let text = snap.render();
     assert!(text.contains("driver.heralded.timetag"), "{text}");
     assert!(text.contains("shots_simulated"), "{text}");
+}
+
+/// The registry is closed over the tomography stack: a §V run (streamed
+/// counts, classic MLE) plus an accelerated reconstruction bump only
+/// registered counters, so the export order is the registry order.
+#[test]
+fn tomography_counters_are_all_registered() {
+    let source = QfcSource::paper_device_timebin();
+    let data = simulate_counts_seeded(&werner_state(0.83, 0.0), &all_settings(2), 500, 17);
+    let accelerated = MleOptions {
+        acceleration: MleAcceleration::accelerated(),
+        ..MleOptions::default()
+    };
+    let collector = Collector::new();
+    collector.install(|| {
+        try_run_multiphoton_experiment(
+            &source,
+            &MultiPhotonConfig::fast_demo(),
+            13,
+            &FaultSchedule::empty(),
+        )
+        .expect("clean run");
+        try_mle_reconstruction(&data, &accelerated).expect("accelerated MLE");
+    });
+    let snap = collector.snapshot();
+    let names: Vec<&str> = snap.counters.iter().map(|(n, _)| n.as_str()).collect();
+    assert_eq!(names, REGISTERED_COUNTERS, "a counter outside the registry was bumped");
+    assert!(snap.counter("tomography_stream_shards").unwrap_or(0) > 0);
+    assert!(snap.counter("mle_accelerated_steps").unwrap_or(0) > 0);
 }
 
 #[test]

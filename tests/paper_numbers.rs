@@ -1,7 +1,8 @@
 //! Paper-configuration assertions: the headline numbers at the full
 //! published operating points. These are heavier than the `fast_demo`
-//! integration tests; the heaviest are `#[ignore]`d by default — run
-//! them with `cargo test --release -- --ignored`.
+//! integration tests; the full-paper runs are `#[ignore]`d because an
+//! unoptimized build is slow. `scripts/ci.sh` runs them in its release
+//! stage: `cargo test --release -q --test paper_numbers -- --ignored`.
 
 use qfc::core::crosspol::{run_crosspol_experiment, run_power_sweep, CrossPolConfig};
 use qfc::core::heralded::{
@@ -44,7 +45,7 @@ fn purity_and_memory_claims() {
 }
 
 #[test]
-#[ignore = "full §II Monte-Carlo (runs in seconds under --release)"]
+#[ignore = "full §II Monte-Carlo: release-only, run by the ci.sh release stage"]
 fn t1_f1_f2_full_heralded_run() {
     let source = QfcSource::paper_device();
     let report = run_heralded_experiment(&source, &HeraldedConfig::paper(), SEED);
@@ -57,7 +58,7 @@ fn t1_f1_f2_full_heralded_run() {
 }
 
 #[test]
-#[ignore = "full §III Monte-Carlo (runs in seconds under --release)"]
+#[ignore = "full §III Monte-Carlo: release-only, run by the ci.sh release stage"]
 fn f4_full_crosspol_run() {
     let source = QfcSource::paper_device_type2();
     let report = run_crosspol_experiment(&source, &CrossPolConfig::paper(), SEED);
@@ -66,7 +67,7 @@ fn f4_full_crosspol_run() {
 }
 
 #[test]
-#[ignore = "full §IV run (runs in seconds under --release)"]
+#[ignore = "full §IV run: release-only, run by the ci.sh release stage"]
 fn f7_t2_full_timebin_run() {
     let source = QfcSource::paper_device_timebin();
     let report = run_timebin_experiment(&source, &TimeBinConfig::paper(), SEED);
@@ -75,7 +76,7 @@ fn f7_t2_full_timebin_run() {
 }
 
 #[test]
-#[ignore = "full §V run incl. 4-qubit MLE (runs in ~a minute under --release)"]
+#[ignore = "full §V run incl. 4-qubit MLE: release-only, run by the ci.sh release stage"]
 fn f8_t4_full_multiphoton_run() {
     let source = QfcSource::paper_device_timebin();
     let report = run_multiphoton_experiment(&source, &MultiPhotonConfig::paper(), SEED);
