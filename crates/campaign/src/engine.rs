@@ -11,6 +11,15 @@ use crate::checkpoint::{self, LoadOutcome};
 use crate::manifest::{CampaignManifest, ShardSpec};
 use crate::workload::CampaignWorkload;
 
+/// Attempts per shard before quarantine: one try plus two retries.
+pub const MAX_ATTEMPTS: u32 = 3;
+
+/// Base of the deterministic exponential backoff ladder, s. The wait
+/// recorded before attempt `k` (k ≥ 2) is `BACKOFF_BASE_S · 2^(k−2)`,
+/// mirroring the supervisor's pump re-lock ladder; the total after `n`
+/// failed attempts is `BACKOFF_BASE_S · (2^(n−1) − 1)`.
+pub const BACKOFF_BASE_S: f64 = 0.05;
+
 /// Execution policy of a campaign run.
 #[derive(Debug, Clone)]
 pub struct CampaignOptions {
@@ -18,21 +27,6 @@ pub struct CampaignOptions {
     /// subdirectory named by its fingerprint, so differently-configured
     /// campaigns can never cross-contaminate.
     pub checkpoint_dir: PathBuf,
-    /// Attempts per shard before quarantine (≥ 1; a value of 3 means
-    /// one try plus two retries).
-    pub max_attempts: u32,
-    /// Base of the deterministic exponential backoff ladder, s. The
-    /// wait recorded before attempt `k` (k ≥ 2) is
-    /// `backoff_base_s · 2^(k−2)`, mirroring the supervisor's pump
-    /// re-lock ladder; the total after `n` failed attempts is
-    /// `backoff_base_s · (2^(n−1) − 1)`.
-    pub backoff_base_s: f64,
-    /// Soft per-shard deadline, s: an attempt whose wall-clock run time
-    /// exceeds it counts as failed and is retried. `None` disables the
-    /// deadline. Results stay deterministic either way — a retried
-    /// shard recomputes the identical payload — only the retry/backoff
-    /// statistics are timing-dependent.
-    pub shard_timeout_s: Option<f64>,
     /// Injected campaign faults (shard aborts, executor faults,
     /// checkpoint damage). Physics fault kinds in this schedule are
     /// ignored by the engine — they belong in the workload's own
@@ -44,14 +38,10 @@ pub struct CampaignOptions {
 }
 
 impl CampaignOptions {
-    /// Defaults: 3 attempts per shard, 50 ms backoff base, no timeout,
-    /// no injected faults, no proof.
+    /// Defaults: no injected faults, no proof.
     pub fn new(checkpoint_dir: impl Into<PathBuf>) -> Self {
         Self {
             checkpoint_dir: checkpoint_dir.into(),
-            max_attempts: 3,
-            backoff_base_s: 0.05,
-            shard_timeout_s: None,
             faults: FaultSchedule::empty(),
             prove: false,
         }
@@ -258,24 +248,24 @@ pub fn run_campaign<W: CampaignWorkload + Sync>(
 }
 
 /// Executes one shard with the bounded retry / deterministic backoff
-/// ladder. Injected executor faults consume the leading attempts;
-/// exhaustion returns the last error for quarantine.
+/// ladder ([`MAX_ATTEMPTS`], [`BACKOFF_BASE_S`]). Injected executor
+/// faults consume the leading attempts; exhaustion returns the last
+/// error for quarantine.
 fn execute_shard<W: CampaignWorkload + Sync>(
     workload: &W,
     opts: &CampaignOptions,
     spec: &ShardSpec,
 ) -> ShardExecution {
-    let budget = opts.max_attempts.max(1);
     let injected_failures = opts.faults.shard_executor_failures(spec.index);
     let mut retries = 0u64;
     let mut backoff_s = 0.0f64;
     let mut last_err = QfcError::persistence(format!("shard {} never attempted", spec.index));
-    for attempt in 1..=budget {
+    for attempt in 1..=MAX_ATTEMPTS {
         if attempt > 1 {
             // Deterministic exponential ladder, mirroring the
             // supervisor's pump re-lock backoff (base · 2^(k−2) before
             // attempt k). Recorded, not slept: the budget is virtual.
-            backoff_s += opts.backoff_base_s * f64::from(1u32 << (attempt - 2).min(20));
+            backoff_s += BACKOFF_BASE_S * f64::from(1u32 << (attempt - 2));
             retries += 1;
         }
         let outcome = if attempt <= injected_failures {
@@ -284,7 +274,7 @@ fn execute_shard<W: CampaignWorkload + Sync>(
                 spec.index
             )))
         } else {
-            run_attempt(workload, opts, spec)
+            workload.run_shard(spec)
         };
         match outcome {
             Ok(payload) => {
@@ -302,28 +292,6 @@ fn execute_shard<W: CampaignWorkload + Sync>(
         backoff_s,
         result: Err(last_err),
     }
-}
-
-/// One shard attempt, with the soft wall-clock deadline applied.
-fn run_attempt<W: CampaignWorkload + Sync>(
-    workload: &W,
-    opts: &CampaignOptions,
-    spec: &ShardSpec,
-) -> QfcResult<String> {
-    let started = opts
-        .shard_timeout_s
-        .map(|_| std::time::Instant::now()); // qfc-lint: allow(determinism) — operational shard deadline; payloads are deterministic, only retry stats depend on timing
-    let payload = workload.run_shard(spec)?;
-    if let (Some(limit), Some(t0)) = (opts.shard_timeout_s, started) {
-        let elapsed = t0.elapsed().as_secs_f64();
-        if elapsed > limit {
-            return Err(QfcError::persistence(format!(
-                "shard {} exceeded its {limit} s deadline ({elapsed:.3} s)",
-                spec.index
-            )));
-        }
-    }
-    Ok(payload)
 }
 
 /// Payload slot for a shard index (the manifest is contiguous from 0).

@@ -1,13 +1,14 @@
 //! Crash-tolerant sharded campaign engine.
 //!
-//! A *campaign* decomposes one of the four paper drivers' shot budgets
-//! into a deterministic shard manifest (per-channel tasks plus, for §II,
-//! the fixed `SHOT_SHARDS` shot-range decomposition of the F2 linewidth
-//! run), executes the shards on the `qfc-runtime` pool with bounded
-//! retry and deterministic exponential backoff, checkpoints every
-//! completed shard with an integrity hash (canonical JSON, torn-write
-//! detection via temp-file rename), and folds the partial shard reports
-//! into the full run report.
+//! A *campaign* is the checkpointed executor of a paper driver's
+//! [`qfc_core::experiment::Experiment`]: one shard per task (per-channel
+//! tasks plus, for §II, the fixed `SHOT_SHARDS` shot-range decomposition
+//! of the F2 linewidth run). It executes the shards on the `qfc-runtime`
+//! pool with bounded retry and deterministic exponential backoff,
+//! checkpoints every completed shard with an integrity hash (canonical
+//! JSON, torn-write detection via temp-file rename), and folds the
+//! payloads into the full run report through the experiment's own
+//! assemble step.
 //!
 //! ## The byte-identity contract
 //!
@@ -39,8 +40,11 @@ pub mod engine;
 pub mod manifest;
 pub mod workload;
 
-pub use engine::{run_campaign, CampaignOptions, CampaignOutcome, CampaignStats};
+pub use engine::{
+    run_campaign, CampaignOptions, CampaignOutcome, CampaignStats, BACKOFF_BASE_S, MAX_ATTEMPTS,
+};
 pub use manifest::{CampaignManifest, ShardSpec};
 pub use workload::{
-    CampaignWorkload, CrossPolCampaign, HeraldedCampaign, MultiPhotonCampaign, TimeBinCampaign,
+    Campaign, CampaignWorkload, CrossPolCampaign, HeraldedCampaign, MultiPhotonCampaign,
+    TimeBinCampaign,
 };

@@ -1,33 +1,20 @@
 //! Campaign manifests: the deterministic shard table plus the campaign
 //! fingerprint that keys the checkpoint directory.
 //!
-//! The fingerprint covers the workload label, root seed, config JSON,
-//! and the full shard table, so a checkpoint can never be replayed into
-//! a campaign it does not belong to: changing the config, the seed, or
-//! the decomposition changes the fingerprint, and stale checkpoints are
-//! rejected at load.
+//! The fingerprint covers the workload label, the root seed, the
+//! workload's [`config_json`](crate::CampaignWorkload::config_json) —
+//! for a driver campaign, the source, the driver config and the physics
+//! fault schedule — and the full shard table. So a checkpoint can never
+//! be replayed into a campaign it does not belong to: changing any
+//! input a payload depends on changes the fingerprint, and stale
+//! checkpoints are rejected at load.
 
 use qfc_faults::{QfcError, QfcResult};
 use qfc_obs::RunManifest;
 use serde::{Deserialize, Serialize};
 
-/// One shard of a campaign: a self-describing unit of work. `start`/
-/// `len` carry the shot range for shot-range shards (mirroring
-/// [`qfc_runtime::Shard`]) and the position/unit count for per-channel
-/// shards; `seed` records the shard's independent split-seed lane.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ShardSpec {
-    /// Shard position in the campaign's fixed decomposition.
-    pub index: u32,
-    /// Human-readable shard label, e.g. `channel-3` or `linewidth-17`.
-    pub label: String,
-    /// First work-unit index covered by this shard.
-    pub start: u64,
-    /// Number of work units in this shard.
-    pub len: u64,
-    /// The shard's independent RNG lane (`split_seed` derived).
-    pub seed: u64,
-}
+/// One shard of a campaign: one task of the driver's experiment.
+pub use qfc_core::experiment::ShardSpec;
 
 /// The deterministic decomposition of one driver run into shards, plus
 /// the fingerprint that keys its checkpoint directory.
@@ -37,9 +24,10 @@ pub struct CampaignManifest {
     pub label: String,
     /// Root RNG seed of the run.
     pub seed: u64,
-    /// FNV-1a 64 digest of the driver config's JSON serialization.
+    /// FNV-1a 64 digest of the workload's config JSON.
     pub config_digest: String,
-    /// 16-hex-digit fingerprint of (label, seed, config, shard table).
+    /// 16-hex-digit fingerprint of (label, seed, config JSON, shard
+    /// table).
     pub campaign_id: String,
     /// The shard table, in index order.
     pub shards: Vec<ShardSpec>,

@@ -1,37 +1,20 @@
-//! Campaign workloads: the four paper drivers decomposed into
-//! deterministic shard manifests.
+//! Campaign workloads: any paper driver's [`Experiment`] run as a
+//! checkpointed campaign, one shard per task.
 //!
-//! Each workload mirrors its driver's own parallel decomposition —
-//! per-channel tasks for §IV/§II/§V, plus the fixed `SHOT_SHARDS`
-//! shot-range layout for the §II F2 linewidth run — so a merged campaign
-//! report is byte-identical to the single-process run. Shard payloads
-//! are the serialized intermediate products (`TagStream` pairs, channel
-//! fringe/CHSH tuples, tomography results), and `merge` folds them in
-//! shard-index order through the same assembly code the driver uses.
+//! [`Campaign`] is the one adapter: its shard table is the experiment's
+//! task list, a shard's payload is one task's serialized output, and
+//! `merge` decodes the payloads one at a time, in shard-index order,
+//! into the same [`Experiment::assemble`] the in-process executor
+//! calls — so a merged campaign report is byte-identical to the
+//! single-process run.
 
-use qfc_core::crosspol::{try_run_crosspol_experiment, CrossPolConfig};
-use qfc_core::heralded::{
-    assemble_heralded_run, heralded_channel_task, heralded_linewidth_shard,
-    plan_heralded_experiment, try_run_heralded_experiment, HeraldedConfig, HeraldedRun,
-};
-use qfc_core::multiphoton::{
-    bell_channel_task, four_photon_tomography_from_data, plan_multiphoton_experiment,
-    try_four_photon_fringe, try_four_photon_state, try_run_multiphoton_experiment,
-    BellTomographyResult, FourPhotonFringe, FourPhotonTomography, MultiPhotonConfig,
-    MultiPhotonReport, MultiPhotonRun,
-};
+use qfc_core::crosspol::CrossPolConfig;
+use qfc_core::experiment::{run_in_process, Experiment};
+use qfc_core::heralded::HeraldedConfig;
+use qfc_core::multiphoton::MultiPhotonConfig;
 use qfc_core::source::QfcSource;
-use qfc_core::timebin::{
-    plan_timebin_experiment, timebin_channel_task, try_run_timebin_experiment, ChannelFringe,
-    ChshChannelResult, TimeBinConfig, TimeBinReport, TimeBinRun,
-};
-use qfc_faults::{FaultSchedule, HealthReport, QfcError, QfcResult};
-use qfc_mathkit::cast;
-use qfc_mathkit::rng::split_seed;
-use qfc_timetag::events::TagStream;
-use qfc_tomography::counts::setting_histogram;
-use qfc_tomography::settings::all_settings;
-use qfc_tomography::stream::CountAccumulator;
+use qfc_core::timebin::TimeBinConfig;
+use qfc_faults::{FaultSchedule, QfcError, QfcResult};
 use serde::Serialize;
 
 use crate::manifest::ShardSpec;
@@ -53,12 +36,14 @@ pub trait CampaignWorkload {
     fn label(&self) -> String;
     /// Root RNG seed of the run (part of the campaign fingerprint).
     fn seed(&self) -> u64;
-    /// The driver config's JSON serialization (digested into the
-    /// campaign fingerprint).
+    /// Canonical JSON of every input a shard payload depends on except
+    /// the seed (digested into the campaign fingerprint), so two
+    /// campaigns that could produce different payloads never share a
+    /// checkpoint directory.
     ///
     /// # Errors
     ///
-    /// [`QfcError::Persistence`] when the config cannot be serialized.
+    /// [`QfcError::Persistence`] when the inputs cannot be serialized.
     fn config_json(&self) -> QfcResult<String>;
     /// The deterministic shard decomposition, indices contiguous from 0.
     ///
@@ -94,118 +79,45 @@ fn to_json<T: Serialize>(what: &str, value: &T) -> QfcResult<String> {
         .map_err(|e| QfcError::persistence(format!("{what} serialization: {e}")))
 }
 
-fn from_json<T: serde::de::DeserializeOwned>(what: &str, payload: &str) -> QfcResult<T> {
-    serde_json::from_str(payload)
-        .map_err(|e| QfcError::persistence(format!("{what} payload undecodable: {e}")))
+/// A paper driver run as a campaign: the same four inputs
+/// [`run_in_process`] receives, with one shard per
+/// [`Experiment::task`].
+#[derive(Debug)]
+pub struct Campaign<'a, C> {
+    /// The simulated device.
+    pub source: &'a QfcSource,
+    /// Driver configuration.
+    pub config: &'a C,
+    /// Root RNG seed.
+    pub seed: u64,
+    /// Physics fault schedule (campaign fault kinds belong in
+    /// [`CampaignOptions::faults`](crate::CampaignOptions)).
+    pub schedule: &'a FaultSchedule,
 }
 
-fn shard_out_of_range(label: &str, spec: &ShardSpec) -> QfcError {
-    QfcError::persistence(format!(
-        "{label} campaign has no shard {} ({})",
-        spec.index, spec.label
-    ))
+impl<C> Clone for Campaign<'_, C> {
+    fn clone(&self) -> Self {
+        *self
+    }
 }
+
+impl<C> Copy for Campaign<'_, C> {}
 
 /// §IV time-bin run as a campaign: one shard per surviving channel.
-#[derive(Debug, Clone, Copy)]
-pub struct TimeBinCampaign<'a> {
-    /// The simulated device.
-    pub source: &'a QfcSource,
-    /// Driver configuration.
-    pub config: &'a TimeBinConfig,
-    /// Root RNG seed.
-    pub seed: u64,
-    /// Physics fault schedule (campaign fault kinds are ignored here).
-    pub schedule: &'a FaultSchedule,
-}
-
-impl CampaignWorkload for TimeBinCampaign<'_> {
-    fn label(&self) -> String {
-        "timebin".to_owned()
-    }
-
-    fn seed(&self) -> u64 {
-        self.seed
-    }
-
-    fn config_json(&self) -> QfcResult<String> {
-        to_json("timebin config", self.config)
-    }
-
-    fn plan(&self) -> QfcResult<Vec<ShardSpec>> {
-        let plan = plan_timebin_experiment(self.source, self.config, self.seed, self.schedule)?;
-        Ok(plan
-            .models
-            .iter()
-            .enumerate()
-            .map(|(i, (m, _, _))| ShardSpec {
-                index: cast::usize_to_u32(i),
-                label: format!("channel-{m}"),
-                start: cast::usize_to_u64(i),
-                len: 1,
-                seed: split_seed(self.seed, u64::from(*m)),
-            })
-            .collect())
-    }
-
-    fn run_shard(&self, spec: &ShardSpec) -> QfcResult<String> {
-        let plan = plan_timebin_experiment(self.source, self.config, self.seed, self.schedule)?;
-        let (m, c, model) = plan
-            .models
-            .get(cast::u32_to_usize(spec.index))
-            .ok_or_else(|| shard_out_of_range("timebin", spec))?;
-        let pair: (ChannelFringe, ChshChannelResult) =
-            timebin_channel_task(self.seed, *m, c, model);
-        to_json("timebin shard", &pair)
-    }
-
-    fn merge(&self, payloads: &[String]) -> QfcResult<String> {
-        let plan = plan_timebin_experiment(self.source, self.config, self.seed, self.schedule)?;
-        let mut fringes = Vec::with_capacity(payloads.len());
-        let mut chsh = Vec::with_capacity(payloads.len());
-        for payload in payloads {
-            let (f, c): (ChannelFringe, ChshChannelResult) =
-                from_json("timebin shard", payload)?;
-            fringes.push(f);
-            chsh.push(c);
-        }
-        let run = TimeBinRun {
-            report: TimeBinReport { fringes, chsh },
-            health: plan.health,
-        };
-        to_json("timebin run", &run)
-    }
-
-    fn reference_json(&self) -> QfcResult<String> {
-        let run = try_run_timebin_experiment(self.source, self.config, self.seed, self.schedule)?;
-        to_json("timebin run", &run)
-    }
-}
-
+pub type TimeBinCampaign<'a> = Campaign<'a, TimeBinConfig>;
 /// §II heralded run as a campaign: one shard per surviving channel plus
-/// the fixed `SHOT_SHARDS` shot-range decomposition of the F2 linewidth
-/// run.
-#[derive(Debug, Clone, Copy)]
-pub struct HeraldedCampaign<'a> {
-    /// The simulated device.
-    pub source: &'a QfcSource,
-    /// Driver configuration.
-    pub config: &'a HeraldedConfig,
-    /// Root RNG seed.
-    pub seed: u64,
-    /// Physics fault schedule (campaign fault kinds are ignored here).
-    pub schedule: &'a FaultSchedule,
-}
+/// the fixed `SHOT_SHARDS` shot-range shards of the F2 linewidth run.
+pub type HeraldedCampaign<'a> = Campaign<'a, HeraldedConfig>;
+/// §V multi-photon run as a campaign: one shard per T3 channel, one for
+/// the F8 fringe, and the T4 count ranges; the merge runs the T4 MLE.
+pub type MultiPhotonCampaign<'a> = Campaign<'a, MultiPhotonConfig>;
+/// §III cross-polarization run as a campaign: a single shard, which
+/// still gains checkpoint/resume.
+pub type CrossPolCampaign<'a> = Campaign<'a, CrossPolConfig>;
 
-impl HeraldedCampaign<'_> {
-    fn linewidth_layout(&self, linewidth_root: u64) -> Vec<qfc_runtime::Shard> {
-        qfc_runtime::shard_layout(cast::usize_to_u64(self.config.linewidth_pairs), linewidth_root)
-    }
-}
-
-impl CampaignWorkload for HeraldedCampaign<'_> {
+impl<C: Experiment> CampaignWorkload for Campaign<'_, C> {
     fn label(&self) -> String {
-        "heralded".to_owned()
+        C::LABEL.to_owned()
     }
 
     fn seed(&self) -> u64 {
@@ -213,344 +125,46 @@ impl CampaignWorkload for HeraldedCampaign<'_> {
     }
 
     fn config_json(&self) -> QfcResult<String> {
-        to_json("heralded config", self.config)
+        to_json(C::LABEL, &(self.source, self.config, self.schedule))
     }
 
     fn plan(&self) -> QfcResult<Vec<ShardSpec>> {
-        let plan = plan_heralded_experiment(self.source, self.config, self.seed, self.schedule)?;
-        let n_channels = plan.survivors.len();
-        let mut shards: Vec<ShardSpec> = plan
-            .survivors
-            .iter()
-            .enumerate()
-            .map(|(i, m)| ShardSpec {
-                index: cast::usize_to_u32(i),
-                label: format!("channel-{m}"),
-                start: cast::usize_to_u64(i),
-                len: 1,
-                seed: split_seed(plan.channel_root, u64::from(*m)),
-            })
-            .collect();
-        for sh in self.linewidth_layout(plan.linewidth_root) {
-            shards.push(ShardSpec {
-                index: cast::usize_to_u32(n_channels + sh.index),
-                label: format!("linewidth-{}", sh.index),
-                start: sh.start,
-                len: sh.len,
-                seed: sh.seed,
-            });
-        }
-        Ok(shards)
+        let (_, tasks) = self.config.plan(self.source, self.seed, self.schedule)?;
+        Ok(tasks)
     }
 
     fn run_shard(&self, spec: &ShardSpec) -> QfcResult<String> {
-        let plan = plan_heralded_experiment(self.source, self.config, self.seed, self.schedule)?;
-        let n_channels = plan.survivors.len();
-        let slot = cast::u32_to_usize(spec.index);
-        if slot < n_channels {
-            let m = plan.survivors[slot];
-            let streams: (TagStream, TagStream) =
-                heralded_channel_task(self.config, self.schedule, &plan, slot, m);
-            to_json("heralded channel shard", &streams)
-        } else {
-            let shard = qfc_runtime::Shard {
-                index: slot - n_channels,
-                start: spec.start,
-                len: spec.len,
-                seed: spec.seed,
-            };
-            if shard.index >= self.linewidth_layout(plan.linewidth_root).len() {
-                return Err(shard_out_of_range("heralded", spec));
-            }
-            let tags: (Vec<i64>, Vec<i64>) =
-                heralded_linewidth_shard(self.config, plan.tau, &shard);
-            to_json("heralded linewidth shard", &tags)
+        let (plan, tasks) = self.config.plan(self.source, self.seed, self.schedule)?;
+        if tasks.get(spec.slot()) != Some(spec) {
+            return Err(spec.unplanned(C::LABEL));
         }
+        let output = self
+            .config
+            .task(self.source, self.seed, self.schedule, &plan, spec)?;
+        to_json(&spec.label, &output)
     }
 
     fn merge(&self, payloads: &[String]) -> QfcResult<String> {
-        let plan = plan_heralded_experiment(self.source, self.config, self.seed, self.schedule)?;
-        let n_channels = plan.survivors.len();
-        let mut signal_streams = Vec::with_capacity(n_channels);
-        let mut idler_streams = Vec::with_capacity(n_channels);
-        for payload in payloads.iter().take(n_channels) {
-            let (s, i): (TagStream, TagStream) = from_json("heralded channel shard", payload)?;
-            signal_streams.push(s);
-            idler_streams.push(i);
-        }
-        // Concatenate the linewidth shards in shard order — the exact
-        // fold `merge_linewidth_shards` applies inside `par_shots`.
-        let mut a = Vec::with_capacity(self.config.linewidth_pairs);
-        let mut b = Vec::with_capacity(self.config.linewidth_pairs);
-        for payload in payloads.iter().skip(n_channels) {
-            let (sa, sb): (Vec<i64>, Vec<i64>) = from_json("heralded linewidth shard", payload)?;
-            a.extend_from_slice(&sa);
-            b.extend_from_slice(&sb);
-        }
-        let run: HeraldedRun =
-            assemble_heralded_run(self.config, plan, signal_streams, idler_streams, a, b)?;
-        to_json("heralded run", &run)
-    }
-
-    fn reference_json(&self) -> QfcResult<String> {
-        let run = try_run_heralded_experiment(self.source, self.config, self.seed, self.schedule)?;
-        to_json("heralded run", &run)
-    }
-}
-
-/// Four-qubit tomography settings per count shard of the §V campaign:
-/// the 81 settings decompose into six independently retryable shards,
-/// each streaming its setting range's histograms on the same
-/// `split_seed(seed, setting_index)` streams the driver uses, so the
-/// merged table is byte-identical to the single-process run.
-const TOMOGRAPHY_SETTINGS_PER_SHARD: usize = 16;
-
-/// One tomography count shard's payload: `(setting_index, histogram)`
-/// pairs for its setting range.
-type TomographyCountShard = Vec<(u64, Vec<u64>)>;
-
-/// §V multi-photon run as a campaign: one Bell-tomography shard per
-/// surviving channel, the four-photon fringe stage as its own shard,
-/// and the four-photon tomography stage decomposed into setting-range
-/// count shards that the merge folds through a
-/// [`CountAccumulator`] before reconstructing once.
-#[derive(Debug, Clone, Copy)]
-pub struct MultiPhotonCampaign<'a> {
-    /// The simulated device.
-    pub source: &'a QfcSource,
-    /// Driver configuration.
-    pub config: &'a MultiPhotonConfig,
-    /// Root RNG seed.
-    pub seed: u64,
-    /// Physics fault schedule (campaign fault kinds are ignored here).
-    pub schedule: &'a FaultSchedule,
-}
-
-impl CampaignWorkload for MultiPhotonCampaign<'_> {
-    fn label(&self) -> String {
-        "multiphoton".to_owned()
-    }
-
-    fn seed(&self) -> u64 {
-        self.seed
-    }
-
-    fn config_json(&self) -> QfcResult<String> {
-        to_json("multiphoton config", self.config)
-    }
-
-    fn plan(&self) -> QfcResult<Vec<ShardSpec>> {
-        let plan =
-            plan_multiphoton_experiment(self.source, self.config, self.seed, self.schedule)?;
-        let n_channels = plan.survivors.len();
-        let mut shards: Vec<ShardSpec> = plan
-            .survivors
-            .iter()
-            .enumerate()
-            .map(|(i, m)| ShardSpec {
-                index: cast::usize_to_u32(i),
-                label: format!("bell-{m}"),
-                start: cast::usize_to_u64(i),
-                len: 1,
-                seed: split_seed(self.seed, u64::from(*m)),
-            })
-            .collect();
-        shards.push(ShardSpec {
-            index: cast::usize_to_u32(n_channels),
-            label: "fringe".to_owned(),
-            start: 0,
-            len: 1,
-            seed: self.seed.wrapping_add(1),
-        });
-        // T4 counts: contiguous setting ranges, all on the same root
-        // seed — per-setting streams are split off the root inside the
-        // shard, exactly as the driver's streaming path does.
-        let n_settings = all_settings(4).len();
-        for (t, start) in (0..n_settings).step_by(TOMOGRAPHY_SETTINGS_PER_SHARD).enumerate() {
-            let len = TOMOGRAPHY_SETTINGS_PER_SHARD.min(n_settings - start);
-            shards.push(ShardSpec {
-                index: cast::usize_to_u32(n_channels + 1 + t),
-                label: format!("tomography-counts-{t}"),
-                start: cast::usize_to_u64(start),
-                len: cast::usize_to_u64(len),
-                seed: self.seed.wrapping_add(2),
-            });
-        }
-        Ok(shards)
-    }
-
-    fn run_shard(&self, spec: &ShardSpec) -> QfcResult<String> {
-        let plan =
-            plan_multiphoton_experiment(self.source, self.config, self.seed, self.schedule)?;
-        let n_channels = plan.survivors.len();
-        let slot = cast::u32_to_usize(spec.index);
-        if slot < n_channels {
-            let m = plan.survivors[slot];
-            let pair: (BellTomographyResult, HealthReport) = bell_channel_task(
-                self.source,
-                self.config,
-                self.seed,
-                self.schedule,
-                plan.duration_s,
-                plan.amp,
-                m,
-            )?;
-            to_json("bell shard", &pair)
-        } else if slot == n_channels {
-            let fringe: FourPhotonFringe = try_four_photon_fringe(
-                self.source,
-                self.config,
-                self.seed.wrapping_add(1),
-                &plan.tb4,
-                plan.pump4,
-            )?;
-            to_json("fringe shard", &fringe)
-        } else {
-            let settings = all_settings(4);
-            let start = cast::u64_to_usize(spec.start);
-            let len = cast::u64_to_usize(spec.len);
-            if start + len > settings.len() || len == 0 {
-                return Err(shard_out_of_range("multiphoton", spec));
-            }
-            let rho4 =
-                try_four_photon_state(self.source, self.config, &plan.tb4, plan.pump4)?;
-            qfc_obs::counter_add(
-                "shots_simulated",
-                self.config
-                    .four_shots_per_setting
-                    .saturating_mul(cast::usize_to_u64(len)),
-            );
-            let partial: TomographyCountShard = (start..start + len)
-                .map(|s| {
-                    (
-                        cast::usize_to_u64(s),
-                        setting_histogram(
-                            &rho4,
-                            &settings[s],
-                            self.config.four_shots_per_setting,
-                            split_seed(spec.seed, cast::usize_to_u64(s)),
-                        ),
-                    )
-                })
-                .collect();
-            to_json("tomography count shard", &partial)
-        }
-    }
-
-    fn merge(&self, payloads: &[String]) -> QfcResult<String> {
-        let plan =
-            plan_multiphoton_experiment(self.source, self.config, self.seed, self.schedule)?;
-        let n_channels = plan.survivors.len();
-        let settings = all_settings(4);
-        let tomo_shards = settings.len().div_ceil(TOMOGRAPHY_SETTINGS_PER_SHARD);
-        if payloads.len() != n_channels + 1 + tomo_shards {
+        let (plan, tasks) = self.config.plan(self.source, self.seed, self.schedule)?;
+        if payloads.len() != tasks.len() {
             return Err(QfcError::persistence(format!(
-                "multiphoton campaign expects {} payloads, got {}",
-                n_channels + 1 + tomo_shards,
+                "{} campaign expects {} payloads, got {}",
+                C::LABEL,
+                tasks.len(),
                 payloads.len()
             )));
         }
-        // Health absorbs in exactly the driver's order: planning health,
-        // then each Bell channel in channel order, then the four-photon
-        // tomography stage.
-        let mut health = plan.health;
-        let mut bell = Vec::with_capacity(n_channels);
-        for payload in payloads.iter().take(n_channels) {
-            let (result, local): (BellTomographyResult, HealthReport) =
-                from_json("bell shard", payload)?;
-            health.absorb(local);
-            bell.push(result);
-        }
-        let fringe: FourPhotonFringe = from_json("fringe shard", &payloads[n_channels])?;
-        // Fold the count shards' histograms into one table — arrival
-        // order is immaterial to the accumulator, and the per-setting
-        // streams make the merged table byte-identical to the driver's
-        // — then reconstruct once, exactly as the driver does.
-        let mut acc = CountAccumulator::try_new(&settings)?;
-        for payload in payloads.iter().skip(n_channels + 1) {
-            let partial: TomographyCountShard = from_json("tomography count shard", payload)?;
-            for (s, histogram) in &partial {
-                acc.absorb_histogram(cast::u64_to_usize(*s), histogram)?;
-            }
-        }
-        let data = acc.finish();
-        let mut local = HealthReport::pristine();
-        let tomography: FourPhotonTomography =
-            four_photon_tomography_from_data(self.config, &data, &mut local)?;
-        health.absorb(local);
-        let run = MultiPhotonRun {
-            report: MultiPhotonReport {
-                bell,
-                fringe,
-                tomography,
-            },
-            health,
-        };
-        to_json("multiphoton run", &run)
+        let outputs = payloads.iter().zip(&tasks).map(|(payload, spec)| {
+            serde_json::from_str(payload).map_err(|e| {
+                QfcError::persistence(format!("{} payload undecodable: {e}", spec.label))
+            })
+        });
+        let run = self.config.assemble(plan, outputs)?;
+        to_json(C::LABEL, &run)
     }
 
     fn reference_json(&self) -> QfcResult<String> {
-        let run =
-            try_run_multiphoton_experiment(self.source, self.config, self.seed, self.schedule)?;
-        to_json("multiphoton run", &run)
-    }
-}
-
-/// §III cross-polarization run as a campaign. The driver is inherently
-/// sequential (one sweep over the analyzer settings), so the campaign is
-/// a single shard — the checkpoint/resume machinery still applies, which
-/// is exactly what a long single-shard run wants from a crash.
-#[derive(Debug, Clone, Copy)]
-pub struct CrossPolCampaign<'a> {
-    /// The simulated device.
-    pub source: &'a QfcSource,
-    /// Driver configuration.
-    pub config: &'a CrossPolConfig,
-    /// Root RNG seed.
-    pub seed: u64,
-    /// Physics fault schedule (campaign fault kinds are ignored here).
-    pub schedule: &'a FaultSchedule,
-}
-
-impl CampaignWorkload for CrossPolCampaign<'_> {
-    fn label(&self) -> String {
-        "crosspol".to_owned()
-    }
-
-    fn seed(&self) -> u64 {
-        self.seed
-    }
-
-    fn config_json(&self) -> QfcResult<String> {
-        to_json("crosspol config", self.config)
-    }
-
-    fn plan(&self) -> QfcResult<Vec<ShardSpec>> {
-        Ok(vec![ShardSpec {
-            index: 0,
-            label: "full".to_owned(),
-            start: 0,
-            len: 1,
-            seed: self.seed,
-        }])
-    }
-
-    fn run_shard(&self, spec: &ShardSpec) -> QfcResult<String> {
-        if spec.index != 0 {
-            return Err(shard_out_of_range("crosspol", spec));
-        }
-        self.reference_json()
-    }
-
-    fn merge(&self, payloads: &[String]) -> QfcResult<String> {
-        payloads
-            .first()
-            .cloned()
-            .ok_or_else(|| QfcError::persistence("crosspol campaign merged zero payloads"))
-    }
-
-    fn reference_json(&self) -> QfcResult<String> {
-        let run = try_run_crosspol_experiment(self.source, self.config, self.seed, self.schedule)?;
-        to_json("crosspol run", &run)
+        let run = run_in_process(self.config, self.source, self.seed, self.schedule)?;
+        to_json(C::LABEL, &run)
     }
 }

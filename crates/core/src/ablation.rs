@@ -2,7 +2,7 @@
 //! scheme (the paper's central §II claim), the tomography reconstructor,
 //! and the coincidence-window choice behind every CAR figure.
 
-use qfc_faults::QfcResult;
+use qfc_faults::{FaultSchedule, QfcResult};
 use qfc_mathkit::cast;
 use serde::{Deserialize, Serialize};
 
@@ -17,7 +17,9 @@ use qfc_tomography::reconstruct::{
 };
 use qfc_tomography::settings::all_settings;
 
-use crate::heralded::{run_heralded_experiment, run_stability_experiment, HeraldedConfig, StabilityConfig};
+use crate::heralded::{
+    run_stability_experiment, try_run_heralded_experiment, HeraldedConfig, StabilityConfig,
+};
 use crate::source::QfcSource;
 
 /// One pump scheme's stability outcome.
@@ -139,7 +141,11 @@ pub struct WindowAblationRow {
 /// Ablation of the coincidence window: short windows cut the 1.45-ns
 /// correlation envelope (losing true pairs), long windows integrate
 /// accidentals — CAR peaks in between.
-pub fn window_ablation(windows_ps: &[i64], seed: u64) -> Vec<WindowAblationRow> {
+///
+/// # Errors
+///
+/// Any error of the §II driver run at a window.
+pub fn window_ablation(windows_ps: &[i64], seed: u64) -> QfcResult<Vec<WindowAblationRow>> {
     let source = QfcSource::paper_device();
     // Same seed for every window: the tag streams are identical, only the
     // coincidence gating changes, which is exactly the comparison wanted.
@@ -149,13 +155,16 @@ pub fn window_ablation(windows_ps: &[i64], seed: u64) -> Vec<WindowAblationRow> 
         cfg.duration_s = 20.0;
         cfg.linewidth_pairs = 500;
         cfg.coincidence_window_ps = w;
-        let report = run_heralded_experiment(&source, &cfg, seed);
-        WindowAblationRow {
+        let run = try_run_heralded_experiment(&source, &cfg, seed, &FaultSchedule::empty())?;
+        let channel = &run.report.channels[0];
+        Ok(WindowAblationRow {
             window_ps: w,
-            car: report.channels[0].car,
-            coincidence_rate_hz: report.channels[0].coincidence_rate_hz,
-        }
+            car: channel.car,
+            coincidence_rate_hz: channel.coincidence_rate_hz,
+        })
     })
+    .into_iter()
+    .collect()
 }
 
 #[cfg(test)]
@@ -211,7 +220,7 @@ mod tests {
 
     #[test]
     fn window_ablation_shows_capture_tradeoff() {
-        let rows = window_ablation(&[500, 8000, 64_000], 93);
+        let rows = window_ablation(&[500, 8000, 64_000], 93).expect("every window runs");
         // Wider window captures more of the 1.45-ns envelope…
         assert!(rows[1].coincidence_rate_hz > rows[0].coincidence_rate_hz);
         // …and the widest window must not improve CAR any further

@@ -24,6 +24,7 @@ use qfc_photonics::waveguide::Waveguide;
 use qfc_timetag::coincidence::measure_car;
 use qfc_timetag::detector::SinglePhotonDetector;
 
+use crate::experiment::{run_in_process, Experiment, ShardSpec};
 use crate::report::{Comparison, Expectation, ExperimentReport};
 use crate::source::QfcSource;
 use crate::supervisor::{self, SupervisorPolicy};
@@ -146,25 +147,9 @@ impl CrossPolRun {
 }
 
 /// Runs the F4 virtual experiment: type-II pairs split on a PBS,
-/// detected, and counted.
-///
-/// # Panics
-///
-/// Panics if the source is not bichromatically pumped.
-pub fn run_crosspol_experiment(
-    source: &QfcSource,
-    config: &CrossPolConfig,
-    seed: u64,
-) -> CrossPolReport {
-    match try_run_crosspol_experiment(source, config, seed, &FaultSchedule::empty()) {
-        Ok(run) => run.report,
-        Err(e) => panic!("{e}"), // qfc-lint: allow(panic-reachability) — documented panicking wrapper over the try_* twin (`# Panics` contract)
-    }
-}
-
-/// Fallible, fault-aware form of [`run_crosspol_experiment`]: the TE arm
-/// maps onto the channel-1 signal detector and the TM arm onto the
-/// channel-1 idler detector of the fault schedule.
+/// detected, and counted. The TE arm maps onto the channel-1 signal
+/// detector and the TM arm onto the channel-1 idler detector of the
+/// fault schedule.
 ///
 /// # Errors
 ///
@@ -179,118 +164,160 @@ pub fn try_run_crosspol_experiment(
     seed: u64,
     schedule: &FaultSchedule,
 ) -> QfcResult<CrossPolRun> {
-    if config.duration_s.is_nan() || config.duration_s <= 0.0 {
-        return Err(QfcError::invalid("duration must be positive"));
-    }
-    if config.background_rate_hz.is_nan() || config.background_rate_hz < 0.0 {
-        return Err(QfcError::invalid("background rate must be ≥ 0"));
-    }
-    if !(0.0..=1.0).contains(&config.pbs_leakage) {
-        return Err(QfcError::invalid("PBS leakage must be in [0, 1]"));
-    }
-    if !(0.0..=1.0).contains(&config.collection_efficiency) {
-        return Err(QfcError::invalid("collection efficiency must be in [0, 1]"));
-    }
-    config.detector.try_validate()?;
-    let _driver_span = qfc_obs::span("driver.crosspol");
-    crate::report::record_manifest(seed, config, schedule);
+    run_in_process(config, source, seed, schedule)
+}
 
-    let source_span = qfc_obs::span("driver.crosspol.source");
-    let mut health = HealthReport::pristine();
-    let policy = SupervisorPolicy::default();
-    supervisor::record_schedule_faults(schedule, config.duration_s, &mut health);
-    let relocks =
-        supervisor::plan_pump_relocks(schedule, config.duration_s, &policy, seed, &mut health)?;
-    let live = supervisor::live_fraction(&relocks, config.duration_s);
-    supervisor::partition_channels(
-        schedule,
-        1,
-        config.duration_s,
-        &policy,
-        "crosspol experiment",
-        &mut health,
-    )?;
+/// The RNG-free planning stage of the §III run: validation, supervisor
+/// outcomes and the fault-derated pair rate.
+#[derive(Debug, Clone)]
+pub struct CrossPolPlan {
+    /// Fault-derated type-II pair generation rate, Hz.
+    pub rate: f64,
+    /// Supervisor health accumulated during planning.
+    pub health: HealthReport,
+}
 
-    let mut rng = rng_from_seed(seed);
-    let linewidth_hz = source.ring().linewidth().hz();
-    let rate = source.try_type2_pair_rate(1)?
-        * schedule.mean_pump_rate_factor(0.0, config.duration_s, linewidth_hz)
-        * live;
-    let tau = source.ring().coincidence_decay_time();
-    let duration_ps = cast::f64_to_i64(config.duration_s * 1e12);
+/// §III as plan → tasks → assemble. The run is one sequential sweep
+/// over a single pair of arms, so it is a single task.
+impl Experiment for CrossPolConfig {
+    const LABEL: &'static str = "crosspol";
+    type Plan = CrossPolPlan;
+    type Output = CrossPolReport;
+    type Run = CrossPolRun;
 
-    drop(source_span);
-    // True pair arrivals; PBS routes TE → arm A, TM → arm B with a small
-    // leakage probability that swaps the routing.
-    let timetag_span = qfc_obs::span("driver.crosspol.timetag");
-    let n = poisson(&mut rng, rate * config.duration_s);
-    qfc_obs::counter_add("shots_simulated", n);
-    let mut te_true = Vec::new();
-    let mut tm_true = Vec::new();
-    for _ in 0..n {
-        let t = rng.gen::<f64>() * config.duration_s;
-        let dt = exponential(&mut rng, 1.0 / tau);
-        let sign = if rng.gen::<bool>() { 1.0 } else { -1.0 };
-        let (a, b) = (cast::f64_to_i64(t * 1e12), cast::f64_to_i64((t + sign * dt) * 1e12));
-        if rng.gen::<f64>() < config.pbs_leakage {
-            te_true.push(b);
-            tm_true.push(a);
-        } else {
-            te_true.push(a);
-            tm_true.push(b);
+    fn plan(
+        &self,
+        source: &QfcSource,
+        seed: u64,
+        schedule: &FaultSchedule,
+    ) -> QfcResult<(CrossPolPlan, Vec<ShardSpec>)> {
+        if self.duration_s.is_nan() || self.duration_s <= 0.0 {
+            return Err(QfcError::invalid("duration must be positive"));
         }
+        if self.background_rate_hz.is_nan() || self.background_rate_hz < 0.0 {
+            return Err(QfcError::invalid("background rate must be ≥ 0"));
+        }
+        if !(0.0..=1.0).contains(&self.pbs_leakage) {
+            return Err(QfcError::invalid("PBS leakage must be in [0, 1]"));
+        }
+        if !(0.0..=1.0).contains(&self.collection_efficiency) {
+            return Err(QfcError::invalid("collection efficiency must be in [0, 1]"));
+        }
+        self.detector.try_validate()?;
+        let mut health = HealthReport::pristine();
+        let policy = SupervisorPolicy::default();
+        supervisor::record_schedule_faults(schedule, self.duration_s, &mut health);
+        let relocks =
+            supervisor::plan_pump_relocks(schedule, self.duration_s, &policy, seed, &mut health)?;
+        let live = supervisor::live_fraction(&relocks, self.duration_s);
+        supervisor::partition_channels(
+            schedule,
+            1,
+            self.duration_s,
+            &policy,
+            "crosspol experiment",
+            &mut health,
+        )?;
+        let linewidth_hz = source.ring().linewidth().hz();
+        let rate = source.try_type2_pair_rate(1)?
+            * schedule.mean_pump_rate_factor(0.0, self.duration_s, linewidth_hz)
+            * live;
+        let plan = CrossPolPlan { rate, health };
+        Ok((plan, vec![ShardSpec::unit(0, "full".to_owned(), seed)]))
     }
-    // Uncorrelated background photons on each arm.
-    let n_bg = poisson(&mut rng, config.background_rate_hz * config.duration_s);
-    for _ in 0..n_bg {
-        te_true.push(cast::f64_to_i64(rng.gen::<f64>() * config.duration_s * 1e12));
-    }
-    let n_bg = poisson(&mut rng, config.background_rate_hz * config.duration_s);
-    for _ in 0..n_bg {
-        tm_true.push(cast::f64_to_i64(rng.gen::<f64>() * config.duration_s * 1e12));
-    }
-    te_true.sort_unstable();
-    tm_true.sort_unstable();
-    // Sub-quarantine dropout windows kill arrivals (pure filter, no RNG).
-    te_true.retain(|&t| !schedule.detector_dead_at(1, Arm::Signal, cast::to_f64(t) * 1e-12));
-    tm_true.retain(|&t| !schedule.detector_dead_at(1, Arm::Idler, cast::to_f64(t) * 1e-12));
 
-    let mut arm = config.detector;
-    arm.efficiency *= config.collection_efficiency;
-    arm.dark_count_rate_hz *= schedule.mean_dark_multiplier(1, 0.0, config.duration_s);
-    let te_stream =
-        supervisor::apply_tdc_saturation(arm.detect(&mut rng, &te_true, duration_ps), schedule);
-    let tm_stream =
-        supervisor::apply_tdc_saturation(arm.detect(&mut rng, &tm_true, duration_ps), schedule);
-    drop(timetag_span);
+    fn task(
+        &self,
+        source: &QfcSource,
+        _seed: u64,
+        schedule: &FaultSchedule,
+        plan: &CrossPolPlan,
+        spec: &ShardSpec,
+    ) -> QfcResult<CrossPolReport> {
+        if spec.index != 0 {
+            return Err(spec.unplanned(Self::LABEL));
+        }
+        let mut rng = rng_from_seed(spec.seed);
+        let tau = source.ring().coincidence_decay_time();
+        let duration_ps = cast::f64_to_i64(self.duration_s * 1e12);
 
-    let analysis_span = qfc_obs::span("driver.crosspol.analysis");
-    let car_result = measure_car(
-        &te_stream,
-        &tm_stream,
-        config.coincidence_window_ps,
-        50_000,
-        10,
-    );
-    let car = if car_result.car.is_finite() {
-        car_result.car
-    } else {
-        cast::to_f64(car_result.coincidences)
-    };
-    drop(analysis_span);
+        // True pair arrivals; PBS routes TE → arm A, TM → arm B with a
+        // small leakage probability that swaps the routing.
+        let n = poisson(&mut rng, plan.rate * self.duration_s);
+        qfc_obs::counter_add("shots_simulated", n);
+        let mut te_true = Vec::new();
+        let mut tm_true = Vec::new();
+        for _ in 0..n {
+            let t = rng.gen::<f64>() * self.duration_s;
+            let dt = exponential(&mut rng, 1.0 / tau);
+            let sign = if rng.gen::<bool>() { 1.0 } else { -1.0 };
+            let (a, b) = (cast::f64_to_i64(t * 1e12), cast::f64_to_i64((t + sign * dt) * 1e12));
+            if rng.gen::<f64>() < self.pbs_leakage {
+                te_true.push(b);
+                tm_true.push(a);
+            } else {
+                te_true.push(a);
+                tm_true.push(b);
+            }
+        }
+        // Uncorrelated background photons on each arm.
+        let n_bg = poisson(&mut rng, self.background_rate_hz * self.duration_s);
+        for _ in 0..n_bg {
+            te_true.push(cast::f64_to_i64(rng.gen::<f64>() * self.duration_s * 1e12));
+        }
+        let n_bg = poisson(&mut rng, self.background_rate_hz * self.duration_s);
+        for _ in 0..n_bg {
+            tm_true.push(cast::f64_to_i64(rng.gen::<f64>() * self.duration_s * 1e12));
+        }
+        te_true.sort_unstable();
+        tm_true.sort_unstable();
+        // Sub-quarantine dropout windows kill arrivals (pure filter, no RNG).
+        te_true.retain(|&t| !schedule.detector_dead_at(1, Arm::Signal, cast::to_f64(t) * 1e-12));
+        tm_true.retain(|&t| !schedule.detector_dead_at(1, Arm::Idler, cast::to_f64(t) * 1e-12));
 
-    let _report_span = qfc_obs::span("driver.crosspol.report");
-    Ok(CrossPolRun {
-        report: CrossPolReport {
-            generated_pair_rate_hz: rate,
-            te_singles_hz: te_stream.rate_hz(config.duration_s),
-            tm_singles_hz: tm_stream.rate_hz(config.duration_s),
-            coincidence_rate_hz: cast::to_f64(car_result.coincidences) / config.duration_s,
+        let mut arm = self.detector;
+        arm.efficiency *= self.collection_efficiency;
+        arm.dark_count_rate_hz *= schedule.mean_dark_multiplier(1, 0.0, self.duration_s);
+        let te_stream =
+            supervisor::apply_tdc_saturation(arm.detect(&mut rng, &te_true, duration_ps), schedule);
+        let tm_stream =
+            supervisor::apply_tdc_saturation(arm.detect(&mut rng, &tm_true, duration_ps), schedule);
+
+        let car_result = measure_car(
+            &te_stream,
+            &tm_stream,
+            self.coincidence_window_ps,
+            50_000,
+            10,
+        );
+        let car = if car_result.car.is_finite() {
+            car_result.car
+        } else {
+            cast::to_f64(car_result.coincidences)
+        };
+        Ok(CrossPolReport {
+            generated_pair_rate_hz: plan.rate,
+            te_singles_hz: te_stream.rate_hz(self.duration_s),
+            tm_singles_hz: tm_stream.rate_hz(self.duration_s),
+            coincidence_rate_hz: cast::to_f64(car_result.coincidences) / self.duration_s,
             car,
             stimulated_response: fwm::stimulated_suppression(source.ring()),
-        },
-        health,
-    })
+        })
+    }
+
+    fn assemble(
+        &self,
+        plan: CrossPolPlan,
+        mut outputs: impl Iterator<Item = QfcResult<CrossPolReport>>,
+    ) -> QfcResult<CrossPolRun> {
+        let report = outputs
+            .next()
+            .ok_or_else(|| QfcError::persistence("crosspol assembly got no output"))??;
+        Ok(CrossPolRun {
+            report,
+            health: plan.health,
+        })
+    }
 }
 
 /// Results of the F5 power sweep.
@@ -409,10 +436,17 @@ pub fn run_suppression_sweep(offsets_ghz: &[f64]) -> Vec<SuppressionPoint> {
 mod tests {
     use super::*;
 
+    fn run(src: &QfcSource, seed: u64) -> CrossPolReport {
+        let cfg = CrossPolConfig::fast_demo();
+        try_run_crosspol_experiment(src, &cfg, seed, &FaultSchedule::empty())
+            .expect("clean run")
+            .report
+    }
+
     #[test]
     fn fast_demo_produces_car_peak() {
         let src = QfcSource::paper_device_type2();
-        let report = run_crosspol_experiment(&src, &CrossPolConfig::fast_demo(), 11);
+        let report = run(&src, 11);
         assert!(report.coincidence_rate_hz > 0.0);
         assert!(report.car > 2.0, "CAR {}", report.car);
     }
@@ -420,7 +454,7 @@ mod tests {
     #[test]
     fn stimulated_process_suppressed_on_paper_device() {
         let src = QfcSource::paper_device_type2();
-        let report = run_crosspol_experiment(&src, &CrossPolConfig::fast_demo(), 12);
+        let report = run(&src, 12);
         assert!(report.stimulated_response < 1e-4, "{}", report.stimulated_response);
     }
 
@@ -449,24 +483,10 @@ mod tests {
     #[test]
     fn report_rows() {
         let src = QfcSource::paper_device_type2();
-        let report = run_crosspol_experiment(&src, &CrossPolConfig::fast_demo(), 13);
+        let report = run(&src, 13);
         assert_eq!(report.to_report().comparisons.len(), 2);
         let sweep = run_power_sweep(&src, 8).to_report();
         assert!(sweep.all_pass(), "{}", sweep.render());
-    }
-
-    #[test]
-    fn empty_schedule_matches_legacy_run() {
-        let src = QfcSource::paper_device_type2();
-        let cfg = CrossPolConfig::fast_demo();
-        let legacy = run_crosspol_experiment(&src, &cfg, 14);
-        let run = try_run_crosspol_experiment(&src, &cfg, 14, &FaultSchedule::empty())
-            .expect("clean run");
-        assert!(run.health.is_pristine());
-        assert_eq!(
-            serde_json::to_string(&legacy).expect("json"),
-            serde_json::to_string(&run.report).expect("json"),
-        );
     }
 
     #[test]

@@ -25,6 +25,7 @@ use qfc_timetag::coincidence::{
 use qfc_timetag::detector::SinglePhotonDetector;
 use qfc_timetag::events::TagStream;
 
+use crate::experiment::{run_in_process, Experiment, ShardSpec};
 use crate::report::{Comparison, Expectation, ExperimentReport};
 use crate::source::QfcSource;
 use crate::supervisor::{self, SupervisorPolicy};
@@ -278,32 +279,14 @@ impl HeraldedRun {
     }
 }
 
-/// Runs the §II virtual experiment.
+/// Runs the §II virtual experiment: one task per surviving channel plus
+/// the fixed `SHOT_SHARDS` shot-range shards of the F2 linewidth run.
 ///
-/// # Panics
-///
-/// Panics if the source is not in a CW regime or the configuration is
-/// out of range.
-pub fn run_heralded_experiment(
-    source: &QfcSource,
-    config: &HeraldedConfig,
-    seed: u64,
-) -> HeraldedReport {
-    match try_run_heralded_experiment(source, config, seed, &FaultSchedule::empty()) {
-        Ok(run) => run.report,
-        Err(e) => panic!("{e}"), // qfc-lint: allow(panic-reachability) — documented panicking wrapper over the try_* twin (`# Panics` contract)
-    }
-}
-
-/// Fallible, fault-aware form of [`run_heralded_experiment`].
-///
-/// With [`FaultSchedule::empty`] the result is bit-identical to the
-/// panicking API (every physics RNG stream is untouched). With a
-/// non-empty schedule, pump faults thin the pair rate, detector dropouts
-/// kill arrivals inside their windows, dark bursts raise the dark rate,
-/// TDC saturation caps the click rate, and the supervisor re-locks the
-/// pump and quarantines channels whose detectors are dead for most of
-/// the run.
+/// Pump faults thin the pair rate, detector dropouts kill arrivals
+/// inside their windows, dark bursts raise the dark rate, TDC saturation
+/// caps the click rate, and the supervisor re-locks the pump and
+/// quarantines channels whose detectors are dead for most of the run.
+/// An empty schedule leaves every physics RNG stream untouched.
 ///
 /// # Errors
 ///
@@ -318,54 +301,132 @@ pub fn try_run_heralded_experiment(
     seed: u64,
     schedule: &FaultSchedule,
 ) -> QfcResult<HeraldedRun> {
-    let _driver_span = qfc_obs::span("driver.heralded");
-    crate::report::record_manifest(seed, config, schedule);
+    run_in_process(config, source, seed, schedule)
+}
 
-    let source_span = qfc_obs::span("driver.heralded.source");
-    let plan = plan_heralded_experiment(source, config, seed, schedule)?;
-    drop(source_span);
+/// One task's output of the §II run.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+pub enum HeraldedOutput {
+    /// One channel's detected (signal, idler) streams.
+    Channel(TagStream, TagStream),
+    /// One F2 linewidth shard's (signal, idler) tag lists, ps.
+    Linewidth(Vec<i64>, Vec<i64>),
+}
 
-    // Generate and detect all channels in parallel, one split-seed RNG
-    // per channel: the streams depend only on (seed, m) — fault effects
-    // are pure functions of the schedule, so thread count cannot change
-    // the result.
-    let indexed: Vec<(usize, u32)> = plan.survivors.iter().copied().enumerate().collect();
-    let timetag_span = qfc_obs::span("driver.heralded.timetag");
-    let streams: Vec<(TagStream, TagStream)> = qfc_runtime::par_map(&indexed, |&(idx, m)| {
-        heralded_channel_task(config, schedule, &plan, idx, m)
-    });
-    let (signal_streams, idler_streams): (Vec<TagStream>, Vec<TagStream>) =
-        streams.into_iter().unzip();
-    drop(timetag_span);
-    let analysis_span = qfc_obs::span("driver.heralded.analysis");
+/// §II as plan → tasks → assemble. Each channel's streams depend only on
+/// `(plan.channel_root, m)` and pure schedule queries. The F2 linewidth
+/// run is a dedicated high-statistics coincident-pair run (loss thins a
+/// histogram uniformly, so shape is measured on detected pairs directly)
+/// with a 5 % accidental floor; every pair's start time is uniform over
+/// the full span, so its shards are independent and concatenating their
+/// tag lists in shard order reproduces one serial stream exactly.
+impl Experiment for HeraldedConfig {
+    const LABEL: &'static str = "heralded";
+    type Plan = HeraldedPlan;
+    type Output = HeraldedOutput;
+    type Run = HeraldedRun;
 
-    // F2 linewidth: dedicated high-statistics coincident-pair run (loss
-    // thins a histogram uniformly, so shape is measured on detected
-    // pairs directly), with a 5 % accidental floor. Every pair's start
-    // time is uniform over the full span, so shards are independent and
-    // concatenating their tag lists in shard order reproduces one serial
-    // stream's statistics exactly.
-    qfc_obs::counter_add("shots_simulated", cast::usize_to_u64(config.linewidth_pairs));
-    let (a, b) = qfc_runtime::par_shots(
-        cast::usize_to_u64(config.linewidth_pairs),
-        plan.linewidth_root,
-        |shard| heralded_linewidth_shard(config, plan.tau, shard),
-        merge_linewidth_shards(config),
-    );
-    let run = assemble_heralded_run(config, plan, signal_streams, idler_streams, a, b)?;
-    drop(analysis_span);
+    fn plan(
+        &self,
+        source: &QfcSource,
+        seed: u64,
+        schedule: &FaultSchedule,
+    ) -> QfcResult<(HeraldedPlan, Vec<ShardSpec>)> {
+        let plan = plan_heralded_experiment(source, self, seed, schedule)?;
+        let n_channels = plan.survivors.len();
+        let mut tasks: Vec<ShardSpec> = plan
+            .survivors
+            .iter()
+            .enumerate()
+            .map(|(i, m)| {
+                ShardSpec::unit(
+                    i,
+                    format!("channel-{m}"),
+                    split_seed(plan.channel_root, u64::from(*m)),
+                )
+            })
+            .collect();
+        let pairs = cast::usize_to_u64(self.linewidth_pairs);
+        let layout = qfc_runtime::shard_layout(pairs, plan.linewidth_root);
+        tasks.extend(layout.into_iter().map(|sh| ShardSpec {
+            index: cast::usize_to_u32(n_channels + sh.index),
+            label: format!("linewidth-{}", sh.index),
+            start: sh.start,
+            len: sh.len,
+            seed: sh.seed,
+        }));
+        Ok((plan, tasks))
+    }
 
-    let _report_span = qfc_obs::span("driver.heralded.report");
-    Ok(run)
+    fn task(
+        &self,
+        _source: &QfcSource,
+        _seed: u64,
+        schedule: &FaultSchedule,
+        plan: &HeraldedPlan,
+        spec: &ShardSpec,
+    ) -> QfcResult<HeraldedOutput> {
+        let slot = spec.slot();
+        if let Some(&m) = plan.survivors.get(slot) {
+            let (s, i) = heralded_channel_task(self, schedule, plan, slot, m);
+            return Ok(HeraldedOutput::Channel(s, i));
+        }
+        let shard = qfc_runtime::Shard {
+            index: slot - plan.survivors.len(),
+            start: spec.start,
+            len: spec.len,
+            seed: spec.seed,
+        };
+        qfc_obs::counter_add("shots_simulated", shard.len);
+        qfc_obs::counter_add("shards_executed", 1);
+        let (a, b) = heralded_linewidth_shard(self, plan.tau, &shard);
+        Ok(HeraldedOutput::Linewidth(a, b))
+    }
+
+    fn assemble(
+        &self,
+        plan: HeraldedPlan,
+        outputs: impl Iterator<Item = QfcResult<HeraldedOutput>>,
+    ) -> QfcResult<HeraldedRun> {
+        let n_channels = plan.survivors.len();
+        let mut signal_streams = Vec::with_capacity(n_channels);
+        let mut idler_streams = Vec::with_capacity(n_channels);
+        let mut a = Vec::new();
+        let mut b = Vec::new();
+        for output in outputs {
+            match output? {
+                HeraldedOutput::Channel(s, i) => {
+                    signal_streams.push(s);
+                    idler_streams.push(i);
+                }
+                HeraldedOutput::Linewidth(sa, sb) => {
+                    // Fold each shard into the F2 lists as it arrives, so a
+                    // campaign holds one decoded shard at a time. The lists
+                    // are reserved in full at the first shard, once the
+                    // channel payloads are decoded, so that decoding does
+                    // not stack on top of them.
+                    a.reserve(self.linewidth_pairs.saturating_sub(a.len()));
+                    b.reserve(self.linewidth_pairs.saturating_sub(b.len()));
+                    a.extend_from_slice(&sa);
+                    b.extend_from_slice(&sb);
+                }
+            }
+        }
+        if signal_streams.len() != n_channels {
+            return Err(QfcError::persistence(format!(
+                "heralded assembly got {} channel outputs for {n_channels} channels",
+                signal_streams.len()
+            )));
+        }
+        assemble_heralded_run(self, plan, signal_streams, idler_streams, a, b)
+    }
 }
 
 /// The RNG-free planning stage of the §II run: validation, supervisor
 /// outcomes, per-channel fault-derated pair rates, seed domains, and the
-/// effective per-arm detector. Everything a shard executor needs to
-/// generate one channel's streams (or one F2 linewidth shard)
-/// independently — the campaign layer decomposes the run into shards
-/// from this plan, and [`try_run_heralded_experiment`] drives exactly
-/// the same plan in one process.
+/// effective per-arm detector. Everything a task needs to generate one
+/// channel's streams (or one F2 linewidth shard) independently — see the
+/// [`Experiment`] impl on [`HeraldedConfig`].
 #[derive(Debug, Clone)]
 pub struct HeraldedPlan {
     /// Coincidence decay time of the ring, s.
@@ -468,7 +529,7 @@ pub fn plan_heralded_experiment(
 }
 
 /// Generates and detects one channel's signal/idler streams — the
-/// per-channel shard body of the campaign decomposition. The streams
+/// per-channel task of the §II [`Experiment`]. The streams
 /// depend only on `(plan.channel_root, m)` and pure schedule queries, so
 /// the bytes are identical in-process, on a pool worker, or in a
 /// separate resumed process. `idx` is the channel's position among the
@@ -502,7 +563,7 @@ pub fn heralded_channel_task(
 }
 
 /// Draws one [`qfc_runtime::Shard`] of the F2 linewidth pair run — the
-/// shot-range shard body of the campaign decomposition (the shard layout
+/// shot-range task of the §II [`Experiment`] (the shard layout
 /// is `qfc_runtime::shard_layout(linewidth_pairs, plan.linewidth_root)`,
 /// i.e. the fixed `SHOT_SHARDS` decomposition). Returns the shard's
 /// (signal, idler) tag lists; concatenating shard results in shard-index
@@ -559,8 +620,8 @@ pub fn merge_linewidth_shards(
 
 /// The pure analysis stage of the §II run: folds the per-channel streams
 /// and the merged F2 tag lists into the final [`HeraldedRun`]. Consumes
-/// no RNG — given identical inputs it produces identical bytes, so the
-/// campaign merge step and the single-process driver share it.
+/// no RNG — given identical inputs it produces identical bytes, so both
+/// executors of the §II [`Experiment`] share it.
 ///
 /// # Errors
 ///
@@ -762,9 +823,15 @@ mod tests {
         QfcSource::paper_device()
     }
 
+    fn run(cfg: &HeraldedConfig, seed: u64) -> HeraldedReport {
+        try_run_heralded_experiment(&fast_source(), cfg, seed, &FaultSchedule::empty())
+            .expect("clean run")
+            .report
+    }
+
     #[test]
     fn fast_demo_run_produces_coincidences() {
-        let report = run_heralded_experiment(&fast_source(), &HeraldedConfig::fast_demo(), 1);
+        let report = run(&HeraldedConfig::fast_demo(), 1);
         assert_eq!(report.channels.len(), 3);
         for c in &report.channels {
             assert!(c.coincidence_rate_hz > 0.5, "m={}: {c:?}", c.m);
@@ -774,7 +841,7 @@ mod tests {
 
     #[test]
     fn matrix_is_diagonal_dominated() {
-        let report = run_heralded_experiment(&fast_source(), &HeraldedConfig::fast_demo(), 2);
+        let report = run(&HeraldedConfig::fast_demo(), 2);
         assert!(report.matrix_contrast() > 3.0, "contrast {}", report.matrix_contrast());
     }
 
@@ -784,7 +851,7 @@ mod tests {
         cfg.duration_s = 1.0;
         cfg.channels = 1;
         cfg.linewidth_pairs = 30_000;
-        let report = run_heralded_experiment(&fast_source(), &cfg, 3);
+        let report = run(&cfg, 3);
         let lw = report.linewidth.linewidth_hz;
         assert!((lw - 110e6).abs() / 110e6 < 0.15, "Δν = {} MHz", lw / 1e6);
     }
@@ -796,7 +863,7 @@ mod tests {
         cfg.channels = 1;
         cfg.detector.dark_count_rate_hz = 100.0;
         cfg.linewidth_pairs = 1000;
-        let report = run_heralded_experiment(&fast_source(), &cfg, 4);
+        let report = run(&cfg, 4);
         let generated = fast_source().pair_rate_cw(1);
         let inferred = report.channels[0].inferred_pair_rate_hz;
         assert!(
@@ -830,32 +897,19 @@ mod tests {
 
     #[test]
     fn report_rows_generated() {
-        let report = run_heralded_experiment(&fast_source(), &HeraldedConfig::fast_demo(), 6);
+        let report = run(&HeraldedConfig::fast_demo(), 6);
         let rows = report.to_report();
         assert_eq!(rows.comparisons.len(), 6);
         assert!(rows.render().contains("F2"));
     }
 
     #[test]
-    #[should_panic(expected = "at least one channel")]
     fn zero_channels_rejected() {
         let mut cfg = HeraldedConfig::fast_demo();
         cfg.channels = 0;
-        let _ = run_heralded_experiment(&fast_source(), &cfg, 1);
-    }
-
-    #[test]
-    fn empty_schedule_matches_legacy_run() {
-        let cfg = HeraldedConfig::fast_demo();
-        let legacy = run_heralded_experiment(&fast_source(), &cfg, 7);
-        let run =
-            try_run_heralded_experiment(&fast_source(), &cfg, 7, &FaultSchedule::empty())
-                .expect("clean run");
-        assert!(run.health.is_pristine());
-        assert_eq!(
-            serde_json::to_string(&legacy).expect("json"),
-            serde_json::to_string(&run.report).expect("json"),
-        );
+        let err = try_run_heralded_experiment(&fast_source(), &cfg, 1, &FaultSchedule::empty())
+            .expect_err("zero channels");
+        assert!(err.to_string().contains("at least one channel"), "{err}");
     }
 
     #[test]

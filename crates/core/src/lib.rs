@@ -37,6 +37,7 @@
 
 pub mod ablation;
 pub mod crosspol;
+pub mod experiment;
 pub mod heralded;
 pub mod link;
 pub mod multiphoton;

@@ -17,10 +17,12 @@ use qfc_mathkit::rng::{binomial, rng_from_seed, split_seed};
 use qfc_quantum::bell::{bell_phi, concurrence};
 use qfc_quantum::fidelity::fidelity_with_pure;
 use qfc_quantum::multiphoton::{four_photon_fringe_point, four_photon_product, noisy_four_photon};
+use qfc_tomography::counts::setting_histogram;
 use qfc_tomography::reconstruct::MleOptions;
-use qfc_tomography::stream::try_stream_counts_seeded;
 use qfc_tomography::settings::all_settings;
+use qfc_tomography::stream::{try_stream_counts_seeded, CountAccumulator};
 
+use crate::experiment::{run_in_process, Experiment, ShardSpec};
 use crate::report::{Comparison, Expectation, ExperimentReport};
 use crate::source::QfcSource;
 use crate::supervisor::{self, SupervisorPolicy};
@@ -28,6 +30,11 @@ use crate::timebin::{
     channel_state_model_boosted, nominal_duration_s, try_channel_state_model_boosted,
     TimeBinConfig,
 };
+
+/// Four-qubit tomography settings per T4 count task: the 81 settings
+/// split into six tasks, each sampling its setting range on the
+/// `split_seed(seed + 2, setting_index)` streams.
+const T4_SETTINGS_PER_TASK: usize = 16;
 
 /// Configuration of the §V multi-photon runs.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -97,35 +104,9 @@ pub struct BellTomographyResult {
     pub iterations: usize,
 }
 
-/// Runs T3: 16-setting two-qubit tomography of each channel's time-bin
-/// Bell state, reconstructed with MLE.
-pub fn run_bell_tomography(
-    source: &QfcSource,
-    config: &MultiPhotonConfig,
-    seed: u64,
-) -> Vec<BellTomographyResult> {
-    let channels: Vec<u32> = (1..=config.timebin.channels).collect();
-    let mut health = HealthReport::pristine();
-    let op = BellOperatingPoint {
-        duration_s: nominal_duration_s(&config.timebin),
-        amp: 1.0,
-    };
-    match try_run_bell_tomography(
-        source,
-        config,
-        seed,
-        &FaultSchedule::empty(),
-        op,
-        &channels,
-        &mut health,
-    ) {
-        Ok(bell) => bell,
-        Err(e) => panic!("{e}"), // qfc-lint: allow(panic-reachability) — documented panicking wrapper over the try_* twin (`# Panics` contract)
-    }
-}
-
-/// One channel's T3 tomography — the per-channel shard body of the
-/// campaign decomposition. Builds the fault-adjusted operating point for
+/// One channel's T3 tomography — the per-channel task of the §V
+/// [`Experiment`]: 16-setting two-qubit tomography of the channel's
+/// time-bin Bell state. Builds the fault-adjusted operating point for
 /// channel `m` (RNG-free), samples the 16-setting counts on the
 /// channel's split-seed stream, and reconstructs with the MLE fallback.
 /// MLE divergence is recorded in the returned local [`HealthReport`] so
@@ -183,43 +164,6 @@ pub fn bell_channel_task(
     ))
 }
 
-/// Fault-adjusted §IV operating point the T3 stage runs at.
-#[derive(Debug, Clone, Copy)]
-struct BellOperatingPoint {
-    /// Nominal wall-clock duration of the underlying time-bin run, s.
-    duration_s: f64,
-    /// Pump amplitude factor (exactly 1.0 when clean).
-    amp: f64,
-}
-
-/// Parameterized T3 body: `op` carries the fault-adjusted operating
-/// point and `survivors` the channels that escaped quarantine.
-fn try_run_bell_tomography(
-    source: &QfcSource,
-    config: &MultiPhotonConfig,
-    seed: u64,
-    schedule: &FaultSchedule,
-    op: BellOperatingPoint,
-    survivors: &[u32],
-    health: &mut HealthReport,
-) -> QfcResult<Vec<BellTomographyResult>> {
-    // Channels are independent tomography runs on split-seed streams;
-    // each inner count simulation further splits per setting. Health is
-    // absorbed after the parallel stage, in channel order, so the task
-    // stays pure and the record is thread-count independent.
-    let per_channel: Vec<QfcResult<(BellTomographyResult, HealthReport)>> =
-        qfc_runtime::par_map(survivors, |&m| {
-            bell_channel_task(source, config, seed, schedule, op.duration_s, op.amp, m)
-        });
-    let mut bell = Vec::with_capacity(per_channel.len());
-    for entry in per_channel {
-        let (result, local) = entry?;
-        health.absorb(local);
-        bell.push(result);
-    }
-    Ok(bell)
-}
-
 /// Result of the four-photon interference scan (F8).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct FourPhotonFringe {
@@ -229,30 +173,11 @@ pub struct FourPhotonFringe {
     pub visibility: f64,
 }
 
-/// Runs F8: all four photons analyzed at a common phase; four-fold
-/// coincidences oscillate at the second harmonic.
-pub fn run_four_photon_fringe(
-    source: &QfcSource,
-    config: &MultiPhotonConfig,
-    seed: u64,
-) -> FourPhotonFringe {
-    match try_four_photon_fringe(
-        source,
-        config,
-        seed,
-        &config.timebin,
-        config.four_fold_pump_factor,
-    ) {
-        Ok(f) => f,
-        Err(e) => panic!("{e}"), // qfc-lint: allow(panic-reachability) — documented panicking wrapper over the try_* twin (`# Panics` contract)
-    }
-}
-
-/// Parameterized F8 body: `tb` is the (possibly fault-adjusted) time-bin
-/// operating point and `pump_factor` the total pump amplitude factor.
-/// Public as the fringe shard body of the campaign decomposition (drive
-/// it with `seed.wrapping_add(1)` and the plan's `tb4`/`pump4` to match
-/// the single-process run).
+/// F8: all four photons analyzed at a common phase; four-fold
+/// coincidences oscillate at the second harmonic. `tb` is the (possibly
+/// fault-adjusted) time-bin operating point and `pump_factor` the total
+/// pump amplitude factor. The fringe task of the §V [`Experiment`]
+/// drives it with `seed.wrapping_add(1)` and the plan's `tb4`/`pump4`.
 ///
 /// # Errors
 ///
@@ -330,32 +255,12 @@ pub struct FourPhotonTomography {
     pub total_counts: u64,
 }
 
-/// Runs T4: 81-setting four-qubit tomography of the (noisy) four-photon
-/// state, reconstructed with MLE.
-pub fn run_four_photon_tomography(
-    source: &QfcSource,
-    config: &MultiPhotonConfig,
-    seed: u64,
-) -> FourPhotonTomography {
-    let mut health = HealthReport::pristine();
-    match try_four_photon_tomography(
-        source,
-        config,
-        seed,
-        &config.timebin,
-        config.four_fold_pump_factor,
-        &mut health,
-    ) {
-        Ok(t) => t,
-        Err(e) => panic!("{e}"), // qfc-lint: allow(panic-reachability) — documented panicking wrapper over the try_* twin (`# Panics` contract)
-    }
-}
-
-/// Parameterized T4 body with the MLE-divergence fallback. Public as
-/// the tomography shard body of the campaign decomposition (drive it
-/// with `seed.wrapping_add(2)` and the plan's `tb4`/`pump4`; the caller
-/// supplies a health record — a shard passes a pristine local one and
-/// ships it with the payload).
+/// T4 in one call: 81-setting four-qubit tomography of the (noisy)
+/// four-photon state at operating point `tb` and pump factor
+/// `pump_factor`, reconstructed with MLE and the divergence fallback
+/// (recorded in `health`). Byte-identical to the T4 stage of the §V
+/// [`Experiment`] driven with `seed.wrapping_add(2)` and the plan's
+/// `tb4`/`pump4`.
 ///
 /// # Errors
 ///
@@ -379,11 +284,10 @@ pub fn try_four_photon_tomography(
     four_photon_tomography_from_data(config, &data, health)
 }
 
-/// The fault-adjusted four-photon state the T4 stage measures. Public
-/// as the state model of the campaign decomposition's count shards:
-/// a shard covering any setting range rebuilds this state, samples its
-/// settings on their `split_seed(seed, setting_index)` streams, and
-/// ships the histograms.
+/// The fault-adjusted four-photon state the T4 stage measures: each T4
+/// count task rebuilds it, samples its setting range on the
+/// `split_seed(seed, setting_index)` streams, and returns the
+/// histograms.
 ///
 /// # Errors
 ///
@@ -404,8 +308,7 @@ pub fn try_four_photon_state(
 
 /// Reconstruction tail of the T4 stage: MLE with the divergence
 /// fallback, then fidelity against the intended four-photon product
-/// state. Public so the campaign merge can run it over a streamed
-/// count table and land on the driver's exact bytes.
+/// state. The §V assemble step runs it over the folded count table.
 ///
 /// # Errors
 ///
@@ -534,8 +437,7 @@ impl MultiPhotonReport {
 /// supervision that produced it.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct MultiPhotonRun {
-    /// The physics report (identical to the legacy API when the fault
-    /// schedule is empty).
+    /// The physics report.
     pub report: MultiPhotonReport,
     /// What went wrong and what the supervisor did about it.
     pub health: HealthReport,
@@ -550,11 +452,9 @@ impl MultiPhotonRun {
 
 /// The RNG-free planning stage of the §V run: validation, supervisor
 /// outcomes, the fault-scaled pump amplitude, and the adjusted
-/// four-photon operating point. Everything a shard executor needs to
-/// run one T3 channel (or the F8/T4 stages) independently — the
-/// campaign layer decomposes the run into shards from this plan, and
-/// [`try_run_multiphoton_experiment`] drives exactly the same plan in
-/// one process.
+/// four-photon operating point. Everything a task needs to run one T3
+/// channel (or the F8 fringe, or a T4 count range) independently — see
+/// the [`Experiment`] impl on [`MultiPhotonConfig`].
 #[derive(Debug, Clone)]
 pub struct MultiPhotonPlan {
     /// Nominal wall-clock duration of the underlying time-bin run, s.
@@ -645,19 +545,9 @@ pub fn plan_multiphoton_experiment(
     })
 }
 
-/// Runs the full §V suite.
-pub fn run_multiphoton_experiment(
-    source: &QfcSource,
-    config: &MultiPhotonConfig,
-    seed: u64,
-) -> MultiPhotonReport {
-    match try_run_multiphoton_experiment(source, config, seed, &FaultSchedule::empty()) {
-        Ok(run) => run.report,
-        Err(e) => panic!("{e}"), // qfc-lint: allow(panic-reachability) — documented panicking wrapper over the try_* twin (`# Panics` contract)
-    }
-}
-
-/// Fallible, fault-aware form of [`run_multiphoton_experiment`].
+/// Runs the full §V suite: one task per surviving T3 channel, one for
+/// the F8 fringe, and the T4 count ranges; the T4 MLE runs on the caller
+/// thread once every count has arrived.
 ///
 /// The §V suite is frame-based like §IV, so faults enter as pure
 /// modifiers of the per-frame probabilities: pump faults and lock-loss
@@ -665,9 +555,8 @@ pub fn run_multiphoton_experiment(
 /// dark bursts raise the accidental floor, and sub-quarantine detector
 /// dropouts thin the arm efficiencies. The four-photon runs additionally
 /// fall back from MLE to linear inversion when the reconstruction fails
-/// to converge. The RNG draw sequence is untouched by an empty schedule,
-/// which therefore reproduces the panicking API bit for bit at any
-/// thread count.
+/// to converge. The RNG draw sequence is untouched by the schedule, so a
+/// faulted run stays bit-identical at any thread count.
 ///
 /// # Errors
 ///
@@ -682,52 +571,135 @@ pub fn try_run_multiphoton_experiment(
     seed: u64,
     schedule: &FaultSchedule,
 ) -> QfcResult<MultiPhotonRun> {
-    let _driver_span = qfc_obs::span("driver.multiphoton");
-    crate::report::record_manifest(seed, config, schedule);
+    run_in_process(config, source, seed, schedule)
+}
 
-    let source_span = qfc_obs::span("driver.multiphoton.source");
-    let plan = plan_multiphoton_experiment(source, config, seed, schedule)?;
-    let MultiPhotonPlan {
-        duration_s,
-        amp,
-        survivors,
-        tb4,
-        pump4,
-        mut health,
-    } = plan;
-    drop(source_span);
+/// One task's output of the §V run.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+pub enum MultiPhotonOutput {
+    /// One T3 channel's result and the health record of its MLE.
+    Bell(BellTomographyResult, HealthReport),
+    /// The F8 fringe.
+    Fringe(FourPhotonFringe),
+    /// One T4 count range: `(setting_index, histogram)` pairs.
+    Counts(Vec<(u64, Vec<u64>)>),
+}
 
-    // T3 runs on every surviving channel at the (fault-scaled) §IV pump.
-    let timetag_span = qfc_obs::span("driver.multiphoton.timetag");
-    let op = BellOperatingPoint { duration_s, amp };
-    let bell = try_run_bell_tomography(
-        source, config, seed, schedule, op, &survivors, &mut health,
-    )?;
-    drop(timetag_span);
+/// §V as plan → tasks → assemble. T3 runs on every surviving channel at
+/// the (fault-scaled) §IV pump on the `split_seed(seed, m)` streams; F8
+/// draws from `seed + 1`; the T4 counts sample each setting on
+/// `split_seed(seed + 2, setting_index)`, so their ranges fold into the
+/// same table in any grouping. Health absorbs in the driver's order:
+/// planning, each T3 channel in channel order, then the T4 MLE.
+impl Experiment for MultiPhotonConfig {
+    const LABEL: &'static str = "multiphoton";
+    type Plan = MultiPhotonPlan;
+    type Output = MultiPhotonOutput;
+    type Run = MultiPhotonRun;
 
-    let analysis_span = qfc_obs::span("driver.multiphoton.analysis");
-    let fringe =
-        // qfc-lint: allow(rng-lane-flow) — `seed` is already lane-split at the campaign shard boundary; wrapping_add derives disjoint per-stage sub-streams within one shard
-        try_four_photon_fringe(source, config, seed.wrapping_add(1), &tb4, pump4)?;
-    let tomography = try_four_photon_tomography(
-        source,
-        config,
-        seed.wrapping_add(2),
-        &tb4,
-        pump4,
-        &mut health,
-    )?;
-    drop(analysis_span);
+    fn plan(
+        &self,
+        source: &QfcSource,
+        seed: u64,
+        schedule: &FaultSchedule,
+    ) -> QfcResult<(MultiPhotonPlan, Vec<ShardSpec>)> {
+        let plan = plan_multiphoton_experiment(source, self, seed, schedule)?;
+        let mut tasks: Vec<ShardSpec> = plan
+            .survivors
+            .iter()
+            .enumerate()
+            .map(|(i, m)| ShardSpec::unit(i, format!("bell-{m}"), split_seed(seed, u64::from(*m))))
+            .collect();
+        tasks.push(ShardSpec::unit(tasks.len(), "fringe".to_owned(), seed.wrapping_add(1)));
+        let n_settings = all_settings(4).len();
+        for (t, start) in (0..n_settings).step_by(T4_SETTINGS_PER_TASK).enumerate() {
+            tasks.push(ShardSpec {
+                index: cast::usize_to_u32(tasks.len()),
+                label: format!("tomography-counts-{t}"),
+                start: cast::usize_to_u64(start),
+                len: cast::usize_to_u64(T4_SETTINGS_PER_TASK.min(n_settings - start)),
+                seed: seed.wrapping_add(2),
+            });
+        }
+        Ok((plan, tasks))
+    }
 
-    let _report_span = qfc_obs::span("driver.multiphoton.report");
-    Ok(MultiPhotonRun {
-        report: MultiPhotonReport {
-            bell,
-            fringe,
-            tomography,
-        },
-        health,
-    })
+    fn task(
+        &self,
+        source: &QfcSource,
+        seed: u64,
+        schedule: &FaultSchedule,
+        plan: &MultiPhotonPlan,
+        spec: &ShardSpec,
+    ) -> QfcResult<MultiPhotonOutput> {
+        let slot = spec.slot();
+        let n_channels = plan.survivors.len();
+        if let Some(&m) = plan.survivors.get(slot) {
+            let (result, local) =
+                bell_channel_task(source, self, seed, schedule, plan.duration_s, plan.amp, m)?;
+            return Ok(MultiPhotonOutput::Bell(result, local));
+        }
+        if slot == n_channels {
+            let fringe = try_four_photon_fringe(source, self, spec.seed, &plan.tb4, plan.pump4)?;
+            return Ok(MultiPhotonOutput::Fringe(fringe));
+        }
+        let settings = all_settings(4);
+        let start = cast::u64_to_usize(spec.start);
+        let end = start + cast::u64_to_usize(spec.len);
+        let range = settings.get(start..end).ok_or_else(|| spec.unplanned(Self::LABEL))?;
+        let rho4 = try_four_photon_state(source, self, &plan.tb4, plan.pump4)?;
+        qfc_obs::counter_add(
+            "shots_simulated",
+            self.four_shots_per_setting.saturating_mul(spec.len),
+        );
+        let shots = self.four_shots_per_setting;
+        let histograms = (cast::usize_to_u64(start)..)
+            .zip(range)
+            .map(|(s, setting)| {
+                (s, setting_histogram(&rho4, setting, shots, split_seed(spec.seed, s)))
+            })
+            .collect();
+        Ok(MultiPhotonOutput::Counts(histograms))
+    }
+
+    fn assemble(
+        &self,
+        plan: MultiPhotonPlan,
+        outputs: impl Iterator<Item = QfcResult<MultiPhotonOutput>>,
+    ) -> QfcResult<MultiPhotonRun> {
+        let mut health = plan.health;
+        let mut bell = Vec::with_capacity(plan.survivors.len());
+        let mut fringe = None;
+        let mut counts = CountAccumulator::try_new(&all_settings(4))?;
+        for output in outputs {
+            match output? {
+                MultiPhotonOutput::Bell(result, local) => {
+                    health.absorb(local);
+                    bell.push(result);
+                }
+                MultiPhotonOutput::Fringe(f) => fringe = Some(f),
+                MultiPhotonOutput::Counts(histograms) => {
+                    for (s, histogram) in &histograms {
+                        counts.absorb_histogram(cast::u64_to_usize(*s), histogram)?;
+                    }
+                }
+            }
+        }
+        let fringe = fringe
+            .ok_or_else(|| QfcError::persistence("multiphoton assembly got no F8 fringe"))?;
+        qfc_obs::counter_add("tomography_stream_shards", counts.shards_absorbed());
+        // Every count output is folded and dropped before the MLE runs.
+        let data = counts.finish();
+        let tomography = four_photon_tomography_from_data(self, &data, &mut health)?;
+        Ok(MultiPhotonRun {
+            report: MultiPhotonReport {
+                bell,
+                fringe,
+                tomography,
+            },
+            health,
+        })
+    }
 }
 
 #[cfg(test)]
@@ -738,9 +710,21 @@ mod tests {
         QfcSource::paper_device_timebin()
     }
 
+    fn run(cfg: &MultiPhotonConfig, seed: u64) -> MultiPhotonReport {
+        try_run_multiphoton_experiment(&source(), cfg, seed, &FaultSchedule::empty())
+            .expect("clean run")
+            .report
+    }
+
+    fn fringe(seed: u64) -> FourPhotonFringe {
+        let cfg = MultiPhotonConfig::fast_demo();
+        try_four_photon_fringe(&source(), &cfg, seed, &cfg.timebin, cfg.four_fold_pump_factor)
+            .expect("fringe")
+    }
+
     #[test]
     fn bell_tomography_confirms_entanglement() {
-        let results = run_bell_tomography(&source(), &MultiPhotonConfig::fast_demo(), 51);
+        let results = run(&MultiPhotonConfig::fast_demo(), 51).bell;
         for b in &results {
             assert!(b.fidelity > 0.8, "m={}: F = {}", b.m, b.fidelity);
             assert!(b.concurrence > 0.5, "m={}: C = {}", b.m, b.concurrence);
@@ -749,7 +733,7 @@ mod tests {
 
     #[test]
     fn four_photon_visibility_near_paper() {
-        let fringe = run_four_photon_fringe(&source(), &MultiPhotonConfig::fast_demo(), 52);
+        let fringe = fringe(52);
         assert!(
             (fringe.visibility - 0.89).abs() < 0.08,
             "V4 = {}",
@@ -759,7 +743,7 @@ mod tests {
 
     #[test]
     fn four_photon_fringe_has_pi_period() {
-        let fringe = run_four_photon_fringe(&source(), &MultiPhotonConfig::fast_demo(), 53);
+        let fringe = fringe(53);
         // The scan covers one π period; max and min must both occur.
         let max = fringe.points.iter().map(|p| p.1).max().expect("points");
         let min = fringe.points.iter().map(|p| p.1).min().expect("points");
@@ -768,7 +752,17 @@ mod tests {
 
     #[test]
     fn four_photon_tomography_fidelity_near_paper() {
-        let tomo = run_four_photon_tomography(&source(), &MultiPhotonConfig::fast_demo(), 54);
+        let cfg = MultiPhotonConfig::fast_demo();
+        let mut health = HealthReport::pristine();
+        let tomo = try_four_photon_tomography(
+            &source(),
+            &cfg,
+            54,
+            &cfg.timebin,
+            cfg.four_fold_pump_factor,
+            &mut health,
+        )
+        .expect("tomography");
         assert!(
             (tomo.fidelity - 0.64).abs() < 0.12,
             "F4 = {}",
@@ -779,22 +773,8 @@ mod tests {
 
     #[test]
     fn report_rows_pass() {
-        let report = run_multiphoton_experiment(&source(), &MultiPhotonConfig::fast_demo(), 55);
-        let rows = report.to_report();
+        let rows = run(&MultiPhotonConfig::fast_demo(), 55).to_report();
         assert!(rows.all_pass(), "{}", rows.render());
-    }
-
-    #[test]
-    fn empty_schedule_matches_legacy_run() {
-        let cfg = MultiPhotonConfig::fast_demo();
-        let legacy = run_multiphoton_experiment(&source(), &cfg, 55);
-        let run = try_run_multiphoton_experiment(&source(), &cfg, 55, &FaultSchedule::empty())
-            .expect("clean run");
-        assert!(run.health.is_pristine(), "{}", run.health.render());
-        assert_eq!(
-            serde_json::to_string(&legacy).expect("json"),
-            serde_json::to_string(&run.report).expect("json"),
-        );
     }
 
     #[test]

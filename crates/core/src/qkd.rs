@@ -135,8 +135,9 @@ mod tests {
     use super::*;
     use crate::source::QfcSource;
     use crate::timebin::{
-        channel_state_model, coincidence_probability, run_timebin_experiment, TimeBinConfig,
+        channel_state_model, coincidence_probability, try_run_timebin_experiment, TimeBinConfig,
     };
+    use qfc_faults::FaultSchedule;
 
     #[test]
     fn binary_entropy_reference_points() {
@@ -166,7 +167,9 @@ mod tests {
     fn timebin_run_yields_positive_multiplexed_key() {
         let source = QfcSource::paper_device_timebin();
         let cfg = TimeBinConfig::fast_demo();
-        let report = run_timebin_experiment(&source, &cfg, 71);
+        let report = try_run_timebin_experiment(&source, &cfg, 71, &FaultSchedule::empty())
+            .expect("clean run")
+            .report;
         let probs: Vec<f64> = (1..=cfg.channels)
             .map(|m| {
                 let model = channel_state_model(&source, &cfg, m);
@@ -196,7 +199,9 @@ mod tests {
         let source = QfcSource::paper_device_timebin();
         let mut cfg = TimeBinConfig::fast_demo();
         cfg.channels = 2;
-        let report = run_timebin_experiment(&source, &cfg, 72);
+        let report = try_run_timebin_experiment(&source, &cfg, 72, &FaultSchedule::empty())
+            .expect("clean run")
+            .report;
         let _ = qkd_from_timebin(&report, 1e7, &[1e-5]);
     }
 }

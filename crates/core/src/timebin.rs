@@ -24,6 +24,7 @@ use qfc_quantum::chsh::{ChshSettings, CLASSICAL_BOUND};
 use qfc_quantum::density::DensityMatrix;
 use qfc_quantum::timebin::{dephased_timebin_bell, middle_slot_coincidence};
 
+use crate::experiment::{run_in_process, Experiment, ShardSpec};
 use crate::report::{Comparison, Expectation, ExperimentReport};
 use crate::source::QfcSource;
 use crate::supervisor::{self, SupervisorPolicy};
@@ -310,7 +311,7 @@ impl SlotScanPoint {
 /// [`qfc_interferometry::analysis`], detected with the per-arm
 /// efficiency, and binned by joint arrival slot; dark coincidences land
 /// in the middle/middle cell. Slower but assumption-free — used to
-/// cross-validate the analytic fringe of [`run_timebin_experiment`].
+/// cross-validate the analytic fringe of [`try_run_timebin_experiment`].
 pub fn run_timebin_event_mc(
     source: &QfcSource,
     config: &TimeBinConfig,
@@ -393,25 +394,10 @@ pub fn nominal_duration_s(config: &TimeBinConfig) -> f64 {
     cast::to_f64(config.frames_per_point) * (cast::to_f64(config.phase_steps) + 16.0) / FRAME_RATE_HZ
 }
 
-/// Runs the §IV virtual experiment: fringe scans and CHSH on every
-/// channel pair.
-pub fn run_timebin_experiment(
-    source: &QfcSource,
-    config: &TimeBinConfig,
-    seed: u64,
-) -> TimeBinReport {
-    match try_run_timebin_experiment(source, config, seed, &FaultSchedule::empty()) {
-        Ok(run) => run.report,
-        Err(e) => panic!("{e}"), // qfc-lint: allow(panic-reachability) — documented panicking wrapper over the try_* twin (`# Panics` contract)
-    }
-}
-
 /// The RNG-free planning stage of the §IV run: supervisor outcomes plus
-/// the per-channel fault-adjusted operating points. Everything a shard
-/// executor needs to run one channel independently — the campaign layer
-/// decomposes the run into per-channel shards from this plan, and
-/// [`try_run_timebin_experiment`] drives exactly the same plan in one
-/// process.
+/// the per-channel fault-adjusted operating points. Everything a task
+/// needs to run one channel independently — see the [`Experiment`] impl
+/// on [`TimeBinConfig`].
 #[derive(Debug, Clone)]
 pub struct TimeBinPlan {
     /// Nominal run length, s.
@@ -493,8 +479,8 @@ pub fn plan_timebin_experiment(
 
 /// Runs one channel of the §IV scan: the F7 fringe and the T2 CHSH
 /// measurement, drawing from the channel's dedicated split-seed stream
-/// `split_seed(seed, m)`. This is the shard body of the campaign
-/// decomposition — its output depends only on `(seed, m, c, model)`, so
+/// `split_seed(seed, m)`. This is the per-channel task of the §IV
+/// [`Experiment`] — its output depends only on `(seed, m, c, model)`, so
 /// it produces identical bytes whether run in-process, on a pool worker,
 /// or in a separate resumed process.
 pub fn timebin_channel_task(
@@ -569,14 +555,15 @@ pub fn timebin_channel_task(
     (fringe, chsh)
 }
 
-/// Fallible, fault-aware form of [`run_timebin_experiment`].
+/// Runs the §IV virtual experiment: fringe scans and CHSH on every
+/// surviving channel pair, one channel per task.
 ///
 /// The §IV driver is frame-based, so faults enter as pure modifiers of
 /// the per-frame probabilities: pump faults and lock-loss outages scale
 /// `μ`, phase jumps offset the pump phase, dark bursts raise the
 /// accidental floor, and sub-quarantine detector dropouts thin the arm
-/// efficiency. The RNG draw sequence is untouched, so an empty schedule
-/// reproduces the panicking API bit for bit at any thread count.
+/// efficiency. The RNG draw sequence is untouched by the schedule, so a
+/// faulted run stays bit-identical at any thread count.
 ///
 /// # Errors
 ///
@@ -591,32 +578,68 @@ pub fn try_run_timebin_experiment(
     seed: u64,
     schedule: &FaultSchedule,
 ) -> QfcResult<TimeBinRun> {
-    let _driver_span = qfc_obs::span("driver.timebin");
-    crate::report::record_manifest(seed, config, schedule);
+    run_in_process(config, source, seed, schedule)
+}
 
-    let source_span = qfc_obs::span("driver.timebin.source");
-    let plan = plan_timebin_experiment(source, config, seed, schedule)?;
-    drop(source_span);
+/// §IV as plan → tasks → assemble: one task per surviving channel. The
+/// fringe and CHSH draws of channel `m` come from the independent
+/// split-seed stream `split_seed(seed, m)`.
+impl Experiment for TimeBinConfig {
+    const LABEL: &'static str = "timebin";
+    type Plan = TimeBinPlan;
+    type Output = (ChannelFringe, ChshChannelResult);
+    type Run = TimeBinRun;
 
-    // One independent split-seed stream per channel pair: the fringe and
-    // CHSH draws of channel m depend only on (seed, m), so channels are
-    // parallel tasks with a thread-count-independent result.
-    let timetag_span = qfc_obs::span("driver.timebin.timetag");
-    let per_channel: Vec<(ChannelFringe, ChshChannelResult)> =
-        qfc_runtime::par_map(&plan.models, |(m, c, model)| {
-            timebin_channel_task(seed, *m, c, model)
-        });
-    drop(timetag_span);
+    fn plan(
+        &self,
+        source: &QfcSource,
+        seed: u64,
+        schedule: &FaultSchedule,
+    ) -> QfcResult<(TimeBinPlan, Vec<ShardSpec>)> {
+        let plan = plan_timebin_experiment(source, self, seed, schedule)?;
+        let tasks = plan
+            .models
+            .iter()
+            .enumerate()
+            .map(|(i, (m, _, _))| {
+                ShardSpec::unit(i, format!("channel-{m}"), split_seed(seed, u64::from(*m)))
+            })
+            .collect();
+        Ok((plan, tasks))
+    }
 
-    let analysis_span = qfc_obs::span("driver.timebin.analysis");
-    let (fringes, chsh) = per_channel.into_iter().unzip();
-    drop(analysis_span);
+    fn task(
+        &self,
+        _source: &QfcSource,
+        seed: u64,
+        _schedule: &FaultSchedule,
+        plan: &TimeBinPlan,
+        spec: &ShardSpec,
+    ) -> QfcResult<Self::Output> {
+        let (m, c, model) = plan
+            .models
+            .get(spec.slot())
+            .ok_or_else(|| spec.unplanned(Self::LABEL))?;
+        Ok(timebin_channel_task(seed, *m, c, model))
+    }
 
-    let _report_span = qfc_obs::span("driver.timebin.report");
-    Ok(TimeBinRun {
-        report: TimeBinReport { fringes, chsh },
-        health: plan.health,
-    })
+    fn assemble(
+        &self,
+        plan: TimeBinPlan,
+        outputs: impl Iterator<Item = QfcResult<Self::Output>>,
+    ) -> QfcResult<TimeBinRun> {
+        let mut fringes = Vec::with_capacity(plan.models.len());
+        let mut chsh = Vec::with_capacity(plan.models.len());
+        for output in outputs {
+            let (f, c) = output?;
+            fringes.push(f);
+            chsh.push(c);
+        }
+        Ok(TimeBinRun {
+            report: TimeBinReport { fringes, chsh },
+            health: plan.health,
+        })
+    }
 }
 
 #[cfg(test)]
@@ -625,6 +648,12 @@ mod tests {
 
     fn source() -> QfcSource {
         QfcSource::paper_device_timebin()
+    }
+
+    fn run(cfg: &TimeBinConfig, seed: u64) -> TimeBinReport {
+        try_run_timebin_experiment(&source(), cfg, seed, &FaultSchedule::empty())
+            .expect("clean run")
+            .report
     }
 
     #[test]
@@ -642,7 +671,7 @@ mod tests {
 
     #[test]
     fn fringe_visibility_near_paper_value() {
-        let report = run_timebin_experiment(&source(), &TimeBinConfig::fast_demo(), 41);
+        let report = run(&TimeBinConfig::fast_demo(), 41);
         for f in &report.fringes {
             assert!(
                 (f.fit.visibility - 0.83).abs() < 0.08,
@@ -655,7 +684,7 @@ mod tests {
 
     #[test]
     fn chsh_violated_on_all_channels() {
-        let report = run_timebin_experiment(&source(), &TimeBinConfig::fast_demo(), 42);
+        let report = run(&TimeBinConfig::fast_demo(), 42);
         assert_eq!(report.channels_violating(), report.chsh.len());
         for c in &report.chsh {
             assert!(c.s_value > 2.0, "m={}: S = {}", c.m, c.s_value);
@@ -665,7 +694,7 @@ mod tests {
 
     #[test]
     fn fringe_oscillates_through_minimum() {
-        let report = run_timebin_experiment(&source(), &TimeBinConfig::fast_demo(), 43);
+        let report = run(&TimeBinConfig::fast_demo(), 43);
         let f = &report.fringes[0];
         let max = f.points.iter().map(|p| p.1).max().expect("points");
         let min = f.points.iter().map(|p| p.1).min().expect("points");
@@ -674,7 +703,7 @@ mod tests {
 
     #[test]
     fn report_rows_pass() {
-        let report = run_timebin_experiment(&source(), &TimeBinConfig::fast_demo(), 44);
+        let report = run(&TimeBinConfig::fast_demo(), 44);
         let rows = report.to_report();
         assert!(rows.all_pass(), "{}", rows.render());
     }
@@ -689,24 +718,12 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "phase steps")]
     fn too_few_steps_rejected() {
         let mut cfg = TimeBinConfig::fast_demo();
         cfg.phase_steps = 3;
-        let _ = run_timebin_experiment(&source(), &cfg, 1);
-    }
-
-    #[test]
-    fn empty_schedule_matches_legacy_run() {
-        let cfg = TimeBinConfig::fast_demo();
-        let legacy = run_timebin_experiment(&source(), &cfg, 47);
-        let run = try_run_timebin_experiment(&source(), &cfg, 47, &FaultSchedule::empty())
-            .expect("clean run");
-        assert!(run.health.is_pristine());
-        assert_eq!(
-            serde_json::to_string(&legacy).expect("json"),
-            serde_json::to_string(&run.report).expect("json"),
-        );
+        let err = try_run_timebin_experiment(&source(), &cfg, 1, &FaultSchedule::empty())
+            .expect_err("three phase steps cannot be fitted");
+        assert!(err.to_string().contains("phase steps"), "{err}");
     }
 
     #[test]

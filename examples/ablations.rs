@@ -44,7 +44,9 @@ fn main() {
 
     println!("\n== Coincidence window (capture vs accidentals) ==");
     println!("{:>14} {:>12} {:>18}", "window (ps)", "CAR", "coinc rate (Hz)");
-    for row in window_ablation(&[250, 1000, 4000, 8000, 16_000, 64_000], 2019) {
+    let rows = window_ablation(&[250, 1000, 4000, 8000, 16_000, 64_000], 2019)
+        .expect("every window runs");
+    for row in rows {
         println!(
             "{:>14} {:>12.1} {:>18.3}",
             row.window_ps, row.car, row.coincidence_rate_hz

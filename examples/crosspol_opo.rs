@@ -6,16 +6,24 @@
 //! ```
 
 use qfc::core::crosspol::{
-    run_crosspol_experiment, run_power_sweep, run_suppression_sweep, CrossPolConfig,
+    run_power_sweep, run_suppression_sweep, try_run_crosspol_experiment, CrossPolConfig,
 };
 use qfc::core::source::QfcSource;
+use qfc::faults::FaultSchedule;
 
 fn main() {
     let source = QfcSource::paper_device_type2();
     println!("Running §III bichromatic TE+TM pumping at 2 mW total…");
 
     println!("\n== F4 type-II coincidence measurement ==");
-    let report = run_crosspol_experiment(&source, &CrossPolConfig::paper(), 17);
+    let report = try_run_crosspol_experiment(
+        &source,
+        &CrossPolConfig::paper(),
+        17,
+        &FaultSchedule::empty(),
+    )
+    .expect("fault-free cross-polarized run")
+    .report;
     println!("generated pair rate : {:.2} Hz", report.generated_pair_rate_hz);
     println!("TE singles          : {:.0} Hz", report.te_singles_hz);
     println!("TM singles          : {:.0} Hz", report.tm_singles_hz);

@@ -5,14 +5,17 @@
 //! cargo run --release --example four_photon_state
 //! ```
 
-use qfc::core::multiphoton::{run_multiphoton_experiment, MultiPhotonConfig};
+use qfc::core::multiphoton::{try_run_multiphoton_experiment, MultiPhotonConfig};
 use qfc::core::source::QfcSource;
+use qfc::faults::FaultSchedule;
 
 fn main() {
     let source = QfcSource::paper_device_timebin();
     let config = MultiPhotonConfig::paper();
     println!("Running §V four-photon suite (this includes 81-setting 4-qubit MLE)…");
-    let report = run_multiphoton_experiment(&source, &config, 29);
+    let report = try_run_multiphoton_experiment(&source, &config, 29, &FaultSchedule::empty())
+        .expect("fault-free multi-photon run")
+        .report;
 
     println!("\n== T3 Bell-state tomography per channel ==");
     println!("  m    fidelity    concurrence   MLE iters");

@@ -6,14 +6,15 @@
 //! cargo run --release --example full_reproduction > EXPERIMENTS.generated.md
 //! ```
 
-use qfc::core::crosspol::{run_crosspol_experiment, run_power_sweep, CrossPolConfig};
+use qfc::core::crosspol::{run_power_sweep, try_run_crosspol_experiment, CrossPolConfig};
 use qfc::core::heralded::{
-    run_heralded_experiment, run_stability_experiment, HeraldedConfig, StabilityConfig,
+    run_stability_experiment, try_run_heralded_experiment, HeraldedConfig, StabilityConfig,
 };
-use qfc::core::multiphoton::{run_multiphoton_experiment, MultiPhotonConfig};
+use qfc::core::multiphoton::{try_run_multiphoton_experiment, MultiPhotonConfig};
 use qfc::core::report::ExperimentReport;
 use qfc::core::source::QfcSource;
-use qfc::core::timebin::{run_timebin_experiment, TimeBinConfig};
+use qfc::core::timebin::{try_run_timebin_experiment, TimeBinConfig};
+use qfc::faults::FaultSchedule;
 use qfc::photonics::pump::PumpConfig;
 use qfc::photonics::units::Power;
 
@@ -53,7 +54,14 @@ fn main() {
     // §II — F1/T1/F2
     eprintln!("running §II heralded photons…");
     let source2 = QfcSource::paper_device();
-    let heralded = run_heralded_experiment(&source2, &HeraldedConfig::paper(), seed);
+    let heralded = try_run_heralded_experiment(
+        &source2,
+        &HeraldedConfig::paper(),
+        seed,
+        &FaultSchedule::empty(),
+    )
+    .expect("fault-free heralded run")
+    .report;
     reports.push(heralded.to_report());
 
     // §II — F3
@@ -73,7 +81,14 @@ fn main() {
     // §III — F4/F5/F6
     eprintln!("running §III cross-polarized pairs…");
     let source3 = QfcSource::paper_device_type2();
-    let crosspol = run_crosspol_experiment(&source3, &CrossPolConfig::paper(), seed);
+    let crosspol = try_run_crosspol_experiment(
+        &source3,
+        &CrossPolConfig::paper(),
+        seed,
+        &FaultSchedule::empty(),
+    )
+    .expect("fault-free cross-polarized run")
+    .report;
     reports.push(crosspol.to_report());
     let sweep = run_power_sweep(&source3, 16);
     reports.push(sweep.to_report());
@@ -81,12 +96,26 @@ fn main() {
     // §IV — F7/T2
     eprintln!("running §IV time-bin entanglement…");
     let source4 = QfcSource::paper_device_timebin();
-    let timebin = run_timebin_experiment(&source4, &TimeBinConfig::paper(), seed);
+    let timebin = try_run_timebin_experiment(
+        &source4,
+        &TimeBinConfig::paper(),
+        seed,
+        &FaultSchedule::empty(),
+    )
+    .expect("fault-free time-bin run")
+    .report;
     reports.push(timebin.to_report());
 
     // §V — T3/F8/T4
     eprintln!("running §V multi-photon states…");
-    let multi = run_multiphoton_experiment(&source4, &MultiPhotonConfig::paper(), seed);
+    let multi = try_run_multiphoton_experiment(
+        &source4,
+        &MultiPhotonConfig::paper(),
+        seed,
+        &FaultSchedule::empty(),
+    )
+    .expect("fault-free multi-photon run")
+    .report;
     reports.push(multi.to_report());
 
     // Extensions: purity/memory (P1–P3) and QKD feasibility.

@@ -2,8 +2,9 @@
 //!
 //! The fixtures pin the exact JSON output of every shot-based kernel
 //! (categorical sampling, bootstrap resampling, detector/timetag
-//! pipelines) and of the MLE engine; `tests/byte_identity.rs` fails if
-//! any of them drifts by a single byte. Regenerate only for a change that
+//! pipelines), of the MLE engine, and of one fault-injected run of each
+//! paper driver (report plus health section); `tests/byte_identity.rs`
+//! fails if any of them drifts by a single byte. Regenerate only for a change that
 //! moves bytes on purpose, and record the old-vs-new values in
 //! CHANGES.md.
 //!
@@ -12,10 +13,16 @@
 use std::fs;
 use std::path::Path;
 
-use qfc::core::heralded::{run_heralded_experiment, HeraldedConfig};
-use qfc::core::multiphoton::{run_four_photon_tomography, MultiPhotonConfig};
+use qfc::core::crosspol::{try_run_crosspol_experiment, CrossPolConfig};
+use qfc::core::heralded::{try_run_heralded_experiment, HeraldedConfig};
+use qfc::core::multiphoton::{
+    try_four_photon_tomography, try_run_multiphoton_experiment, MultiPhotonConfig,
+};
 use qfc::core::source::QfcSource;
-use qfc::core::timebin::{run_timebin_event_mc, TimeBinConfig};
+use qfc::core::timebin::{
+    nominal_duration_s, run_timebin_event_mc, try_run_timebin_experiment, TimeBinConfig,
+};
+use qfc::faults::{Arm, FaultEvent, FaultKind, FaultSchedule, HealthReport};
 use qfc::quantum::bell::{bell_phi_plus, werner_state};
 use qfc::quantum::fidelity::fidelity_with_pure;
 use qfc::tomography::bootstrap::bootstrap_functional;
@@ -92,10 +99,62 @@ fn main() {
     let mut hc = HeraldedConfig::fast_demo();
     hc.duration_s = 1.0;
     hc.channels = 2;
-    let heralded = run_heralded_experiment(&source, &hc, 7);
+    let heralded = try_run_heralded_experiment(&source, &hc, 7, &FaultSchedule::empty())
+        .expect("heralded run")
+        .report;
     write_fixture(&dir, "heralded.json", &serde_json::to_string(&heralded).expect("json"));
 
     // §V four-photon tomography: 81-setting counts + dim-16 MLE.
-    let four = run_four_photon_tomography(&tb_source, &MultiPhotonConfig::fast_demo(), 13);
+    let mc = MultiPhotonConfig::fast_demo();
+    let four = try_four_photon_tomography(
+        &tb_source,
+        &mc,
+        13,
+        &mc.timebin,
+        mc.four_fold_pump_factor,
+        &mut HealthReport::pristine(),
+    )
+    .expect("four-photon tomography");
     write_fixture(&dir, "four_photon.json", &serde_json::to_string(&four).expect("json"));
+
+    // One full run of each paper driver, health section included: the
+    // stress schedules of the thread-invariance tests in
+    // `tests/fault_injection.rs`, and the detector-dropout schedule of
+    // the faulted multiphoton campaign in `tests/campaign.rs`.
+    let mut hc = HeraldedConfig::fast_demo();
+    hc.duration_s = 2.0;
+    hc.linewidth_pairs = 2000;
+    let stress = FaultSchedule::stress(3, hc.duration_s);
+    let run = try_run_heralded_experiment(&source, &hc, 4242, &stress).expect("heralded run");
+    write_fixture(&dir, "heralded_run.json", &serde_json::to_string(&run).expect("json"));
+
+    let mut cc = CrossPolConfig::fast_demo();
+    cc.duration_s = 5.0;
+    let stress = FaultSchedule::stress(5, cc.duration_s);
+    let type2 = QfcSource::paper_device_type2();
+    let run = try_run_crosspol_experiment(&type2, &cc, 99, &stress).expect("crosspol run");
+    write_fixture(&dir, "crosspol_run.json", &serde_json::to_string(&run).expect("json"));
+
+    let mut tc = TimeBinConfig::fast_demo();
+    tc.frames_per_point = 200_000;
+    let stress = FaultSchedule::stress(7, nominal_duration_s(&tc));
+    let run = try_run_timebin_experiment(&tb_source, &tc, 4243, &stress).expect("timebin run");
+    write_fixture(&dir, "timebin_run.json", &serde_json::to_string(&run).expect("json"));
+
+    let mut mc = MultiPhotonConfig::fast_demo();
+    mc.timebin.frames_per_point = 50_000;
+    mc.bell_shots_per_setting = 100;
+    mc.four_fold_phase_steps = 8;
+    mc.four_shots_per_setting = 10;
+    let dropout = FaultSchedule::empty().with(FaultEvent::new(
+        10.0,
+        40.0,
+        FaultKind::DetectorDropout {
+            channel: 1,
+            arm: Arm::Signal,
+        },
+    ));
+    let run = try_run_multiphoton_experiment(&tb_source, &mc, 73, &dropout)
+        .expect("multiphoton run");
+    write_fixture(&dir, "multiphoton_run.json", &serde_json::to_string(&run).expect("json"));
 }

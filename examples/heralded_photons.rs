@@ -7,9 +7,10 @@
 //! ```
 
 use qfc::core::heralded::{
-    run_heralded_experiment, run_stability_experiment, HeraldedConfig, StabilityConfig,
+    run_stability_experiment, try_run_heralded_experiment, HeraldedConfig, StabilityConfig,
 };
 use qfc::core::source::QfcSource;
+use qfc::faults::FaultSchedule;
 use qfc::photonics::pump::PumpConfig;
 use qfc::photonics::units::Power;
 
@@ -20,7 +21,9 @@ fn main() {
         "Running §II at 15 mW self-locked pump, {} channels, {} s integration…",
         config.channels, config.duration_s
     );
-    let report = run_heralded_experiment(&source, &config, 7);
+    let report = try_run_heralded_experiment(&source, &config, 7, &FaultSchedule::empty())
+        .expect("fault-free heralded run")
+        .report;
 
     println!("\n== F1 coincidence matrix (signal row × idler column, counts) ==");
     print!("        ");

@@ -10,14 +10,17 @@ use qfc::core::multiplex::plan_star_network;
 use qfc::core::qkd::{qkd_from_timebin, QBER_THRESHOLD};
 use qfc::core::source::QfcSource;
 use qfc::core::timebin::{
-    channel_state_model, coincidence_probability, run_timebin_experiment, TimeBinConfig,
+    channel_state_model, coincidence_probability, try_run_timebin_experiment, TimeBinConfig,
 };
+use qfc::faults::FaultSchedule;
 
 fn main() {
     let source = QfcSource::paper_device_timebin();
     let config = TimeBinConfig::paper();
     println!("Measuring the §IV entangled channels…");
-    let timebin = run_timebin_experiment(&source, &config, 37);
+    let timebin = try_run_timebin_experiment(&source, &config, 37, &FaultSchedule::empty())
+        .expect("fault-free time-bin run")
+        .report;
 
     // Phase-averaged coincidence probability per frame for each channel.
     let probs: Vec<f64> = (1..=config.channels)

@@ -5,8 +5,9 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use qfc::core::heralded::{run_heralded_experiment, HeraldedConfig};
+use qfc::core::heralded::{try_run_heralded_experiment, HeraldedConfig};
 use qfc::core::source::QfcSource;
+use qfc::faults::FaultSchedule;
 use qfc::photonics::waveguide::Polarization;
 
 fn main() {
@@ -36,7 +37,14 @@ fn main() {
     }
 
     println!("\n== Fast heralded-photon run (SNSPD demo detectors) ==");
-    let report = run_heralded_experiment(&source, &HeraldedConfig::fast_demo(), 2026);
+    let report = try_run_heralded_experiment(
+        &source,
+        &HeraldedConfig::fast_demo(),
+        2026,
+        &FaultSchedule::empty(),
+    )
+    .expect("fault-free heralded run")
+    .report;
     for c in &report.channels {
         println!(
             "m = {}: pair rate {:>6.1} Hz inferred, coincidences {:>6.2} Hz, CAR {:>6.1}",

@@ -6,7 +6,8 @@
 //! ```
 
 use qfc::core::source::QfcSource;
-use qfc::core::timebin::{run_timebin_event_mc, run_timebin_experiment, TimeBinConfig};
+use qfc::core::timebin::{run_timebin_event_mc, try_run_timebin_experiment, TimeBinConfig};
+use qfc::faults::FaultSchedule;
 use qfc::quantum::chsh::TSIRELSON_BOUND;
 
 fn main() {
@@ -16,7 +17,9 @@ fn main() {
         "Running §IV double-pulse pumping, {} channels, {} phase points…",
         config.channels, config.phase_steps
     );
-    let report = run_timebin_experiment(&source, &config, 23);
+    let report = try_run_timebin_experiment(&source, &config, 23, &FaultSchedule::empty())
+        .expect("fault-free time-bin run")
+        .report;
 
     println!("\n== F7 two-photon interference fringes ==");
     for f in &report.fringes {

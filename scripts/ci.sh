@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Tier-1 gate: release build, root test suite, every crate's tests, the
+# Tier-1 gate: release build, a check that the repository benchmark
+# (perfbench/) still builds, root test suite, every crate's tests, the
 # paper's headline runs, workspace static analysis (qfc-lint), per-crate
 # lints, and a seconds-scale bench smoke run that cross-checks serial vs
 # parallel determinism. Run from the repository root.
@@ -8,6 +9,11 @@ cd "$(dirname "$0")/.."
 
 echo "==> cargo build --release"
 cargo build --release
+
+# perfbench/ is its own workspace on path dependencies into crates/*, so
+# an API change there breaks it without breaking anything above.
+echo "==> cargo check perfbench (the benchmark builds against this tree)"
+cargo check --offline --manifest-path perfbench/Cargo.toml
 
 echo "==> cargo test -q --workspace (root suite plus every crate's tests)"
 cargo test -q --workspace

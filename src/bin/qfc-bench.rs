@@ -66,11 +66,11 @@ use std::time::Instant;
 use serde::{Deserialize, Serialize};
 
 use qfc::campaign::{run_campaign, CampaignOptions, TimeBinCampaign};
-use qfc::core::heralded::{run_heralded_experiment, HeraldedConfig};
-use qfc::core::multiphoton::{run_four_photon_tomography, MultiPhotonConfig};
+use qfc::core::heralded::{try_run_heralded_experiment, HeraldedConfig};
+use qfc::core::multiphoton::{try_four_photon_tomography, MultiPhotonConfig};
 use qfc::core::source::QfcSource;
 use qfc::core::timebin::{run_timebin_event_mc, TimeBinConfig};
-use qfc::faults::FaultSchedule;
+use qfc::faults::{FaultSchedule, HealthReport};
 use qfc::mathkit::rng::rng_from_seed;
 use qfc::photonics::opo;
 use qfc::photonics::ring::Microring;
@@ -377,9 +377,11 @@ fn run(
             cfg.linewidth_pairs = 40_000;
         }
         let shots = cfg.linewidth_pairs as u64;
+        let schedule = FaultSchedule::empty();
         workloads.push(bench_workload("heralded", threads, shots, unvalidated, scaling, || {
-            let report = run_heralded_experiment(&source, &cfg, 7);
-            serde_json::to_string(&report).expect("report serializes")
+            let run = try_run_heralded_experiment(&source, &cfg, 7, &schedule)
+                .expect("fault-free heralded run");
+            serde_json::to_string(&run.report).expect("report serializes")
         }));
     }
 
@@ -409,7 +411,15 @@ fn run(
         cfg.four_shots_per_setting = if smoke { 40 } else { 20_000 };
         let shots = cfg.four_shots_per_setting * 81;
         workloads.push(bench_workload("four-photon-tomography", threads, shots, unvalidated, scaling, || {
-            let tomo = run_four_photon_tomography(&source, &cfg, 13);
+            let tomo = try_four_photon_tomography(
+                &source,
+                &cfg,
+                13,
+                &cfg.timebin,
+                cfg.four_fold_pump_factor,
+                &mut HealthReport::pristine(),
+            )
+            .expect("fault-free four-photon tomography");
             serde_json::to_string(&tomo).expect("tomography serializes")
         }));
     }

@@ -17,16 +17,16 @@
 
 use std::process::ExitCode;
 
-use qfc::core::crosspol::{run_crosspol_experiment, run_power_sweep, CrossPolConfig};
+use qfc::core::crosspol::{run_power_sweep, try_run_crosspol_experiment, CrossPolConfig};
 use qfc::core::heralded::{
-    run_heralded_experiment, run_stability_experiment, HeraldedConfig, StabilityConfig,
+    run_stability_experiment, try_run_heralded_experiment, HeraldedConfig, StabilityConfig,
 };
-use qfc::core::multiphoton::{run_multiphoton_experiment, MultiPhotonConfig};
+use qfc::core::multiphoton::{try_run_multiphoton_experiment, MultiPhotonConfig};
 use qfc::core::purity::{run_purity_analysis, PurityConfig};
 use qfc::core::report::ExperimentReport;
 use qfc::core::source::QfcSource;
-use qfc::core::timebin::{run_timebin_experiment, TimeBinConfig};
-use qfc::faults::{QfcError, QfcResult};
+use qfc::core::timebin::{try_run_timebin_experiment, TimeBinConfig};
+use qfc::faults::{FaultSchedule, QfcError, QfcResult};
 use qfc::photonics::waveguide::Polarization;
 
 struct Options {
@@ -66,8 +66,13 @@ fn run_one(name: &str, opts: &Options) -> QfcResult<()> {
             } else {
                 HeraldedConfig::paper()
             };
-            let report = run_heralded_experiment(&source, &cfg, opts.seed);
-            emit(&report.to_report(), opts)?;
+            let run = try_run_heralded_experiment(
+                &source,
+                &cfg,
+                opts.seed,
+                &FaultSchedule::empty(),
+            )?;
+            emit(&run.report.to_report(), opts)?;
             Ok(())
         }
         "stability" => {
@@ -86,8 +91,13 @@ fn run_one(name: &str, opts: &Options) -> QfcResult<()> {
             if opts.fast {
                 cfg.duration_s = 30.0;
             }
-            let report = run_crosspol_experiment(&source, &cfg, opts.seed);
-            emit(&report.to_report(), opts)?;
+            let run = try_run_crosspol_experiment(
+                &source,
+                &cfg,
+                opts.seed,
+                &FaultSchedule::empty(),
+            )?;
+            emit(&run.report.to_report(), opts)?;
             Ok(())
         }
         "opo" => {
@@ -103,8 +113,13 @@ fn run_one(name: &str, opts: &Options) -> QfcResult<()> {
             } else {
                 TimeBinConfig::paper()
             };
-            let report = run_timebin_experiment(&source, &cfg, opts.seed);
-            emit(&report.to_report(), opts)?;
+            let run = try_run_timebin_experiment(
+                &source,
+                &cfg,
+                opts.seed,
+                &FaultSchedule::empty(),
+            )?;
+            emit(&run.report.to_report(), opts)?;
             Ok(())
         }
         "multiphoton" => {
@@ -114,8 +129,13 @@ fn run_one(name: &str, opts: &Options) -> QfcResult<()> {
             } else {
                 MultiPhotonConfig::paper()
             };
-            let report = run_multiphoton_experiment(&source, &cfg, opts.seed);
-            emit(&report.to_report(), opts)?;
+            let run = try_run_multiphoton_experiment(
+                &source,
+                &cfg,
+                opts.seed,
+                &FaultSchedule::empty(),
+            )?;
+            emit(&run.report.to_report(), opts)?;
             Ok(())
         }
         "purity" => {

@@ -13,15 +13,18 @@
 //!
 //! ```
 //! use qfc::core::source::QfcSource;
-//! use qfc::core::heralded::{HeraldedConfig, run_heralded_experiment};
+//! use qfc::core::heralded::{try_run_heralded_experiment, HeraldedConfig};
+//! use qfc::faults::FaultSchedule;
 //!
 //! // The paper's device with its §II pump configuration, scaled down for a
-//! // fast doctest.
+//! // fast doctest, and no injected faults.
 //! let source = QfcSource::paper_device();
 //! let mut cfg = HeraldedConfig::paper();
 //! cfg.duration_s = 10.0;
-//! let report = run_heralded_experiment(&source, &cfg, 42);
-//! assert!(report.mean_car() > 1.0);
+//! let run = try_run_heralded_experiment(&source, &cfg, 42, &FaultSchedule::empty())?;
+//! assert!(run.health.is_pristine());
+//! assert!(run.report.mean_car() > 1.0);
+//! # Ok::<(), qfc::faults::QfcError>(())
 //! ```
 
 #![forbid(unsafe_code)]

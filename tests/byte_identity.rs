@@ -1,7 +1,8 @@
 //! Byte-identity gate for the kernel reworks.
 //!
 //! The fixtures under `tests/golden/` pin the serialized JSON of every
-//! shot-based kernel and of the MLE engine
+//! shot-based kernel, of the MLE engine, and of one fault-injected run
+//! of each paper driver (report and health section)
 //! (`cargo run --release --example golden_fixtures` regenerates them).
 //! Each test re-runs one workload and demands the output match its
 //! fixture byte for byte — the strongest possible statement that an
@@ -14,10 +15,16 @@
 use std::fs;
 use std::path::PathBuf;
 
-use qfc::core::heralded::{run_heralded_experiment, HeraldedConfig};
-use qfc::core::multiphoton::{run_four_photon_tomography, MultiPhotonConfig};
+use qfc::core::crosspol::{try_run_crosspol_experiment, CrossPolConfig};
+use qfc::core::heralded::{try_run_heralded_experiment, HeraldedConfig};
+use qfc::core::multiphoton::{
+    try_four_photon_tomography, try_run_multiphoton_experiment, MultiPhotonConfig,
+};
 use qfc::core::source::QfcSource;
-use qfc::core::timebin::{run_timebin_event_mc, TimeBinConfig};
+use qfc::core::timebin::{
+    nominal_duration_s, run_timebin_event_mc, try_run_timebin_experiment, TimeBinConfig,
+};
+use qfc::faults::{Arm, FaultEvent, FaultKind, FaultSchedule, HealthReport};
 use qfc::quantum::bell::{bell_phi_plus, werner_state};
 use qfc::quantum::fidelity::fidelity_with_pure;
 use qfc::tomography::bootstrap::bootstrap_functional;
@@ -151,13 +158,79 @@ fn heralded_pipeline_matches_pre_rework_bytes() {
     let mut cfg = HeraldedConfig::fast_demo();
     cfg.duration_s = 1.0;
     cfg.channels = 2;
-    let report = run_heralded_experiment(&source, &cfg, 7);
-    assert_bytes_match("heralded.json", &serde_json::to_string(&report).expect("json"));
+    let run = try_run_heralded_experiment(&source, &cfg, 7, &FaultSchedule::empty())
+        .expect("heralded run");
+    assert_bytes_match("heralded.json", &serde_json::to_string(&run.report).expect("json"));
 }
 
 #[test]
 fn four_photon_tomography_matches_pre_rework_bytes() {
     let source = QfcSource::paper_device_timebin();
-    let four = run_four_photon_tomography(&source, &MultiPhotonConfig::fast_demo(), 13);
+    let cfg = MultiPhotonConfig::fast_demo();
+    let four = try_four_photon_tomography(
+        &source,
+        &cfg,
+        13,
+        &cfg.timebin,
+        cfg.four_fold_pump_factor,
+        &mut HealthReport::pristine(),
+    )
+    .expect("four-photon tomography");
     assert_bytes_match("four_photon.json", &serde_json::to_string(&four).expect("json"));
+}
+
+// One full run per paper driver, health section included: the stress
+// schedules of `tests/fault_injection.rs` and the detector-dropout
+// schedule of the faulted multiphoton campaign in `tests/campaign.rs`.
+
+#[test]
+fn heralded_run_matches_pinned_bytes() {
+    let source = QfcSource::paper_device();
+    let mut cfg = HeraldedConfig::fast_demo();
+    cfg.duration_s = 2.0;
+    cfg.linewidth_pairs = 2000;
+    let schedule = FaultSchedule::stress(3, cfg.duration_s);
+    let run = try_run_heralded_experiment(&source, &cfg, 4242, &schedule).expect("heralded run");
+    assert_bytes_match("heralded_run.json", &serde_json::to_string(&run).expect("json"));
+}
+
+#[test]
+fn crosspol_run_matches_pinned_bytes() {
+    let source = QfcSource::paper_device_type2();
+    let mut cfg = CrossPolConfig::fast_demo();
+    cfg.duration_s = 5.0;
+    let schedule = FaultSchedule::stress(5, cfg.duration_s);
+    let run = try_run_crosspol_experiment(&source, &cfg, 99, &schedule).expect("crosspol run");
+    assert_bytes_match("crosspol_run.json", &serde_json::to_string(&run).expect("json"));
+}
+
+#[test]
+fn timebin_run_matches_pinned_bytes() {
+    let source = QfcSource::paper_device_timebin();
+    let mut cfg = TimeBinConfig::fast_demo();
+    cfg.frames_per_point = 200_000;
+    let schedule = FaultSchedule::stress(7, nominal_duration_s(&cfg));
+    let run = try_run_timebin_experiment(&source, &cfg, 4243, &schedule).expect("timebin run");
+    assert_bytes_match("timebin_run.json", &serde_json::to_string(&run).expect("json"));
+}
+
+#[test]
+fn multiphoton_run_matches_pinned_bytes() {
+    let source = QfcSource::paper_device_timebin();
+    let mut cfg = MultiPhotonConfig::fast_demo();
+    cfg.timebin.frames_per_point = 50_000;
+    cfg.bell_shots_per_setting = 100;
+    cfg.four_fold_phase_steps = 8;
+    cfg.four_shots_per_setting = 10;
+    let schedule = FaultSchedule::empty().with(FaultEvent::new(
+        10.0,
+        40.0,
+        FaultKind::DetectorDropout {
+            channel: 1,
+            arm: Arm::Signal,
+        },
+    ));
+    let run = try_run_multiphoton_experiment(&source, &cfg, 73, &schedule)
+        .expect("multiphoton run");
+    assert_bytes_match("multiphoton_run.json", &serde_json::to_string(&run).expect("json"));
 }

@@ -13,7 +13,9 @@ use std::path::PathBuf;
 
 use proptest::prelude::*;
 
-use qfc::campaign::{run_campaign, CampaignOptions, CampaignOutcome, CampaignWorkload};
+use qfc::campaign::{
+    run_campaign, CampaignOptions, CampaignOutcome, CampaignWorkload, BACKOFF_BASE_S,
+};
 use qfc::campaign::{CrossPolCampaign, HeraldedCampaign, MultiPhotonCampaign, TimeBinCampaign};
 use qfc::core::crosspol::CrossPolConfig;
 use qfc::core::heralded::HeraldedConfig;
@@ -21,6 +23,8 @@ use qfc::core::multiphoton::MultiPhotonConfig;
 use qfc::core::source::QfcSource;
 use qfc::core::timebin::TimeBinConfig;
 use qfc::faults::{Arm, FaultEvent, FaultKind, FaultSchedule, QfcError};
+use qfc::photonics::pump::PumpConfig;
+use qfc::photonics::units::Power;
 use qfc::runtime::with_threads;
 
 fn fresh_dir(name: &str) -> PathBuf {
@@ -157,6 +161,65 @@ fn crosspol_campaign_is_byte_identical() {
     assert_eq!(outcome.stats.shards_total, 1);
 }
 
+/// Runs `first` then `second` into one checkpoint directory. The two
+/// differ in one input a payload depends on, so they must get different
+/// fingerprints, and `second` must recompute every shard rather than
+/// resume `first`'s checkpoints.
+fn assert_no_shared_checkpoints<W: CampaignWorkload + Sync>(name: &str, first: &W, second: &W) {
+    let dir = fresh_dir(name);
+    let a = run_campaign(first, &proving(dir.clone())).expect("first campaign runs");
+    let b = run_campaign(second, &proving(dir)).expect("second campaign runs");
+    expect_proof(&a);
+    expect_proof(&b);
+    assert_ne!(a.manifest.campaign_id, b.manifest.campaign_id);
+    assert_eq!(b.stats.shards_resumed, 0, "resumed another campaign's checkpoints");
+}
+
+#[test]
+fn campaign_fingerprint_covers_source_and_physics_schedule() {
+    // Same time-bin config and seed; only the physics schedule differs.
+    let source = QfcSource::paper_device_timebin();
+    let cfg = timebin_config();
+    let empty = FaultSchedule::empty();
+    let jump = FaultSchedule::empty().with(FaultEvent::new(
+        0.0,
+        1.0,
+        FaultKind::PhaseJump { rad: 1.0 },
+    ));
+    let faulted = TimeBinCampaign {
+        source: &source,
+        config: &cfg,
+        seed: 81,
+        schedule: &jump,
+    };
+    let clean = TimeBinCampaign {
+        schedule: &empty,
+        ..faulted
+    };
+    assert_no_shared_checkpoints("fingerprint-timebin-schedule", &faulted, &clean);
+
+    // Same heralded config and seed; only the pump of the source differs.
+    let locked = QfcSource::paper_device();
+    let external = locked.clone().with_pump(PumpConfig::ExternalCw {
+        power: Power::from_mw(10.0),
+        actively_stabilized: true,
+    });
+    let mut hcfg = HeraldedConfig::fast_demo();
+    hcfg.duration_s = 1.0;
+    hcfg.linewidth_pairs = 2000;
+    let self_locked = HeraldedCampaign {
+        source: &locked,
+        config: &hcfg,
+        seed: 82,
+        schedule: &empty,
+    };
+    let external_cw = HeraldedCampaign {
+        source: &external,
+        ..self_locked
+    };
+    assert_no_shared_checkpoints("fingerprint-heralded-source", &self_locked, &external_cw);
+}
+
 #[test]
 fn shard_abort_interrupts_then_resume_is_byte_identical() {
     let source = QfcSource::paper_device_timebin();
@@ -262,7 +325,7 @@ fn executor_faults_retry_with_the_deterministic_backoff_ladder() {
     expect_proof(&outcome);
     assert_eq!(outcome.stats.retries, 2);
     // base·2⁰ before attempt 2, base·2¹ before attempt 3.
-    let expected = opts.backoff_base_s * 3.0;
+    let expected = BACKOFF_BASE_S * 3.0;
     assert!(
         (outcome.stats.backoff_s - expected).abs() < 1e-12,
         "backoff {} ≠ {expected}",

@@ -4,13 +4,31 @@
 //! count is an implementation detail: one thread, four threads, and the
 //! ambient default all produce byte-identical serialized reports.
 
-use qfc::core::crosspol::{run_crosspol_experiment, CrossPolConfig};
-use qfc::core::heralded::{run_heralded_experiment, HeraldedConfig};
-use qfc::core::multiphoton::run_bell_tomography;
-use qfc::core::multiphoton::MultiPhotonConfig;
+use qfc::core::crosspol::{try_run_crosspol_experiment, CrossPolConfig, CrossPolReport};
+use qfc::core::heralded::{try_run_heralded_experiment, HeraldedConfig, HeraldedReport};
+use qfc::core::multiphoton::{try_run_multiphoton_experiment, MultiPhotonConfig};
 use qfc::core::source::QfcSource;
-use qfc::core::timebin::{run_timebin_experiment, TimeBinConfig};
+use qfc::core::timebin::{try_run_timebin_experiment, TimeBinConfig, TimeBinReport};
+use qfc::faults::FaultSchedule;
 use qfc::runtime::with_threads;
+
+fn heralded(source: &QfcSource, cfg: &HeraldedConfig, seed: u64) -> HeraldedReport {
+    try_run_heralded_experiment(source, cfg, seed, &FaultSchedule::empty())
+        .expect("clean heralded run")
+        .report
+}
+
+fn crosspol(source: &QfcSource, cfg: &CrossPolConfig, seed: u64) -> CrossPolReport {
+    try_run_crosspol_experiment(source, cfg, seed, &FaultSchedule::empty())
+        .expect("clean crosspol run")
+        .report
+}
+
+fn timebin(source: &QfcSource, cfg: &TimeBinConfig, seed: u64) -> TimeBinReport {
+    try_run_timebin_experiment(source, cfg, seed, &FaultSchedule::empty())
+        .expect("clean timebin run")
+        .report
+}
 
 #[test]
 fn heralded_experiment_is_deterministic() {
@@ -21,8 +39,8 @@ fn heralded_experiment_is_deterministic() {
         c.linewidth_pairs = 2000;
         c
     };
-    let a = run_heralded_experiment(&source, &cfg, 777);
-    let b = run_heralded_experiment(&source, &cfg, 777);
+    let a = heralded(&source, &cfg, 777);
+    let b = heralded(&source, &cfg, 777);
     assert_eq!(a.coincidence_matrix, b.coincidence_matrix);
     for (ca, cb) in a.channels.iter().zip(&b.channels) {
         assert_eq!(ca.car.to_bits(), cb.car.to_bits());
@@ -43,8 +61,8 @@ fn different_seeds_differ() {
     let mut cfg = HeraldedConfig::fast_demo();
     cfg.duration_s = 2.0;
     cfg.linewidth_pairs = 2000;
-    let a = run_heralded_experiment(&source, &cfg, 1);
-    let b = run_heralded_experiment(&source, &cfg, 2);
+    let a = heralded(&source, &cfg, 1);
+    let b = heralded(&source, &cfg, 2);
     assert_ne!(a.coincidence_matrix, b.coincidence_matrix);
 }
 
@@ -53,8 +71,8 @@ fn crosspol_experiment_is_deterministic() {
     let source = QfcSource::paper_device_type2();
     let mut cfg = CrossPolConfig::fast_demo();
     cfg.duration_s = 10.0;
-    let a = run_crosspol_experiment(&source, &cfg, 99);
-    let b = run_crosspol_experiment(&source, &cfg, 99);
+    let a = crosspol(&source, &cfg, 99);
+    let b = crosspol(&source, &cfg, 99);
     assert_eq!(a.car.to_bits(), b.car.to_bits());
     assert_eq!(a.te_singles_hz.to_bits(), b.te_singles_hz.to_bits());
 }
@@ -75,7 +93,7 @@ fn heralded_report_identical_across_thread_counts() {
     let mut cfg = HeraldedConfig::fast_demo();
     cfg.duration_s = 2.0;
     cfg.linewidth_pairs = 2000;
-    assert_thread_invariant(|| run_heralded_experiment(&source, &cfg, 4242));
+    assert_thread_invariant(|| heralded(&source, &cfg, 4242));
 }
 
 #[test]
@@ -83,7 +101,7 @@ fn timebin_report_identical_across_thread_counts() {
     let source = QfcSource::paper_device_timebin();
     let mut cfg = TimeBinConfig::fast_demo();
     cfg.frames_per_point = 500_000;
-    assert_thread_invariant(|| run_timebin_experiment(&source, &cfg, 4243));
+    assert_thread_invariant(|| timebin(&source, &cfg, 4243));
 }
 
 #[test]
@@ -91,7 +109,12 @@ fn bell_tomography_identical_across_thread_counts() {
     let source = QfcSource::paper_device_timebin();
     let mut cfg = MultiPhotonConfig::fast_demo();
     cfg.bell_shots_per_setting = 200;
-    assert_thread_invariant(|| run_bell_tomography(&source, &cfg, 4244));
+    assert_thread_invariant(|| {
+        try_run_multiphoton_experiment(&source, &cfg, 4244, &FaultSchedule::empty())
+            .expect("clean multiphoton run")
+            .report
+            .bell
+    });
 }
 
 #[test]
@@ -100,8 +123,8 @@ fn timebin_experiment_is_deterministic() {
     let mut cfg = TimeBinConfig::fast_demo();
     cfg.channels = 1;
     cfg.frames_per_point = 1_000_000;
-    let a = run_timebin_experiment(&source, &cfg, 5);
-    let b = run_timebin_experiment(&source, &cfg, 5);
+    let a = timebin(&source, &cfg, 5);
+    let b = timebin(&source, &cfg, 5);
     assert_eq!(a.fringes[0].points, b.fringes[0].points);
     assert_eq!(a.chsh[0].s_value.to_bits(), b.chsh[0].s_value.to_bits());
 }

@@ -2,13 +2,14 @@
 //! through the full stack (photonics → quantum states → detectors →
 //! analysis) at reduced statistics.
 
-use qfc::core::crosspol::{run_crosspol_experiment, run_power_sweep, CrossPolConfig};
+use qfc::core::crosspol::{run_power_sweep, try_run_crosspol_experiment, CrossPolConfig};
 use qfc::core::heralded::{
-    run_heralded_experiment, run_stability_experiment, HeraldedConfig, StabilityConfig,
+    run_stability_experiment, try_run_heralded_experiment, HeraldedConfig, StabilityConfig,
 };
-use qfc::core::multiphoton::{run_multiphoton_experiment, MultiPhotonConfig};
+use qfc::core::multiphoton::{try_run_multiphoton_experiment, MultiPhotonConfig};
 use qfc::core::source::{EmissionRegime, QfcSource};
-use qfc::core::timebin::{run_timebin_experiment, TimeBinConfig};
+use qfc::core::timebin::{try_run_timebin_experiment, TimeBinConfig};
+use qfc::faults::FaultSchedule;
 use qfc::photonics::pump::PumpConfig;
 use qfc::photonics::units::Power;
 
@@ -16,7 +17,14 @@ use qfc::photonics::units::Power;
 fn section_2_heralded_photons_end_to_end() {
     let source = QfcSource::paper_device();
     assert_eq!(source.regime(), EmissionRegime::HeraldedSinglePhotons);
-    let report = run_heralded_experiment(&source, &HeraldedConfig::fast_demo(), 101);
+    let report = try_run_heralded_experiment(
+        &source,
+        &HeraldedConfig::fast_demo(),
+        101,
+        &FaultSchedule::empty(),
+    )
+    .expect("clean heralded run")
+    .report;
 
     // Coincidences on every measured channel, diagonal-dominated matrix.
     for c in &report.channels {
@@ -50,7 +58,14 @@ fn section_2_stability_contrast() {
 fn section_3_crosspol_end_to_end() {
     let source = QfcSource::paper_device_type2();
     assert_eq!(source.regime(), EmissionRegime::CrossPolarizedPairs);
-    let report = run_crosspol_experiment(&source, &CrossPolConfig::fast_demo(), 103);
+    let report = try_run_crosspol_experiment(
+        &source,
+        &CrossPolConfig::fast_demo(),
+        103,
+        &FaultSchedule::empty(),
+    )
+    .expect("clean crosspol run")
+    .report;
     assert!(report.car > 2.0, "CAR {}", report.car);
     assert!(report.stimulated_response < 1e-4);
 
@@ -64,7 +79,14 @@ fn section_3_crosspol_end_to_end() {
 fn section_4_timebin_end_to_end() {
     let source = QfcSource::paper_device_timebin();
     assert_eq!(source.regime(), EmissionRegime::TimeBinEntangled);
-    let report = run_timebin_experiment(&source, &TimeBinConfig::fast_demo(), 107);
+    let report = try_run_timebin_experiment(
+        &source,
+        &TimeBinConfig::fast_demo(),
+        107,
+        &FaultSchedule::empty(),
+    )
+    .expect("clean timebin run")
+    .report;
     // Visibility above the CHSH threshold on every channel; all violate.
     for f in &report.fringes {
         assert!(f.fit.visibility > 0.72, "m={}: V {}", f.m, f.fit.visibility);
@@ -75,7 +97,14 @@ fn section_4_timebin_end_to_end() {
 #[test]
 fn section_5_multiphoton_end_to_end() {
     let source = QfcSource::paper_device_timebin();
-    let report = run_multiphoton_experiment(&source, &MultiPhotonConfig::fast_demo(), 105);
+    let report = try_run_multiphoton_experiment(
+        &source,
+        &MultiPhotonConfig::fast_demo(),
+        105,
+        &FaultSchedule::empty(),
+    )
+    .expect("clean multiphoton run")
+    .report;
     for b in &report.bell {
         assert!(b.fidelity > 0.75, "m={}: F {}", b.m, b.fidelity);
         assert!(b.concurrence > 0.4, "m={}: C {}", b.m, b.concurrence);
@@ -89,7 +118,14 @@ fn section_5_multiphoton_end_to_end() {
 #[test]
 fn all_reports_render_nonempty_tables() {
     let source = QfcSource::paper_device();
-    let heralded = run_heralded_experiment(&source, &HeraldedConfig::fast_demo(), 106);
+    let heralded = try_run_heralded_experiment(
+        &source,
+        &HeraldedConfig::fast_demo(),
+        106,
+        &FaultSchedule::empty(),
+    )
+    .expect("clean heralded run")
+    .report;
     let text = heralded.to_report().render();
     assert!(text.contains("| F2"));
     assert!(text.lines().count() > 5);

@@ -1,8 +1,9 @@
 //! Contract tests of the fault-injection layer, driver by driver:
 //!
-//! * an **empty** fault schedule reproduces the legacy panicking APIs
-//!   byte for byte (serialized-report equality), so the fallible layer
-//!   costs nothing when nothing goes wrong;
+//! * an **empty** fault schedule leaves the health pristine, and a
+//!   schedule whose only fault falls after the run reproduces it byte for
+//!   byte (report and health), so the fault layer costs nothing when
+//!   nothing goes wrong;
 //! * fault-injected runs are **deterministic across thread counts**
 //!   (1, 4, and the ambient default), because every fault query is a
 //!   pure function of the schedule and every recovery draw comes from
@@ -12,16 +13,12 @@
 //! * arbitrary seeded schedules never produce NaN figures of merit
 //!   (property test over the stress-schedule family).
 
-use qfc::core::crosspol::{run_crosspol_experiment, try_run_crosspol_experiment, CrossPolConfig};
-use qfc::core::heralded::{run_heralded_experiment, try_run_heralded_experiment, HeraldedConfig};
-use qfc::core::multiphoton::{
-    run_multiphoton_experiment, try_run_multiphoton_experiment, MultiPhotonConfig,
-};
+use qfc::core::crosspol::{try_run_crosspol_experiment, CrossPolConfig};
+use qfc::core::heralded::{try_run_heralded_experiment, HeraldedConfig};
+use qfc::core::multiphoton::{try_run_multiphoton_experiment, MultiPhotonConfig};
 use qfc::core::source::QfcSource;
 use qfc::core::supervisor;
-use qfc::core::timebin::{
-    nominal_duration_s, run_timebin_experiment, try_run_timebin_experiment, TimeBinConfig,
-};
+use qfc::core::timebin::{nominal_duration_s, try_run_timebin_experiment, TimeBinConfig};
 use qfc::faults::{Arm, FaultEvent, FaultKind, FaultSchedule, QfcError};
 use qfc::runtime::with_threads;
 
@@ -56,20 +53,45 @@ fn multiphoton_cfg() -> MultiPhotonConfig {
 }
 
 // ---------------------------------------------------------------------
-// Empty schedule ⇒ byte-identical to the legacy panicking APIs.
+// Empty schedule ⇒ pristine, and byte-identical to a schedule whose only
+// fault falls after the run.
 // ---------------------------------------------------------------------
+
+/// A detector dropout that starts after a run of `duration_s` has ended.
+fn after_the_run(duration_s: f64) -> FaultSchedule {
+    FaultSchedule::empty().with(FaultEvent::new(
+        duration_s + 1.0,
+        1.0,
+        FaultKind::DetectorDropout {
+            channel: 1,
+            arm: Arm::Signal,
+        },
+    ))
+}
+
+/// Runs `run` on the empty schedule and on [`after_the_run`]: the first
+/// must be pristine, and both serialized runs must be byte-identical.
+fn assert_fault_layer_is_free<R: serde::Serialize>(
+    duration_s: f64,
+    run: impl Fn(&FaultSchedule) -> R,
+    health: impl Fn(&R) -> &qfc::faults::HealthReport,
+) {
+    let clean = run(&FaultSchedule::empty());
+    assert!(health(&clean).is_pristine());
+    assert_eq!(
+        serde_json::to_string(&clean).unwrap(),
+        serde_json::to_string(&run(&after_the_run(duration_s))).unwrap(),
+    );
+}
 
 #[test]
 fn empty_schedule_is_byte_identical_heralded() {
     let source = QfcSource::paper_device();
     let cfg = heralded_cfg();
-    let legacy = run_heralded_experiment(&source, &cfg, 777);
-    let run = try_run_heralded_experiment(&source, &cfg, 777, &FaultSchedule::empty())
-        .expect("clean run");
-    assert!(run.health.is_pristine());
-    assert_eq!(
-        serde_json::to_string(&legacy).unwrap(),
-        serde_json::to_string(&run.report).unwrap(),
+    assert_fault_layer_is_free(
+        cfg.duration_s,
+        |schedule| try_run_heralded_experiment(&source, &cfg, 777, schedule).expect("clean run"),
+        |run| &run.health,
     );
 }
 
@@ -77,13 +99,10 @@ fn empty_schedule_is_byte_identical_heralded() {
 fn empty_schedule_is_byte_identical_crosspol() {
     let source = QfcSource::paper_device_type2();
     let cfg = crosspol_cfg();
-    let legacy = run_crosspol_experiment(&source, &cfg, 99);
-    let run =
-        try_run_crosspol_experiment(&source, &cfg, 99, &FaultSchedule::empty()).expect("clean run");
-    assert!(run.health.is_pristine());
-    assert_eq!(
-        serde_json::to_string(&legacy).unwrap(),
-        serde_json::to_string(&run.report).unwrap(),
+    assert_fault_layer_is_free(
+        cfg.duration_s,
+        |schedule| try_run_crosspol_experiment(&source, &cfg, 99, schedule).expect("clean run"),
+        |run| &run.health,
     );
 }
 
@@ -91,13 +110,10 @@ fn empty_schedule_is_byte_identical_crosspol() {
 fn empty_schedule_is_byte_identical_timebin() {
     let source = QfcSource::paper_device_timebin();
     let cfg = timebin_cfg();
-    let legacy = run_timebin_experiment(&source, &cfg, 4243);
-    let run =
-        try_run_timebin_experiment(&source, &cfg, 4243, &FaultSchedule::empty()).expect("clean run");
-    assert!(run.health.is_pristine());
-    assert_eq!(
-        serde_json::to_string(&legacy).unwrap(),
-        serde_json::to_string(&run.report).unwrap(),
+    assert_fault_layer_is_free(
+        nominal_duration_s(&cfg),
+        |schedule| try_run_timebin_experiment(&source, &cfg, 4243, schedule).expect("clean run"),
+        |run| &run.health,
     );
 }
 
@@ -105,13 +121,10 @@ fn empty_schedule_is_byte_identical_timebin() {
 fn empty_schedule_is_byte_identical_multiphoton() {
     let source = QfcSource::paper_device_timebin();
     let cfg = multiphoton_cfg();
-    let legacy = run_multiphoton_experiment(&source, &cfg, 55);
-    let run = try_run_multiphoton_experiment(&source, &cfg, 55, &FaultSchedule::empty())
-        .expect("clean run");
-    assert!(run.health.is_pristine());
-    assert_eq!(
-        serde_json::to_string(&legacy).unwrap(),
-        serde_json::to_string(&run.report).unwrap(),
+    assert_fault_layer_is_free(
+        nominal_duration_s(&cfg.timebin),
+        |schedule| try_run_multiphoton_experiment(&source, &cfg, 55, schedule).expect("clean run"),
+        |run| &run.health,
     );
 }
 

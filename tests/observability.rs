@@ -4,6 +4,7 @@
 //! thread-count-invariant — the deterministic export aggregates spans by
 //! name and nesting, never by scheduling order.
 
+use qfc::core::crosspol::{try_run_crosspol_experiment, CrossPolConfig};
 use qfc::core::heralded::{try_run_heralded_experiment, HeraldedConfig};
 use qfc::core::multiphoton::{try_run_multiphoton_experiment, MultiPhotonConfig};
 use qfc::core::source::QfcSource;
@@ -69,35 +70,57 @@ fn disabled_collector_leaves_output_byte_identical() {
     );
 }
 
+/// Every driver runs through the one in-process executor, so each
+/// exports the same `driver.<label>` phase tree.
 #[test]
 fn trace_records_driver_phases_and_counters() {
-    let source = QfcSource::paper_device();
-    let cfg = heralded_cfg();
-    let collector = Collector::new();
-    collector.install(|| {
-        try_run_heralded_experiment(&source, &cfg, 77, &FaultSchedule::empty())
-            .expect("clean run")
-    });
-    let snap = collector.snapshot();
-    let driver = &snap.spans.children[0];
-    assert_eq!(driver.name, "driver.heralded");
-    let phases: Vec<&str> = driver.children.iter().map(|c| c.name.as_str()).collect();
-    assert_eq!(
-        phases,
-        [
-            "driver.heralded.source",
-            "driver.heralded.timetag",
-            "driver.heralded.analysis",
-            "driver.heralded.report",
-        ]
-    );
-    assert!(snap.counter("shots_simulated").unwrap_or(0) > 0);
-    assert!(snap.counter("coincidences_counted").unwrap_or(0) > 0);
-    assert!(snap.counter("shards_executed").unwrap_or(0) > 0);
-    // The human rendering carries the same sections.
-    let text = snap.render();
-    assert!(text.contains("driver.heralded.timetag"), "{text}");
-    assert!(text.contains("shots_simulated"), "{text}");
+    let empty = FaultSchedule::empty();
+    let cw = QfcSource::paper_device();
+    let type2 = QfcSource::paper_device_type2();
+    let pulsed = QfcSource::paper_device_timebin();
+    let heralded = heralded_cfg();
+    let mut crosspol = CrossPolConfig::fast_demo();
+    crosspol.duration_s = 5.0;
+    let timebin = TimeBinConfig::fast_demo();
+    let mut multiphoton = MultiPhotonConfig::fast_demo();
+    multiphoton.bell_shots_per_setting = 100;
+    multiphoton.four_shots_per_setting = 10;
+    let drivers: [(&str, &dyn Fn()); 4] = [
+        ("heralded", &|| {
+            try_run_heralded_experiment(&cw, &heralded, 77, &empty).expect("clean run");
+        }),
+        ("crosspol", &|| {
+            try_run_crosspol_experiment(&type2, &crosspol, 77, &empty).expect("clean run");
+        }),
+        ("timebin", &|| {
+            try_run_timebin_experiment(&pulsed, &timebin, 77, &empty).expect("clean run");
+        }),
+        ("multiphoton", &|| {
+            try_run_multiphoton_experiment(&pulsed, &multiphoton, 77, &empty).expect("clean run");
+        }),
+    ];
+    for (label, run) in drivers {
+        let collector = Collector::new();
+        collector.install(run);
+        let snap = collector.snapshot();
+        let driver = &snap.spans.children[0];
+        assert_eq!(driver.name, format!("driver.{label}"));
+        let phases: Vec<&str> = driver.children.iter().map(|c| c.name.as_str()).collect();
+        let expected: Vec<String> = ["source", "timetag", "analysis", "report"]
+            .iter()
+            .map(|phase| format!("driver.{label}.{phase}"))
+            .collect();
+        assert_eq!(phases, expected, "{label}");
+        assert!(snap.counter("shots_simulated").unwrap_or(0) > 0, "{label}");
+        if label == "heralded" {
+            assert!(snap.counter("coincidences_counted").unwrap_or(0) > 0);
+            assert!(snap.counter("shards_executed").unwrap_or(0) > 0);
+            // The human rendering carries the same sections.
+            let text = snap.render();
+            assert!(text.contains("driver.heralded.timetag"), "{text}");
+            assert!(text.contains("shots_simulated"), "{text}");
+        }
+    }
 }
 
 /// The registry is closed over the tomography stack: a §V run (streamed

@@ -4,14 +4,15 @@
 //! unoptimized build is slow. `scripts/ci.sh` runs them in its release
 //! stage: `cargo test --release -q --test paper_numbers -- --ignored`.
 
-use qfc::core::crosspol::{run_crosspol_experiment, run_power_sweep, CrossPolConfig};
+use qfc::core::crosspol::{run_power_sweep, try_run_crosspol_experiment, CrossPolConfig};
 use qfc::core::heralded::{
-    run_heralded_experiment, run_stability_experiment, HeraldedConfig, StabilityConfig,
+    run_stability_experiment, try_run_heralded_experiment, HeraldedConfig, StabilityConfig,
 };
-use qfc::core::multiphoton::{run_multiphoton_experiment, MultiPhotonConfig};
+use qfc::core::multiphoton::{try_run_multiphoton_experiment, MultiPhotonConfig};
 use qfc::core::purity::{run_purity_analysis, PurityConfig};
 use qfc::core::source::QfcSource;
-use qfc::core::timebin::{run_timebin_experiment, TimeBinConfig};
+use qfc::core::timebin::{try_run_timebin_experiment, TimeBinConfig};
+use qfc::faults::FaultSchedule;
 
 const SEED: u64 = 20170327;
 
@@ -48,7 +49,14 @@ fn purity_and_memory_claims() {
 #[ignore = "full §II Monte-Carlo: release-only, run by the ci.sh release stage"]
 fn t1_f1_f2_full_heralded_run() {
     let source = QfcSource::paper_device();
-    let report = run_heralded_experiment(&source, &HeraldedConfig::paper(), SEED);
+    let report = try_run_heralded_experiment(
+        &source,
+        &HeraldedConfig::paper(),
+        SEED,
+        &FaultSchedule::empty(),
+    )
+    .expect("clean heralded run")
+    .report;
     let (car_lo, car_hi) = report.car_range();
     assert!(car_lo > 5.0 && car_hi < 60.0, "CAR range {car_lo}..{car_hi}");
     let (r_lo, r_hi) = report.rate_range();
@@ -61,7 +69,14 @@ fn t1_f1_f2_full_heralded_run() {
 #[ignore = "full §III Monte-Carlo: release-only, run by the ci.sh release stage"]
 fn f4_full_crosspol_run() {
     let source = QfcSource::paper_device_type2();
-    let report = run_crosspol_experiment(&source, &CrossPolConfig::paper(), SEED);
+    let report = try_run_crosspol_experiment(
+        &source,
+        &CrossPolConfig::paper(),
+        SEED,
+        &FaultSchedule::empty(),
+    )
+    .expect("clean crosspol run")
+    .report;
     assert!(report.car > 5.0 && report.car < 25.0, "CAR {}", report.car);
     assert!(report.stimulated_response < 1e-4);
 }
@@ -70,7 +85,14 @@ fn f4_full_crosspol_run() {
 #[ignore = "full §IV run: release-only, run by the ci.sh release stage"]
 fn f7_t2_full_timebin_run() {
     let source = QfcSource::paper_device_timebin();
-    let report = run_timebin_experiment(&source, &TimeBinConfig::paper(), SEED);
+    let report = try_run_timebin_experiment(
+        &source,
+        &TimeBinConfig::paper(),
+        SEED,
+        &FaultSchedule::empty(),
+    )
+    .expect("clean timebin run")
+    .report;
     assert!((report.mean_visibility() - 0.83).abs() < 0.06);
     assert_eq!(report.channels_violating(), 5);
 }
@@ -79,7 +101,14 @@ fn f7_t2_full_timebin_run() {
 #[ignore = "full §V run incl. 4-qubit MLE: release-only, run by the ci.sh release stage"]
 fn f8_t4_full_multiphoton_run() {
     let source = QfcSource::paper_device_timebin();
-    let report = run_multiphoton_experiment(&source, &MultiPhotonConfig::paper(), SEED);
+    let report = try_run_multiphoton_experiment(
+        &source,
+        &MultiPhotonConfig::paper(),
+        SEED,
+        &FaultSchedule::empty(),
+    )
+    .expect("clean multiphoton run")
+    .report;
     assert!((report.fringe.visibility - 0.89).abs() < 0.08, "V4 {}", report.fringe.visibility);
     assert!(
         (report.tomography.fidelity - 0.64).abs() < 0.08,

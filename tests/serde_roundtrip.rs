@@ -2,10 +2,11 @@
 //! reports, and physical objects must survive JSON serialization, so
 //! downstream pipelines can persist and replay experiment records.
 
-use qfc::core::heralded::{run_heralded_experiment, HeraldedConfig, HeraldedReport};
+use qfc::core::heralded::{try_run_heralded_experiment, HeraldedConfig, HeraldedReport};
 use qfc::core::report::ExperimentReport;
 use qfc::core::source::QfcSource;
 use qfc::core::timebin::TimeBinConfig;
+use qfc::faults::FaultSchedule;
 use qfc::mathkit::cmatrix::CMatrix;
 use qfc::photonics::pump::PumpConfig;
 use qfc::photonics::ring::Microring;
@@ -101,7 +102,9 @@ fn experiment_report_roundtrip() {
     cfg.duration_s = 1.0;
     cfg.channels = 1;
     cfg.linewidth_pairs = 1000;
-    let report = run_heralded_experiment(&source, &cfg, 1234);
+    let report = try_run_heralded_experiment(&source, &cfg, 1234, &FaultSchedule::empty())
+        .expect("clean heralded run")
+        .report;
     let back: HeraldedReport = roundtrip(&report);
     assert_eq!(back.coincidence_matrix, report.coincidence_matrix);
     assert_eq!(back.channels.len(), report.channels.len());
