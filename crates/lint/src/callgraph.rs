@@ -209,6 +209,7 @@ pub fn to_json(files: &[FileCtx], graph: &CallGraph, summary: &GraphSummary) -> 
                 json_str(match c.role {
                     ClosureRole::Parallel => "parallel",
                     ClosureRole::Merge => "merge",
+                    ClosureRole::Driver => "driver",
                 }),
             ));
         }

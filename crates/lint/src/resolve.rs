@@ -140,14 +140,18 @@ pub struct FnItem {
 /// Role of a closure argument to a `par_*` runtime call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ClosureRole {
-    /// Runs concurrently on the worker pool (per-item / per-shard).
+    /// Runs concurrently on the worker team (per-item / per-shard, or a
+    /// `par_team` kernel).
     Parallel,
     /// The serial merge stage of `par_shots`.
     Merge,
+    /// The driver of a `par_team` region: caller-thread code that runs
+    /// between the team's steps, never concurrently with itself.
+    Driver,
 }
 
 /// One closure argument of a `par_map`/`par_chunks`/`par_shots`/
-/// `par_for_each_mut` call.
+/// `par_for_each_mut`/`par_team` call.
 #[derive(Debug, Clone)]
 pub struct ParClosure {
     /// Which runtime entry point the closure is passed to.
@@ -164,7 +168,7 @@ pub struct ParClosure {
     pub params: Vec<String>,
     /// Index into [`FileSymbols::fns`] of the enclosing function.
     pub owner: Option<usize>,
-    /// For a `Merge` argument passed as a bare function name: that name.
+    /// For an argument passed as a bare function name: that name.
     pub merge_callee: Option<String>,
 }
 
@@ -177,8 +181,10 @@ pub struct FileSymbols {
     pub par_closures: Vec<ParClosure>,
 }
 
-/// Runtime entry points whose closure arguments run on the worker pool.
-pub const PAR_ENTRY_POINTS: &[&str] = &["par_map", "par_chunks", "par_shots", "par_for_each_mut"];
+/// Runtime entry points whose closure arguments run on the worker team
+/// (see [`ClosureRole`] for the exceptions).
+pub const PAR_ENTRY_POINTS: &[&str] =
+    &["par_map", "par_chunks", "par_shots", "par_for_each_mut", "par_team"];
 
 /// Identifiers that can directly precede `(` without being a call.
 fn is_call_keyword(name: &str) -> bool {
@@ -286,6 +292,9 @@ impl<'t> Resolver<'t> {
         let mut angle = 0i64;
         let mut k = j;
         let mut start: Option<usize> = None;
+        // Inside a closure's `|…|` parameter list, whose commas do not
+        // separate call arguments.
+        let mut in_params = false;
         while let Some(t) = self.tok(k) {
             if t.kind == TokKind::Punct {
                 match t.text.as_str() {
@@ -312,7 +321,15 @@ impl<'t> Resolver<'t> {
                     "<" if depth >= 1 => angle += 1,
                     "-" if self.is_punct(k + 1, ">") => k += 1,
                     ">" if angle > 0 => angle -= 1,
-                    "," if depth == 1 && angle == 0 => {
+                    "|" if depth == 1 => {
+                        let arg_start = |i: usize| self.code.get(i).copied() == start;
+                        let opens = arg_start(k)
+                            || (k > 0
+                                && arg_start(k - 1)
+                                && self.tok(k - 1).is_some_and(|p| p.text == "move"));
+                        in_params = !in_params && opens;
+                    }
+                    "," if depth == 1 && angle == 0 && !in_params => {
                         let end = self.code.get(k).copied().unwrap_or(self.tokens.len());
                         if let Some(s) = start {
                             args.push((s, end));
@@ -787,11 +804,15 @@ fn collect_par_closures(
     owner: Option<usize>,
     out: &mut Vec<ParClosure>,
 ) {
+    let last = args.len().saturating_sub(1);
     for (ai, &(start, end)) in args.iter().enumerate() {
-        let role = if kind == "par_shots" && ai == args.len().saturating_sub(1) {
-            ClosureRole::Merge
-        } else {
-            ClosureRole::Parallel
+        // `par_team(slots, kernel, driver)`: the kernel runs on every
+        // member, the driver on the calling thread between steps.
+        let is_team_kernel = kind == "par_team" && ai + 2 == args.len();
+        let role = match kind {
+            "par_shots" if ai == last => ClosureRole::Merge,
+            "par_team" if ai == last => ClosureRole::Driver,
+            _ => ClosureRole::Parallel,
         };
         // Code tokens within the argument range.
         let arg_code: Vec<usize> = r
@@ -814,9 +835,10 @@ fn collect_par_closures(
             .unwrap_or(false);
         if !opens_closure {
             // The last argument passed as a bare function name (a merge
-            // fn, or a per-item fn handed straight to the pool); earlier
-            // positions are data arguments.
-            if ai == args.len().saturating_sub(1) && arg_code.len() == 1 {
+            // fn, a team driver, or a per-item fn handed straight to the
+            // pool), or a team kernel so passed; other positions are data
+            // arguments.
+            if (ai == last || is_team_kernel) && arg_code.len() == 1 {
                 if let Some(&ti) = arg_code.first() {
                     if r.tokens[ti].kind == TokKind::Ident {
                         out.push(ParClosure {
@@ -1017,6 +1039,31 @@ mod tests {
             s.par_closures[2].merge_callee.as_deref(),
             Some("merge_all")
         );
+    }
+
+    #[test]
+    fn team_kernel_is_parallel_and_driver_runs_on_the_caller() {
+        let s = resolve(
+            "fn f(chunks: &mut [u64]) {\n\
+             par_team(chunks, |rho: &u64, _, c| *c += rho, |team| team.step(&mut 1));\n\
+             par_team(chunks, sweep_one, drive);\n}\n",
+        );
+        let roles: Vec<(ClosureRole, Option<&str>)> = s
+            .par_closures
+            .iter()
+            .map(|c| (c.role, c.merge_callee.as_deref()))
+            .collect();
+        assert_eq!(
+            roles,
+            vec![
+                (ClosureRole::Parallel, None),
+                (ClosureRole::Driver, None),
+                (ClosureRole::Parallel, Some("sweep_one")),
+                (ClosureRole::Driver, Some("drive")),
+            ]
+        );
+        assert_eq!(s.par_closures[0].params, vec!["rho", "u64", "_", "c"]);
+        assert_eq!(s.par_closures[1].params, vec!["team".to_string()]);
     }
 
     #[test]

@@ -42,7 +42,7 @@ impl GemmScratch {
 /// assert!(m.approx_eq(&id, 1e-15));
 /// assert!((id.trace().re - 2.0).abs() < 1e-15);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct CMatrix {
     rows: usize,
     cols: usize,

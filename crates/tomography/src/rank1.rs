@@ -23,8 +23,10 @@
 //! Hermitian so the triangle kernels stay exact. The per-iteration
 //! sweep is parallelized over fixed-size pair chunks with a
 //! chunk-index-ordered merge, so results are bitwise identical at any
-//! thread count; each chunk's buffers are built once per
-//! reconstruction, so an iteration allocates nothing.
+//! thread count. Each reconstruction runs in one
+//! [`qfc_runtime::par_team`] region: its threads are spawned once, every
+//! sweep is one barrier step of that team, and each chunk's buffers are
+//! built once, so an iteration allocates nothing at any thread count.
 //!
 //! [`try_mle_repr`] is the workspace's one MLE engine:
 //! [`crate::reconstruct::try_mle_reconstruction`] builds the rank-1 set
@@ -52,12 +54,12 @@ const P_FLOOR: f64 = 1e-12;
 /// below is bitwise thread-invariant.
 const SWEEP_CHUNK_PAIRS: usize = 64;
 
-/// Minimum `pairs · d²` work for the sweep to go parallel at all.
-/// Below this the per-task dispatch and the partial-`R` merge dominate
-/// the O(d²) kernels and the parallel leg is slower than the serial
-/// one; small problems take a single inline chunk instead. The choice only picks
-/// a code path per *problem size*, so any given reconstruction is
-/// still deterministic and thread-invariant.
+/// Chunk-layout rule: a problem with at least this much `pairs · d²`
+/// work is cut into [`SWEEP_CHUNK_PAIRS`]-sized chunks; a smaller one is
+/// a single chunk that sweeps inline on the caller, outside any team
+/// step. The layout fixes the order in which partial `R` matrices are
+/// summed, so it depends only on the problem size — never on the thread
+/// count — and changing this value changes result bits.
 const PAR_SWEEP_MIN_WORK: usize = 1 << 15;
 
 /// One outcome projector, stored in whichever representation the
@@ -416,10 +418,11 @@ pub fn exact_counts_repr(
     Ok(counts)
 }
 
-/// One sweep task's working set: a fixed chunk of `(projector,
-/// frequency)` pairs plus every buffer the sweep writes — the partial
-/// `R`, the expectations, the rank-1 update list and its vectors. It is
-/// built once per reconstruction, so an iteration allocates nothing.
+/// One sweep task's working set — a slot of the reconstruction's team:
+/// a fixed chunk of `(projector, frequency)` pairs plus every buffer the
+/// sweep writes — the partial `R`, the expectations, the rank-1 update
+/// list and its vectors. It is built once per reconstruction, so an
+/// iteration allocates nothing.
 ///
 /// The partial `R` is authoritative only on its diagonal and upper
 /// triangle (rank-1 pairs skip the lower half); [`build_r`] mirrors once
@@ -502,11 +505,10 @@ impl<'a> SweepChunk<'a> {
     }
 }
 
-/// Splits the pairs into sweep chunks. Large problems get fixed
-/// [`SWEEP_CHUNK_PAIRS`]-sized chunks for the worker pool; below
-/// [`PAR_SWEEP_MIN_WORK`] the dispatch overhead beats the win and all
-/// pairs form one chunk that runs inline. The layout depends only on the
-/// problem, never on the thread count.
+/// Splits the pairs into sweep chunks by the [`PAR_SWEEP_MIN_WORK`]
+/// layout rule: fixed [`SWEEP_CHUNK_PAIRS`]-sized chunks for the worker
+/// team, or one chunk that sweeps inline. The layout depends only on
+/// the problem, never on the thread count.
 fn sweep_chunks<'a>(pairs: &'a [(&'a ProjectorRepr, f64)], dim: usize) -> Vec<SweepChunk<'a>> {
     let chunk_len = if pairs.len() * dim * dim >= PAR_SWEEP_MIN_WORK {
         SWEEP_CHUNK_PAIRS
@@ -520,27 +522,33 @@ fn sweep_chunks<'a>(pairs: &'a [(&'a ProjectorRepr, f64)], dim: usize) -> Vec<Sw
 }
 
 /// Builds `R = Σ (f/p)·Π` into `r` and returns the log-likelihood
-/// `Σ f·ln p`. Several chunks sweep on the worker pool, each into its
-/// own buffers, and their partial `R` matrices are summed in
-/// chunk-index order, so the result is bitwise identical at any thread
-/// count. The sweep accumulates only the upper triangle for rank-1
-/// pairs; one [`CMatrix::hermitianize_upper`] mirror after the merge
-/// (O(d²/2) copies, no arithmetic) restores the full Hermitian `R`.
-fn build_r(chunks: &mut [SweepChunk<'_>], rho: &CMatrix, r: &mut CMatrix) -> f64 {
-    let ll = if let [chunk] = chunks {
-        chunk.sweep(rho);
-        r.copy_from(&chunk.r_part);
-        chunk.ll
+/// `Σ f·ln p`. Several chunks sweep as one step of the reconstruction's
+/// team, each into its own buffers, and their partial `R` matrices are
+/// summed in chunk-index order, so the result is bitwise identical at
+/// any thread count. `rho` moves into the team for the step and comes
+/// back unchanged. The sweep accumulates only the upper triangle for
+/// rank-1 pairs; one [`CMatrix::hermitianize_upper`] mirror after the
+/// merge (O(d²/2) copies, no arithmetic) restores the full Hermitian `R`.
+fn build_r(
+    team: &mut qfc_runtime::Team<'_, CMatrix, SweepChunk<'_>>,
+    rho: &mut CMatrix,
+    r: &mut CMatrix,
+) -> f64 {
+    let mut ll = 0.0;
+    if team.slot_count() == 1 {
+        team.for_each_slot(|_, chunk| {
+            chunk.sweep(rho);
+            r.copy_from(&chunk.r_part);
+            ll = chunk.ll;
+        });
     } else {
-        qfc_runtime::par_for_each_mut(chunks, |_, chunk| chunk.sweep(rho));
+        team.step(rho);
         r.fill_zero();
-        let mut ll = 0.0;
-        for chunk in chunks.iter() {
+        team.for_each_slot(|_, chunk| {
             r.add_scaled_assign(&chunk.r_part, 1.0);
             ll += chunk.ll;
-        }
-        ll
-    };
+        });
+    }
     r.hermitianize_upper();
     ll
 }
@@ -634,93 +642,104 @@ pub fn try_mle_repr(
     }
     let mut chunks = sweep_chunks(&pairs, dim);
 
-    let mut rho = CMatrix::identity(dim).scale(1.0 / cast::to_f64(cast::usize_to_u64(dim)));
-    let mut r = CMatrix::zeros(dim, dim);
-    let mut r_rho = CMatrix::zeros(dim, dim);
-    let mut next = CMatrix::zeros(dim, dim);
-    let mut gemm = GemmScratch::new();
-    let mut iterations = 0;
-    let mut final_update = f64::INFINITY;
-    let mut accelerated_steps = 0usize;
-    // Over-relaxation state: `ρ ← AρA / tr(AρA)` with
-    // `A = (1−γ)·I + γ·R/fsum`. `A` is Hermitian, so the sandwich stays
-    // positive semidefinite for any real `γ`. `R` sums one ≈identity
-    // resolution per measured setting, so its fixed-point value is
-    // `fsum·I`; the identity mix is applied to `R/fsum` so that `γ`
-    // measures the over-relaxation relative to a unit classic step, and
-    // the normalization cancels in `tr(AρA)` at `γ = 1`, which is why
-    // the unscaled classic step is the same map. `prev` holds the iterate
-    // the current one was produced from, so an overshoot can be rolled
-    // back for the price of one extra R build.
-    let fsum: f64 = pairs.iter().map(|&(_, f)| f).sum();
-    let mut prev = rho.clone();
-    let mut gamma = 1.0f64;
-    let mut ll_prev = f64::NEG_INFINITY;
-    let mut update_prev = f64::INFINITY;
-    // qfc-lint: hot
-    for _ in 0..options.max_iterations {
-        iterations += 1;
-        let mut ll = build_r(&mut chunks, &rho, &mut r);
-        if schedule.is_some() {
-            if ll + 1e-12 * ll.abs().max(1.0) < ll_prev {
-                // The over-relaxed step lost likelihood: restore the
-                // parent iterate, fall back to a classic step, and
-                // rebuild R there.
-                std::mem::swap(&mut rho, &mut prev);
-                gamma = 1.0;
-                ll = build_r(&mut chunks, &rho, &mut r);
+    // One team for the whole reconstruction: every R build below is one
+    // step of it (two in an iteration whose over-relaxed step is rolled
+    // back), and the loop itself runs on the calling thread between steps.
+    let (rho, iterations, final_update, accelerated_steps) = qfc_runtime::par_team(
+        &mut chunks,
+        |rho: &CMatrix, _, chunk: &mut SweepChunk<'_>| chunk.sweep(rho),
+        |team| {
+            let mut rho =
+                CMatrix::identity(dim).scale(1.0 / cast::to_f64(cast::usize_to_u64(dim)));
+            let mut r = CMatrix::zeros(dim, dim);
+            let mut r_rho = CMatrix::zeros(dim, dim);
+            let mut next = CMatrix::zeros(dim, dim);
+            let mut gemm = GemmScratch::new();
+            let mut iterations = 0;
+            let mut final_update = f64::INFINITY;
+            let mut accelerated_steps = 0usize;
+            // Over-relaxation state: `ρ ← AρA / tr(AρA)` with
+            // `A = (1−γ)·I + γ·R/fsum`. `A` is Hermitian, so the sandwich stays
+            // positive semidefinite for any real `γ`. `R` sums one ≈identity
+            // resolution per measured setting, so its fixed-point value is
+            // `fsum·I`; the identity mix is applied to `R/fsum` so that `γ`
+            // measures the over-relaxation relative to a unit classic step, and
+            // the normalization cancels in `tr(AρA)` at `γ = 1`, which is why
+            // the unscaled classic step is the same map. `prev` holds the iterate
+            // the current one was produced from, so an overshoot can be rolled
+            // back for the price of one extra R build.
+            let fsum: f64 = pairs.iter().map(|&(_, f)| f).sum();
+            let mut prev = rho.clone();
+            let mut gamma = 1.0f64;
+            let mut ll_prev = f64::NEG_INFINITY;
+            let mut update_prev = f64::INFINITY;
+            // qfc-lint: hot
+            for _ in 0..options.max_iterations {
+                iterations += 1;
+                let mut ll = build_r(team, &mut rho, &mut r);
+                if schedule.is_some() {
+                    if ll + 1e-12 * ll.abs().max(1.0) < ll_prev {
+                        // The over-relaxed step lost likelihood: restore the
+                        // parent iterate, fall back to a classic step, and
+                        // rebuild R there.
+                        std::mem::swap(&mut rho, &mut prev);
+                        gamma = 1.0;
+                        ll = build_r(team, &mut rho, &mut r);
+                    }
+                    ll_prev = ll;
+                    if gamma > 1.0 {
+                        accelerated_steps += 1;
+                        r.scale_in_place(1.0 / fsum);
+                        r.lerp_identity_in_place(gamma);
+                    }
+                    prev.copy_from(&rho);
+                }
+                r.matmul_packed_into(&rho, &mut r_rho, &mut gemm);
+                r_rho.matmul_packed_into(&r, &mut next, &mut gemm);
+                let tr = next.trace().re;
+                if !(tr.is_finite() && tr > 0.0) {
+                    return Err(QfcError::SingularSystem {
+                        context: format!(
+                            "RρR update annihilated the trace (tr = {tr}) at iteration {iterations}"
+                        ),
+                    });
+                }
+                next.scale_in_place(1.0 / tr);
+                // RρR with Hermitian R, ρ is Hermitian up to round-off;
+                // mirroring the upper triangle makes every iterate *bitwise*
+                // Hermitian, which the rank-1 expectation kernel relies on (it
+                // never reads the lower half).
+                next.hermitianize_upper();
+                final_update = next.frobenius_distance(&rho);
+                if !final_update.is_finite() {
+                    return Err(QfcError::non_finite("RρR update norm"));
+                }
+                std::mem::swap(&mut rho, &mut next);
+                if let Some((max_step, growth)) = schedule {
+                    // An over-relaxed step is ~γ× a classic step, so the raw
+                    // update norm says nothing about progress across different
+                    // γ; `update/γ` is the classic-equivalent residual. Near the
+                    // likelihood ridge the iterate can oscillate with a stalled
+                    // residual while the likelihood is flat at FP resolution —
+                    // dropping back to a classic step there restores the monotone
+                    // tail. Once the residual clears the tolerance, the next step
+                    // is forced classic as well, so the update that terminates
+                    // the loop is a genuine (unamplified) one.
+                    let residual = final_update / gamma;
+                    if residual > update_prev || residual < options.tolerance {
+                        gamma = 1.0;
+                    } else {
+                        gamma = (gamma * growth).min(max_step);
+                    }
+                    update_prev = residual;
+                }
+                if final_update < options.tolerance {
+                    break;
+                }
             }
-            ll_prev = ll;
-            if gamma > 1.0 {
-                accelerated_steps += 1;
-                r.scale_in_place(1.0 / fsum);
-                r.lerp_identity_in_place(gamma);
-            }
-            prev.copy_from(&rho);
-        }
-        r.matmul_packed_into(&rho, &mut r_rho, &mut gemm);
-        r_rho.matmul_packed_into(&r, &mut next, &mut gemm);
-        let tr = next.trace().re;
-        if !(tr.is_finite() && tr > 0.0) {
-            return Err(QfcError::SingularSystem {
-                context: format!(
-                    "RρR update annihilated the trace (tr = {tr}) at iteration {iterations}"
-                ),
-            });
-        }
-        next.scale_in_place(1.0 / tr);
-        // RρR with Hermitian R, ρ is Hermitian up to round-off;
-        // mirroring the upper triangle makes every iterate *bitwise*
-        // Hermitian, which the rank-1 expectation kernel relies on (it
-        // never reads the lower half).
-        next.hermitianize_upper();
-        final_update = next.frobenius_distance(&rho);
-        if !final_update.is_finite() {
-            return Err(QfcError::non_finite("RρR update norm"));
-        }
-        std::mem::swap(&mut rho, &mut next);
-        if let Some((max_step, growth)) = schedule {
-            // An over-relaxed step is ~γ× a classic step, so the raw
-            // update norm says nothing about progress across different
-            // γ; `update/γ` is the classic-equivalent residual. Near the
-            // likelihood ridge the iterate can oscillate with a stalled
-            // residual while the likelihood is flat at FP resolution —
-            // dropping back to a classic step there restores the monotone
-            // tail. Once the residual clears the tolerance, the next step
-            // is forced classic as well, so the update that terminates
-            // the loop is a genuine (unamplified) one.
-            let residual = final_update / gamma;
-            if residual > update_prev || residual < options.tolerance {
-                gamma = 1.0;
-            } else {
-                gamma = (gamma * growth).min(max_step);
-            }
-            update_prev = residual;
-        }
-        if final_update < options.tolerance {
-            break;
-        }
-    }
+            Ok((rho, iterations, final_update, accelerated_steps))
+        },
+    )?;
     qfc_obs::counter_add("mle_iterations", cast::usize_to_u64(iterations));
     qfc_obs::counter_add(
         "mle_accelerated_steps",
@@ -914,26 +933,63 @@ mod tests {
 
     #[test]
     fn rank1_mle_thread_invariant() {
+        // 9 bases × 16 outcomes × d² is past PAR_SWEEP_MIN_WORK, so the
+        // sweep is cut into three chunks and runs as team steps.
         let rho = synthetic_low_rank_state(16, 2, 9).expect("state");
-        let bases = deterministic_bases(16, 6, 31).expect("bases");
+        let bases = deterministic_bases(16, 9, 31).expect("bases");
         let set = ProjectorReprSet::try_rank1_from_bases(&bases).expect("set");
         let counts = exact_counts_repr(&rho, &set, 100_000).expect("counts");
-        let opts = MleOptions {
-            max_iterations: 25,
-            ..MleOptions::default()
+        let bits = |m: &MleResult| -> Vec<u64> {
+            m.rho
+                .as_matrix()
+                .as_slice()
+                .iter()
+                .flat_map(|z| [z.re.to_bits(), z.im.to_bits()])
+                .collect()
         };
-        let one = qfc_runtime::with_threads(1, || try_mle_repr(&set, &counts, &opts))
-            .expect("1 thread");
-        let three = qfc_runtime::with_threads(3, || try_mle_repr(&set, &counts, &opts))
-            .expect("3 threads");
-        assert_eq!(one.iterations, three.iterations);
-        assert_eq!(one.final_update.to_bits(), three.final_update.to_bits());
-        let a = one.rho.as_matrix().as_slice();
-        let b = three.rho.as_matrix().as_slice();
-        assert!(a
-            .iter()
-            .zip(b)
-            .all(|(x, y)| x.re.to_bits() == y.re.to_bits() && x.im.to_bits() == y.im.to_bits()));
+        for acceleration in [MleAcceleration::Classic, MleAcceleration::accelerated()] {
+            let opts = MleOptions {
+                max_iterations: 60,
+                acceleration,
+                ..MleOptions::default()
+            };
+            // Each R build is one `runtime.execute` step; a rolled-back
+            // over-relaxed iteration makes two.
+            let run = |threads: usize| {
+                let collector = qfc_obs::Collector::new();
+                let result = collector
+                    .install(|| {
+                        qfc_runtime::with_threads(threads, || try_mle_repr(&set, &counts, &opts))
+                    })
+                    .expect("reconstruction");
+                let snapshot = collector.snapshot();
+                let steps = snapshot
+                    .spans
+                    .children
+                    .iter()
+                    .find(|span| span.name == "runtime.execute")
+                    .map_or(0, |span| span.calls);
+                (result, steps)
+            };
+            let (one, one_steps) = run(1);
+            assert!(one_steps >= cast::usize_to_u64(one.iterations), "{acceleration:?}");
+            for threads in [2, 3, 8] {
+                let (many, steps) = run(threads);
+                let at = format!("{acceleration:?} at {threads} threads");
+                assert_eq!(many.iterations, one.iterations, "{at}");
+                assert_eq!(many.final_update.to_bits(), one.final_update.to_bits(), "{at}");
+                assert_eq!(many.accelerated_steps, one.accelerated_steps, "{at}");
+                assert_eq!(bits(&many), bits(&one), "{at}");
+                assert_eq!(steps, one_steps, "{at}");
+            }
+            if acceleration != MleAcceleration::Classic {
+                assert!(one.accelerated_steps > 0, "the schedule over-relaxed");
+                assert!(
+                    one_steps > cast::usize_to_u64(one.iterations),
+                    "an over-relaxed step was rolled back: a second step in one iteration"
+                );
+            }
+        }
     }
 
     #[test]

@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Tier-1 gate: release build, a check that the repository benchmark
 # (perfbench/) still builds, root test suite, every crate's tests, the
-# paper's headline runs, workspace static analysis (qfc-lint), per-crate
-# lints, and a seconds-scale bench smoke run that cross-checks serial vs
-# parallel determinism. Run from the repository root.
+# paper's headline runs, the concurrency tests in release, workspace
+# static analysis (qfc-lint), per-crate lints, and a seconds-scale bench
+# smoke run that cross-checks serial vs parallel determinism. Run from
+# the repository root.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -20,6 +21,12 @@ cargo test -q --workspace
 
 echo "==> paper headline numbers (release, the #[ignore]d full-paper runs)"
 cargo test --release -q --test paper_numbers -- --ignored
+
+# The worker team's barrier/atomic protocol and the MLE that steps on it,
+# optimized: on x86-64 a too-weak atomic ordering usually passes in a
+# debug build and shows up only once the optimizer reorders.
+echo "==> concurrency tests, optimized (qfc-runtime, qfc-tomography)"
+cargo test --release -q -p qfc-runtime -p qfc-tomography
 
 echo "==> qfc-lint --deny (workspace static analysis)"
 cargo run --release -p qfc-lint -- --deny

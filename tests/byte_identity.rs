@@ -36,6 +36,10 @@ use qfc::tomography::rank1::{
 use qfc::tomography::reconstruct::{try_mle_reconstruction, MleOptions};
 use qfc::tomography::settings::all_settings;
 
+/// Thread counts the T4-bearing fixtures replay at: the serial loop and
+/// a four-member worker team, whatever the host's default.
+const REPLAY_THREADS: [usize; 2] = [1, 4];
+
 fn golden(name: &str) -> String {
     let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("tests/golden")
@@ -167,16 +171,20 @@ fn heralded_pipeline_matches_pre_rework_bytes() {
 fn four_photon_tomography_matches_pre_rework_bytes() {
     let source = QfcSource::paper_device_timebin();
     let cfg = MultiPhotonConfig::fast_demo();
-    let four = try_four_photon_tomography(
-        &source,
-        &cfg,
-        13,
-        &cfg.timebin,
-        cfg.four_fold_pump_factor,
-        &mut HealthReport::pristine(),
-    )
-    .expect("four-photon tomography");
-    assert_bytes_match("four_photon.json", &serde_json::to_string(&four).expect("json"));
+    for threads in REPLAY_THREADS {
+        let four = qfc::runtime::with_threads(threads, || {
+            try_four_photon_tomography(
+                &source,
+                &cfg,
+                13,
+                &cfg.timebin,
+                cfg.four_fold_pump_factor,
+                &mut HealthReport::pristine(),
+            )
+        })
+        .expect("four-photon tomography");
+        assert_bytes_match("four_photon.json", &serde_json::to_string(&four).expect("json"));
+    }
 }
 
 // One full run per paper driver, health section included: the stress
@@ -230,7 +238,11 @@ fn multiphoton_run_matches_pinned_bytes() {
             arm: Arm::Signal,
         },
     ));
-    let run = try_run_multiphoton_experiment(&source, &cfg, 73, &schedule)
+    for threads in REPLAY_THREADS {
+        let run = qfc::runtime::with_threads(threads, || {
+            try_run_multiphoton_experiment(&source, &cfg, 73, &schedule)
+        })
         .expect("multiphoton run");
-    assert_bytes_match("multiphoton_run.json", &serde_json::to_string(&run).expect("json"));
+        assert_bytes_match("multiphoton_run.json", &serde_json::to_string(&run).expect("json"));
+    }
 }

@@ -104,17 +104,25 @@ fn timebin_report_identical_across_thread_counts() {
     assert_thread_invariant(|| timebin(&source, &cfg, 4243));
 }
 
+/// The whole §V report — the per-channel Bell tomography (T3), the
+/// four-photon fringe (F8) and the four-photon MLE (T4, whose RρR sweeps
+/// run as the steps of one worker team) — is byte-identical at 1, 2, 4
+/// and 8 workers.
 #[test]
-fn bell_tomography_identical_across_thread_counts() {
+fn multiphoton_report_identical_across_thread_counts() {
     let source = QfcSource::paper_device_timebin();
     let mut cfg = MultiPhotonConfig::fast_demo();
     cfg.bell_shots_per_setting = 200;
-    assert_thread_invariant(|| {
-        try_run_multiphoton_experiment(&source, &cfg, 4244, &FaultSchedule::empty())
-            .expect("clean multiphoton run")
-            .report
-            .bell
-    });
+    let report_at = |threads: usize| {
+        let run = with_threads(threads, || {
+            try_run_multiphoton_experiment(&source, &cfg, 4244, &FaultSchedule::empty())
+        });
+        serde_json::to_string(&run.expect("clean multiphoton run").report).unwrap()
+    };
+    let serial = report_at(1);
+    for threads in [2, 4, 8] {
+        assert_eq!(report_at(threads), serial, "1 vs {threads} threads");
+    }
 }
 
 #[test]
