@@ -180,4 +180,15 @@ mod tests {
             LoadOutcome::Rejected(r) if r.contains("hash mismatch")
         ));
     }
+
+    #[test]
+    fn deeply_nested_json_is_rejected_not_a_stack_overflow() {
+        let dir = tmpdir("nested");
+        let bomb = format!("{{\"campaign\":{}", "[".repeat(200_000));
+        fs::write(shard_path(&dir, 0), bomb).expect("write");
+        assert!(matches!(
+            load_checkpoint(&dir, "aaaaaaaaaaaaaaaa", 0),
+            LoadOutcome::Rejected(r) if r.contains("recursion limit")
+        ));
+    }
 }

@@ -9,8 +9,6 @@
 //! * [`timebin`] — §IV multiplexed time-bin entanglement (F7/T2)
 //! * [`multiphoton`] — §V four-photon states & tomography (T3/F8/T4)
 //! * [`purity`] — §II spectral purity & quantum-memory compatibility
-//! * [`qkd`] — BBM92 feasibility over the multiplexed comb (the intro's
-//!   quantum-communications motivation)
 //!
 //! plus typed paper-vs-measured reporting in [`report`] and the
 //! fault-injection / graceful-degradation layer: every driver has a
@@ -39,11 +37,8 @@ pub mod ablation;
 pub mod crosspol;
 pub mod experiment;
 pub mod heralded;
-pub mod link;
 pub mod multiphoton;
-pub mod multiplex;
 pub mod purity;
-pub mod qkd;
 pub mod report;
 pub mod source;
 pub mod supervisor;

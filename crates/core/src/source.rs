@@ -10,7 +10,7 @@ use qfc_photonics::comb::CombGrid;
 use qfc_photonics::fwm;
 use qfc_photonics::pump::PumpConfig;
 use qfc_photonics::ring::{Microring, MicroringBuilder};
-use qfc_photonics::units::{Frequency, Power};
+use qfc_photonics::units::Frequency;
 use qfc_photonics::waveguide::{Polarization, Waveguide};
 use qfc_quantum::fock::TwoModeSqueezedVacuum;
 
@@ -136,19 +136,6 @@ impl QfcSource {
     fn coupler_factor(&self, m: u32) -> f64 {
         let f = 1.0 + self.coupling_dispersion_per_mode * cast::to_f64(m);
         (f.max(0.0)).powi(2)
-    }
-
-    /// On-chip pump power after coupling losses for CW-type pumps.
-    pub fn coupled_cw_power(&self) -> Power {
-        match self.pump {
-            PumpConfig::SelfLockedCw { power } | PumpConfig::ExternalCw { power, .. } => {
-                power * self.pump_coupling
-            }
-            PumpConfig::BichromaticOrthogonal { power_te, power_tm } => {
-                (power_te + power_tm) * self.pump_coupling
-            }
-            PumpConfig::DoublePulse { peak_power, .. } => peak_power * self.pump_coupling,
-        }
     }
 
     /// Generated pair flux (pairs/s) on channel pair `m` for the §II CW

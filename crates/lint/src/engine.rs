@@ -2,9 +2,9 @@
 //! token-pattern matchers for each line rule, and the glue that merges
 //! semantic (call-graph) findings with the per-file directive layer.
 //!
-//! Since v2 the engine runs in two phases: [`analyze_source`] produces
-//! a per-file [`Analysis`] (tokens, resolved symbols, raw line-rule
-//! findings, directives), and [`finalize_file`] merges in the semantic
+//! Since v2 the engine runs in two phases: `analyze_source` produces
+//! a per-file `Analysis` (tokens, resolved symbols, raw line-rule
+//! findings, directives), and `finalize_file` merges in the semantic
 //! findings for that file, applies allow-directive suppression, and
 //! emits `unused-allow` for stale directives. [`lint_source`] composes
 //! both over a single file (with a single-file call graph), which keeps

@@ -83,11 +83,6 @@ impl CVector {
         &mut self.data
     }
 
-    /// Consumes the vector and returns the underlying storage.
-    pub fn into_vec(self) -> Vec<Complex64> {
-        self.data
-    }
-
     /// Iterator over components.
     pub fn iter(&self) -> std::slice::Iter<'_, Complex64> {
         self.data.iter()

@@ -29,7 +29,6 @@ pub mod cast;
 pub mod cmatrix;
 pub mod complex;
 pub mod cvector;
-pub mod fft;
 pub mod fit;
 pub mod hermitian;
 pub mod rng;

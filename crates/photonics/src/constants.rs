@@ -15,9 +15,6 @@ pub const BOLTZMANN: f64 = 1.380_649e-23;
 /// Conventional C-band center used throughout the paper: 1550 nm.
 pub const TELECOM_WAVELENGTH_M: f64 = 1550e-9;
 
-/// ITU-T anchor frequency for the 193.1-THz DWDM grid, Hz.
-pub const ITU_ANCHOR_HZ: f64 = 193.1e12;
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -30,7 +30,6 @@ pub mod filter;
 pub mod fwm;
 pub mod jones;
 pub mod jsa;
-pub mod lle;
 pub mod material;
 pub mod memory;
 pub mod opo;
@@ -38,7 +37,6 @@ pub mod pump;
 pub mod ring;
 pub mod spectrum;
 pub mod sweep;
-pub mod thermal;
 pub mod units;
 pub mod waveguide;
 

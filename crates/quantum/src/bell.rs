@@ -1,6 +1,5 @@
 //! Bell states and two-qubit entanglement measures.
 
-use qfc_mathkit::cmatrix::CMatrix;
 use qfc_mathkit::cvector::CVector;
 use qfc_mathkit::complex::Complex64;
 use qfc_mathkit::hermitian::{eigh, sqrtm_psd};
@@ -86,12 +85,6 @@ pub fn werner_state(visibility: f64, phi: f64) -> DensityMatrix {
 /// `F = (3V + 1)/4` (analytic).
 pub fn werner_fidelity(visibility: f64) -> f64 {
     (3.0 * visibility.clamp(0.0, 1.0) + 1.0) / 4.0
-}
-
-/// Projector onto a Bell state, as a 4×4 matrix.
-pub fn bell_projector(state: &PureState) -> CMatrix {
-    assert_eq!(state.qubits(), 2, "bell projector needs a two-qubit state");
-    crate::ops::projector(state)
 }
 
 #[cfg(test)]

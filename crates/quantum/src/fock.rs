@@ -56,12 +56,6 @@ impl TwoModeSqueezedVacuum {
         (cast::to_f64(n) * self.mu.ln() - (cast::to_f64(n) + 1.0) * (1.0 + self.mu).ln()).exp()
     }
 
-    /// Unheralded second-order coherence of one arm: thermal light,
-    /// `g²(0) = 2` (independent of `μ`).
-    pub fn unheralded_g2(&self) -> f64 {
-        2.0
-    }
-
     /// Heralded second-order coherence of the signal arm given a click of
     /// a non-number-resolving herald detector of efficiency `eta_herald`.
     ///
@@ -97,11 +91,6 @@ impl TwoModeSqueezedVacuum {
         mean /= norm;
         second /= norm;
         second / (mean * mean)
-    }
-
-    /// Probability that at least one pair is emitted.
-    pub fn p_at_least_one(&self) -> f64 {
-        1.0 - self.p_n(0)
     }
 
     /// Probability of a coincidence click between the two arms with arm

@@ -2,7 +2,7 @@
 //!
 //! Quantum-state substrate of the `qfc` workspace: pure states and density
 //! matrices of qubit registers, Pauli algebra, Bell states, entanglement
-//! measures (concurrence, negativity, entropy), the CHSH inequality,
+//! measures (concurrence, entropy), the CHSH inequality,
 //! two-mode squeezed vacuum photon statistics, and the time-bin /
 //! four-photon encodings of the paper's §IV–V experiments.
 //!
@@ -25,7 +25,6 @@
 pub mod bell;
 pub mod chsh;
 pub mod density;
-pub mod entanglement;
 pub mod fidelity;
 pub mod fock;
 pub mod multiphoton;

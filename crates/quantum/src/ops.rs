@@ -149,12 +149,6 @@ pub fn embed(op: &CMatrix, k: usize, n: usize) -> CMatrix {
     acc
 }
 
-/// Tensor product of per-qubit single-qubit operators (one per qubit).
-pub fn per_qubit(ops: &[CMatrix]) -> CMatrix {
-    assert!(ops.iter().all(|o| o.rows() == 2 && o.cols() == 2));
-    kron_all(ops)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -80,16 +80,6 @@ impl BipartiteQudit {
         Self::from_amplitude_matrix(&c)
     }
 
-    /// Dimension of subsystem A.
-    pub fn dim_a(&self) -> usize {
-        self.d_a
-    }
-
-    /// Dimension of subsystem B.
-    pub fn dim_b(&self) -> usize {
-        self.d_b
-    }
-
     /// Amplitude `⟨jk|ψ⟩`.
     pub fn amplitude(&self, j: usize, k: usize) -> Complex64 {
         self.amps[j * self.d_b + k]

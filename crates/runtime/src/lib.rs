@@ -516,7 +516,7 @@ where
 ///
 /// Deterministic for any thread count as long as `f(item)` depends only
 /// on its argument (seed randomness via
-/// [`split_seed`](qfc_mathkit::rng::split_seed) on the item index).
+/// [`split_seed`] on the item index).
 pub fn par_map<T, U, F>(items: &[T], f: F) -> Vec<U>
 where
     T: Sync,

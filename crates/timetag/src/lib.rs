@@ -24,8 +24,6 @@
 pub mod coincidence;
 pub mod detector;
 pub mod events;
-pub mod gated;
-pub mod hbt;
 pub mod tdc;
 
 pub use coincidence::{measure_car, CarResult};

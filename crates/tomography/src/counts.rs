@@ -199,7 +199,7 @@ pub(crate) const PAR_MIN_SHOTS_PER_SETTING: u64 = 1024;
 /// its shots from an independent split-seed stream
 /// (`split_seed(seed, setting_index)`), so settings run concurrently on
 /// the worker pool and the counts are bitwise-identical at any thread
-/// count. Jobs below [`PAR_MIN_SHOTS_PER_SETTING`] shots per setting
+/// count. Jobs below `PAR_MIN_SHOTS_PER_SETTING` (1024) shots per setting
 /// skip the pool and run the same kernels serially (same bytes, no
 /// dispatch overhead).
 ///

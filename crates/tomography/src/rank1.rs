@@ -98,15 +98,6 @@ impl ProjectorRepr {
         }
     }
 
-    /// Accumulates `w·Π` into `r`: a dense scaled add, or a rank-1
-    /// `ger` update that never materializes the outer product.
-    pub fn accumulate_scaled(&self, r: &mut CMatrix, w: f64) {
-        match self {
-            ProjectorRepr::Dense(m) => r.add_scaled_assign(m, w),
-            ProjectorRepr::Rank1(v) => r.ger_assign(w, v, v),
-        }
-    }
-
     /// Sweep-internal accumulation that keeps only `r`'s diagonal and
     /// upper triangle authoritative: the dense arm adds the full matrix
     /// (its upper triangle is correct either way), the rank-1 arm runs

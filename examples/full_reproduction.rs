@@ -118,36 +118,13 @@ fn main() {
     .report;
     reports.push(multi.to_report());
 
-    // Extensions: purity/memory (P1–P3) and QKD feasibility.
-    eprintln!("running purity & QKD extensions…");
+    // Extension: purity/memory (P1–P3).
+    eprintln!("running purity extension…");
     let purity = qfc::core::purity::run_purity_analysis(
         &source4,
         &qfc::core::purity::PurityConfig::paper(),
     );
     reports.push(purity.to_report());
-    let probs: Vec<f64> = (1..=TimeBinConfig::paper().channels)
-        .map(|m| {
-            let model = qfc::core::timebin::channel_state_model(
-                &source4,
-                &TimeBinConfig::paper(),
-                m,
-            );
-            (0..32)
-                .map(|k| {
-                    let phi = 2.0 * std::f64::consts::PI * k as f64 / 32.0;
-                    qfc::core::timebin::coincidence_probability(
-                        &model,
-                        &TimeBinConfig::paper(),
-                        phi,
-                        0.0,
-                    )
-                })
-                .sum::<f64>()
-                / 32.0
-        })
-        .collect();
-    let qkd = qfc::core::qkd::qkd_from_timebin(&timebin, 10.0e6, &probs);
-    reports.push(qkd.to_report());
 
     let mut all_pass = true;
     for r in &reports {

@@ -1,6 +1,6 @@
-//! Photon statistics of the comb arms: Hanbury Brown–Twiss g²(τ) of the
-//! unheralded (thermal) arm, heralded g²(0) vs pump, and the spectral
-//! purity behind the §II "pure single mode photons" claim.
+//! Photon statistics of the comb arms: heralded g²(0) vs pump, and the
+//! spectral purity and memory acceptance behind the §II "pure single
+//! mode photons" claim.
 //!
 //! ```sh
 //! cargo run --release --example photon_statistics
@@ -8,31 +8,12 @@
 
 use qfc::core::purity::{run_purity_analysis, PurityConfig};
 use qfc::core::source::QfcSource;
-use qfc::mathkit::rng::rng_from_seed;
 use qfc::quantum::fock::TwoModeSqueezedVacuum;
-use qfc::timetag::hbt::{measure_g2, thermal_stream};
 
 fn main() {
     let source = QfcSource::paper_device_timebin();
 
-    println!("== HBT autocorrelation of the unheralded arm ==");
-    println!("(single comb line = single-mode thermal light, g2(0) → 2)\n");
-    let mut rng = rng_from_seed(404);
-    // One comb line with the ring coherence time, at a workable rate.
-    let tau_c = source.ring().coincidence_decay_time();
-    let stream = thermal_stream(&mut rng, 200_000.0, tau_c, 20.0);
-    let g2 = measure_g2(&mut rng, &stream, 30_000, 500);
-    println!("measured g2(0) = {:.2} (thermal expectation: 2.0)", g2.g2_zero);
-    println!("g2(τ) profile around zero delay:");
-    let bins = g2.g2.len();
-    for (i, &v) in g2.g2.iter().enumerate() {
-        if (i as i64 - bins as i64 / 2).abs() <= 8 {
-            let tau_ns = g2.histogram.bin_center(i) / 1000.0;
-            println!("  τ = {:>6.2} ns   g2 = {:>5.2}  {}", tau_ns, v, "#".repeat((v * 20.0) as usize));
-        }
-    }
-
-    println!("\n== Heralded g2(0) vs pump (single-photon character) ==");
+    println!("== Heralded g2(0) vs pump (single-photon character) ==");
     println!("  μ/frame    heralded g2(0)");
     for factor in [0.5f64, 1.0, 2.0, 3.0, 5.0] {
         let mu = source.pairs_per_frame(1) * factor * factor;

@@ -2,9 +2,10 @@
 # Tier-1 gate: release build, a check that the repository benchmark
 # (perfbench/) still builds, root test suite, every crate's tests, the
 # paper's headline runs, the concurrency tests in release, workspace
-# static analysis (qfc-lint), per-crate lints, and a seconds-scale bench
-# smoke run that cross-checks serial vs parallel determinism. Run from
-# the repository root.
+# static analysis (qfc-lint), drift checks of the committed CALLGRAPH
+# and EXPERIMENTS.md, per-crate lints, rustdoc with warnings denied,
+# and a seconds-scale bench smoke run that cross-checks serial vs
+# parallel determinism. Run from the repository root.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -40,6 +41,11 @@ cmp target/CALLGRAPH.json target/CALLGRAPH.2.json
 cmp target/LINT_REPORT.json target/LINT_REPORT.2.json
 rm -f target/LINT_REPORT.2.json target/CALLGRAPH.2.json
 
+echo "==> EXPERIMENTS.md drift check (full_reproduction stdout byte-identity)"
+# The committed paper-vs-measured record must be exactly what the
+# deterministic full-paper run prints today.
+cargo run --release -q --example full_reproduction 2>/dev/null | cmp - EXPERIMENTS.md
+
 echo "==> cargo clippy -p qfc-runtime -- -D warnings"
 cargo clippy -p qfc-runtime -- -D warnings
 
@@ -55,6 +61,9 @@ for d in crates/*/; do
 done
 cargo clippy --no-deps --lib "${roster[@]}" \
   -- -D warnings -D clippy::unwrap_used -D clippy::expect_used
+
+echo "==> cargo doc (intra-doc links, warnings denied)"
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 
 echo "==> qfc-bench --smoke --check-baseline (determinism + bench-regression gate)"
 # Fails when any workload loses serial/parallel byte-identity, allocates

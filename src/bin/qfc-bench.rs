@@ -63,6 +63,7 @@ use std::process::ExitCode;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
+use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 use qfc::campaign::{run_campaign, CampaignOptions, TimeBinCampaign};
@@ -71,6 +72,7 @@ use qfc::core::multiphoton::{try_four_photon_tomography, MultiPhotonConfig};
 use qfc::core::source::QfcSource;
 use qfc::core::timebin::{run_timebin_event_mc, TimeBinConfig};
 use qfc::faults::{FaultSchedule, HealthReport};
+use qfc::mathkit::cast;
 use qfc::mathkit::rng::rng_from_seed;
 use qfc::photonics::opo;
 use qfc::photonics::ring::Microring;
@@ -81,7 +83,7 @@ use qfc::quantum::bell::{bell_phi_plus, werner_state};
 use qfc::quantum::fidelity::fidelity_with_pure;
 use qfc::quantum::multiphoton::noisy_four_photon;
 use qfc::timetag::coincidence::cross_correlation_histogram;
-use qfc::timetag::hbt::poissonian_stream;
+use qfc::timetag::events::TagStream;
 use qfc::tomography::bootstrap::bootstrap_functional;
 use qfc::tomography::counts::simulate_counts_seeded;
 use qfc::tomography::rank1::{
@@ -320,6 +322,18 @@ fn bench_workload(
         eprintln!("{:<24} scaling:{curve}", "");
     }
     row
+}
+
+/// Generates a Poissonian (coherent) stream at `rate_hz`.
+fn poissonian_stream<R: Rng + ?Sized>(
+    rng: &mut R,
+    rate_hz: f64,
+    duration_s: f64,
+) -> TagStream {
+    let n = qfc_mathkit::rng::poisson(rng, rate_hz * duration_s);
+    (0..n)
+        .map(|_| cast::f64_to_i64(rng.gen::<f64>() * duration_s * 1e12))
+        .collect()
 }
 
 /// Interleaved best-of-3 timing of the scalar oracle against the batch

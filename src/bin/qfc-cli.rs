@@ -12,6 +12,7 @@
 //!   timebin      §IV  F7/T2    time-bin entanglement + CHSH
 //!   multiphoton  §V   T3/F8/T4 four-photon states
 //!   purity       P1–P3         spectral purity & memory acceptance
+//!   spectrum                   comb spectrum and telecom-band coverage
 //!   all          everything above, in order
 //! ```
 
@@ -144,17 +145,6 @@ fn run_one(name: &str, opts: &Options) -> QfcResult<()> {
             emit(&report.to_report(), opts)?;
             Ok(())
         }
-        "reach" => {
-            let source = QfcSource::paper_device_timebin();
-            let cfg = TimeBinConfig::paper();
-            for m in 1..=cfg.channels {
-                match qfc::core::link::chsh_reach_km(&source, &cfg, m, 10.0e6) {
-                    Some(km) => println!("channel {m}: CHSH reach {km:.0} km per arm"),
-                    None => println!("channel {m}: no violation even locally"),
-                }
-            }
-            Ok(())
-        }
         "spectrum" => {
             let source = QfcSource::paper_device();
             let spec = qfc::photonics::spectrum::comb_spectrum(
@@ -181,7 +171,6 @@ fn run_one(name: &str, opts: &Options) -> QfcResult<()> {
                 "timebin",
                 "multiphoton",
                 "purity",
-                "reach",
                 "spectrum",
             ] {
                 run_one(name, opts)?;
@@ -216,7 +205,7 @@ fn main() -> ExitCode {
                 eprintln!("usage: qfc-cli <experiment> [--seed N] [--fast] [--json]");
                 eprintln!(
                     "experiments: device heralded stability crosspol opo timebin \
-                     multiphoton purity reach spectrum all"
+                     multiphoton purity spectrum all"
                 );
                 return ExitCode::SUCCESS;
             }

@@ -19,9 +19,9 @@ use qfc::campaign::{
 use qfc::campaign::{CrossPolCampaign, HeraldedCampaign, MultiPhotonCampaign, TimeBinCampaign};
 use qfc::core::crosspol::CrossPolConfig;
 use qfc::core::heralded::HeraldedConfig;
-use qfc::core::multiphoton::MultiPhotonConfig;
+use qfc::core::multiphoton::{try_run_multiphoton_experiment, MultiPhotonConfig};
 use qfc::core::source::QfcSource;
-use qfc::core::timebin::TimeBinConfig;
+use qfc::core::timebin::{nominal_duration_s, TimeBinConfig};
 use qfc::faults::{Arm, FaultEvent, FaultKind, FaultSchedule, QfcError};
 use qfc::photonics::pump::PumpConfig;
 use qfc::photonics::units::Power;
@@ -122,16 +122,24 @@ fn multiphoton_campaign_is_byte_identical_with_physics_faults() {
     cfg.bell_shots_per_setting = 100;
     cfg.four_fold_phase_steps = 8;
     cfg.four_shots_per_setting = 10;
-    // A physics fault rides along: the campaign must reproduce the
+    // A physics fault rides along: a detector dropout over the middle
+    // half of the nominal scan. The campaign must reproduce the
     // fault-adjusted driver run, health section included.
-    let schedule = FaultSchedule::empty().with(FaultEvent::new(
-        10.0,
-        40.0,
-        FaultKind::DetectorDropout {
-            channel: 1,
-            arm: Arm::Signal,
-        },
-    ));
+    let run_s = nominal_duration_s(&cfg.timebin);
+    let dropout = FaultKind::DetectorDropout {
+        channel: 1,
+        arm: Arm::Signal,
+    };
+    let schedule = FaultSchedule::empty().with(FaultEvent::new(0.25 * run_s, 0.5 * run_s, dropout));
+    let run = try_run_multiphoton_experiment(&source, &cfg, 73, &schedule).expect("driver runs");
+    assert!(
+        run.health
+            .faults_injected
+            .iter()
+            .any(|f| f.description == dropout.label()),
+        "the dropout never fired: {:?}",
+        run.health.faults_injected
+    );
     let workload = MultiPhotonCampaign {
         source: &source,
         config: &cfg,

@@ -1,17 +1,15 @@
-//! Integration tests of the extension features: DWDM filtering, gated
-//! detection, comb spectra, qudit states, QKD feasibility, and purity —
-//! exercised together through the public API.
+//! Integration tests of the extension features: DWDM filtering, comb
+//! spectra, qudit states, and purity — exercised together through the
+//! public API.
 
 use qfc::core::purity::{run_purity_analysis, PurityConfig};
 use qfc::core::source::QfcSource;
-use qfc::mathkit::rng::rng_from_seed;
 use qfc::photonics::filter::Demultiplexer;
 use qfc::photonics::memory::{filtering_penalty_db, MemoryProfile};
 use qfc::photonics::spectrum::comb_spectrum;
 use qfc::photonics::units::{Frequency, Power};
 use qfc::photonics::waveguide::Polarization;
 use qfc::quantum::qudit::{cglmp_value, BipartiteQudit, CGLMP_CLASSICAL_BOUND};
-use qfc::timetag::gated::GatedDetector;
 
 #[test]
 fn demux_matches_comb_grid() {
@@ -28,24 +26,6 @@ fn demux_matches_comb_grid() {
         "isolation {}",
         demux.worst_adjacent_isolation_db()
     );
-}
-
-#[test]
-fn gated_detection_improves_effective_darks() {
-    let gated = GatedDetector::ingaas_paper();
-    assert!(gated.effective_dark_rate_hz() < gated.base.dark_count_rate_hz / 10.0);
-
-    // A frame-synchronized photon stream survives the gate — spacing the
-    // photons beyond the detector dead time (10 µs ≫ the 100-ns gate
-    // period, so a photon every gate would saturate the detector).
-    let mut rng = rng_from_seed(201);
-    let arrivals: Vec<i64> = (0..1000)
-        .map(|k| k * 200 * gated.gate_period_ps + 500)
-        .collect();
-    let out = gated.detect(&mut rng, &arrivals, 1_000_000_000_000);
-    // η = 0.15 → ≈ 150 detected, all inside gates.
-    assert!(out.len() > 100, "detected {}", out.len());
-    assert!(out.as_slice().iter().all(|&t| gated.in_gate(t)));
 }
 
 #[test]

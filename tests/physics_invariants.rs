@@ -167,27 +167,6 @@ proptest! {
     }
 
     #[test]
-    fn fft_roundtrip_and_parseval(seed in 0u64..500, log_n in 3u32..9) {
-        use qfc::mathkit::fft::{fft, ifft};
-        use qfc::mathkit::rng::{normal, rng_from_seed};
-        let n = 1usize << log_n;
-        let mut rng = rng_from_seed(seed);
-        let original: Vec<Complex64> = (0..n)
-            .map(|_| Complex64::new(normal(&mut rng, 0.0, 1.0), normal(&mut rng, 0.0, 1.0)))
-            .collect();
-        let mut data = original.clone();
-        fft(&mut data);
-        // Parseval: energy preserved up to the 1/N convention.
-        let te: f64 = original.iter().map(|z| z.norm_sqr()).sum();
-        let fe: f64 = data.iter().map(|z| z.norm_sqr()).sum::<f64>() / n as f64;
-        prop_assert!((te - fe).abs() < 1e-6 * te.max(1.0));
-        ifft(&mut data);
-        for (a, b) in data.iter().zip(&original) {
-            prop_assert!(a.approx_eq(*b, 1e-8));
-        }
-    }
-
-    #[test]
     fn jones_elements_never_amplify(theta in 0.0..3.2f64, angle in 0.0..3.2f64) {
         use qfc::photonics::jones::{JonesMatrix, JonesVector};
         let state = JonesVector::linear(angle);
