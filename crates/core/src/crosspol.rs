@@ -14,7 +14,7 @@ use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 use qfc_faults::{Arm, FaultSchedule, HealthReport, QfcError, QfcResult};
-use qfc_mathkit::fit::fit_power_law;
+use qfc_mathkit::fit::try_fit_power_law;
 use qfc_mathkit::rng::{exponential, poisson, rng_from_seed};
 use qfc_photonics::fwm;
 use qfc_photonics::opo;
@@ -366,7 +366,19 @@ impl PowerSweepReport {
 }
 
 /// Runs the F5 power sweep on the source's ring.
-pub fn run_power_sweep(source: &QfcSource, points_per_branch: usize) -> PowerSweepReport {
+///
+/// # Errors
+///
+/// [`QfcError`] when a branch's power-law fit fails (fewer than two
+/// points with positive pump excess and output).
+///
+/// # Panics
+///
+/// Panics if `points_per_branch < 2` (see [`opo::transfer_curve`]).
+pub fn run_power_sweep(
+    source: &QfcSource,
+    points_per_branch: usize,
+) -> QfcResult<PowerSweepReport> {
     let ring = source.ring();
     let p_th = opo::threshold(ring);
     let below = opo::transfer_curve(
@@ -387,12 +399,12 @@ pub fn run_power_sweep(source: &QfcSource, points_per_branch: usize) -> PowerSwe
     let ay: Vec<f64> = above.iter().map(|p| p.output_w).collect();
     let mut curve: Vec<(f64, f64)> = below.iter().map(|p| (p.pump_w, p.output_w)).collect();
     curve.extend(above.iter().map(|p| (p.pump_w, p.output_w)));
-    PowerSweepReport {
+    Ok(PowerSweepReport {
         threshold_w: p_th.w(),
-        below_exponent: fit_power_law(&bx, &by).exponent,
-        above_exponent: fit_power_law(&ax, &ay).exponent,
+        below_exponent: try_fit_power_law(&bx, &by)?.exponent,
+        above_exponent: try_fit_power_law(&ax, &ay)?.exponent,
         curve,
-    }
+    })
 }
 
 /// One point of the F6 suppression-vs-offset ablation.
@@ -461,7 +473,7 @@ mod tests {
     #[test]
     fn power_sweep_shape() {
         let src = QfcSource::paper_device_type2();
-        let report = run_power_sweep(&src, 12);
+        let report = run_power_sweep(&src, 12).expect("power sweep");
         assert!((report.below_exponent - 2.0).abs() < 0.05, "{}", report.below_exponent);
         assert!((report.above_exponent - 1.0).abs() < 0.05, "{}", report.above_exponent);
         assert!((report.threshold_w - 14e-3).abs() < 4e-3, "{}", report.threshold_w);
@@ -485,7 +497,7 @@ mod tests {
         let src = QfcSource::paper_device_type2();
         let report = run(&src, 13);
         assert_eq!(report.to_report().comparisons.len(), 2);
-        let sweep = run_power_sweep(&src, 8).to_report();
+        let sweep = run_power_sweep(&src, 8).expect("power sweep").to_report();
         assert!(sweep.all_pass(), "{}", sweep.render());
     }
 

@@ -17,7 +17,7 @@ use qfc_mathkit::cast;
 use serde::{Deserialize, Serialize};
 
 use qfc_faults::{Arm, FaultSchedule, HealthReport, QfcError, QfcResult};
-use qfc_mathkit::fit::{fit_fringe, FringeFit};
+use qfc_mathkit::fit::{try_fit_fringe, FringeFit};
 use qfc_mathkit::rng::{binomial, rng_from_seed, split_seed};
 use qfc_interferometry::stabilization::visibility_factor;
 use qfc_quantum::chsh::{ChshSettings, CLASSICAL_BOUND};
@@ -483,12 +483,17 @@ pub fn plan_timebin_experiment(
 /// [`Experiment`] — its output depends only on `(seed, m, c, model)`, so
 /// it produces identical bytes whether run in-process, on a pool worker,
 /// or in a separate resumed process.
+///
+/// # Errors
+///
+/// [`QfcError`] when the fringe fit fails on a degenerate phase grid,
+/// which the planner's `phase_steps ≥ 5` check rules out.
 pub fn timebin_channel_task(
     seed: u64,
     m: u32,
     c: &TimeBinConfig,
     model: &ChannelStateModel,
-) -> (ChannelFringe, ChshChannelResult) {
+) -> QfcResult<(ChannelFringe, ChshChannelResult)> {
     qfc_obs::counter_add(
         "shots_simulated",
         c.frames_per_point.saturating_mul(cast::usize_to_u64(c.phase_steps) + 16),
@@ -507,7 +512,7 @@ pub fn timebin_channel_task(
         .iter()
         .map(|&(p, c)| (p, cast::to_f64(c)))
         .unzip();
-    let fit = fit_fringe(&xs, &ys);
+    let fit = try_fit_fringe(&xs, &ys)?;
     let fringe = ChannelFringe {
         m,
         points,
@@ -552,7 +557,7 @@ pub fn timebin_channel_task(
         sigma,
         n_sigma_violation: (s - CLASSICAL_BOUND) / sigma.max(1e-12),
     };
-    (fringe, chsh)
+    Ok((fringe, chsh))
 }
 
 /// Runs the §IV virtual experiment: fringe scans and CHSH on every
@@ -620,7 +625,7 @@ impl Experiment for TimeBinConfig {
             .models
             .get(spec.slot())
             .ok_or_else(|| spec.unplanned(Self::LABEL))?;
-        Ok(timebin_channel_task(seed, *m, c, model))
+        timebin_channel_task(seed, *m, c, model)
     }
 
     fn assemble(

@@ -148,8 +148,8 @@ pub const RULES: &[Rule] = &[
                   preallocate or hoist buffers out of shot kernels",
         allowable: true,
         rationale: "Shot kernels run millions of times; a per-shot allocation \
-                    dominates the profile and regresses the allocation-count \
-                    columns gated by the bench baseline.",
+                    dominates the profile and fails the allocation budget of \
+                    tests/alloc_scaling.rs.",
         example: "// bad:  for _ in 0..shots { let mut buf = Vec::new(); ... }\n\
                   // good: let mut buf = Vec::with_capacity(n); for _ in 0..shots { buf.clear(); ... }",
     },
@@ -165,16 +165,14 @@ pub const RULES: &[Rule] = &[
     Rule {
         name: "ci-roster",
         summary: "scripts/ci.sh derives its clippy roster from the workspace \
-                  (never excluding qfc-campaign), invokes qfc-lint, checks \
-                  CALLGRAPH.json drift, and its bench baseline carries every \
-                  gated workload, so no crate, workload, or analysis can \
-                  silently skip a gate",
+                  (never excluding qfc-campaign), invokes qfc-lint, and checks \
+                  CALLGRAPH.json drift, so no crate or analysis can silently \
+                  skip a gate",
         allowable: false,
         rationale: "Every gate that is not structurally derived from the workspace \
-                    eventually rots: a hand-listed roster misses new crates, a \
-                    trimmed baseline drops a regression gate, and an analyzer \
-                    whose output is never diffed can go nondeterministic \
-                    unnoticed.",
+                    eventually rots: a hand-listed roster misses new crates, and \
+                    an analyzer whose output is never diffed can go \
+                    nondeterministic unnoticed.",
         example: "# ci.sh fragments the rule looks for:\n\
                   cargo run -p qfc-lint -- --deny\n\
                   for d in crates/*/; do ... clippy ... done\n\
@@ -207,24 +205,6 @@ pub const RULES: &[Rule] = &[
 pub fn rule_by_name(name: &str) -> Option<&'static Rule> {
     RULES.iter().find(|r| r.name == name)
 }
-
-/// Workloads that must be present in the bench baseline referenced by
-/// `scripts/ci.sh --check-baseline` (the `ci-roster` check): dropping
-/// one from the baseline would silently remove its allocation and
-/// wall-time regression gate. The two spectral sweeps gate the SoA
-/// batch kernels; `campaign-checkpoint` gates the campaign engine's
-/// checkpoint overhead and resume latency; `streaming-tomography`
-/// gates the streaming count accumulator and the accelerated RρR
-/// reconstruction path; the two qudit MLE workloads gate the rank-1
-/// projector + packed-GEMM large-d tomography kernels.
-pub const GATED_WORKLOADS: &[&str] = &[
-    "ring-dispersion-sweep",
-    "opo-threshold-sweep",
-    "campaign-checkpoint",
-    "streaming-tomography",
-    "qudit-mle-16",
-    "qudit-mle-64",
-];
 
 /// Crates the clippy no-unwrap roster must always gate when they exist
 /// in the workspace (the `ci-roster` check). `qfc-campaign` is pinned

@@ -232,13 +232,10 @@ pub fn run(root: &Path) -> Result<RunReport, LintError> {
 /// (b) either derive its clippy roster from `crates/*` (the `for d in
 /// crates/*/` idiom) or hand-list every library crate — and in either
 /// form never exclude a [`crate::rules::CLIPPY_REQUIRED`] crate through
-/// an exclusion branch — (c) when it wires a bench baseline via
-/// `--check-baseline`, that baseline must carry every gated workload
-/// ([`crate::rules::GATED_WORKLOADS`]) so neither a sweep kernel nor
-/// the campaign engine can drop out of the bench-regression gate
-/// unnoticed, and (d) verify call-graph drift: some non-comment line
-/// must compare a freshly generated `CALLGRAPH.json` against a second
-/// run (`cmp`/`diff`), keeping the byte-determinism contract under CI.
+/// an exclusion branch — and (c) verify call-graph drift: some
+/// non-comment line must compare a freshly generated `CALLGRAPH.json`
+/// against a second run (`cmp`/`diff`), keeping the byte-determinism
+/// contract under CI.
 fn check_ci_roster(root: &Path, crates: &[String], findings: &mut Vec<Finding>) {
     let ci_path = root.join("scripts").join("ci.sh");
     let rel = rel_path(root, &ci_path);
@@ -311,31 +308,6 @@ fn check_ci_roster(root: &Path, crates: &[String], findings: &mut Vec<Finding>) 
             );
         }
     }
-    if let Some(baseline) = baseline_after_flag(&text) {
-        match fs::read_to_string(root.join(&baseline)) {
-            Ok(json) => {
-                for workload in crate::rules::GATED_WORKLOADS {
-                    if !json.contains(&format!("\"{workload}\"")) {
-                        push(
-                            findings,
-                            format!(
-                                "bench baseline {baseline} omits the gated workload \
-                                 `{workload}` — its regression gate is gone; regenerate \
-                                 the baseline with `qfc-bench --smoke --out {baseline}`"
-                            ),
-                        );
-                    }
-                }
-            }
-            Err(_) => push(
-                findings,
-                format!(
-                    "scripts/ci.sh wires `--check-baseline {baseline}` but the file is \
-                     unreadable — the bench-regression gate cannot run"
-                ),
-            ),
-        }
-    }
     let checks_drift = text.lines().any(|l| {
         let l = l.trim_start();
         !l.starts_with('#')
@@ -350,25 +322,6 @@ fn check_ci_roster(root: &Path, crates: &[String], findings: &mut Vec<Finding>) 
                 .to_string(),
         );
     }
-}
-
-/// The path token following `--check-baseline` in a shell script, if
-/// any. Comment and `echo` lines are skipped so a mention of the flag
-/// in banner output does not shadow the real invocation.
-fn baseline_after_flag(text: &str) -> Option<String> {
-    for line in text.lines() {
-        let line = line.trim_start();
-        if line.starts_with('#') || line.starts_with("echo ") {
-            continue;
-        }
-        let mut toks = line.split_whitespace();
-        while let Some(tok) = toks.next() {
-            if tok == "--check-baseline" {
-                return toks.next().map(str::to_string);
-            }
-        }
-    }
-    None
 }
 
 /// Whether the crate-root source declares `#![forbid(unsafe_code)]`.

@@ -66,73 +66,6 @@ fn forbid_unsafe_and_ci_roster_fire_then_clear() {
 }
 
 #[test]
-fn baseline_must_carry_every_gated_workload() {
-    let root = mini_workspace("baseline");
-    fs::write(
-        root.join("crates/alpha/src/lib.rs"),
-        "#![forbid(unsafe_code)]\npub fn f() {}\n",
-    )
-    .expect("lib.rs");
-    fs::create_dir_all(root.join("scripts")).expect("scripts dir");
-    fs::write(
-        root.join("scripts/ci.sh"),
-        "#!/usr/bin/env bash\ncargo run -p qfc-lint -- --deny\n\
-         for d in crates/*/; do :; done\n\
-         qfc-bench --smoke --check-baseline BENCH_baseline.json --out t.json\n\
-         cmp target/CALLGRAPH.json target/CALLGRAPH.2.json\n",
-    )
-    .expect("ci.sh");
-
-    // Baseline file missing entirely: ci-roster must fire.
-    let fired = rules_fired(&root);
-    assert!(
-        fired.contains(&"ci-roster".to_string()),
-        "ci-roster did not flag the missing bench baseline: {fired:?}"
-    );
-
-    // Baseline present but dropping gated workloads: still a failure,
-    // and both the sweep and the campaign workload must be named.
-    fs::write(
-        root.join("BENCH_baseline.json"),
-        "{\"workloads\": [{\"name\": \"ring-dispersion-sweep\"}]}\n",
-    )
-    .expect("baseline");
-    let report = qfc_lint::run(&root).expect("lint run");
-    let msgs: Vec<&str> = report
-        .findings
-        .iter()
-        .filter(|f| f.rule == "ci-roster")
-        .map(|f| f.message.as_str())
-        .collect();
-    assert!(
-        msgs.iter().any(|m| m.contains("opo-threshold-sweep")),
-        "ci-roster did not flag the dropped sweep workload: {msgs:?}"
-    );
-    assert!(
-        msgs.iter().any(|m| m.contains("campaign-checkpoint")),
-        "ci-roster did not flag the dropped campaign workload: {msgs:?}"
-    );
-
-    // Baseline carrying every gated workload: fully clean. Built from
-    // the rule's own roster so the fixture cannot drift from it.
-    let workloads: Vec<String> = qfc_lint::rules::GATED_WORKLOADS
-        .iter()
-        .map(|w| format!("{{\"name\": \"{w}\"}}"))
-        .collect();
-    fs::write(
-        root.join("BENCH_baseline.json"),
-        format!("{{\"workloads\": [{}]}}\n", workloads.join(",")),
-    )
-    .expect("baseline");
-    let report = qfc_lint::run(&root).expect("lint run");
-    assert!(
-        report.findings.is_empty(),
-        "complete baseline still has findings: {:?}",
-        report.findings
-    );
-}
-
-#[test]
 fn campaign_crate_cannot_be_carved_out_of_the_clippy_roster() {
     let root = mini_workspace("campaign");
     fs::write(

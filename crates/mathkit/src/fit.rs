@@ -2,9 +2,8 @@
 //! exponential coincidence decays (→ linewidth), interference fringes
 //! (→ visibility), and power laws (→ OPO threshold slopes).
 //!
-//! Every fit exists in two forms: a fallible `try_*` function returning
-//! [`FitError`] on degenerate input, and the original panicking wrapper
-//! kept for call sites where a failure is a programming error.
+//! Every fit is fallible: degenerate input returns a [`FitError`], which
+//! converts into the workspace's `QfcError` at the driver boundary.
 
 use crate::cast;
 use serde::{Deserialize, Serialize};
@@ -46,7 +45,23 @@ pub struct LinearFit {
     pub r_squared: f64,
 }
 
-/// Fallible form of [`fit_linear`].
+/// Fits `y = slope·x + intercept` by ordinary least squares.
+///
+/// ```
+/// use qfc_mathkit::fit::try_fit_linear;
+/// let f = try_fit_linear(&[0.0, 1.0, 2.0], &[1.0, 3.0, 5.0]).expect("three distinct points");
+/// assert!((f.slope - 2.0).abs() < 1e-12);
+/// assert!((f.intercept - 1.0).abs() < 1e-12);
+/// assert!((f.r_squared - 1.0).abs() < 1e-12);
+/// ```
+///
+/// # Errors
+///
+/// [`FitError::LengthMismatch`] when the lengths differ,
+/// [`FitError::InsufficientData`] for fewer than two points,
+/// [`FitError::Degenerate`] when every `x` is equal, and
+/// [`FitError::NonFinite`] when the normal equations leave the finite
+/// range.
 pub fn try_fit_linear(x: &[f64], y: &[f64]) -> Result<LinearFit, FitError> {
     if x.len() != y.len() {
         return Err(FitError::LengthMismatch);
@@ -91,26 +106,6 @@ pub fn try_fit_linear(x: &[f64], y: &[f64]) -> Result<LinearFit, FitError> {
     })
 }
 
-/// Fits `y = slope·x + intercept` by ordinary least squares.
-///
-/// # Panics
-///
-/// Panics if fewer than two points are given or lengths differ.
-///
-/// ```
-/// use qfc_mathkit::fit::fit_linear;
-/// let f = fit_linear(&[0.0, 1.0, 2.0], &[1.0, 3.0, 5.0]);
-/// assert!((f.slope - 2.0).abs() < 1e-12);
-/// assert!((f.intercept - 1.0).abs() < 1e-12);
-/// assert!((f.r_squared - 1.0).abs() < 1e-12);
-/// ```
-pub fn fit_linear(x: &[f64], y: &[f64]) -> LinearFit {
-    match try_fit_linear(x, y) {
-        Ok(f) => f,
-        Err(e) => panic!("fit_linear: {e}"), // qfc-lint: allow(panic-reachability) — documented panicking wrapper over the try_* twin (`# Panics` contract)
-    }
-}
-
 /// Result of an exponential-decay fit `y(t) = amplitude · e^{−t/tau}`.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ExponentialFit {
@@ -122,11 +117,18 @@ pub struct ExponentialFit {
     pub r_squared: f64,
 }
 
-/// Fallible form of [`fit_exponential_decay`].
+/// Fits an exponential decay via weighted log-linear least squares.
 ///
 /// Points with `y <= 0` are ignored (they carry no logarithmic
 /// information); each retained point is weighted by `y`, the
 /// inverse-variance weight for Poisson counts in the log domain.
+///
+/// # Errors
+///
+/// [`FitError::LengthMismatch`] when the lengths differ,
+/// [`FitError::InsufficientData`] when fewer than two positive points
+/// remain, and [`FitError::Degenerate`] / [`FitError::NonFinite`] for a
+/// singular or overflowing fit.
 pub fn try_fit_exponential_decay(t: &[f64], y: &[f64]) -> Result<ExponentialFit, FitError> {
     if t.len() != y.len() {
         return Err(FitError::LengthMismatch);
@@ -176,18 +178,6 @@ pub fn try_fit_exponential_decay(t: &[f64], y: &[f64]) -> Result<ExponentialFit,
     })
 }
 
-/// Fits an exponential decay via weighted log-linear least squares.
-///
-/// # Panics
-///
-/// Panics if fewer than two positive points remain.
-pub fn fit_exponential_decay(t: &[f64], y: &[f64]) -> ExponentialFit {
-    match try_fit_exponential_decay(t, y) {
-        Ok(f) => f,
-        Err(e) => panic!("fit_exponential_decay: {e}"), // qfc-lint: allow(panic-reachability) — documented panicking wrapper over the try_* twin (`# Panics` contract)
-    }
-}
-
 /// Result of a sinusoidal fringe fit
 /// `y(φ) = offset · (1 + visibility · cos(φ + phase0))`.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -200,11 +190,6 @@ pub struct FringeFit {
     pub phase0: f64,
 }
 
-/// Fallible form of [`fit_fringe`].
-pub fn try_fit_fringe(phase: &[f64], y: &[f64]) -> Result<FringeFit, FitError> {
-    try_fit_fringe_harmonic(phase, y, 1)
-}
-
 /// Fits an interference fringe `y = a0 + a1·cos φ + a2·sin φ` by linear
 /// least squares on the harmonic basis, returning the equivalent
 /// offset/visibility/phase parametrization.
@@ -212,14 +197,23 @@ pub fn try_fit_fringe(phase: &[f64], y: &[f64]) -> Result<FringeFit, FitError> {
 /// This is exactly how two-photon (and four-photon) interference
 /// visibilities are extracted from coincidence-vs-phase scans in §IV–V.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if fewer than three points are given or lengths differ.
-pub fn fit_fringe(phase: &[f64], y: &[f64]) -> FringeFit {
-    fit_fringe_harmonic(phase, y, 1)
+/// As [`try_fit_fringe_harmonic`].
+pub fn try_fit_fringe(phase: &[f64], y: &[f64]) -> Result<FringeFit, FitError> {
+    try_fit_fringe_harmonic(phase, y, 1)
 }
 
-/// Fallible form of [`fit_fringe_harmonic`].
+/// Fringe fit against `cos(k·φ)` — `k = 2` is used for the four-photon
+/// interference of §V where the coincidence rate oscillates at twice the
+/// analyzer phase when scanning the common phase of two Bell pairs.
+///
+/// # Errors
+///
+/// [`FitError::LengthMismatch`] when the lengths differ,
+/// [`FitError::InsufficientData`] for fewer than three points or
+/// `harmonic == 0`, and [`FitError::Degenerate`] / [`FitError::NonFinite`]
+/// when the harmonic basis is singular or the input is not finite.
 pub fn try_fit_fringe_harmonic(
     phase: &[f64],
     y: &[f64],
@@ -258,23 +252,6 @@ pub fn try_fit_fringe_harmonic(
         visibility,
         phase0,
     })
-}
-
-/// Fringe fit against `cos(k·φ)` — `k = 2` is used for the four-photon
-/// interference of §V where the coincidence rate oscillates at twice the
-/// analyzer phase when scanning the common phase of two Bell pairs.
-///
-/// # Panics
-///
-/// Panics if fewer than three points are given, lengths differ, or
-/// `harmonic == 0`.
-// qfc-lint: allow(panic-reachability) — documented panicking wrapper over the try_* twin (`# Panics` contract); the fn-level allow covers both match arms
-pub fn fit_fringe_harmonic(phase: &[f64], y: &[f64], harmonic: u32) -> FringeFit {
-    match try_fit_fringe_harmonic(phase, y, harmonic) {
-        Ok(f) => f,
-        Err(FitError::Degenerate) => panic!("singular system in fringe fit"),
-        Err(e) => panic!("fit_fringe: {e}"),
-    }
 }
 
 /// Solves a 3×3 linear system by Gaussian elimination with partial
@@ -327,7 +304,17 @@ pub struct PowerLawFit {
     pub r_squared: f64,
 }
 
-/// Fallible form of [`fit_power_law`]. Non-positive points are ignored.
+/// Fits `y = prefactor · x^exponent` by linear regression in log-log space.
+///
+/// Non-positive points are ignored. Used to verify the §III claim that the
+/// OPO output grows **quadratically** below threshold and **linearly**
+/// above it.
+///
+/// # Errors
+///
+/// [`FitError::LengthMismatch`] when the lengths differ,
+/// [`FitError::InsufficientData`] when fewer than two strictly positive
+/// points remain, and the errors of [`try_fit_linear`] on the logs.
 pub fn try_fit_power_law(x: &[f64], y: &[f64]) -> Result<PowerLawFit, FitError> {
     if x.len() != y.len() {
         return Err(FitError::LengthMismatch);
@@ -347,22 +334,6 @@ pub fn try_fit_power_law(x: &[f64], y: &[f64]) -> Result<PowerLawFit, FitError> 
         prefactor: f.intercept.exp(),
         r_squared: f.r_squared,
     })
-}
-
-/// Fits `y = prefactor · x^exponent` by linear regression in log-log space.
-///
-/// Non-positive points are ignored. Used to verify the §III claim that the
-/// OPO output grows **quadratically** below threshold and **linearly**
-/// above it.
-///
-/// # Panics
-///
-/// Panics if fewer than two strictly positive points remain.
-pub fn fit_power_law(x: &[f64], y: &[f64]) -> PowerLawFit {
-    match try_fit_power_law(x, y) {
-        Ok(f) => f,
-        Err(e) => panic!("fit_power_law: {e}"), // qfc-lint: allow(panic-reachability) — documented panicking wrapper over the try_* twin (`# Panics` contract)
-    }
 }
 
 /// Raw fringe visibility `(max − min)/(max + min)` from sampled values.
@@ -389,7 +360,7 @@ mod tests {
     fn linear_fit_exact() {
         let x = [0.0, 1.0, 2.0, 3.0];
         let y = [-1.0, 1.0, 3.0, 5.0];
-        let f = fit_linear(&x, &y);
+        let f = try_fit_linear(&x, &y).expect("fit");
         assert!((f.slope - 2.0).abs() < 1e-12);
         assert!((f.intercept + 1.0).abs() < 1e-12);
         assert!((f.r_squared - 1.0).abs() < 1e-12);
@@ -399,7 +370,7 @@ mod tests {
     fn linear_fit_noisy_r2_below_one() {
         let x = [0.0, 1.0, 2.0, 3.0, 4.0];
         let y = [0.1, 0.9, 2.2, 2.8, 4.1];
-        let f = fit_linear(&x, &y);
+        let f = try_fit_linear(&x, &y).expect("fit");
         assert!(f.r_squared > 0.97 && f.r_squared < 1.0);
     }
 
@@ -408,7 +379,7 @@ mod tests {
         let tau = 1.45e-9;
         let t: Vec<f64> = (0..50).map(|i| i as f64 * 0.1e-9).collect();
         let y: Vec<f64> = t.iter().map(|&tv| 1000.0 * (-tv / tau).exp()).collect();
-        let f = fit_exponential_decay(&t, &y);
+        let f = try_fit_exponential_decay(&t, &y).expect("fit");
         assert!((f.tau - tau).abs() / tau < 1e-6, "tau {}", f.tau);
         assert!((f.amplitude - 1000.0).abs() < 1e-3);
     }
@@ -418,7 +389,7 @@ mod tests {
         let t = [0.0, 1.0, 2.0, 3.0];
         let y = [8.0, 4.0, 0.0, 1.0];
         // Zero point dropped; fit still through the three positive points.
-        let f = fit_exponential_decay(&t, &y);
+        let f = try_fit_exponential_decay(&t, &y).expect("fit");
         assert!(f.tau > 0.0);
     }
 
@@ -431,7 +402,7 @@ mod tests {
             .iter()
             .map(|&p| 120.0 * (1.0 + v_true * (p + p0).cos()))
             .collect();
-        let f = fit_fringe(&phases, &y);
+        let f = try_fit_fringe(&phases, &y).expect("fit");
         assert!((f.visibility - v_true).abs() < 1e-9, "{}", f.visibility);
         assert!((f.offset - 120.0).abs() < 1e-6);
         assert!((f.phase0 - p0).abs() < 1e-9);
@@ -444,7 +415,7 @@ mod tests {
             .iter()
             .map(|&p| 50.0 * (1.0 + 0.89 * (2.0 * p).cos()))
             .collect();
-        let f = fit_fringe_harmonic(&phases, &y, 2);
+        let f = try_fit_fringe_harmonic(&phases, &y, 2).expect("fit");
         assert!((f.visibility - 0.89).abs() < 1e-9);
         assert!(f.phase0.abs() < 1e-9);
     }
@@ -453,7 +424,7 @@ mod tests {
     fn fringe_fit_flat_signal_zero_visibility() {
         let phases: Vec<f64> = (0..16).map(|i| i as f64 * 0.4).collect();
         let y = vec![77.0; 16];
-        let f = fit_fringe(&phases, &y);
+        let f = try_fit_fringe(&phases, &y).expect("fit");
         assert!(f.visibility < 1e-9);
     }
 
@@ -461,7 +432,7 @@ mod tests {
     fn power_law_quadratic() {
         let x: Vec<f64> = (1..20).map(|i| i as f64 * 0.5e-3).collect();
         let y: Vec<f64> = x.iter().map(|&p| 3.0 * p * p).collect();
-        let f = fit_power_law(&x, &y);
+        let f = try_fit_power_law(&x, &y).expect("fit");
         assert!((f.exponent - 2.0).abs() < 1e-9);
         assert!((f.prefactor - 3.0).abs() < 1e-6);
     }
@@ -471,12 +442,6 @@ mod tests {
         assert!((raw_visibility(&[1.0, 9.0]) - 0.8).abs() < 1e-12);
         assert!(raw_visibility(&[]).is_nan());
         assert_eq!(raw_visibility(&[0.0, 0.0]), 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "length mismatch")]
-    fn linear_fit_length_mismatch() {
-        let _ = fit_linear(&[1.0], &[1.0, 2.0]);
     }
 
     #[test]

@@ -112,7 +112,7 @@ pub fn transfer_curve(ring: &Microring, min: Power, max: Power, n: usize) -> Vec
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qfc_mathkit::fit::fit_power_law;
+    use qfc_mathkit::fit::try_fit_power_law;
 
     fn ring() -> Microring {
         Microring::paper_device()
@@ -130,7 +130,7 @@ mod tests {
         let pts = transfer_curve(&r, Power::from_mw(1.0), Power::from_mw(10.0), 12);
         let x: Vec<f64> = pts.iter().map(|p| p.pump_w).collect();
         let y: Vec<f64> = pts.iter().map(|p| p.output_w).collect();
-        let f = fit_power_law(&x, &y);
+        let f = try_fit_power_law(&x, &y).expect("fit");
         assert!((f.exponent - 2.0).abs() < 0.05, "exponent {}", f.exponent);
     }
 
@@ -147,7 +147,7 @@ mod tests {
         // Fit against the excess pump power.
         let x: Vec<f64> = pts.iter().map(|p| p.pump_w - p_th).collect();
         let y: Vec<f64> = pts.iter().map(|p| p.output_w).collect();
-        let f = fit_power_law(&x, &y);
+        let f = try_fit_power_law(&x, &y).expect("fit");
         assert!((f.exponent - 1.0).abs() < 0.05, "exponent {}", f.exponent);
     }
 

@@ -205,18 +205,9 @@ pub struct LinewidthResult {
 /// jointly; the baseline (mean of the outermost 10 % of bins) is
 /// subtracted as the accidental floor.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if the histogram has no peak.
-pub fn extract_linewidth(hist: &Histogram) -> LinewidthResult {
-    match try_extract_linewidth(hist) {
-        Ok(r) => r,
-        Err(e) => panic!("{e}"), // qfc-lint: allow(panic-reachability) — documented panicking wrapper over the try_* twin (`# Panics` contract)
-    }
-}
-
-/// Fallible form of [`extract_linewidth`]: an empty histogram or a
-/// degenerate decay fit becomes a [`QfcError`] instead of a panic, so a
+/// An empty histogram or a degenerate decay fit is a [`QfcError`], so a
 /// supervisor can retry with longer integration.
 pub fn try_extract_linewidth(hist: &Histogram) -> QfcResult<LinewidthResult> {
     let Some((peak_idx, _)) = hist.peak() else {
@@ -346,7 +337,7 @@ mod tests {
             15_000,
             250,
         );
-        let r = extract_linewidth(&h);
+        let r = try_extract_linewidth(&h).expect("the histogram has a peak");
         assert!(
             (r.linewidth_hz - 110e6).abs() / 110e6 < 0.1,
             "Δν = {} MHz",

@@ -188,9 +188,9 @@ pub fn setting_histogram(
 
 /// Minimum shots per setting before the seeded count paths fan out to
 /// the worker pool. Below this grain the per-task dispatch and shard
-/// merge cost more than the sampling itself — the four-photon smoke
-/// profile (40 shots × 81 settings) measured *slower* in parallel than
-/// serial — so small jobs run the identical per-setting kernels
+/// merge cost more than the sampling itself — a four-photon run of 40
+/// shots × 81 settings measured *slower* in parallel than serial — so
+/// small jobs run the identical per-setting kernels
 /// serially instead. Outputs are unaffected: each setting's histogram
 /// depends only on its own split seed, never on which thread ran it.
 pub(crate) const PAR_MIN_SHOTS_PER_SETTING: u64 = 1024;

@@ -31,7 +31,8 @@
 //! [`try_mle_repr`] is the workspace's one MLE engine:
 //! [`crate::reconstruct::try_mle_reconstruction`] builds the rank-1 set
 //! of its settings and calls it. [`ProjectorRepr::Dense`] survives only
-//! as the reference leg that tests and benches compare against.
+//! as the reference leg that tests and the `qudit_tomography_scale`
+//! example compare against.
 
 use serde::{Deserialize, Serialize};
 
@@ -67,7 +68,8 @@ const PAR_SWEEP_MIN_WORK: usize = 1 << 15;
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum ProjectorRepr {
     /// A general projector as a dense matrix — the reference leg that
-    /// tests and benches compare the rank-1 representation against.
+    /// tests and the `qudit_tomography_scale` example compare the rank-1
+    /// representation against.
     Dense(CMatrix),
     /// A rank-1 projector `|ψ⟩⟨ψ|` stored as the vector `|ψ⟩` — `d`
     /// entries instead of `d²`.

@@ -137,7 +137,7 @@ pub enum MleAcceleration {
 }
 
 impl MleAcceleration {
-    /// The default accelerated schedule used by benches and ablations:
+    /// The default accelerated schedule used by the examples and ablations:
     /// `γ` grows 1.4× per iteration up to 8.
     pub fn accelerated() -> Self {
         Self::Accelerated {

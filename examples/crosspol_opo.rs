@@ -35,7 +35,7 @@ fn main() {
     );
 
     println!("\n== F5 OPO power transfer ==");
-    let sweep = run_power_sweep(&source, 16);
+    let sweep = run_power_sweep(&source, 16).expect("F5 power-law fits");
     println!(
         "threshold          : {:.1} mW (paper: 14 mW)",
         sweep.threshold_w * 1e3

@@ -3,7 +3,9 @@
 //! enhancement — the design space behind the paper's 110-MHz / 14-mW
 //! operating point — followed by a dense batch sweep of the chosen
 //! device that doubles as a smoke benchmark (points/sec through the
-//! SoA sweep layer).
+//! SoA sweep layer), and an A/B of each batch kernel against the
+//! point-by-point public-API loop it replaced: interleaved best-of-3,
+//! both legs on one thread, so the ratio isolates the kernel.
 //!
 //! ```sh
 //! cargo run --release --example design_sweep
@@ -108,5 +110,75 @@ fn main() {
         dt * 1e3,
         n_opo as f64 / dt,
         kink,
+    );
+
+    // ---- the batch layer vs the point-by-point public API ----
+    // The scalar legs call the public API once per grid point from
+    // outside the crate, as every scan did before the batch layer; without
+    // LTO those calls stay opaque, so the ring invariants are recomputed
+    // per point. Both legs must sum to the same bits.
+    println!("\nBatch kernel vs point-by-point public API (interleaved best-of-3, 1 thread):");
+    let scan_scalar = || {
+        let mut acc = 0.0f64;
+        for (&m, grid) in channels.iter().zip(&grids) {
+            acc += grid
+                .points()
+                .iter()
+                .map(|&f| ring.power_response(Polarization::Te, m, Frequency::from_hz(f)))
+                .sum::<f64>();
+        }
+        acc
+    };
+    let scan_batch = || {
+        let mut buf = BatchBuffers::new();
+        let mut acc = 0.0f64;
+        for (&m, grid) in channels.iter().zip(&grids) {
+            sweep::ring_power_response_batch(&ring, Polarization::Te, m, grid, &mut buf);
+            acc += buf.values().iter().sum::<f64>();
+        }
+        acc
+    };
+    report_ab("dispersion scan", points, scan_scalar, scan_batch);
+    let opo_scalar = || {
+        power_grid
+            .points()
+            .iter()
+            .map(|&p| opo::output_power(&ring, Power::from_w(p)).w())
+            .sum::<f64>()
+    };
+    let opo_batch = || {
+        let mut buf = BatchBuffers::new();
+        sweep::opo_transfer_batch(&ring, &power_grid, &mut buf);
+        buf.values().iter().sum::<f64>()
+    };
+    report_ab("OPO transfer sweep", n_opo, opo_scalar, opo_batch);
+}
+
+/// Times `scalar` and `batch` alternately three times each on one
+/// worker, so drift hits both legs alike, checks that they agree bit
+/// for bit, and prints the best time of each and their ratio.
+fn report_ab(name: &str, points: usize, scalar: impl Fn() -> f64, batch: impl Fn() -> f64) {
+    let time_ms = |f: &dyn Fn() -> f64| {
+        let t0 = Instant::now();
+        let sum = qfc::runtime::with_threads(1, f);
+        (t0.elapsed().as_secs_f64() * 1e3, sum)
+    };
+    let mut best_scalar = f64::INFINITY;
+    let mut best_batch = f64::INFINITY;
+    for _ in 0..3 {
+        let (ms, scalar_sum) = time_ms(&scalar);
+        best_scalar = best_scalar.min(ms);
+        let (ms, batch_sum) = time_ms(&batch);
+        best_batch = best_batch.min(ms);
+        assert_eq!(
+            scalar_sum.to_bits(),
+            batch_sum.to_bits(),
+            "{name}: legs disagree"
+        );
+    }
+    println!(
+        "  {name:<20} {points:>7} points: scalar {best_scalar:>7.2} ms | batch {best_batch:>7.2} ms \
+         | {:.1}x",
+        best_scalar / best_batch
     );
 }

@@ -90,7 +90,7 @@ fn main() {
     .expect("fault-free cross-polarized run")
     .report;
     reports.push(crosspol.to_report());
-    let sweep = run_power_sweep(&source3, 16);
+    let sweep = run_power_sweep(&source3, 16).expect("F5 power-law fits");
     reports.push(sweep.to_report());
 
     // §IV — F7/T2

@@ -1,6 +1,6 @@
 //! Large-d qudit tomography A/B: dense classic representation vs the
-//! rank-1 + packed-GEMM fast path, at the full (non-smoke) problem
-//! sizes of the `qudit-mle-16` / `qudit-mle-64` bench workloads.
+//! rank-1 + packed-GEMM fast path, at d = 16 (17 bases, 200 iterations)
+//! and d = 64 (16 bases, 120 iterations).
 //!
 //! Prints, per dimension, the interleaved best-of-3 wall time of both
 //! legs of the same reconstruction driver, the speedup, and the

@@ -103,7 +103,7 @@ fn run_one(name: &str, opts: &Options) -> QfcResult<()> {
         }
         "opo" => {
             let source = QfcSource::paper_device_type2();
-            let report = run_power_sweep(&source, 16);
+            let report = run_power_sweep(&source, 16)?;
             emit(&report.to_report(), opts)?;
             Ok(())
         }

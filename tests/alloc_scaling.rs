@@ -1,0 +1,305 @@
+//! Allocation budget of the hot kernels, counted by a global allocator.
+//!
+//! The shot kernels, the RρR MLE iteration and the spectral sweeps build
+//! their buffers once per call, so the number of allocator calls of one
+//! call must not grow with the number of shots, iterations or grid
+//! points. This test counts allocator calls around single kernel calls at
+//! two problem sizes and asserts exactly that:
+//!
+//! - an MLE makes the same number of calls at 1 and at 12 iterations, on
+//!   a problem large enough to run as several sweep chunks;
+//! - doubling the shots of a shot-based workload adds at most
+//!   [`SHOT_DOUBLING_SLACK`] calls (a growing result vector may realloc
+//!   once more; one allocation per shot adds thousands);
+//! - a sweep adds fewer than one call per 100 added grid points (one
+//!   staging row per 1024-point chunk).
+//!
+//! Every check runs at 1 and at 2 threads. The counts are deterministic:
+//! the workloads are seeded and a worker team spawns a fixed number of
+//! threads. All checks live in one `#[test]` so no other test of this
+//! binary allocates while the counter is on.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+
+use qfc::campaign::{run_campaign, CampaignOptions, TimeBinCampaign};
+use qfc::core::heralded::{try_run_heralded_experiment, HeraldedConfig};
+use qfc::core::source::QfcSource;
+use qfc::core::timebin::{run_timebin_event_mc, TimeBinConfig};
+use qfc::faults::FaultSchedule;
+use qfc::photonics::opo;
+use qfc::photonics::ring::Microring;
+use qfc::photonics::sweep::{self, BatchBuffers, SweepGrid};
+use qfc::photonics::waveguide::Polarization;
+use qfc::quantum::bell::{bell_phi_plus, werner_state};
+use qfc::quantum::fidelity::fidelity_with_pure;
+use qfc::quantum::multiphoton::noisy_four_photon;
+use qfc::runtime::with_threads;
+use qfc::tomography::bootstrap::bootstrap_functional;
+use qfc::tomography::counts::simulate_counts_seeded;
+use qfc::tomography::rank1::{
+    deterministic_bases, exact_counts_repr, synthetic_low_rank_state, try_mle_repr,
+    ProjectorReprSet,
+};
+use qfc::tomography::reconstruct::{try_mle_reconstruction, MleAcceleration, MleOptions};
+use qfc::tomography::settings::all_settings;
+use qfc::tomography::stream::try_stream_counts_seeded;
+
+struct Counting;
+
+static ON: AtomicBool = AtomicBool::new(false);
+static CALLS: AtomicU64 = AtomicU64::new(0);
+
+fn count() {
+    if ON.load(Ordering::Relaxed) {
+        CALLS.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+// SAFETY: every method forwards to `System` with the caller's arguments
+// unchanged and returns its result, so `System`'s guarantees carry over;
+// the bookkeeping only touches atomics and never allocates.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count();
+        // SAFETY: forwarded unchanged; the caller upholds `alloc`'s contract.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count();
+        // SAFETY: forwarded unchanged; the caller upholds the contract.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from this allocator, hence from `System`,
+        // with this `layout`, as the caller guarantees.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count();
+        // SAFETY: forwarded unchanged; the caller upholds `realloc`'s
+        // contract for a block this allocator handed out.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Allocator calls (alloc, alloc_zeroed, realloc) made while `f` runs.
+/// The result is dropped after counting stops.
+fn allocs<T>(f: impl FnOnce() -> T) -> u64 {
+    let before = CALLS.load(Ordering::SeqCst);
+    ON.store(true, Ordering::SeqCst);
+    let out = f();
+    ON.store(false, Ordering::SeqCst);
+    let calls = CALLS.load(Ordering::SeqCst) - before;
+    drop(std::hint::black_box(out));
+    calls
+}
+
+/// Most calls that doubling a workload's shots may add.
+const SHOT_DOUBLING_SLACK: u64 = 32;
+
+/// `count(scale)` runs a workload at `scale` times its base shot count
+/// and returns the allocator calls of the part under test. After a
+/// warm-up, asserts that the doubled run adds at most
+/// [`SHOT_DOUBLING_SLACK`] calls to the base run.
+fn assert_flat_in_shots(name: &str, threads: usize, count: impl Fn(u64) -> u64) {
+    count(1);
+    let base = count(1);
+    let doubled = count(2);
+    assert!(
+        doubled <= base + SHOT_DOUBLING_SLACK,
+        "{name} at {threads} thread(s): {base} allocations at the base shot count, \
+         {doubled} at twice it — a per-shot allocation?"
+    );
+}
+
+/// `count(n)` runs a sweep over `n` grid points and returns its
+/// allocator calls. After a warm-up, asserts that each step up in
+/// `sizes` adds fewer than one call per 100 added points.
+fn assert_flat_in_points(
+    name: &str,
+    threads: usize,
+    sizes: &[usize],
+    count: impl Fn(usize) -> u64,
+) {
+    count(sizes[0]);
+    let calls: Vec<u64> = sizes.iter().map(|&n| count(n)).collect();
+    for (n, c) in sizes.windows(2).zip(calls.windows(2)) {
+        let added_points = (n[1] - n[0]) as u64;
+        let added_calls = c[1].saturating_sub(c[0]);
+        assert!(
+            added_calls * 100 < added_points,
+            "{name} at {threads} thread(s): {} → {} points added {added_calls} \
+             allocations — a per-point allocation?",
+            n[0],
+            n[1]
+        );
+    }
+}
+
+/// An MLE iteration allocates nothing, under both schedules: a
+/// reconstruction makes as many allocator calls at 12 iterations as at 1.
+/// A d = 16 qudit in 9 bases has 144 (projector, frequency) pairs, and
+/// 144 · 16² is past the sweep's chunking threshold, so the sweeps run as
+/// several chunks (team steps at 2 threads).
+fn check_mle_iterations(threads: usize) {
+    let rho = synthetic_low_rank_state(16, 2, 9).expect("state");
+    let bases = deterministic_bases(16, 9, 31).expect("bases");
+    let set = ProjectorReprSet::try_rank1_from_bases(&bases).expect("set");
+    let counts = exact_counts_repr(&rho, &set, 100_000).expect("counts");
+    for acceleration in [MleAcceleration::Classic, MleAcceleration::accelerated()] {
+        let count = |max_iterations: usize| {
+            // A zero tolerance never stops early: every run takes its cap.
+            let opts = MleOptions {
+                max_iterations,
+                tolerance: 0.0,
+                acceleration,
+            };
+            let mut iterations = 0;
+            let calls = allocs(|| {
+                iterations = try_mle_repr(&set, &counts, &opts)
+                    .expect("reconstruction")
+                    .iterations;
+            });
+            assert_eq!(iterations, max_iterations);
+            calls
+        };
+        count(1);
+        let one = count(1);
+        let twelve = count(12);
+        assert_eq!(
+            one, twelve,
+            "{acceleration:?} at {threads} thread(s): {one} allocations at 1 iteration, \
+             {twelve} at 12"
+        );
+    }
+}
+
+fn check_shot_workloads(threads: usize, campaign_dir: &Path) {
+    // §II heralded driver: the tags per channel scale with the duration,
+    // the linewidth histogram with its pair count.
+    let cw = QfcSource::paper_device();
+    assert_flat_in_shots("heralded", threads, |scale| {
+        let mut cfg = HeraldedConfig::fast_demo();
+        cfg.channels = 2;
+        cfg.duration_s = 0.5 * scale as f64;
+        cfg.linewidth_pairs = 500 * scale as usize;
+        allocs(|| {
+            try_run_heralded_experiment(&cw, &cfg, 7, &FaultSchedule::empty())
+                .expect("heralded run")
+        })
+    });
+
+    // §IV event Monte Carlo: every frame is drawn through the slot table.
+    let pulsed = QfcSource::paper_device_timebin();
+    let phases = [0.0, 0.8, 1.6, 2.4];
+    assert_flat_in_shots("timebin event MC", threads, |scale| {
+        let mut cfg = TimeBinConfig::fast_demo();
+        cfg.frames_per_point = 20_000 * scale;
+        allocs(|| run_timebin_event_mc(&pulsed, &cfg, 1, &phases, 11))
+    });
+
+    // §V counts streamed over the 81 four-qubit settings, then
+    // reconstructed by the MLE engine.
+    let rho4 = noisy_four_photon(0.0, 0.92, 0.05);
+    let settings = all_settings(4);
+    let set = ProjectorReprSet::try_rank1_from_settings(&settings).expect("set");
+    let opts = MleOptions {
+        max_iterations: 5,
+        tolerance: 0.0,
+        ..MleOptions::default()
+    };
+    assert_flat_in_shots("streamed counts + MLE", threads, |scale| {
+        allocs(|| {
+            let data =
+                try_stream_counts_seeded(&rho4, &settings, 2_000 * scale, 29).expect("counts");
+            try_mle_repr(&set, &data.counts, &opts).expect("reconstruction")
+        })
+    });
+
+    // Parametric bootstrap: each replica resamples every shot of the
+    // data and runs the MLE on the resample.
+    let truth = werner_state(0.83, 0.0);
+    let target = bell_phi_plus();
+    let replica_opts = MleOptions {
+        max_iterations: 20,
+        ..MleOptions::default()
+    };
+    assert_flat_in_shots("MLE bootstrap", threads, |scale| {
+        let data = simulate_counts_seeded(&truth, &all_settings(2), 2_000 * scale, 17);
+        allocs(|| {
+            bootstrap_functional(
+                17,
+                &data,
+                4,
+                |d| {
+                    try_mle_reconstruction(d, &replica_opts)
+                        .expect("replica")
+                        .rho
+                },
+                |rho| fidelity_with_pure(rho, &target),
+            )
+        })
+    });
+
+    // §IV as a checkpointed campaign: a cold run, then a resume from the
+    // checkpoints it wrote.
+    let schedule = FaultSchedule::empty();
+    assert_flat_in_shots("timebin campaign", threads, |scale| {
+        let mut cfg = TimeBinConfig::fast_demo();
+        cfg.frames_per_point = 20_000 * scale;
+        cfg.phase_steps = 8;
+        let workload = TimeBinCampaign {
+            source: &pulsed,
+            config: &cfg,
+            seed: 23,
+            schedule: &schedule,
+        };
+        let opts = CampaignOptions::new(campaign_dir);
+        let _ = std::fs::remove_dir_all(campaign_dir);
+        allocs(|| {
+            run_campaign(&workload, &opts).expect("cold campaign");
+            let warm = run_campaign(&workload, &opts).expect("resumed campaign");
+            assert_eq!(warm.stats.shards_resumed, warm.stats.shards_total);
+        })
+    });
+}
+
+fn check_sweeps(threads: usize) {
+    let ring = Microring::paper_device();
+    let sizes = [256, 8_192, 65_536];
+
+    let p_th = opo::threshold(&ring).w();
+    assert_flat_in_points("OPO transfer sweep", threads, &sizes, |n| {
+        let grid = SweepGrid::linspace(0.05 * p_th, 3.0 * p_th, n);
+        let mut buf = BatchBuffers::new();
+        allocs(|| sweep::opo_transfer_batch(&ring, &grid, &mut buf))
+    });
+
+    let lw = ring.linewidth().hz();
+    let f0 = ring.resonance(Polarization::Te, 3).hz();
+    assert_flat_in_points("ring dispersion sweep", threads, &sizes, |n| {
+        let grid = SweepGrid::linspace(f0 - 5.0 * lw, f0 + 5.0 * lw, n);
+        let mut buf = BatchBuffers::new();
+        allocs(|| sweep::ring_power_response_batch(&ring, Polarization::Te, 3, &grid, &mut buf))
+    });
+}
+
+#[test]
+fn hot_kernels_allocate_nothing_per_iteration_shot_or_point() {
+    let campaign_dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("alloc-scaling-campaign");
+    for threads in [1, 2] {
+        with_threads(threads, || {
+            check_mle_iterations(threads);
+            check_shot_workloads(threads, &campaign_dir);
+            check_sweeps(threads);
+        });
+    }
+}

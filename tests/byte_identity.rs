@@ -36,8 +36,8 @@ use qfc::tomography::rank1::{
 use qfc::tomography::reconstruct::{try_mle_reconstruction, MleOptions};
 use qfc::tomography::settings::all_settings;
 
-/// Thread counts the T4-bearing fixtures replay at: the serial loop and
-/// a four-member worker team, whatever the host's default.
+/// Thread counts the MLE-bearing fixtures replay at: the serial loop
+/// and a four-member worker team, whatever the host's default.
 const REPLAY_THREADS: [usize; 2] = [1, 4];
 
 fn golden(name: &str) -> String {
@@ -111,17 +111,23 @@ fn bootstrap_mle_matches_pre_rework_bytes() {
         tolerance: 1e-8,
         ..MleOptions::default()
     };
-    let boot = bootstrap_functional(
-        23,
-        &data,
-        6,
-        |d| try_mle_reconstruction(d, &opts).expect("replica MLE").rho,
-        |rho| fidelity_with_pure(rho, &target),
-    );
-    assert_bytes_match(
-        "bootstrap_mle.json",
-        &serde_json::to_string(&boot).expect("json"),
-    );
+    // Replicas run on the worker team and each runs the MLE, so the
+    // fixture replays serially and on four workers.
+    for threads in REPLAY_THREADS {
+        let boot = qfc::runtime::with_threads(threads, || {
+            bootstrap_functional(
+                23,
+                &data,
+                6,
+                |d| try_mle_reconstruction(d, &opts).expect("replica MLE").rho,
+                |rho| fidelity_with_pure(rho, &target),
+            )
+        });
+        assert_bytes_match(
+            "bootstrap_mle.json",
+            &serde_json::to_string(&boot).expect("json"),
+        );
+    }
 }
 
 /// The `qudit_mle_rank1.json` reconstruction: a d = 8 qudit measured in
@@ -147,9 +153,12 @@ fn qudit_rank1_mle_matches_pinned_bytes() {
 
 #[test]
 fn qudit_rank1_mle_bytes_invariant_across_thread_counts() {
-    // The parallel expectation sweep merges fixed-size chunks in
-    // chunk-index order, so the reconstruction must replay the pinned
-    // golden byte-for-byte at *any* worker count.
+    // d = 8 in 9 bases gives 72 (projector, frequency) pairs, and
+    // 72 · 8² = 4 608 is below the sweep's chunking threshold
+    // (`PAR_SWEEP_MIN_WORK` = 32 768), so every sweep is one chunk that
+    // runs inline on the caller and never reaches the worker team. This
+    // pins that the engine's serial path ignores the thread count;
+    // `rank1::tests::rank1_mle_thread_invariant` is the multi-chunk check.
     for threads in [1usize, 4, 8] {
         let json = qfc::runtime::with_threads(threads, qudit_rank1_json);
         assert_bytes_match("qudit_mle_rank1.json", &json);

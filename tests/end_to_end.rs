@@ -69,7 +69,7 @@ fn section_3_crosspol_end_to_end() {
     assert!(report.car > 2.0, "CAR {}", report.car);
     assert!(report.stimulated_response < 1e-4);
 
-    let sweep = run_power_sweep(&source, 10);
+    let sweep = run_power_sweep(&source, 10).expect("F5 power-law fits");
     assert!((sweep.below_exponent - 2.0).abs() < 0.1);
     assert!((sweep.above_exponent - 1.0).abs() < 0.1);
     assert!((sweep.threshold_w - 0.014).abs() < 0.004);

@@ -4,12 +4,15 @@
 //! thread-count-invariant — the deterministic export aggregates spans by
 //! name and nesting, never by scheduling order.
 
+use std::path::PathBuf;
+
+use qfc::campaign::{run_campaign, CampaignOptions, TimeBinCampaign};
 use qfc::core::crosspol::{try_run_crosspol_experiment, CrossPolConfig};
 use qfc::core::heralded::{try_run_heralded_experiment, HeraldedConfig};
 use qfc::core::multiphoton::{try_run_multiphoton_experiment, MultiPhotonConfig};
 use qfc::core::source::QfcSource;
-use qfc::core::timebin::{try_run_timebin_experiment, TimeBinConfig};
-use qfc::faults::FaultSchedule;
+use qfc::core::timebin::{nominal_duration_s, try_run_timebin_experiment, TimeBinConfig};
+use qfc::faults::{FaultEvent, FaultKind, FaultSchedule};
 use qfc::obs::{Collector, REGISTERED_COUNTERS};
 use qfc::quantum::bell::werner_state;
 use qfc::runtime::with_threads;
@@ -123,33 +126,84 @@ fn trace_records_driver_phases_and_counters() {
     }
 }
 
-/// The registry is closed over the tomography stack: a §V run (streamed
-/// counts, classic MLE) plus an accelerated reconstruction bump only
-/// registered counters, so the export order is the registry order.
+/// The registry is closed over every driver and both executors. Under
+/// one collector: a §V run (streamed counts, classic MLE), an
+/// accelerated reconstruction, the §II, §III and §IV fast demos under
+/// stress schedules and a campaign run cold (with executor retries) and
+/// then resumed. They bump only registered counters, so the export order
+/// is the registry order.
 #[test]
 fn tomography_counters_are_all_registered() {
-    let source = QfcSource::paper_device_timebin();
+    let pulsed = QfcSource::paper_device_timebin();
     let data = simulate_counts_seeded(&werner_state(0.83, 0.0), &all_settings(2), 500, 17);
     let accelerated = MleOptions {
         acceleration: MleAcceleration::accelerated(),
         ..MleOptions::default()
     };
+    let heralded = HeraldedConfig::fast_demo();
+    let crosspol = CrossPolConfig::fast_demo();
+    let timebin = TimeBinConfig::fast_demo();
+    let mut campaign_cfg = TimeBinConfig::fast_demo();
+    campaign_cfg.frames_per_point = 20_000;
+    campaign_cfg.phase_steps = 8;
+    let clean = FaultSchedule::empty();
+    let campaign = TimeBinCampaign {
+        source: &pulsed,
+        config: &campaign_cfg,
+        seed: 23,
+        schedule: &clean,
+    };
+    let campaign_dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("observability-campaign");
+    let _ = std::fs::remove_dir_all(&campaign_dir);
+    // Shard 1 fails twice before it succeeds, so the cold run retries.
+    let mut opts = CampaignOptions::new(&campaign_dir);
+    opts.faults = FaultSchedule::empty().with(FaultEvent::new(
+        0.0,
+        1.0,
+        FaultKind::ShardExecutorFault {
+            shard: 1,
+            failures: 2,
+        },
+    ));
     let collector = Collector::new();
     collector.install(|| {
-        try_run_multiphoton_experiment(
-            &source,
-            &MultiPhotonConfig::fast_demo(),
-            13,
-            &FaultSchedule::empty(),
-        )
-        .expect("clean run");
+        try_run_multiphoton_experiment(&pulsed, &MultiPhotonConfig::fast_demo(), 13, &clean)
+            .expect("clean run");
         try_mle_reconstruction(&data, &accelerated).expect("accelerated MLE");
+        let stress = FaultSchedule::stress(3, heralded.duration_s);
+        try_run_heralded_experiment(&QfcSource::paper_device(), &heralded, 4242, &stress)
+            .expect("heralded run survives the stress schedule");
+        let stress = FaultSchedule::stress(5, crosspol.duration_s);
+        try_run_crosspol_experiment(&QfcSource::paper_device_type2(), &crosspol, 99, &stress)
+            .expect("crosspol run survives the stress schedule");
+        let stress = FaultSchedule::stress(7, nominal_duration_s(&timebin));
+        try_run_timebin_experiment(&pulsed, &timebin, 4243, &stress)
+            .expect("timebin run survives the stress schedule");
+        run_campaign(&campaign, &opts).expect("cold campaign");
+        run_campaign(&campaign, &opts).expect("resumed campaign");
     });
     let snap = collector.snapshot();
     let names: Vec<&str> = snap.counters.iter().map(|(n, _)| n.as_str()).collect();
-    assert_eq!(names, REGISTERED_COUNTERS, "a counter outside the registry was bumped");
-    assert!(snap.counter("tomography_stream_shards").unwrap_or(0) > 0);
-    assert!(snap.counter("mle_accelerated_steps").unwrap_or(0) > 0);
+    assert_eq!(
+        names, REGISTERED_COUNTERS,
+        "a counter outside the registry was bumped"
+    );
+    for name in [
+        "tomography_stream_shards",
+        "mle_accelerated_steps",
+        "coincidences_counted",
+        "shards_executed",
+        "faults_injected",
+        "recovery_relocks",
+        "campaign_shards_completed",
+        "campaign_shards_resumed",
+        "campaign_retries",
+    ] {
+        assert!(
+            snap.counter(name).unwrap_or(0) > 0,
+            "{name} was never bumped"
+        );
+    }
 }
 
 #[test]

@@ -19,7 +19,7 @@ const SEED: u64 = 20170327;
 #[test]
 fn f5_opo_threshold_and_exponents() {
     let source = QfcSource::paper_device_type2();
-    let sweep = run_power_sweep(&source, 16);
+    let sweep = run_power_sweep(&source, 16).expect("F5 power-law fits");
     assert!((sweep.threshold_w * 1e3 - 14.0).abs() < 3.0, "P_th {}", sweep.threshold_w);
     assert!((sweep.below_exponent - 2.0).abs() < 0.05);
     assert!((sweep.above_exponent - 1.0).abs() < 0.05);
