@@ -34,7 +34,8 @@ use crate::supervisor::{self, SupervisorPolicy};
 pub struct CrossPolConfig {
     /// Integration time, s.
     pub duration_s: f64,
-    /// Coincidence window, ps.
+    /// Coincidence window, ps; non-negative and shorter than the CAR's
+    /// 50 ns displaced-window step.
     pub coincidence_window_ps: i64,
     /// Detector model per polarization arm.
     pub detector: SinglePhotonDetector,
@@ -167,6 +168,10 @@ pub fn try_run_crosspol_experiment(
     run_in_process(config, source, seed, schedule)
 }
 
+/// Spacing of the §III CAR's displaced windows, ps; the coincidence
+/// window must be shorter.
+const CAR_OFFSET_STEP_PS: i64 = 50_000;
+
 /// The RNG-free planning stage of the §III run: validation, supervisor
 /// outcomes and the fault-derated pair rate.
 #[derive(Debug, Clone)]
@@ -202,6 +207,13 @@ impl Experiment for CrossPolConfig {
         }
         if !(0.0..=1.0).contains(&self.collection_efficiency) {
             return Err(QfcError::invalid("collection efficiency must be in [0, 1]"));
+        }
+        if !(0..CAR_OFFSET_STEP_PS).contains(&self.coincidence_window_ps) {
+            return Err(QfcError::invalid(format!(
+                "coincidence window must be in [0, {CAR_OFFSET_STEP_PS}) ps (the CAR's \
+                 displaced-window step), got {}",
+                self.coincidence_window_ps
+            )));
         }
         self.detector.try_validate()?;
         let mut health = HealthReport::pristine();
@@ -287,7 +299,7 @@ impl Experiment for CrossPolConfig {
             &te_stream,
             &tm_stream,
             self.coincidence_window_ps,
-            50_000,
+            CAR_OFFSET_STEP_PS,
             10,
         );
         let car = if car_result.car.is_finite() {
@@ -369,16 +381,20 @@ impl PowerSweepReport {
 ///
 /// # Errors
 ///
+/// [`QfcError::InsufficientData`] when `points_per_branch < 2`, and
 /// [`QfcError`] when a branch's power-law fit fails (fewer than two
 /// points with positive pump excess and output).
-///
-/// # Panics
-///
-/// Panics if `points_per_branch < 2` (see [`opo::transfer_curve`]).
 pub fn run_power_sweep(
     source: &QfcSource,
     points_per_branch: usize,
 ) -> QfcResult<PowerSweepReport> {
+    if points_per_branch < 2 {
+        return Err(QfcError::InsufficientData {
+            context: format!(
+                "power sweep needs at least two points per branch, got {points_per_branch}"
+            ),
+        });
+    }
     let ring = source.ring();
     let p_th = opo::threshold(ring);
     let below = opo::transfer_curve(
@@ -468,6 +484,47 @@ mod tests {
         let src = QfcSource::paper_device_type2();
         let report = run(&src, 12);
         assert!(report.stimulated_response < 1e-4, "{}", report.stimulated_response);
+    }
+
+    /// Runs the fast demo with `edit` applied and asserts that the plan
+    /// rejects it as an invalid parameter, with no panic on any thread.
+    fn assert_rejected_at_plan(edit: impl Fn(&mut CrossPolConfig)) {
+        let mut cfg = CrossPolConfig::fast_demo();
+        edit(&mut cfg);
+        let src = QfcSource::paper_device_type2();
+        let outcome = std::panic::catch_unwind(|| {
+            try_run_crosspol_experiment(&src, &cfg, 1, &FaultSchedule::empty())
+        });
+        let result = outcome.unwrap_or_else(|_| panic!("{cfg:?} panicked"));
+        assert!(
+            matches!(result, Err(QfcError::InvalidParameter { .. })),
+            "{cfg:?}: {:?}",
+            result.map(|run| run.report)
+        );
+    }
+
+    #[test]
+    fn negative_window_is_invalid_parameter() {
+        assert_rejected_at_plan(|cfg| cfg.coincidence_window_ps = -2);
+    }
+
+    #[test]
+    fn window_reaching_the_car_step_is_invalid_parameter() {
+        assert_rejected_at_plan(|cfg| cfg.coincidence_window_ps = CAR_OFFSET_STEP_PS);
+        assert_rejected_at_plan(|cfg| cfg.coincidence_window_ps = i64::MAX);
+    }
+
+    #[test]
+    fn power_sweep_with_fewer_than_two_points_is_insufficient_data() {
+        let src = QfcSource::paper_device_type2();
+        for points in [0, 1] {
+            let outcome = std::panic::catch_unwind(|| run_power_sweep(&src, points));
+            let result = outcome.unwrap_or_else(|_| panic!("{points} points panicked"));
+            assert!(
+                matches!(result, Err(QfcError::InsufficientData { .. })),
+                "{points} points: {result:?}"
+            );
+        }
     }
 
     #[test]

@@ -20,7 +20,8 @@ use qfc_mathkit::rng::{bernoulli, exponential, poisson, rng_from_seed, split_see
 use qfc_mathkit::stats::relative_fluctuation;
 use qfc_photonics::pump::{residual_detuning, DriftModel};
 use qfc_timetag::coincidence::{
-    cross_correlation_histogram, measure_car, try_extract_linewidth, LinewidthResult,
+    count_coincidences, cross_correlation_histogram, measure_car, try_extract_linewidth,
+    LinewidthResult,
 };
 use qfc_timetag::detector::SinglePhotonDetector;
 use qfc_timetag::events::TagStream;
@@ -37,7 +38,7 @@ pub struct HeraldedConfig {
     pub channels: u32,
     /// Integration time, s.
     pub duration_s: f64,
-    /// Coincidence window, ps.
+    /// Coincidence window, ps; non-negative.
     pub coincidence_window_ps: i64,
     /// Detector model per arm.
     pub detector: SinglePhotonDetector,
@@ -45,9 +46,10 @@ pub struct HeraldedConfig {
     pub collection_efficiency: f64,
     /// Detected pairs to accumulate for the time-resolved (F2) histogram.
     pub linewidth_pairs: usize,
-    /// F2 histogram half-range, ps.
+    /// F2 histogram half-range, ps; positive.
     pub histogram_range_ps: i64,
-    /// F2 histogram bin, ps.
+    /// F2 histogram bin, ps; positive, and at most 2^20 bins span
+    /// `±histogram_range_ps`.
     pub histogram_bin_ps: i64,
 }
 
@@ -447,6 +449,23 @@ pub struct HeraldedPlan {
     pub health: HealthReport,
 }
 
+/// Displaced windows of each §II CAR measurement.
+const CAR_OFFSET_WINDOWS: usize = 10;
+
+/// Most F2 histogram bins a configuration may ask for (the paper uses
+/// 120); the histogram allocates one count vector of this length per
+/// shard.
+const MAX_HISTOGRAM_BINS: i64 = 1 << 20;
+
+/// Spacing of the §II CAR's displaced windows: three coincidence
+/// windows, and at least 20 ns. `None` when the farthest displaced
+/// window's edge would overflow the picosecond range.
+fn car_offset_step_ps(window_ps: i64) -> Option<i64> {
+    let step = window_ps.checked_mul(3)?.max(20_000);
+    step.checked_mul(cast::usize_to_i64(CAR_OFFSET_WINDOWS))?.checked_add(window_ps)?;
+    Some(step)
+}
+
 /// Builds the [`HeraldedPlan`]: validation, supervisor planning, and the
 /// per-channel operating points. RNG-free apart from the deterministic
 /// supervisor `fault_stream` lanes.
@@ -470,6 +489,36 @@ pub fn plan_heralded_experiment(
         return Err(QfcError::invalid(format!(
             "collection efficiency must be in [0, 1], got {}",
             config.collection_efficiency
+        )));
+    }
+    if config.coincidence_window_ps < 0 {
+        return Err(QfcError::invalid(format!(
+            "coincidence window must be non-negative, got {} ps",
+            config.coincidence_window_ps
+        )));
+    }
+    if car_offset_step_ps(config.coincidence_window_ps).is_none() {
+        return Err(QfcError::invalid(format!(
+            "coincidence window of {} ps puts the CAR's displaced windows out of range",
+            config.coincidence_window_ps
+        )));
+    }
+    if config.histogram_range_ps <= 0 || config.histogram_bin_ps <= 0 {
+        return Err(QfcError::invalid(format!(
+            "histogram range and bin must be positive, got {} and {} ps",
+            config.histogram_range_ps, config.histogram_bin_ps
+        )));
+    }
+    let Some(span_ps) = config.histogram_range_ps.checked_mul(2) else {
+        return Err(QfcError::invalid(format!(
+            "histogram range of {} ps overflows its span",
+            config.histogram_range_ps
+        )));
+    };
+    if span_ps / config.histogram_bin_ps > MAX_HISTOGRAM_BINS {
+        return Err(QfcError::invalid(format!(
+            "histogram of ±{} ps at {} ps bins has more than {MAX_HISTOGRAM_BINS} bins",
+            config.histogram_range_ps, config.histogram_bin_ps
         )));
     }
     config.detector.try_validate()?;
@@ -635,56 +684,64 @@ pub fn assemble_heralded_run(
     linewidth_a: Vec<i64>,
     linewidth_b: Vec<i64>,
 ) -> QfcResult<HeraldedRun> {
-    let indexed: Vec<(usize, u32)> = plan.survivors.iter().copied().enumerate().collect();
-
-    // F1 coincidence matrix: every signal×idler cell is an independent
-    // pure count over already-fixed streams (surviving channels only).
+    // F1 coincidence matrix and T1 CAR: every signal×idler cell is one
+    // pure merge sweep over already-fixed streams (surviving channels
+    // only). A diagonal cell measures its channel's CAR, whose zero-delay
+    // window is the cell's count.
     let n = plan.survivors.len();
+    let window = config.coincidence_window_ps;
+    let offset_step = car_offset_step_ps(window)
+        .ok_or_else(|| QfcError::invalid("coincidence window out of range"))?;
     let cells: Vec<usize> = (0..n * n).collect();
-    let flat = qfc_runtime::par_map(&cells, |&cell| {
-        qfc_timetag::coincidence::count_coincidences(
-            &signal_streams[cell / n],
-            &idler_streams[cell % n],
-            config.coincidence_window_ps,
-            0,
-        )
-    });
-    let matrix: Vec<Vec<u64>> = flat.chunks(n).map(<[u64]>::to_vec).collect();
-
-    // T1 per-channel figures (pure analysis of the fixed streams).
-    let tau = plan.tau;
-    let channels: Vec<ChannelResult> = qfc_runtime::par_map(&indexed, |&(idx, m)| {
-        let s = &signal_streams[idx];
-        let i = &idler_streams[idx];
-        let offset_step = (3 * config.coincidence_window_ps).max(20_000);
-        let car_result = measure_car(s, i, config.coincidence_window_ps, offset_step, 10);
-        let car = if car_result.car.is_finite() {
-            car_result.car
+    let swept = qfc_runtime::par_map(&cells, |&cell| {
+        let (s, i) = (&signal_streams[cell / n], &idler_streams[cell % n]);
+        if cell / n == cell % n {
+            let car = measure_car(s, i, window, offset_step, CAR_OFFSET_WINDOWS);
+            (car.coincidences, Some(car))
         } else {
-            cast::to_f64(car_result.coincidences)
-        };
-        let s_rate = s.rate_hz(config.duration_s);
-        let i_rate = i.rate_hz(config.duration_s);
-        let c_rate = cast::to_f64(car_result.coincidences) / config.duration_s;
-        // Inferred generation rate via the calibrated arm efficiencies:
-        // R = (C − A)/(η_s·η_i·capture), where `capture` is the fraction
-        // of the two-sided-exponential correlation inside the window.
-        // (The textbook S_s·S_i/C estimator needs signal-dominated
-        // singles; with dark-dominated InGaAs singles it is unusable.)
-        let eta = config.detector.efficiency * config.collection_efficiency;
-        let capture = 1.0 - (-(cast::to_f64(config.coincidence_window_ps) * 0.5e-12) / tau).exp();
-        let net_rate =
-            (cast::to_f64(car_result.coincidences) - car_result.accidentals) / config.duration_s;
-        let inferred = (net_rate / (eta * eta * capture)).max(0.0);
-        ChannelResult {
-            m,
-            signal_singles_hz: s_rate,
-            idler_singles_hz: i_rate,
-            coincidence_rate_hz: c_rate,
-            inferred_pair_rate_hz: inferred,
-            car,
+            (count_coincidences(s, i, window, 0), None)
         }
     });
+    let matrix: Vec<Vec<u64>> =
+        swept.chunks(n).map(|row| row.iter().map(|&(count, _)| count).collect()).collect();
+
+    // T1 per-channel figures. The diagonal cells are the only ones with a
+    // CAR, met in channel order.
+    let tau = plan.tau;
+    let cars = swept.iter().filter_map(|&(_, car)| car);
+    let channels: Vec<ChannelResult> = cars
+        .zip(plan.survivors.iter().enumerate())
+        .map(|(car_result, (idx, &m))| {
+            let s = &signal_streams[idx];
+            let i = &idler_streams[idx];
+            let car = if car_result.car.is_finite() {
+                car_result.car
+            } else {
+                cast::to_f64(car_result.coincidences)
+            };
+            let s_rate = s.rate_hz(config.duration_s);
+            let i_rate = i.rate_hz(config.duration_s);
+            let c_rate = cast::to_f64(car_result.coincidences) / config.duration_s;
+            // Inferred generation rate via the calibrated arm efficiencies:
+            // R = (C − A)/(η_s·η_i·capture), where `capture` is the fraction
+            // of the two-sided-exponential correlation inside the window.
+            // (The textbook S_s·S_i/C estimator needs signal-dominated
+            // singles; with dark-dominated InGaAs singles it is unusable.)
+            let eta = config.detector.efficiency * config.collection_efficiency;
+            let capture = 1.0 - (-(cast::to_f64(window) * 0.5e-12) / tau).exp();
+            let net_rate =
+                (cast::to_f64(car_result.coincidences) - car_result.accidentals) / config.duration_s;
+            let inferred = (net_rate / (eta * eta * capture)).max(0.0);
+            ChannelResult {
+                m,
+                signal_singles_hz: s_rate,
+                idler_singles_hz: i_rate,
+                coincidence_rate_hz: c_rate,
+                inferred_pair_rate_hz: inferred,
+                car,
+            }
+        })
+        .collect();
 
     let hist = cross_correlation_histogram(
         &TagStream::from_unsorted(linewidth_a),
@@ -941,5 +998,60 @@ mod tests {
         )
         .expect_err("rejected");
         assert!(matches!(err, QfcError::InvalidParameter { .. }));
+    }
+
+    /// Runs the fast demo with `edit` applied and asserts that the plan
+    /// rejects it as an invalid parameter, with no panic on any thread.
+    fn assert_rejected_at_plan(edit: impl Fn(&mut HeraldedConfig)) {
+        let mut cfg = HeraldedConfig::fast_demo();
+        edit(&mut cfg);
+        let outcome = std::panic::catch_unwind(|| {
+            try_run_heralded_experiment(&fast_source(), &cfg, 1, &FaultSchedule::empty())
+        });
+        let result = outcome.unwrap_or_else(|_| panic!("{cfg:?} panicked"));
+        assert!(
+            matches!(result, Err(QfcError::InvalidParameter { .. })),
+            "{cfg:?}: {:?}",
+            result.map(|run| run.report)
+        );
+    }
+
+    #[test]
+    fn negative_window_is_invalid_parameter() {
+        assert_rejected_at_plan(|cfg| cfg.coincidence_window_ps = -2);
+    }
+
+    #[test]
+    fn overflowing_window_is_invalid_parameter() {
+        // 3·window overflows; at MAX/20, 3·window fits but the tenth
+        // displaced window does not.
+        assert_rejected_at_plan(|cfg| cfg.coincidence_window_ps = i64::MAX);
+        assert_rejected_at_plan(|cfg| cfg.coincidence_window_ps = i64::MAX / 20);
+    }
+
+    #[test]
+    fn non_positive_histogram_range_is_invalid_parameter() {
+        assert_rejected_at_plan(|cfg| cfg.histogram_range_ps = 0);
+        assert_rejected_at_plan(|cfg| cfg.histogram_range_ps = -15_000);
+    }
+
+    #[test]
+    fn non_positive_histogram_bin_is_invalid_parameter() {
+        assert_rejected_at_plan(|cfg| cfg.histogram_bin_ps = 0);
+        assert_rejected_at_plan(|cfg| cfg.histogram_bin_ps = -250);
+    }
+
+    #[test]
+    fn overflowing_histogram_range_is_invalid_parameter() {
+        assert_rejected_at_plan(|cfg| cfg.histogram_range_ps = i64::MAX);
+    }
+
+    #[test]
+    fn oversized_histogram_is_invalid_parameter() {
+        // ±2^20 ps at 1 ps bins: 2^21 bins, twice the cap.
+        assert_rejected_at_plan(|cfg| {
+            cfg.histogram_range_ps = 1 << 20;
+            cfg.histogram_bin_ps = 1;
+        });
     }
 }

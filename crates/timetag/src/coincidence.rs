@@ -1,6 +1,10 @@
 //! Coincidence analysis: windowed counting, start–stop histograms, and
 //! the coincidence-to-accidental ratio (CAR) — the §II–III figures of
 //! merit.
+//!
+//! Windowed counting is one merge sweep per stream pair: a CAR's
+//! zero-delay and displaced windows are counted together, in the same
+//! pass that a single window costs (see [`measure_car`]).
 
 use qfc_mathkit::cast;
 use serde::{Deserialize, Serialize};
@@ -12,31 +16,118 @@ use qfc_mathkit::stats::Histogram;
 use crate::events::TagStream;
 
 /// Counts coincidences between two sorted streams: pairs with
-/// `|t_b − t_a − offset| ≤ window/2`, each event used at most once
-/// (greedy two-pointer matching).
+/// `|t_b − t_a − offset| ≤ window/2`, each event used at most once. Each
+/// start tag of `a`, in order, takes the first stop tag of `b` in its
+/// window that lies past the previous match (greedy matching).
 ///
 /// # Panics
 ///
 /// Panics if `window_ps < 0`.
 pub fn count_coincidences(a: &TagStream, b: &TagStream, window_ps: i64, offset_ps: i64) -> u64 {
-    assert!(window_ps >= 0, "window must be non-negative");
-    let half = window_ps / 2;
-    let (ta, tb) = (a.as_slice(), b.as_slice());
-    let (mut i, mut j, mut count) = (0usize, 0usize, 0u64);
-    while i < ta.len() && j < tb.len() {
-        let delta = tb[j] - ta[i] - offset_ps;
-        if delta < -half {
-            j += 1;
-        } else if delta > half {
-            i += 1;
-        } else {
-            count += 1;
-            i += 1;
-            j += 1;
+    let mut window = [OffsetWindow::at(offset_ps)];
+    sweep_coincidences(a, b, window_ps, &mut window);
+    window[0].count
+}
+
+/// One offset's state in a coincidence sweep.
+#[derive(Debug)]
+struct OffsetWindow {
+    /// Delay `t_b − t_a` at the window's centre, ps.
+    offset_ps: i64,
+    /// One past the index of the last stop tag matched at this offset.
+    next: usize,
+    /// Coincidences counted at this offset.
+    count: u64,
+}
+
+impl OffsetWindow {
+    fn at(offset_ps: i64) -> Self {
+        Self {
+            offset_ps,
+            next: 0,
+            count: 0,
         }
     }
-    qfc_obs::counter_add("coincidences_counted", count);
-    count
+}
+
+/// Counts the greedy coincidences of `a` against `b` at each of the
+/// ascending offsets of `windows`, in one merge sweep over both streams.
+///
+/// At one offset, greedy matching pairs each start tag, in order, with
+/// the first stop tag in its window whose index is past the last match;
+/// a stop tag it passes over is too early for every later start tag. So
+/// the count depends only on the in-window (start, stop) pairs, taken in
+/// index order. The sweep visits, for each start tag `t`, exactly the
+/// stop tags in `[t + first offset − w/2, t + last offset + w/2]`, in
+/// index order, and keeps one "last matched index" per offset. Windows of
+/// consecutive offsets are more than `w` apart, hence disjoint, so each
+/// visited pair belongs to at most one offset: every count equals the
+/// two-pointer count at that offset alone.
+///
+/// # Panics
+///
+/// Panics if `window_ps < 0`. Consecutive offsets must be more than
+/// `window_ps` apart (checked in debug builds).
+fn sweep_coincidences(
+    a: &TagStream,
+    b: &TagStream,
+    window_ps: i64,
+    windows: &mut [OffsetWindow],
+) {
+    assert!(window_ps >= 0, "window must be non-negative");
+    debug_assert!(windows
+        .windows(2)
+        .all(|w| w[1].offset_ps - w[0].offset_ps > window_ps));
+    let half = window_ps / 2;
+    let (Some(first), Some(last)) = (windows.first(), windows.last()) else {
+        return;
+    };
+    // A stop tag `t_b` can match start tag `t_a` at some offset only if
+    // `t_b − t_a` lies in `[reach_lo, reach_hi]`.
+    let (reach_lo, reach_hi) = (first.offset_ps - half, last.offset_ps + half);
+    let (ta, tb) = (a.as_slice(), b.as_slice());
+    // `lo` is the first stop tag not too early for start tag `i`; every
+    // earlier one is too early for all later start tags as well.
+    let (mut i, mut lo) = (0usize, 0usize);
+    // qfc-lint: hot
+    while i < ta.len() && lo < tb.len() {
+        let t = ta[i];
+        let d = tb[lo] - t;
+        let early = d < reach_lo;
+        // Non-short-circuit `&`: the common case, no stop tag within
+        // reach, takes no data-dependent branch.
+        if !early & (d <= reach_hi) {
+            // Walk the stop tags within reach of `t`. `k` is the first
+            // offset whose window does not end before the current delay.
+            let mut k = 0;
+            for (j, &s) in (lo..).zip(&tb[lo..]) {
+                let d = s - t;
+                if d > reach_hi {
+                    break;
+                }
+                while d > windows[k].offset_ps + half {
+                    k += 1;
+                }
+                let w = &mut windows[k];
+                if d >= w.offset_ps - half && j >= w.next {
+                    w.count += 1;
+                    w.next = j + 1;
+                    // One match per start tag and offset: the rest of
+                    // this window lies before offset `k + 1`'s window.
+                    k += 1;
+                    if k == windows.len() {
+                        break;
+                    }
+                }
+            }
+        }
+        lo += usize::from(early);
+        i += usize::from(!early);
+    }
+    qfc_obs::counter_add(
+        "coincidences_counted",
+        windows.iter().map(|w| w.count).sum(),
+    );
 }
 
 /// Start–stop cross-correlation histogram of delays `t_b − t_a` within
@@ -131,9 +222,13 @@ pub struct CarResult {
 /// mean of coincidences in `n_offsets` displaced windows (spaced by
 /// `offset_step_ps`, starting one step away from zero delay).
 ///
+/// All `n_offsets + 1` windows are counted in one merge sweep over the
+/// two streams; each count equals [`count_coincidences`] at that offset.
+///
 /// # Panics
 ///
-/// Panics if `n_offsets == 0` or `offset_step_ps <= window_ps`.
+/// Panics if `n_offsets == 0`, `offset_step_ps <= window_ps` or
+/// `window_ps < 0`.
 pub fn measure_car(
     a: &TagStream,
     b: &TagStream,
@@ -146,13 +241,12 @@ pub fn measure_car(
         offset_step_ps > window_ps,
         "offset step must exceed the window"
     );
-    // The zero-delay window and every displaced window are independent
-    // scans; run them all on the worker pool. Summing u64 counts is
-    // exact, so the parallel split cannot perturb the result.
-    let offsets: Vec<i64> = (0..=cast::usize_to_i64(n_offsets)).map(|k| k * offset_step_ps).collect();
-    let counts = qfc_runtime::par_map(&offsets, |&off| count_coincidences(a, b, window_ps, off));
-    let coincidences = counts[0];
-    let acc_total: u64 = counts[1..].iter().sum();
+    let mut windows: Vec<OffsetWindow> = (0..=cast::usize_to_i64(n_offsets))
+        .map(|k| OffsetWindow::at(k * offset_step_ps))
+        .collect();
+    sweep_coincidences(a, b, window_ps, &mut windows);
+    let coincidences = windows[0].count;
+    let acc_total: u64 = windows[1..].iter().map(|w| w.count).sum();
     let accidentals = cast::to_f64(acc_total) / cast::to_f64(n_offsets);
     let car = if accidentals > 0.0 {
         cast::to_f64(coincidences) / accidentals
@@ -248,6 +342,74 @@ mod tests {
     use super::*;
     use qfc_mathkit::rng::{exponential, rng_from_seed};
     use rand::Rng;
+
+    /// The greedy two-pointer scan at one offset: the reference the
+    /// merge sweep must reproduce at every offset.
+    fn two_pointer_oracle(a: &TagStream, b: &TagStream, window_ps: i64, offset_ps: i64) -> u64 {
+        let half = window_ps / 2;
+        let (ta, tb) = (a.as_slice(), b.as_slice());
+        let (mut i, mut j, mut count) = (0usize, 0usize, 0u64);
+        while i < ta.len() && j < tb.len() {
+            let delta = tb[j] - ta[i] - offset_ps;
+            if delta < -half {
+                j += 1;
+            } else if delta > half {
+                i += 1;
+            } else {
+                count += 1;
+                i += 1;
+                j += 1;
+            }
+        }
+        count
+    }
+
+    /// A draw in `0..n` (the modulo bias is irrelevant here).
+    fn below(rng: &mut impl Rng, n: u64) -> u64 {
+        rng.gen::<u64>() % n
+    }
+
+    /// Up to `max_len` tags in `[0, span)`: a small span gives dense
+    /// streams with duplicate timestamps and many competing matches.
+    fn random_stream(rng: &mut impl Rng, max_len: u64, span: i64) -> TagStream {
+        let len = below(rng, max_len + 1);
+        let span = span.unsigned_abs();
+        TagStream::from_unsorted((0..len).map(|_| below(rng, span) as i64).collect())
+    }
+
+    #[test]
+    fn sweep_matches_two_pointer_at_every_offset() {
+        let mut rng = rng_from_seed(19);
+        for case in 0..3_000 {
+            let span = [1, 10, 100, 1_000, 100_000][case % 5];
+            // Every 16th case leaves a stream empty.
+            let max_len = if case % 16 == 0 { 0 } else { 200 };
+            let a = random_stream(&mut rng, max_len, span);
+            let b = random_stream(&mut rng, 200, span);
+            let (a, b) = if case % 32 == 0 { (b, a) } else { (a, b) };
+            // Window 0 and odd windows; consecutive offsets from the
+            // tightest legal spacing (window + 1) up, negative and
+            // positive.
+            let window = [0, 1, 2, 7, 40][below(&mut rng, 5) as usize];
+            let mut offset = below(&mut rng, 4 * span as u64) as i64 - 3 * span;
+            let mut offsets = Vec::new();
+            for _ in 0..=below(&mut rng, 12) {
+                offsets.push(offset);
+                offset += window + 1 + [0, 1, 5, 60][below(&mut rng, 4) as usize];
+            }
+            let mut windows: Vec<OffsetWindow> =
+                offsets.iter().map(|&off| OffsetWindow::at(off)).collect();
+            sweep_coincidences(&a, &b, window, &mut windows);
+            for w in &windows {
+                assert_eq!(
+                    w.count,
+                    two_pointer_oracle(&a, &b, window, w.offset_ps),
+                    "case {case}: window {window}, offset {} of {offsets:?}",
+                    w.offset_ps
+                );
+            }
+        }
+    }
 
     #[test]
     fn exact_coincidences_counted() {

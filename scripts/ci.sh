@@ -3,7 +3,8 @@
 # (perfbench/) still builds, root test suite, every crate's tests, the
 # paper's headline runs, the serial-vs-parallel byte identity of whole
 # drivers and the allocation budget of the hot kernels in an optimized
-# build, the concurrency tests in release, workspace static analysis
+# build, the concurrency tests and the coincidence sweep's differential
+# test in release, workspace static analysis
 # (qfc-lint), drift checks of the committed CALLGRAPH and EXPERIMENTS.md,
 # per-crate lints and rustdoc with warnings denied. Wall time is gated
 # only by the repository benchmark's per-change bounds (BENCHMARK.json).
@@ -33,9 +34,11 @@ cargo test --release -q --test determinism --test alloc_scaling
 
 # The worker team's barrier/atomic protocol and the MLE that steps on it,
 # optimized: on x86-64 a too-weak atomic ordering usually passes in a
-# debug build and shows up only once the optimizer reorders.
-echo "==> concurrency tests, optimized (qfc-runtime, qfc-tomography)"
-cargo test --release -q -p qfc-runtime -p qfc-tomography
+# debug build and shows up only once the optimizer reorders. qfc-timetag
+# runs here too, so the coincidence sweep's differential test checks
+# the optimizer's branch-free code against the two-pointer oracle.
+echo "==> concurrency and kernel tests, optimized (qfc-runtime, qfc-tomography, qfc-timetag)"
+cargo test --release -q -p qfc-runtime -p qfc-tomography -p qfc-timetag
 
 echo "==> qfc-lint --deny (workspace static analysis)"
 cargo run --release -p qfc-lint -- --deny

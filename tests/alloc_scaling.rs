@@ -24,6 +24,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 use qfc::campaign::{run_campaign, CampaignOptions, TimeBinCampaign};
+use qfc::core::crosspol::{try_run_crosspol_experiment, CrossPolConfig};
 use qfc::core::heralded::{try_run_heralded_experiment, HeraldedConfig};
 use qfc::core::source::QfcSource;
 use qfc::core::timebin::{run_timebin_event_mc, TimeBinConfig};
@@ -194,6 +195,18 @@ fn check_shot_workloads(threads: usize, campaign_dir: &Path) {
         allocs(|| {
             try_run_heralded_experiment(&cw, &cfg, 7, &FaultSchedule::empty())
                 .expect("heralded run")
+        })
+    });
+
+    // §III type-II driver: the tags of both arms scale with the
+    // duration, and its CAR sweep counts every window in one pass.
+    let type2 = QfcSource::paper_device_type2();
+    assert_flat_in_shots("crosspol", threads, |scale| {
+        let mut cfg = CrossPolConfig::fast_demo();
+        cfg.duration_s *= scale as f64;
+        allocs(|| {
+            try_run_crosspol_experiment(&type2, &cfg, 13, &FaultSchedule::empty())
+                .expect("crosspol run")
         })
     });
 
