@@ -102,6 +102,11 @@ pub struct BellTomographyResult {
     pub concurrence: f64,
     /// MLE iterations used.
     pub iterations: usize,
+    /// Whether the MLE certified its state (gap at most 0.5 nat).
+    pub converged: bool,
+    /// Certified log-likelihood gap of the state, nats (infinite after a
+    /// linear-inversion fallback).
+    pub gap_nats: f64,
 }
 
 /// One channel's T3 tomography — the per-channel task of the §V
@@ -159,6 +164,8 @@ pub fn bell_channel_task(
             fidelity: fidelity_with_pure(&mle.rho, &target),
             concurrence: concurrence(&mle.rho),
             iterations: mle.iterations,
+            converged: mle.converged,
+            gap_nats: mle.gap_nats,
         },
         local,
     ))
@@ -251,6 +258,11 @@ pub struct FourPhotonTomography {
     pub fidelity: f64,
     /// MLE iterations used.
     pub iterations: usize,
+    /// Whether the MLE certified its state (gap at most 0.5 nat).
+    pub converged: bool,
+    /// Certified log-likelihood gap of the state, nats (infinite after a
+    /// linear-inversion fallback).
+    pub gap_nats: f64,
     /// Total four-fold events used.
     pub total_counts: u64,
 }
@@ -326,6 +338,8 @@ pub fn four_photon_tomography_from_data(
     Ok(FourPhotonTomography {
         fidelity: fidelity_with_pure(&mle.rho, &target),
         iterations: mle.iterations,
+        converged: mle.converged,
+        gap_nats: mle.gap_nats,
         total_counts: total,
     })
 }

@@ -191,20 +191,23 @@ pub fn partition_channels(
     Ok(survivors)
 }
 
-/// An MLE run whose last RρR update is still at least this large (or
-/// non-finite) after exhausting its iteration budget is diverging rather
-/// than merely converging slowly: slow convergence leaves updates
-/// orders of magnitude below this while still missing a tight tolerance,
-/// and those reconstructions are perfectly usable.
-pub const MLE_DIVERGENCE_UPDATE: f64 = 1e-4;
+/// An MLE run whose certified likelihood gap is still above this many
+/// nats (or non-finite) when its iteration budget runs out is diverging
+/// rather than merely converging slowly: a budget that ends short of the
+/// 0.5-nat stop leaves gaps of a few nats, and those reconstructions are
+/// perfectly usable, while an MLE cut off after one step from the
+/// maximally mixed state is thousands of nats from the maximum.
+pub const MLE_DIVERGENCE_GAP_NATS: f64 = 10.0;
 
 /// MLE reconstruction with the divergence fallback: when the RρR
-/// iteration *diverges* (its final update is non-finite or still above
-/// [`MLE_DIVERGENCE_UPDATE`] when the iteration budget runs out) or
+/// iteration *diverges* (its certified gap is non-finite or still above
+/// [`MLE_DIVERGENCE_GAP_NATS`] when the iteration budget runs out) or
 /// errors out on degenerate data (all-dark counts, a trace-annihilating
 /// or non-finite update), the supervisor swaps in linear inversion +
 /// physical projection and records the fallback. A run that merely
-/// misses a tight tolerance is returned as-is with `converged: false`.
+/// misses the 0.5-nat certificate is returned as-is with
+/// `converged: false`. The fallback state carries no certificate: its
+/// gap is infinite.
 ///
 /// # Errors
 ///
@@ -216,26 +219,20 @@ pub fn reconstruct_with_fallback(
     options: &MleOptions,
     health: &mut HealthReport,
 ) -> QfcResult<MleResult> {
-    let (iterations, final_update) = match try_mle_reconstruction(data, options) {
-        Ok(mle) => {
-            let settled = mle.converged
-                || (mle.final_update.is_finite() && mle.final_update < MLE_DIVERGENCE_UPDATE);
-            if settled {
-                return Ok(mle);
-            }
-            (mle.iterations, mle.final_update)
-        }
+    let iterations = match try_mle_reconstruction(data, options) {
+        Ok(mle) if mle.gap_nats <= MLE_DIVERGENCE_GAP_NATS => return Ok(mle),
+        Ok(mle) => mle.iterations,
         // Degenerate data never reached a usable iterate; report zero
         // effective progress and let linear inversion decide whether the
         // data supports any reconstruction at all.
-        Err(_) => (0, f64::INFINITY),
+        Err(_) => 0,
     };
     health.record_fallback("MLE", "linear inversion");
     let rho = try_linear_reconstruction(data)?;
     Ok(MleResult {
         rho,
         iterations,
-        final_update,
+        gap_nats: f64::INFINITY,
         converged: false,
         accelerated_steps: 0,
     })
@@ -496,12 +493,8 @@ mod tests {
         let rho = DensityMatrix::from_pure(&bell_phi(0.0));
         let data =
             simulate_counts_seeded(&rho, &all_settings(2), 400, 11);
-        // A one-iteration budget with an unreachable tolerance diverges.
-        let opts = MleOptions {
-            max_iterations: 1,
-            tolerance: 1e-30,
-            ..MleOptions::default()
-        };
+        // One iteration leaves 400-shot data thousands of nats short.
+        let opts = MleOptions { max_iterations: 1 };
         let mut h = HealthReport::pristine();
         let res = reconstruct_with_fallback(&data, &opts, &mut h)
             .expect("fallback succeeds");

@@ -7,6 +7,9 @@
 //! numerically robust, and delivers small residuals — and the matrices in
 //! this workspace (density matrices up to 16×16, discretized joint spectral
 //! amplitudes up to a few hundred) are well within its comfortable range.
+//! Where only a bound on the largest eigenvalue is needed, every iteration
+//! of a loop, [`largest_eigenvalue_bound`] takes the Householder route and
+//! skips the rest of the spectrum.
 
 use crate::cast;
 use serde::{Deserialize, Serialize};
@@ -172,6 +175,128 @@ pub fn eigenvalues_into(
     out.clear();
     out.extend((0..n).map(|i| work[(i, i)].re));
     out.sort_by(f64::total_cmp);
+}
+
+/// Upper bound on the largest eigenvalue of a Hermitian matrix, tight to
+/// round-off, in `O(n³)` with no eigenvectors.
+///
+/// Householder reflections reduce `a` to a real symmetric tridiagonal
+/// matrix with the same spectrum (the phases of its complex sub-diagonal
+/// drop out of a diagonal unitary similarity); Sturm-sequence bisection
+/// then narrows a Gershgorin bracket until its ends are adjacent floats.
+/// The upper end is returned: the Sturm count places every eigenvalue of
+/// the tridiagonal form below it, so unlike a power-iteration estimate
+/// the value never undershoots beyond the reduction's round-off. Only the
+/// upper triangle of `a` is read, and a non-finite entry gives NaN.
+/// `work` holds the reduction; like [`eigenvalues_into`]'s, it is
+/// reallocated only when its shape differs from `a`'s.
+///
+/// # Panics
+///
+/// Panics if `a` is not square.
+pub fn largest_eigenvalue_bound(a: &CMatrix, work: &mut CMatrix) -> f64 {
+    assert!(a.is_square(), "eigenvalue bound requires a square matrix");
+    let n = a.rows();
+    if work.rows() != n || work.cols() != n {
+        *work = CMatrix::zeros(n, n);
+    }
+    let m = work;
+    let mut finite = true;
+    for i in 0..n {
+        for j in i..n {
+            finite &= a[(i, j)].is_finite();
+            m[(i, j)] = a[(i, j)];
+            m[(j, i)] = a[(i, j)].conj();
+        }
+    }
+    if !finite {
+        return f64::NAN;
+    }
+    // Step k reflects the column below the diagonal, x = m[k+1.., k], onto
+    // ‖x‖·e₁ up to a phase with H = I − β·v·v†, and applies H to the
+    // trailing block B as B ← H·B·H = B − v·w† − w·v†, where p = β·B·v and
+    // w = p − (β/2)(v†p)·v. Column k holds v and row k holds w, which the
+    // reduction no longer needs; the step then leaves ‖x‖² on the
+    // sub-diagonal.
+    for k in 0..n.saturating_sub(1) {
+        let x0 = m[(k + 1, k)];
+        let tail: f64 = (k + 2..n).map(|i| m[(i, k)].norm_sqr()).sum();
+        let sigma_sq = x0.norm_sqr() + tail;
+        if tail > 0.0 {
+            let (sigma, x0_abs) = (sigma_sq.sqrt(), x0.abs());
+            let phase = if x0_abs > 0.0 {
+                x0.scale(1.0 / x0_abs)
+            } else {
+                Complex64::real(1.0)
+            };
+            let beta = 1.0 / (sigma * (sigma + x0_abs));
+            m[(k + 1, k)] = x0 + phase.scale(sigma);
+            let mut vp = 0.0;
+            for i in k + 1..n {
+                let mut acc = Complex64::real(0.0);
+                for j in k + 1..n {
+                    acc += m[(i, j)] * m[(j, k)];
+                }
+                m[(k, i)] = acc.scale(beta);
+                vp += (m[(i, k)].conj() * m[(k, i)]).re;
+            }
+            let half_k = 0.5 * beta * vp;
+            for i in k + 1..n {
+                let w = m[(k, i)] - m[(i, k)].scale(half_k);
+                m[(k, i)] = w;
+            }
+            for i in k + 1..n {
+                for j in k + 1..n {
+                    let update = m[(i, k)] * m[(k, j)].conj() + m[(k, i)] * m[(j, k)].conj();
+                    m[(i, j)] -= update;
+                }
+            }
+        }
+        m[(k + 1, k)] = Complex64::real(sigma_sq);
+    }
+    let m = &*m;
+    let diag = |i: usize| m[(i, i)].re;
+    let off_sq = |i: usize| m[(i + 1, i)].re;
+    // Gershgorin bracket of the tridiagonal form, widened so its upper end
+    // is strictly above every eigenvalue.
+    let (mut lo, mut hi, mut max_off_sq) = (f64::INFINITY, f64::NEG_INFINITY, 0.0f64);
+    for i in 0..n {
+        let below = if i > 0 { off_sq(i - 1).sqrt() } else { 0.0 };
+        let above = if i + 1 < n { off_sq(i).sqrt() } else { 0.0 };
+        lo = lo.min(diag(i) - below - above);
+        hi = hi.max(diag(i) + below + above);
+        max_off_sq = max_off_sq.max(above * above);
+    }
+    let pivmin = f64::MIN_POSITIVE * max_off_sq.max(1.0);
+    let slack = 2.0 * f64::EPSILON * cast::to_f64(n) * lo.abs().max(hi.abs()) + pivmin;
+    lo -= slack;
+    hi += slack;
+    // Sturm count: the number of eigenvalues below `x` is the number of
+    // negative pivots of the LDLᵀ factorization of T − x·I.
+    let count_below = |x: f64| {
+        let mut count = 0usize;
+        let mut q = 1.0f64;
+        for i in 0..n {
+            let coupling = if i > 0 { off_sq(i - 1) / q } else { 0.0 };
+            q = diag(i) - x - coupling;
+            if q.abs() < pivmin {
+                q = -pivmin;
+            }
+            count += usize::from(q < 0.0);
+        }
+        count
+    };
+    loop {
+        let mid = lo + 0.5 * (hi - lo);
+        if !(mid > lo && mid < hi) {
+            return hi;
+        }
+        if count_below(mid) == n {
+            hi = mid;
+        } else {
+            lo = mid;
+        }
+    }
 }
 
 /// Exact symmetrization removing any tolerated Hermitian asymmetry.
@@ -402,6 +527,42 @@ mod tests {
             }
         }
         m
+    }
+
+    #[test]
+    fn eigenvalue_bound_sits_on_the_largest_eigenvalue() {
+        let identity = CMatrix::identity(5);
+        let rank_one = {
+            let mut m = CMatrix::zeros(6, 6);
+            let x = CVector::from_vec((0..6).map(|k| Complex64::new(1.0, k as f64)).collect());
+            m.ger_assign(1.0, &x, &x);
+            m
+        };
+        let diagonal = CMatrix::diag(&[
+            Complex64::real(-3.0),
+            Complex64::real(7.5),
+            Complex64::real(2.0),
+        ]);
+        let mut cases = vec![identity, rank_one, diagonal, CMatrix::diag(&[C_ONE.scale(-2.0)])];
+        for (n, seed) in [(2, 1), (4, 2), (7, 3), (16, 4), (16, 5), (33, 6)] {
+            cases.push(random_hermitian(n, seed));
+        }
+        for a in &cases {
+            let n = a.rows();
+            let exact = eigh(a).eigenvalues[n - 1];
+            let mut work = CMatrix::zeros(0, 0);
+            let bound = largest_eigenvalue_bound(a, &mut work);
+            let scale = a.max_abs().max(1.0);
+            assert!(
+                bound >= exact - 1e-13 * scale && bound <= exact + 1e-12 * scale,
+                "n = {n}: bound {bound} vs λ_max {exact}"
+            );
+            // Reusing the work matrix gives the same bits.
+            assert_eq!(largest_eigenvalue_bound(a, &mut work).to_bits(), bound.to_bits());
+        }
+        let mut nan = CMatrix::identity(3);
+        nan[(0, 1)] = Complex64::new(f64::NAN, 0.0);
+        assert!(largest_eigenvalue_bound(&nan, &mut CMatrix::zeros(3, 3)).is_nan());
     }
 
     #[test]

@@ -146,6 +146,7 @@ impl SinglePhotonDetector {
         // Dark counts: Poisson number, uniform over the window.
         let expected_darks = self.dark_count_rate_hz * cast::to_f64(duration_ps) * 1e-12;
         let n_dark = poisson(rng, expected_darks);
+        clicks.reserve_exact(cast::u64_to_usize(n_dark));
         for _ in 0..n_dark {
             clicks.push(cast::f64_to_i64(rng.gen::<f64>() * cast::to_f64(duration_ps)));
         }

@@ -31,21 +31,8 @@ impl TomographyData {
         (0..self.settings.len()).map(|s| self.setting_total(s)).sum()
     }
 
-    /// Number of qubits measured.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an empty setting list.
-    pub fn qubits(&self) -> usize {
-        match self.try_qubits() {
-            Ok(n) => n,
-            Err(e) => panic!("{e}"), // qfc-lint: allow(panic-reachability) — documented panicking wrapper over the try_* twin (`# Panics` contract)
-        }
-    }
-
-    /// Fallible form of [`TomographyData::qubits`]: returns
-    /// [`QfcError::InsufficientData`] on an empty setting list instead of
-    /// panicking.
+    /// Number of qubits measured, or [`QfcError::InsufficientData`] on an
+    /// empty setting list.
     pub fn try_qubits(&self) -> QfcResult<usize> {
         self.settings
             .first()
@@ -306,7 +293,7 @@ mod tests {
         let settings = all_settings(2);
         let data = simulate_counts(&mut rng, &rho, &settings, 100);
         assert_eq!(data.grand_total(), 900);
-        assert_eq!(data.qubits(), 2);
+        assert_eq!(data.try_qubits().expect("non-empty settings"), 2);
         for s in 0..settings.len() {
             assert_eq!(data.setting_total(s), 100);
         }

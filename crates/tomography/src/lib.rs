@@ -40,7 +40,7 @@ pub use rank1::{
     ProjectorRepr, ProjectorReprSet,
 };
 pub use reconstruct::{
-    try_linear_reconstruction, try_mle_reconstruction, MleAcceleration, MleOptions, MleResult,
+    try_linear_reconstruction, try_mle_reconstruction, MleOptions, MleResult,
 };
 pub use settings::{all_settings, PauliBasis, Setting};
 pub use stream::{try_stream_counts_seeded, CountAccumulator};

@@ -41,9 +41,10 @@ use qfc_mathkit::cast;
 use qfc_mathkit::cmatrix::{CMatrix, GemmScratch};
 use qfc_mathkit::complex::Complex64;
 use qfc_mathkit::cvector::CVector;
+use qfc_mathkit::hermitian::largest_eigenvalue_bound;
 use qfc_quantum::qudit::BipartiteQudit;
 
-use crate::reconstruct::{try_project_physical, MleAcceleration, MleOptions, MleResult};
+use crate::reconstruct::{try_project_physical, MleOptions, MleResult};
 use crate::settings::Setting;
 
 /// Probability floor: expectations are clamped to this before dividing,
@@ -62,6 +63,19 @@ const SWEEP_CHUNK_PAIRS: usize = 64;
 /// summed, so it depends only on the problem size — never on the thread
 /// count — and changing this value changes result bits.
 const PAR_SWEEP_MIN_WORK: usize = 1 << 15;
+
+/// Stopping rule of [`try_mle_repr`]: an iterate is returned once its
+/// certified log-likelihood gap is at most this many nats of the count
+/// likelihood — far below the statistical spread of any fidelity the
+/// workspace reports from it.
+pub const MLE_GAP_NATS: f64 = 0.5;
+
+/// Over-relaxation schedule: `γ` grows by this factor after every
+/// iteration that kept improving…
+const GAMMA_GROWTH: f64 = 1.4;
+
+/// …up to this cap.
+const GAMMA_MAX: f64 = 8.0;
 
 /// One outcome projector, stored in whichever representation the
 /// measurement admits.
@@ -549,13 +563,28 @@ fn build_r(
 /// Iterative RρR maximum-likelihood reconstruction against a
 /// representation projector set — the workspace's one MLE engine.
 ///
-/// `ρ_{k+1} ∝ R ρ_k R` with `R = Σ_{s,o} (f_{s,o}/p_{s,o})·Π_{s,o}`,
-/// starting from the maximally mixed state. For informationally complete
-/// data this converges to the maximum-likelihood physical state.
-/// Expectations run through [`ProjectorRepr::expectation`], the `R`
-/// build through a fixed-order chunked sweep, and the `RρR` products
-/// through the packed GEMM. [`MleAcceleration`] picks the classic or the
-/// likelihood-gated over-relaxed schedule.
+/// Maximizes `ℓ(ρ) = Σ f·ln p` over density matrices, with `f` the
+/// per-setting frequencies and `p = tr(ρ·Π)`. Expectations run through
+/// [`ProjectorRepr::expectation`], the `R = Σ (f/p)·Π` build through a
+/// fixed-order chunked sweep, and the products through the packed GEMM.
+///
+/// **Schedule.** Starting from the maximally mixed state, each iteration
+/// sets `ρ ← AρA / tr(AρA)` with `A = (1−γ)·I + γ·R/Σf`; `γ = 1` is the
+/// classic `RρR` step. `γ` grows by 1.4 per iteration up to 8. A step
+/// that lowers `ℓ` is rolled back and retaken at `γ = 1`, and a step
+/// whose classic-equivalent update norm grew resets `γ` to 1.
+///
+/// **Stop.** `ℓ` is concave and `R` is its gradient, so for every state
+/// `σ`, `ℓ(σ) − ℓ(ρ) ≤ tr(Rσ) − tr(Rρ) ≤ λ_max(R) − tr(Rρ)` (Glancy,
+/// Knill & Girard, New J. Phys. 14, 095017, 2012). Scaled by the mean
+/// events per measured setting `N̄`, this is a bound in nats of the count
+/// likelihood on how far `ρ` can be from the maximum-likelihood state.
+/// Every iteration reads it off the `R` of the current iterate, before
+/// the `γ` mix, with [`largest_eigenvalue_bound`] (an upper bound, so
+/// the certificate never understates the gap). The iterate is returned as
+/// soon as the bound is at most [`MLE_GAP_NATS`], or when the budget runs
+/// out, so [`MleResult::gap_nats`] certifies the returned state (the final
+/// physical projection only clips round-off).
 ///
 /// `counts[s][o]` are the events for outcome `o` of setting `s`;
 /// frequencies are per-setting, and zero-frequency outcomes are skipped.
@@ -563,8 +592,8 @@ fn build_r(
 /// # Errors
 ///
 /// * [`QfcError::InvalidParameter`] — count table shape does not match
-///   the set, the dimension is not a power of two ≥ 2 (the result type
-///   is a `DensityMatrix`), or the accelerated schedule is malformed;
+///   the set, or the dimension is not a power of two ≥ 2 (the result
+///   type is a `DensityMatrix`);
 /// * [`QfcError::SingularSystem`] — zero total events, or an iteration
 ///   whose update annihilated the trace;
 /// * [`QfcError::NonFinite`] — the update norm left the finite range.
@@ -602,28 +631,17 @@ pub fn try_mle_repr(
             context: "MLE reconstruction: zero total events (all-dark data)".to_owned(),
         });
     }
-    // `Some((max_step, growth))` for the over-relaxed schedule.
-    let schedule = match options.acceleration {
-        MleAcceleration::Classic => None,
-        MleAcceleration::Accelerated { max_step, growth } => {
-            if !(max_step >= 1.0 && max_step.is_finite() && growth >= 1.0 && growth.is_finite()) {
-                return Err(QfcError::invalid(format!(
-                    "accelerated MLE schedule needs finite max_step ≥ 1 and \
-                     growth ≥ 1 (got max_step = {max_step}, growth = {growth})"
-                )));
-            }
-            Some((max_step, growth))
-        }
-    };
 
     // (projector, frequency) pairs in (s, o) order, f > 0 only.
     let mut pairs: Vec<(&ProjectorRepr, f64)> =
         Vec::with_capacity(counts.iter().map(Vec::len).sum());
+    let mut measured_settings = 0u64;
     for (s, row) in counts.iter().enumerate() {
         let total: u64 = row.iter().sum();
         if total == 0 {
             continue;
         }
+        measured_settings += 1;
         for (o, &c) in row.iter().enumerate() {
             if c > 0 {
                 pairs.push((
@@ -633,12 +651,15 @@ pub fn try_mle_repr(
             }
         }
     }
+    // `ℓ` weighs every measured setting equally, the count likelihood by
+    // its events: `N̄` converts a gap in `ℓ` to nats of the latter.
+    let mean_events = cast::to_f64(grand_total) / cast::to_f64(measured_settings);
     let mut chunks = sweep_chunks(&pairs, dim);
 
     // One team for the whole reconstruction: every R build below is one
     // step of it (two in an iteration whose over-relaxed step is rolled
     // back), and the loop itself runs on the calling thread between steps.
-    let (rho, iterations, final_update, accelerated_steps) = qfc_runtime::par_team(
+    let (rho, iterations, gap_nats, accelerated_steps) = qfc_runtime::par_team(
         &mut chunks,
         |rho: &CMatrix, _, chunk: &mut SweepChunk<'_>| chunk.sweep(rho),
         |team| {
@@ -648,45 +669,48 @@ pub fn try_mle_repr(
             let mut r_rho = CMatrix::zeros(dim, dim);
             let mut next = CMatrix::zeros(dim, dim);
             let mut gemm = GemmScratch::new();
+            let mut tridiagonal = CMatrix::zeros(dim, dim);
             let mut iterations = 0;
-            let mut final_update = f64::INFINITY;
             let mut accelerated_steps = 0usize;
-            // Over-relaxation state: `ρ ← AρA / tr(AρA)` with
-            // `A = (1−γ)·I + γ·R/fsum`. `A` is Hermitian, so the sandwich stays
-            // positive semidefinite for any real `γ`. `R` sums one ≈identity
-            // resolution per measured setting, so its fixed-point value is
-            // `fsum·I`; the identity mix is applied to `R/fsum` so that `γ`
-            // measures the over-relaxation relative to a unit classic step, and
-            // the normalization cancels in `tr(AρA)` at `γ = 1`, which is why
-            // the unscaled classic step is the same map. `prev` holds the iterate
-            // the current one was produced from, so an overshoot can be rolled
-            // back for the price of one extra R build.
+            // `R` sums one ≈identity resolution per measured setting, so its
+            // fixed-point value is `fsum·I`; the identity mix is applied to
+            // `R/fsum` so that `γ` measures the over-relaxation relative to a
+            // unit classic step, and the normalization cancels in `tr(AρA)` at
+            // `γ = 1`, which is why the unscaled classic step is the same map.
+            // `A` is Hermitian, so the sandwich stays positive semidefinite for
+            // any real `γ`. `prev` holds the iterate the current one was
+            // produced from, so an overshoot can be rolled back for the price
+            // of one extra R build.
             let fsum: f64 = pairs.iter().map(|&(_, f)| f).sum();
             let mut prev = rho.clone();
             let mut gamma = 1.0f64;
             let mut ll_prev = f64::NEG_INFINITY;
             let mut update_prev = f64::INFINITY;
             // qfc-lint: hot
-            for _ in 0..options.max_iterations {
-                iterations += 1;
+            loop {
                 let mut ll = build_r(team, &mut rho, &mut r);
-                if schedule.is_some() {
-                    if ll + 1e-12 * ll.abs().max(1.0) < ll_prev {
-                        // The over-relaxed step lost likelihood: restore the
-                        // parent iterate, fall back to a classic step, and
-                        // rebuild R there.
-                        std::mem::swap(&mut rho, &mut prev);
-                        gamma = 1.0;
-                        ll = build_r(team, &mut rho, &mut r);
-                    }
-                    ll_prev = ll;
-                    if gamma > 1.0 {
-                        accelerated_steps += 1;
-                        r.scale_in_place(1.0 / fsum);
-                        r.lerp_identity_in_place(gamma);
-                    }
-                    prev.copy_from(&rho);
+                if ll + 1e-12 * ll.abs().max(1.0) < ll_prev {
+                    // The over-relaxed step lost likelihood: restore the
+                    // parent iterate, fall back to a classic step, and
+                    // rebuild R there.
+                    std::mem::swap(&mut rho, &mut prev);
+                    gamma = 1.0;
+                    ll = build_r(team, &mut rho, &mut r);
                 }
+                ll_prev = ll;
+                let lambda_max = largest_eigenvalue_bound(&r, &mut tridiagonal);
+                // `tr(Rρ)`, not `Σf`: the `P_FLOOR` clamp makes them differ.
+                let gap = mean_events * (lambda_max - r.trace_of_product(&rho).re);
+                if gap <= MLE_GAP_NATS || iterations >= options.max_iterations {
+                    return Ok((rho, iterations, gap, accelerated_steps));
+                }
+                iterations += 1;
+                if gamma > 1.0 {
+                    accelerated_steps += 1;
+                    r.scale_in_place(1.0 / fsum);
+                    r.lerp_identity_in_place(gamma);
+                }
+                prev.copy_from(&rho);
                 r.matmul_packed_into(&rho, &mut r_rho, &mut gemm);
                 r_rho.matmul_packed_into(&r, &mut next, &mut gemm);
                 let tr = next.trace().re;
@@ -703,34 +727,24 @@ pub fn try_mle_repr(
                 // Hermitian, which the rank-1 expectation kernel relies on (it
                 // never reads the lower half).
                 next.hermitianize_upper();
-                final_update = next.frobenius_distance(&rho);
-                if !final_update.is_finite() {
+                let update = next.frobenius_distance(&rho);
+                if !update.is_finite() {
                     return Err(QfcError::non_finite("RρR update norm"));
                 }
                 std::mem::swap(&mut rho, &mut next);
-                if let Some((max_step, growth)) = schedule {
-                    // An over-relaxed step is ~γ× a classic step, so the raw
-                    // update norm says nothing about progress across different
-                    // γ; `update/γ` is the classic-equivalent residual. Near the
-                    // likelihood ridge the iterate can oscillate with a stalled
-                    // residual while the likelihood is flat at FP resolution —
-                    // dropping back to a classic step there restores the monotone
-                    // tail. Once the residual clears the tolerance, the next step
-                    // is forced classic as well, so the update that terminates
-                    // the loop is a genuine (unamplified) one.
-                    let residual = final_update / gamma;
-                    if residual > update_prev || residual < options.tolerance {
-                        gamma = 1.0;
-                    } else {
-                        gamma = (gamma * growth).min(max_step);
-                    }
-                    update_prev = residual;
-                }
-                if final_update < options.tolerance {
-                    break;
-                }
+                // An over-relaxed step is ~γ× a classic step, so `update/γ` is
+                // the classic-equivalent residual. Near the likelihood ridge the
+                // iterate can oscillate with a stalled residual while the
+                // likelihood is flat at FP resolution; dropping back to a
+                // classic step there restores the monotone tail.
+                let residual = update / gamma;
+                gamma = if residual > update_prev {
+                    1.0
+                } else {
+                    (gamma * GAMMA_GROWTH).min(GAMMA_MAX)
+                };
+                update_prev = residual;
             }
-            Ok((rho, iterations, final_update, accelerated_steps))
         },
     )?;
     qfc_obs::counter_add("mle_iterations", cast::usize_to_u64(iterations));
@@ -746,8 +760,8 @@ pub fn try_mle_repr(
     Ok(MleResult {
         rho,
         iterations,
-        converged: final_update < options.tolerance,
-        final_update,
+        gap_nats,
+        converged: gap_nats <= MLE_GAP_NATS,
         accelerated_steps,
     })
 }
@@ -878,30 +892,25 @@ mod tests {
         for (name, data) in [("bell", &bell), ("four-photon", &four)] {
             let set = ProjectorReprSet::try_rank1_from_settings(&data.settings).expect("set");
             let dense = set.to_dense();
-            for acceleration in [MleAcceleration::Classic, MleAcceleration::accelerated()] {
-                let opts = MleOptions {
-                    acceleration,
-                    ..MleOptions::default()
-                };
-                let fast = try_mle_repr(&set, &data.counts, &opts).expect("rank-1 leg");
-                let slow = try_mle_repr(&dense, &data.counts, &opts).expect("dense leg");
-                assert_eq!(
-                    fast.iterations, slow.iterations,
-                    "{name} {acceleration:?}: iteration counts differ"
-                );
-                let worst = fast
-                    .rho
-                    .as_matrix()
-                    .as_slice()
-                    .iter()
-                    .zip(slow.rho.as_matrix().as_slice())
-                    .map(|(a, b)| (*a - *b).abs())
-                    .fold(0.0, f64::max);
-                assert!(
-                    worst <= 1e-12,
-                    "{name} {acceleration:?}: max |Δρ| = {worst:e}"
-                );
-            }
+            let opts = MleOptions::default();
+            let fast = try_mle_repr(&set, &data.counts, &opts).expect("rank-1 leg");
+            let slow = try_mle_repr(&dense, &data.counts, &opts).expect("dense leg");
+            assert_eq!(fast.iterations, slow.iterations, "{name}: iteration counts differ");
+            let worst = fast
+                .rho
+                .as_matrix()
+                .as_slice()
+                .iter()
+                .zip(slow.rho.as_matrix().as_slice())
+                .map(|(a, b)| (*a - *b).abs())
+                .fold(0.0, f64::max);
+            assert!(worst <= 1e-12, "{name}: max |Δρ| = {worst:e}");
+            assert!(
+                (fast.gap_nats - slow.gap_nats).abs() <= 1e-9,
+                "{name}: gaps {} vs {}",
+                fast.gap_nats,
+                slow.gap_nats
+            );
         }
     }
 
@@ -911,11 +920,7 @@ mod tests {
         let bases = deterministic_bases(8, 9, 21).expect("bases");
         let set = ProjectorReprSet::try_rank1_from_bases(&bases).expect("set");
         let counts = exact_counts_repr(&rho, &set, 200_000).expect("counts");
-        let opts = MleOptions {
-            max_iterations: 150,
-            tolerance: 1e-9,
-            acceleration: MleAcceleration::accelerated(),
-        };
+        let opts = MleOptions { max_iterations: 150 };
         let fast = try_mle_repr(&set, &counts, &opts).expect("rank1 leg");
         let dense = try_mle_repr(&set.to_dense(), &counts, &opts).expect("dense leg");
         let f = state_fidelity(&fast.rho, &dense.rho);
@@ -940,48 +945,135 @@ mod tests {
                 .flat_map(|z| [z.re.to_bits(), z.im.to_bits()])
                 .collect()
         };
-        for acceleration in [MleAcceleration::Classic, MleAcceleration::accelerated()] {
-            let opts = MleOptions {
-                max_iterations: 60,
-                acceleration,
-                ..MleOptions::default()
-            };
-            // Each R build is one `runtime.execute` step; a rolled-back
-            // over-relaxed iteration makes two.
-            let run = |threads: usize| {
-                let collector = qfc_obs::Collector::new();
-                let result = collector
-                    .install(|| {
-                        qfc_runtime::with_threads(threads, || try_mle_repr(&set, &counts, &opts))
-                    })
-                    .expect("reconstruction");
-                let snapshot = collector.snapshot();
-                let steps = snapshot
-                    .spans
-                    .children
-                    .iter()
-                    .find(|span| span.name == "runtime.execute")
-                    .map_or(0, |span| span.calls);
-                (result, steps)
-            };
-            let (one, one_steps) = run(1);
-            assert!(one_steps >= cast::usize_to_u64(one.iterations), "{acceleration:?}");
-            for threads in [2, 3, 8] {
-                let (many, steps) = run(threads);
-                let at = format!("{acceleration:?} at {threads} threads");
-                assert_eq!(many.iterations, one.iterations, "{at}");
-                assert_eq!(many.final_update.to_bits(), one.final_update.to_bits(), "{at}");
-                assert_eq!(many.accelerated_steps, one.accelerated_steps, "{at}");
-                assert_eq!(bits(&many), bits(&one), "{at}");
-                assert_eq!(steps, one_steps, "{at}");
+        let opts = MleOptions { max_iterations: 60 };
+        // Each R build is one `runtime.execute` step: one per iteration,
+        // one more for the certificate of the returned iterate, and a
+        // second in an iteration whose over-relaxed step is rolled back.
+        let run = |threads: usize| {
+            let collector = qfc_obs::Collector::new();
+            let result = collector
+                .install(|| qfc_runtime::with_threads(threads, || try_mle_repr(&set, &counts, &opts)))
+                .expect("reconstruction");
+            let snapshot = collector.snapshot();
+            let steps = snapshot
+                .spans
+                .children
+                .iter()
+                .find(|span| span.name == "runtime.execute")
+                .map_or(0, |span| span.calls);
+            (result, steps)
+        };
+        let (one, one_steps) = run(1);
+        let builds = cast::usize_to_u64(one.iterations + 1);
+        assert!(one_steps >= builds);
+        for threads in [2, 3, 8] {
+            let (many, steps) = run(threads);
+            let at = format!("at {threads} threads");
+            assert_eq!(many.iterations, one.iterations, "{at}");
+            assert_eq!(many.gap_nats.to_bits(), one.gap_nats.to_bits(), "{at}");
+            assert_eq!(many.accelerated_steps, one.accelerated_steps, "{at}");
+            assert_eq!(bits(&many), bits(&one), "{at}");
+            assert_eq!(steps, one_steps, "{at}");
+        }
+        assert!(one.accelerated_steps > 0, "the schedule over-relaxed");
+        assert!(
+            one_steps > builds,
+            "an over-relaxed step was rolled back: a second step in one iteration"
+        );
+    }
+
+    /// The engine's objective `ℓ(ρ) = Σ f·ln max(p, P_FLOOR)` over the
+    /// measured outcomes, evaluated outside the engine.
+    fn log_likelihood(set: &ProjectorReprSet, counts: &[Vec<u64>], rho: &CMatrix) -> f64 {
+        let mut ll = 0.0;
+        for (s, row) in counts.iter().enumerate() {
+            let total: u64 = row.iter().sum();
+            for (o, &c) in row.iter().enumerate().filter(|&(_, &c)| c > 0) {
+                let f = cast::to_f64(c) / cast::to_f64(total);
+                ll += f * set.repr(s, o).expectation(rho).max(P_FLOOR).ln();
             }
-            if acceleration != MleAcceleration::Classic {
-                assert!(one.accelerated_steps > 0, "the schedule over-relaxed");
+        }
+        ll
+    }
+
+    /// Events per measured setting, `N̄`.
+    fn mean_events(counts: &[Vec<u64>]) -> f64 {
+        let measured = counts.iter().filter(|row| row.iter().sum::<u64>() > 0).count();
+        let total: u64 = counts.iter().flatten().sum();
+        cast::to_f64(total) / cast::to_f64(cast::usize_to_u64(measured))
+    }
+
+    /// The certificate is a valid bound on every iterate: for each cap `k`
+    /// up to where the default run certifies, the engine returns `ρ_k`
+    /// with the gap certified there, and that gap must be at least
+    /// `N̄·(ℓ* − ℓ(ρ_k))`. `ℓ*` comes from a long run of the same data with
+    /// every count scaled by 2²⁰: the frequencies, and so the whole
+    /// trajectory, are bitwise the same, but `N̄` is 2²⁰ times larger, so
+    /// that run stops only about 2²⁰ times closer to the maximum.
+    #[test]
+    fn certified_gap_bounds_the_likelihood_gap_at_every_iterate() {
+        use crate::settings::all_settings;
+        let pauli = ProjectorReprSet::try_rank1_from_settings(&all_settings(2)).expect("set");
+        let bases = deterministic_bases(16, 9, 31).expect("bases");
+        let qudit = ProjectorReprSet::try_rank1_from_bases(&bases).expect("set");
+        let werner = werner_state(0.9, 0.3);
+        let pure = qfc_quantum::density::DensityMatrix::from_pure(&qfc_quantum::bell::bell_phi(0.4));
+        let low_rank = synthetic_low_rank_state(16, 2, 9).expect("state");
+        let cases = [
+            (
+                "d=4 Werner, 2000 shots",
+                &pauli,
+                simulate_counts_seeded(&werner, &all_settings(2), 2000, 3).counts,
+            ),
+            // 12 shots: zero-count outcomes everywhere.
+            (
+                "d=4 Werner, 12 shots",
+                &pauli,
+                simulate_counts_seeded(&werner, &all_settings(2), 12, 4).counts,
+            ),
+            // A pure state: whole outcomes never click, the MLE is rank-deficient.
+            (
+                "d=4 pure Bell, 500 shots",
+                &pauli,
+                simulate_counts_seeded(&pure, &all_settings(2), 500, 5).counts,
+            ),
+            // About 20 events per basis: most of the 144 outcomes are empty.
+            (
+                "d=16 rank 2, 20 events per basis",
+                &qudit,
+                exact_counts_repr(&low_rank, &qudit, 20).expect("counts"),
+            ),
+        ];
+        for (name, set, counts) in &cases {
+            let nbar = mean_events(counts);
+            let scaled: Vec<Vec<u64>> = counts
+                .iter()
+                .map(|row| row.iter().map(|&c| c << 20).collect())
+                .collect();
+            let long = try_mle_repr(set, &scaled, &MleOptions { max_iterations: 3000 })
+                .expect("long run");
+            let ll_star = log_likelihood(set, counts, long.rho.as_matrix());
+            let converged = try_mle_repr(set, counts, &MleOptions::default()).expect("default run");
+            assert!(converged.converged, "{name}: did not certify within 300 iterations");
+            assert!(converged.gap_nats <= MLE_GAP_NATS, "{name}: {}", converged.gap_nats);
+            for k in 0..=converged.iterations {
+                let at_k = try_mle_repr(set, counts, &MleOptions { max_iterations: k })
+                    .expect("capped run");
+                let ll_k = log_likelihood(set, counts, at_k.rho.as_matrix());
                 assert!(
-                    one_steps > cast::usize_to_u64(one.iterations),
-                    "an over-relaxed step was rolled back: a second step in one iteration"
+                    at_k.gap_nats / nbar >= (ll_star - ll_k) - 1e-9 * ll_star.abs(),
+                    "{name}, iterate {k}: certified {} nats < N̄·(ℓ* − ℓ) = {} nats",
+                    at_k.gap_nats,
+                    nbar * (ll_star - ll_k)
                 );
             }
+            let gap_bits = |threads: usize| {
+                qfc_runtime::with_threads(threads, || try_mle_repr(set, counts, &MleOptions::default()))
+                    .expect("run")
+                    .gap_nats
+                    .to_bits()
+            };
+            assert_eq!(gap_bits(1), gap_bits(4), "{name}: gap differs at 4 threads");
         }
     }
 

@@ -37,7 +37,7 @@ use crate::settings::{pauli_string_matrix, PauliBasis};
 /// truncate).
 pub fn try_linear_inversion(data: &TomographyData) -> QfcResult<CMatrix> {
     data.validate()?;
-    let n = data.qubits();
+    let n = data.try_qubits()?;
     let dim = 1usize << n;
     let mut rho = CMatrix::zeros(dim, dim);
     // Enumerate all 4ⁿ Pauli strings as base-4 digits:
@@ -114,157 +114,42 @@ pub fn try_project_physical(mat: &CMatrix) -> QfcResult<DensityMatrix> {
         .ok_or_else(|| QfcError::non_finite("physical projection"))
 }
 
-/// Iteration scheme for the RρR fixed-point search.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
-pub enum MleAcceleration {
-    /// Plain RρR: `ρ ← RρR / tr(RρR)` — the default schedule, which
-    /// the golden fixtures replay.
-    #[default]
-    Classic,
-    /// Over-relaxed RρR: `ρ ← AρA / tr(AρA)` with
-    /// `A = (1−γ)·I + γ·R`. `A` is Hermitian, so the sandwich stays
-    /// positive semidefinite for any real `γ`; `γ = 1` is exactly a
-    /// classic step. The schedule is deterministic: `γ` grows by
-    /// `growth` after every iteration (capped at `max_step`), and a
-    /// log-likelihood gate rolls the iterate back and resets `γ` to 1
-    /// whenever over-relaxation overshoots the likelihood ridge.
-    Accelerated {
-        /// Upper bound on the over-relaxation factor `γ`.
-        max_step: f64,
-        /// Multiplicative `γ` growth per iteration (> 1).
-        growth: f64,
-    },
-}
-
-impl MleAcceleration {
-    /// The default accelerated schedule used by the examples and ablations:
-    /// `γ` grows 1.4× per iteration up to 8.
-    pub fn accelerated() -> Self {
-        Self::Accelerated {
-            max_step: 8.0,
-            growth: 1.4,
-        }
-    }
-}
-
-/// Options for the iterative MLE reconstruction.
-///
-/// Serialization is hand-written (the vendored derive has no field
-/// attributes): `acceleration` is emitted only when it differs from
-/// [`MleAcceleration::Classic`] and defaults to `Classic` when absent,
-/// so pre-acceleration serialized options stay readable and classic
-/// options serialize exactly as before.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// Options for the iterative MLE reconstruction. The schedule and the
+/// stopping rule are fixed (see [`try_mle_repr`]); only the budget is
+/// set per call.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct MleOptions {
-    /// Maximum RρR iterations.
+    /// Maximum RρR iterations. A reconstruction that has not certified by
+    /// then returns its last iterate with the gap certified there.
     pub max_iterations: usize,
-    /// Stop when the Frobenius norm of the update falls below this.
-    pub tolerance: f64,
-    /// Iteration scheme (defaults to [`MleAcceleration::Classic`]).
-    pub acceleration: MleAcceleration,
 }
 
 impl Default for MleOptions {
     fn default() -> Self {
         Self {
             max_iterations: 300,
-            tolerance: 1e-10,
-            acceleration: MleAcceleration::Classic,
         }
-    }
-}
-
-impl Serialize for MleOptions {
-    fn to_value(&self) -> serde::Value {
-        let mut fields = vec![
-            (
-                "max_iterations".to_string(),
-                Serialize::to_value(&self.max_iterations),
-            ),
-            ("tolerance".to_string(), Serialize::to_value(&self.tolerance)),
-        ];
-        if self.acceleration != MleAcceleration::Classic {
-            fields.push((
-                "acceleration".to_string(),
-                Serialize::to_value(&self.acceleration),
-            ));
-        }
-        serde::Value::Object(fields)
-    }
-}
-
-impl Deserialize for MleOptions {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let acceleration = match v.get_field("acceleration") {
-            Ok(a) => Deserialize::from_value(a)?,
-            Err(_) => MleAcceleration::Classic,
-        };
-        Ok(Self {
-            max_iterations: Deserialize::from_value(v.get_field("max_iterations")?)?,
-            tolerance: Deserialize::from_value(v.get_field("tolerance")?)?,
-            acceleration,
-        })
     }
 }
 
 /// Result of an MLE reconstruction.
-///
-/// Serialization is hand-written: `accelerated_steps` is emitted only
-/// when non-zero (and defaults to `0` when absent), so classic results
-/// serialize byte-identically to the historical four-field format the
-/// golden fixtures pin.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct MleResult {
     /// The reconstructed physical state.
     pub rho: DensityMatrix,
-    /// Iterations actually performed.
+    /// RρR updates applied to reach `rho`.
     pub iterations: usize,
-    /// Final update norm.
-    pub final_update: f64,
-    /// `true` when the final update met the tolerance within the
-    /// iteration budget — `false` signals divergence and is the trigger
+    /// Certified bound, in nats of the count likelihood, on how far the
+    /// log-likelihood of `rho` lies below the maximum over all states
+    /// (see [`try_mle_repr`]). Infinite when no certificate exists, as
     /// for the supervisor's linear-inversion fallback.
+    pub gap_nats: f64,
+    /// `true` when `gap_nats` is at most
+    /// [`MLE_GAP_NATS`](crate::rank1::MLE_GAP_NATS): the returned state
+    /// is certified that close to the maximum.
     pub converged: bool,
-    /// Iterations that took an over-relaxed (`γ > 1`) step; always `0`
-    /// on the classic path.
+    /// Iterations that took an over-relaxed (`γ > 1`) step.
     pub accelerated_steps: usize,
-}
-
-impl Serialize for MleResult {
-    fn to_value(&self) -> serde::Value {
-        let mut fields = vec![
-            ("rho".to_string(), Serialize::to_value(&self.rho)),
-            ("iterations".to_string(), Serialize::to_value(&self.iterations)),
-            (
-                "final_update".to_string(),
-                Serialize::to_value(&self.final_update),
-            ),
-            ("converged".to_string(), Serialize::to_value(&self.converged)),
-        ];
-        if self.accelerated_steps != 0 {
-            fields.push((
-                "accelerated_steps".to_string(),
-                Serialize::to_value(&self.accelerated_steps),
-            ));
-        }
-        serde::Value::Object(fields)
-    }
-}
-
-impl Deserialize for MleResult {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let accelerated_steps = match v.get_field("accelerated_steps") {
-            Ok(a) => Deserialize::from_value(a)?,
-            Err(_) => 0,
-        };
-        Ok(Self {
-            rho: Deserialize::from_value(v.get_field("rho")?)?,
-            iterations: Deserialize::from_value(v.get_field("iterations")?)?,
-            final_update: Deserialize::from_value(v.get_field("final_update")?)?,
-            converged: Deserialize::from_value(v.get_field("converged")?)?,
-            accelerated_steps,
-        })
-    }
 }
 
 /// Iterative RρR maximum-likelihood reconstruction of qubit tomography
@@ -274,11 +159,10 @@ impl Deserialize for MleResult {
 /// # Errors
 ///
 /// * [`QfcError::InsufficientData`] — empty or mixed-arity setting list;
-/// * [`QfcError::InvalidParameter`] — malformed count table or
-///   accelerated schedule;
+/// * [`QfcError::InvalidParameter`] — malformed count table;
 /// * [`QfcError::SingularSystem`] — zero total events, or an iteration
 ///   whose `RρR` update annihilated the trace;
-/// * [`QfcError::NonFinite`] — the update norm left the finite range.
+/// * [`QfcError::NonFinite`] — an update left the finite range.
 pub fn try_mle_reconstruction(data: &TomographyData, options: &MleOptions) -> QfcResult<MleResult> {
     data.validate()?;
     let set = ProjectorReprSet::try_rank1_from_settings(&data.settings)?;
@@ -360,7 +244,7 @@ mod tests {
         let data = simulate_counts(&mut rng, &rho, &all_settings(1), 5000);
         let result = try_mle_reconstruction(&data, &MleOptions::default()).expect("mle");
         assert!(result.iterations < 300, "iterations {}", result.iterations);
-        assert!(result.final_update < 1e-8);
+        assert!(result.gap_nats <= crate::rank1::MLE_GAP_NATS, "gap {}", result.gap_nats);
         assert!(result.converged);
     }
 
@@ -369,14 +253,12 @@ mod tests {
         let mut rng = rng_from_seed(35);
         let rho = werner_state(0.83, 0.0);
         let data = simulate_counts(&mut rng, &rho, &all_settings(2), 4000);
-        // One iteration against an unattainable tolerance cannot converge.
-        let opts = MleOptions {
-            max_iterations: 1,
-            tolerance: 1e-30,
-            ..MleOptions::default()
-        };
+        // One iteration from the maximally mixed state cannot certify a
+        // 36 000-event likelihood to half a nat.
+        let opts = MleOptions { max_iterations: 1 };
         let result = try_mle_reconstruction(&data, &opts).expect("mle");
         assert!(!result.converged);
+        assert!(result.gap_nats > 100.0, "gap {}", result.gap_nats);
     }
 
     #[test]
@@ -417,78 +299,13 @@ mod tests {
         let mut rng = rng_from_seed(37);
         let rho = werner_state(0.83, 0.0);
         let data = simulate_counts(&mut rng, &rho, &all_settings(2), 500);
-        let opts = MleOptions {
-            max_iterations: 0,
-            ..MleOptions::default()
-        };
+        let opts = MleOptions { max_iterations: 0 };
         let result = try_mle_reconstruction(&data, &opts).expect("zero iterations is legal");
         assert_eq!(result.iterations, 0);
         assert!(!result.converged);
         // No iterations: still the maximally mixed starting point.
         let mixed = DensityMatrix::maximally_mixed(2);
         assert!(result.rho.as_matrix().approx_eq(mixed.as_matrix(), 1e-12));
-    }
-
-    #[test]
-    fn accelerated_schedule_validates_parameters() {
-        let mut rng = rng_from_seed(38);
-        let rho = werner_state(0.83, 0.0);
-        let data = simulate_counts(&mut rng, &rho, &all_settings(2), 500);
-        let opts = MleOptions {
-            acceleration: MleAcceleration::Accelerated {
-                max_step: 0.5,
-                growth: 1.4,
-            },
-            ..MleOptions::default()
-        };
-        let err = try_mle_reconstruction(&data, &opts).unwrap_err();
-        assert!(matches!(err, QfcError::InvalidParameter { .. }), "{err}");
-    }
-
-    #[test]
-    fn accelerated_matches_classic_fidelity_in_fewer_iterations() {
-        let mut rng = rng_from_seed(39);
-        let truth = werner_state(0.9, 0.2);
-        let data = simulate_counts(&mut rng, &truth, &all_settings(2), 2000);
-        let opts = MleOptions {
-            max_iterations: 4000,
-            tolerance: 1e-8,
-            acceleration: MleAcceleration::Classic,
-        };
-        let classic = try_mle_reconstruction(&data, &opts).expect("classic");
-        let accel = try_mle_reconstruction(
-            &data,
-            &MleOptions {
-                acceleration: MleAcceleration::accelerated(),
-                ..opts
-            },
-        )
-        .expect("accelerated");
-        assert!(classic.converged, "classic run must converge");
-        assert!(accel.converged, "accelerated run must converge");
-        assert!(accel.accelerated_steps > 0, "schedule never over-relaxed");
-        assert!(
-            accel.iterations < classic.iterations,
-            "accelerated {} vs classic {} iterations",
-            accel.iterations,
-            classic.iterations
-        );
-        let f_c = state_fidelity(&classic.rho, &truth);
-        let f_a = state_fidelity(&accel.rho, &truth);
-        assert!((f_c - f_a).abs() < 1e-6, "classic F {f_c} vs accelerated F {f_a}");
-    }
-
-    #[test]
-    fn classic_path_reports_zero_accelerated_steps() {
-        let mut rng = rng_from_seed(40);
-        let rho = werner_state(0.83, 0.0);
-        let data = simulate_counts(&mut rng, &rho, &all_settings(2), 500);
-        let result = try_mle_reconstruction(&data, &MleOptions::default()).expect("mle");
-        assert_eq!(result.accelerated_steps, 0);
-        // The serialized form must not mention the field, so classic
-        // results stay byte-identical to the historical format.
-        let json = serde_json::to_string(&result).expect("serialize");
-        assert!(!json.contains("accelerated_steps"));
     }
 
     #[test]

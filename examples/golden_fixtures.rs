@@ -70,21 +70,13 @@ fn main() {
     let qudit_bases = deterministic_bases(8, 9, 21).expect("bases");
     let qudit_set = ProjectorReprSet::try_rank1_from_bases(&qudit_bases).expect("set");
     let qudit_counts = exact_counts_repr(&qudit_truth, &qudit_set, 200_000).expect("counts");
-    let qudit_opts = MleOptions {
-        max_iterations: 60,
-        tolerance: 1e-9,
-        ..MleOptions::default()
-    };
+    let qudit_opts = MleOptions { max_iterations: 60 };
     let qudit = try_mle_repr(&qudit_set, &qudit_counts, &qudit_opts).expect("rank-1 MLE");
     write_fixture(&dir, "qudit_mle_rank1.json", &serde_json::to_string(&qudit).expect("json"));
 
     // Bootstrap error bar over MLE re-reconstructions (resampling + MLE).
     let target = bell_phi_plus();
-    let opts = MleOptions {
-        max_iterations: 50,
-        tolerance: 1e-8,
-        ..MleOptions::default()
-    };
+    let opts = MleOptions { max_iterations: 50 };
     let boot = bootstrap_functional(
         23,
         &data,

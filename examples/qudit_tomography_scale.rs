@@ -1,4 +1,4 @@
-//! Large-d qudit tomography A/B: dense classic representation vs the
+//! Large-d qudit tomography A/B: dense projector representation vs the
 //! rank-1 + packed-GEMM fast path, at d = 16 (17 bases, 200 iterations)
 //! and d = 64 (16 bases, 120 iterations).
 //!
@@ -19,7 +19,7 @@ use qfc::tomography::rank1::{
     deterministic_bases, exact_counts_repr, synthetic_low_rank_state, try_mle_repr,
     ProjectorReprSet,
 };
-use qfc::tomography::reconstruct::{MleAcceleration, MleOptions};
+use qfc::tomography::reconstruct::MleOptions;
 
 fn time_ms<R>(f: impl FnOnce() -> R) -> (f64, R) {
     let t0 = Instant::now();
@@ -36,11 +36,7 @@ fn main() {
         let set = ProjectorReprSet::try_rank1_from_bases(&bases).expect("bases are unitary");
         let dense_set = set.to_dense();
         let counts = exact_counts_repr(&rho, &set, 1_000_000).expect("state matches set");
-        let opts = MleOptions {
-            max_iterations,
-            tolerance: 1e-10,
-            acceleration: MleAcceleration::accelerated(),
-        };
+        let opts = MleOptions { max_iterations };
 
         let mut best_dense = f64::INFINITY;
         let mut best_rank1 = f64::INFINITY;
@@ -67,13 +63,14 @@ fn main() {
         let fid = state_fidelity(&fast.rho, &truth);
         println!(
             "d={dim:<3} bases={n_bases:<3} projectors={:<5} iterations={:<4} \
-             converged={} fidelity={fid:.6}",
+             gap={:.3} nat converged={} fidelity={fid:.6}",
             n_bases * dim,
             fast.iterations,
+            fast.gap_nats,
             fast.converged,
         );
         println!(
-            "      dense classic leg {best_dense:>10.1} ms | rank-1 + packed {best_rank1:>10.1} ms \
+            "      dense leg {best_dense:>10.1} ms | rank-1 + packed {best_rank1:>10.1} ms \
              | speedup {:.2}x",
             best_dense / best_rank1
         );

@@ -106,11 +106,7 @@ fn bootstrap_mle_matches_pre_rework_bytes() {
     let truth = werner_state(0.83, 0.0);
     let data = simulate_counts_seeded(&truth, &all_settings(2), 500, 17);
     let target = bell_phi_plus();
-    let opts = MleOptions {
-        max_iterations: 50,
-        tolerance: 1e-8,
-        ..MleOptions::default()
-    };
+    let opts = MleOptions { max_iterations: 50 };
     // Replicas run on the worker team and each runs the MLE, so the
     // fixture replays serially and on four workers.
     for threads in REPLAY_THREADS {
@@ -137,11 +133,7 @@ fn qudit_rank1_json() -> String {
     let bases = deterministic_bases(8, 9, 21).expect("bases");
     let set = ProjectorReprSet::try_rank1_from_bases(&bases).expect("set");
     let counts = exact_counts_repr(&truth, &set, 200_000).expect("counts");
-    let opts = MleOptions {
-        max_iterations: 60,
-        tolerance: 1e-9,
-        ..MleOptions::default()
-    };
+    let opts = MleOptions { max_iterations: 60 };
     let mle = try_mle_repr(&set, &counts, &opts).expect("rank-1 MLE");
     serde_json::to_string(&mle).expect("json")
 }

@@ -284,11 +284,7 @@ fn diverging_mle_fallback_is_reported_in_health() {
     let data = simulate_counts_seeded(&rho, &all_settings(2), 400, 17);
     // A one-iteration budget cannot settle: the supervisor must swap in
     // linear inversion and say so.
-    let opts = MleOptions {
-        max_iterations: 1,
-        tolerance: 1e-30,
-        ..MleOptions::default()
-    };
+    let opts = MleOptions { max_iterations: 1 };
     let mut health = qfc::faults::HealthReport::pristine();
     let res = supervisor::reconstruct_with_fallback(&data, &opts, &mut health)
         .expect("fallback produces a state");

@@ -13,6 +13,7 @@ use qfc::core::purity::{run_purity_analysis, PurityConfig};
 use qfc::core::source::QfcSource;
 use qfc::core::timebin::{try_run_timebin_experiment, TimeBinConfig};
 use qfc::faults::FaultSchedule;
+use qfc::tomography::rank1::MLE_GAP_NATS;
 
 const SEED: u64 = 20170327;
 
@@ -115,8 +116,21 @@ fn f8_t4_full_multiphoton_run() {
         "F4 {}",
         report.tomography.fidelity
     );
+    // Every reconstruction, 5 T3 channels and T4, stops on its
+    // likelihood-gap certificate, not on the 300-iteration budget.
+    assert_eq!(report.bell.len(), 5);
     for b in &report.bell {
         assert!(b.fidelity > 0.85);
         assert!(b.concurrence > 0.7);
+        assert!(
+            b.converged && b.gap_nats <= MLE_GAP_NATS,
+            "T3 channel {}: gap {} nats after {} iterations",
+            b.m,
+            b.gap_nats,
+            b.iterations
+        );
     }
+    let t4 = &report.tomography;
+    assert!(t4.converged && t4.gap_nats <= MLE_GAP_NATS, "T4: gap {} nats", t4.gap_nats);
+    assert!(t4.iterations < 300, "T4 ran to its cap: {} iterations", t4.iterations);
 }
