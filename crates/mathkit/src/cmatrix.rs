@@ -5,7 +5,7 @@ use std::ops::{Add, Index, IndexMut, Mul, Neg, Sub};
 use serde::{Deserialize, Serialize};
 
 use crate::complex::{Complex64, C_ONE, C_ZERO};
-use crate::cvector::CVector;
+use crate::cvector::{CVector, VectorPanels};
 
 /// Reusable packing buffer for [`CMatrix::matmul_packed_into`].
 ///
@@ -469,9 +469,8 @@ impl CMatrix {
 
     /// Rank-1 update `self += α · x·y†` (a *ger* kernel): adds
     /// `α·xᵢ·conj(yⱼ)` to every element, row-major, with `α` applied to
-    /// `xᵢ` once per row. This is how the rank-1 tomography path
-    /// accumulates `R` from outcome vectors without ever materializing
-    /// the `d × d` outer-product projector.
+    /// `xᵢ` once per row, without materializing the `d × d` outer
+    /// product.
     ///
     /// # Panics
     ///
@@ -580,8 +579,7 @@ impl CMatrix {
     /// fully accumulated (ascending `j`, from zero) before being folded
     /// into the dot accumulation as `conj(xᵢ)·(Ay)ᵢ` in ascending `i` —
     /// the exact operation order of `matvec` followed by `dot`, minus
-    /// the intermediate vector. This is the O(d²) expectation kernel of
-    /// the rank-1 tomography path.
+    /// the intermediate vector.
     ///
     /// # Panics
     ///
@@ -604,55 +602,6 @@ impl CMatrix {
         acc
     }
 
-    /// Quadratic form `⟨x|A|y⟩` evaluated with four interleaved
-    /// accumulator lanes per row: lane `l` gathers terms `j ≡ l (mod 4)`
-    /// and the lanes combine as `(a₀+a₁)+(a₂+a₃)` (any tail elements
-    /// fold into lanes 0..2 in order). This breaks the serial
-    /// add-dependency chain that makes [`Self::sandwich`] latency-bound
-    /// — the chain shrinks 4×, which is most of the large-`d` sweep
-    /// time in the rank-1 tomography path.
-    ///
-    /// **Not** bit-identical to `sandwich` (the summation associates
-    /// differently), but fully deterministic: the lane layout depends
-    /// only on the dimensions, never on threads or data. Paths that pin
-    /// golden bytes to the single-chain order must keep calling
-    /// `sandwich`; the rank-1 tomography path owns its own baselines
-    /// and takes the lanes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `y.dim() != self.cols()` or `x.dim() != self.rows()`.
-    pub fn sandwich_lanes(&self, x: &CVector, y: &CVector) -> Complex64 {
-        assert_eq!(y.dim(), self.cols, "matvec dimension mismatch");
-        assert_eq!(x.dim(), self.rows, "dimension mismatch in dot");
-        let xs = x.as_slice();
-        let ys = y.as_slice();
-        let mut acc = C_ZERO;
-        // qfc-lint: hot
-        for (i, &xi) in xs.iter().enumerate() {
-            let row = &self.data[i * self.cols..(i + 1) * self.cols];
-            let (mut a0, mut a1, mut a2, mut a3) = (C_ZERO, C_ZERO, C_ZERO, C_ZERO);
-            let mut rc = row.chunks_exact(4);
-            let mut yc = ys.chunks_exact(4);
-            for (r4, y4) in (&mut rc).zip(&mut yc) {
-                a0 += r4[0] * y4[0];
-                a1 += r4[1] * y4[1];
-                a2 += r4[2] * y4[2];
-                a3 += r4[3] * y4[3];
-            }
-            for (l, (a, b)) in rc.remainder().iter().zip(yc.remainder()).enumerate() {
-                match l {
-                    0 => a0 += *a * *b,
-                    1 => a1 += *a * *b,
-                    _ => a2 += *a * *b,
-                }
-            }
-            let ay = (a0 + a1) + (a2 + a3);
-            acc += xi.conj() * ay;
-        }
-        acc
-    }
-
     /// Hermitian quadratic form `⟨x|A|x⟩` touching only the diagonal and
     /// strict upper triangle:
     /// `Σᵢ aᵢᵢ·|xᵢ|² + 2·Re Σᵢ conj(xᵢ)·(Σ_{j>i} aᵢⱼ·xⱼ)` — half the
@@ -663,9 +612,10 @@ impl CMatrix {
     /// **Contract:** `self` must be Hermitian — the lower triangle and
     /// the diagonal imaginary parts are never read, so on a
     /// non-Hermitian matrix this silently computes the form of the
-    /// Hermitian matrix implied by the upper triangle. The rank-1
-    /// tomography path keeps its iterates bitwise Hermitian (see
-    /// [`Self::hermitianize_upper`]) and owns its own golden baselines.
+    /// Hermitian matrix implied by the upper triangle. The tomography
+    /// MLE keeps its iterates bitwise Hermitian (see
+    /// [`Self::hermitianize_upper`]); the count simulation's density
+    /// matrices are Hermitian to rounding.
     ///
     /// # Panics
     ///
@@ -690,148 +640,100 @@ impl CMatrix {
         diag + 2.0 * cross.re
     }
 
-    /// [`Self::quadratic_form_hermitian`] for several vectors against
-    /// the same matrix, blocked four at a time: each block makes one
-    /// pass over the upper triangle instead of four, so the matrix
-    /// traffic is amortized and the four accumulator chains run
-    /// independently. Bitwise identical to calling the single-vector
-    /// form per vector — every vector keeps its own accumulation
-    /// order; the block only shares the matrix loads.
+    /// [`Self::quadratic_form_hermitian`] of every vector of `panels`,
+    /// into `out` in vector order. Each panel makes one pass over the
+    /// upper triangle for its four vectors, and the four lanes run side
+    /// by side. Bitwise identical to the single-vector form per vector:
+    /// each lane evaluates that form's expression tree, in its order.
     ///
     /// # Panics
     ///
-    /// Panics if `self` is not square, `xs.len() != out.len()`, or any
-    /// vector's dimension does not match.
-    pub fn quadratic_forms_hermitian(&self, xs: &[&CVector], out: &mut [f64]) {
+    /// Panics if `self` is not square, the panels' dimension does not
+    /// match, or `out.len() != panels.len()`.
+    pub fn quadratic_forms_hermitian_panels(&self, panels: &VectorPanels, out: &mut [f64]) {
         assert!(self.is_square(), "quadratic form needs a square matrix");
-        assert_eq!(xs.len(), out.len(), "quadratic form output length mismatch");
-        for x in xs {
-            assert_eq!(x.dim(), self.rows, "matvec dimension mismatch");
-        }
-        let mut k = 0;
-        while k + 4 <= xs.len() {
-            let vals =
-                self.quadratic_form_hermitian_x4([xs[k], xs[k + 1], xs[k + 2], xs[k + 3]]);
-            out[k..k + 4].copy_from_slice(&vals);
-            k += 4;
-        }
-        for (x, o) in xs[k..].iter().zip(&mut out[k..]) {
-            *o = self.quadratic_form_hermitian(x);
-        }
-    }
-
-    /// One four-vector block of [`Self::quadratic_forms_hermitian`]:
-    /// dimensions are already checked by the caller.
-    fn quadratic_form_hermitian_x4(&self, xs: [&CVector; 4]) -> [f64; 4] {
+        assert_eq!(panels.dim(), self.rows, "matvec dimension mismatch");
+        assert_eq!(panels.len(), out.len(), "quadratic form output length mismatch");
         let n = self.rows;
-        let s = [
-            xs[0].as_slice(),
-            xs[1].as_slice(),
-            xs[2].as_slice(),
-            xs[3].as_slice(),
-        ];
-        let mut diag = [0.0f64; 4];
-        let mut cross = [C_ZERO; 4];
-        // qfc-lint: hot
-        for i in 0..n {
-            let row = &self.data[i * n..(i + 1) * n];
-            let aii = row[i].re;
-            let tail = &row[i + 1..];
-            let (t0, t1, t2, t3) = (
-                &s[0][i + 1..],
-                &s[1][i + 1..],
-                &s[2][i + 1..],
-                &s[3][i + 1..],
-            );
-            let mut t = [C_ZERO; 4];
-            // Exact-length zips: no index bounds checks in the kernel.
-            for ((((&a, &b0), &b1), &b2), &b3) in
-                tail.iter().zip(t0).zip(t1).zip(t2).zip(t3)
-            {
-                t[0] += a * b0;
-                t[1] += a * b1;
-                t[2] += a * b2;
-                t[3] += a * b3;
+        for (p, out) in out.chunks_mut(4).enumerate() {
+            let (xr, xi) = panels.panel(p);
+            let mut diag = [0.0f64; 4];
+            let mut cross = [0.0f64; 4];
+            // qfc-lint: hot
+            for i in 0..n {
+                let row = &self.data[i * n..(i + 1) * n];
+                let mut tr = [0.0f64; 4];
+                let mut ti = [0.0f64; 4];
+                for ((a, br), bi) in row[i + 1..].iter().zip(&xr[i + 1..]).zip(&xi[i + 1..]) {
+                    // `t += a·b`, lane by lane.
+                    tr = std::array::from_fn(|l| tr[l] + (a.re * br[l] - a.im * bi[l]));
+                    ti = std::array::from_fn(|l| ti[l] + (a.re * bi[l] + a.im * br[l]));
+                }
+                let (aii, x_re, x_im) = (row[i].re, xr[i], xi[i]);
+                diag = std::array::from_fn(|l| {
+                    diag[l] + aii * (x_re[l] * x_re[l] + x_im[l] * x_im[l])
+                });
+                // `Re(conj(x)·t)` as the complex product forms it.
+                cross = std::array::from_fn(|l| {
+                    cross[l] + (x_re[l] * tr[l] - (-x_im[l]) * ti[l])
+                });
             }
-            diag[0] += aii * s[0][i].norm_sqr();
-            diag[1] += aii * s[1][i].norm_sqr();
-            diag[2] += aii * s[2][i].norm_sqr();
-            diag[3] += aii * s[3][i].norm_sqr();
-            cross[0] += s[0][i].conj() * t[0];
-            cross[1] += s[1][i].conj() * t[1];
-            cross[2] += s[2][i].conj() * t[2];
-            cross[3] += s[3][i].conj() * t[3];
+            for ((o, d), c) in out.iter_mut().zip(diag).zip(cross) {
+                *o = d + 2.0 * c;
+            }
         }
-        [
-            diag[0] + 2.0 * cross[0].re,
-            diag[1] + 2.0 * cross[1].re,
-            diag[2] + 2.0 * cross[2].re,
-            diag[3] + 2.0 * cross[3].re,
-        ]
     }
 
-    /// A batch of [`Self::ger_hermitian_upper`] updates, blocked four
-    /// at a time: each block touches every accumulator element once for
-    /// four rank-1 updates instead of four times, quartering the
-    /// load/store traffic on `self`. Bitwise identical to applying the
-    /// updates sequentially — per element the four contributions are
-    /// added in batch order, exactly the association the sequential
-    /// form produces.
+    /// [`Self::ger_hermitian_upper`] with weight `alphas[k]` for every
+    /// vector `k` of `panels`, in vector order. Each panel touches every
+    /// upper-triangle element once for its four updates instead of four
+    /// times. Bitwise identical to the sequential single updates: per
+    /// element the lanes are added in vector order, each as that form's
+    /// product, and a short last panel adds only its own lanes.
     ///
     /// # Panics
     ///
-    /// Panics if `self` is not square or any vector's dimension does
-    /// not match.
-    pub fn ger_hermitian_upper_batch(&mut self, updates: &[(f64, &CVector)]) {
+    /// Panics if `self` is not square, the panels' dimension does not
+    /// match, or `alphas.len() != panels.len()`.
+    pub fn ger_hermitian_upper_panels(&mut self, alphas: &[f64], panels: &VectorPanels) {
         assert!(self.is_square(), "ger_hermitian_upper needs a square matrix");
-        for (_, x) in updates {
-            assert_eq!(x.dim(), self.rows, "ger_assign row dimension mismatch");
-        }
-        let mut k = 0;
-        while k + 4 <= updates.len() {
-            self.ger_hermitian_upper_x4([
-                updates[k],
-                updates[k + 1],
-                updates[k + 2],
-                updates[k + 3],
-            ]);
-            k += 4;
-        }
-        for &(alpha, x) in &updates[k..] {
-            self.ger_hermitian_upper(alpha, x);
+        assert_eq!(panels.dim(), self.rows, "ger_assign row dimension mismatch");
+        assert_eq!(panels.len(), alphas.len(), "ger weight count mismatch");
+        for (p, alphas) in alphas.chunks(4).enumerate() {
+            let (xr, xi) = panels.panel(p);
+            match *alphas {
+                [a0, a1, a2, a3] => self.ger_hermitian_upper_panel([a0, a1, a2, a3], xr, xi),
+                [a0, a1, a2] => self.ger_hermitian_upper_panel([a0, a1, a2], xr, xi),
+                [a0, a1] => self.ger_hermitian_upper_panel([a0, a1], xr, xi),
+                [a0] => self.ger_hermitian_upper_panel([a0], xr, xi),
+                _ => {}
+            }
         }
     }
 
-    /// One four-update block of [`Self::ger_hermitian_upper_batch`]:
-    /// dimensions are already checked by the caller.
-    fn ger_hermitian_upper_x4(&mut self, updates: [(f64, &CVector); 4]) {
+    /// One panel of [`Self::ger_hermitian_upper_panels`]: the updates of
+    /// its first `L` lanes. Dimensions are checked by the caller.
+    fn ger_hermitian_upper_panel<const L: usize>(
+        &mut self,
+        alpha: [f64; L],
+        xr: &[[f64; 4]],
+        xi: &[[f64; 4]],
+    ) {
         let n = self.rows;
-        let s = [
-            updates[0].1.as_slice(),
-            updates[1].1.as_slice(),
-            updates[2].1.as_slice(),
-            updates[3].1.as_slice(),
-        ];
-        let al = [updates[0].0, updates[1].0, updates[2].0, updates[3].0];
         // qfc-lint: hot
         for i in 0..n {
-            let xa = [
-                s[0][i].scale(al[0]),
-                s[1][i].scale(al[1]),
-                s[2][i].scale(al[2]),
-                s[3][i].scale(al[3]),
-            ];
+            let ar: [f64; L] = std::array::from_fn(|l| xr[i][l] * alpha[l]);
+            let ai: [f64; L] = std::array::from_fn(|l| xi[i][l] * alpha[l]);
             let row = &mut self.data[i * n + i..(i + 1) * n];
-            let (y0, y1, y2, y3) = (&s[0][i..], &s[1][i..], &s[2][i..], &s[3][i..]);
-            // Exact-length zips: no index bounds checks in the kernel.
-            for ((((o, &b0), &b1), &b2), &b3) in
-                row.iter_mut().zip(y0).zip(y1).zip(y2).zip(y3)
-            {
+            for ((o, br), bi) in row.iter_mut().zip(&xr[i..]).zip(&xi[i..]) {
+                // `xa·conj(b)` per lane, as the complex product forms it.
+                let pr: [f64; L] = std::array::from_fn(|l| ar[l] * br[l] - ai[l] * (-bi[l]));
+                let pi: [f64; L] = std::array::from_fn(|l| ar[l] * (-bi[l]) + ai[l] * br[l]);
                 let mut z = *o;
-                z += xa[0] * b0.conj();
-                z += xa[1] * b1.conj();
-                z += xa[2] * b2.conj();
-                z += xa[3] * b3.conj();
+                for (r, i) in pr.into_iter().zip(pi) {
+                    z.re += r;
+                    z.im += i;
+                }
                 *o = z;
             }
         }
@@ -1447,42 +1349,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn sandwich_lanes_matches_sandwich_approximately() {
-        // Lane association differs from the single chain, so agreement
-        // is to rounding, not bitwise — including every tail length
-        // (dims 1..=9 cover all `mod 4` remainders).
-        for n in [1usize, 2, 3, 4, 5, 6, 7, 8, 9, 16, 33, 64] {
-            let a = scrambled(n, 407);
-            let x: CVector = (0..n)
-                .map(|i| Complex64::new(0.4 * i as f64 - 0.9, 0.07 * i as f64))
-                .collect();
-            let y: CVector = (0..n)
-                .map(|i| Complex64::new(0.5 - 0.03 * i as f64, 0.11 * i as f64))
-                .collect();
-            let chain = a.sandwich(&x, &y);
-            let lanes = a.sandwich_lanes(&x, &y);
-            let scale = chain.abs().max(1.0);
-            assert!(
-                (chain - lanes).abs() <= 1e-12 * scale,
-                "n = {n}: {chain:?} vs {lanes:?}"
-            );
-            // Deterministic: the lane layout depends only on shape.
-            let again = a.sandwich_lanes(&x, &y);
-            assert_eq!(lanes.re.to_bits(), again.re.to_bits(), "n = {n}");
-            assert_eq!(lanes.im.to_bits(), again.im.to_bits(), "n = {n}");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "matvec dimension mismatch")]
-    fn sandwich_lanes_rejects_bad_y_dim() {
-        let a = scrambled(3, 1);
-        let x = CVector::zeros(3);
-        let y = CVector::zeros(2);
-        let _ = a.sandwich_lanes(&x, &y);
-    }
-
     /// Hermitian version of `scrambled`: `(A + A†)/2`.
     fn scrambled_hermitian(n: usize, salt: u64) -> CMatrix {
         let a = scrambled(n, salt);
@@ -1557,65 +1423,71 @@ mod tests {
         h.ger_hermitian_upper(1.0, &CVector::zeros(2));
     }
 
+    /// `m` deterministic vectors of dimension `d`, and the same vectors
+    /// as panels.
+    fn panel_set(d: usize, m: usize, salt: usize) -> (Vec<CVector>, VectorPanels) {
+        let vecs: Vec<CVector> = (0..m)
+            .map(|k| {
+                (0..d)
+                    .map(|i| {
+                        Complex64::new(
+                            0.1 * ((i + k + salt) % 13) as f64 - 0.6,
+                            0.23 - 0.05 * ((i * (k + 1) + salt) % 11) as f64,
+                        )
+                    })
+                    .collect()
+            })
+            .collect();
+        let mut panels = VectorPanels::zeros(d, m);
+        for (k, v) in vecs.iter().enumerate() {
+            panels.set(k, v.as_slice());
+        }
+        (vecs, panels)
+    }
+
+    /// The dimensions the tomography engine meets, and 0..=9 vectors:
+    /// every remainder of a four-vector panel.
+    const PANEL_DIMS: [usize; 4] = [2, 4, 16, 64];
+
     #[test]
-    fn quadratic_forms_hermitian_batch_bitwise_matches_single() {
-        // Lengths 0..=9 cover every block-of-4 remainder.
-        for m in 0..=9usize {
-            let h = scrambled_hermitian(16, 911);
-            let vecs: Vec<CVector> = (0..m)
-                .map(|k| {
-                    (0..16)
-                        .map(|i| {
-                            Complex64::new(
-                                0.1 * (i + k) as f64 - 0.6,
-                                0.23 - 0.05 * (i * (k + 1)) as f64,
-                            )
-                        })
-                        .collect()
-                })
-                .collect();
-            let refs: Vec<&CVector> = vecs.iter().collect();
-            let mut out = vec![0.0f64; m];
-            h.quadratic_forms_hermitian(&refs, &mut out);
-            for (k, x) in refs.iter().enumerate() {
-                let single = h.quadratic_form_hermitian(x);
-                assert_eq!(out[k].to_bits(), single.to_bits(), "m = {m}, k = {k}");
+    fn quadratic_forms_hermitian_panels_bitwise_match_single() {
+        for d in PANEL_DIMS {
+            let h = scrambled_hermitian(d, 911);
+            for m in 0..=9usize {
+                let (vecs, panels) = panel_set(d, m, 3);
+                let mut out = vec![f64::NAN; m];
+                h.quadratic_forms_hermitian_panels(&panels, &mut out);
+                for (k, x) in vecs.iter().enumerate() {
+                    let single = h.quadratic_form_hermitian(x);
+                    assert_eq!(out[k].to_bits(), single.to_bits(), "d = {d}, m = {m}, k = {k}");
+                }
             }
         }
     }
 
     #[test]
-    fn ger_hermitian_upper_batch_bitwise_matches_sequential() {
-        for m in 0..=9usize {
-            let h = scrambled_hermitian(16, 1013);
-            let vecs: Vec<CVector> = (0..m)
-                .map(|k| {
-                    (0..16)
-                        .map(|i| {
-                            Complex64::new(
-                                0.07 * (2 * i + k) as f64 - 0.4,
-                                0.3 - 0.04 * (i + 2 * k) as f64,
-                            )
-                        })
-                        .collect()
-                })
-                .collect();
-            let updates: Vec<(f64, &CVector)> =
-                vecs.iter().enumerate().map(|(k, v)| (0.5 + 0.1 * k as f64, v)).collect();
-            let mut batched = h.clone();
-            batched.ger_hermitian_upper_batch(&updates);
-            let mut sequential = h.clone();
-            for &(alpha, x) in &updates {
-                sequential.ger_hermitian_upper(alpha, x);
-            }
-            for i in 0..16 {
-                for j in i..16 {
-                    let (a, b) = (batched[(i, j)], sequential[(i, j)]);
-                    assert_eq!(a.re.to_bits(), b.re.to_bits(), "m = {m} ({i},{j})");
-                    assert_eq!(a.im.to_bits(), b.im.to_bits(), "m = {m} ({i},{j})");
+    fn ger_hermitian_upper_panels_bitwise_match_sequential() {
+        for d in PANEL_DIMS {
+            let h = scrambled_hermitian(d, 1013);
+            for m in 0..=9usize {
+                let (vecs, panels) = panel_set(d, m, 7);
+                let alphas: Vec<f64> = (0..m).map(|k| 0.5 + 0.1 * k as f64).collect();
+                let mut batched = h.clone();
+                batched.ger_hermitian_upper_panels(&alphas, &panels);
+                let mut sequential = h.clone();
+                for (&alpha, x) in alphas.iter().zip(&vecs) {
+                    sequential.ger_hermitian_upper(alpha, x);
                 }
+                assert!(bits_eq(&batched, &sequential), "d = {d}, m = {m}");
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "ger weight count mismatch")]
+    fn ger_hermitian_upper_panels_rejects_weight_count() {
+        let (_, panels) = panel_set(3, 5, 0);
+        scrambled_hermitian(3, 3).ger_hermitian_upper_panels(&[1.0; 4], &panels);
     }
 
     #[test]

@@ -188,6 +188,76 @@ impl CVector {
     }
 }
 
+/// Vectors of one dimension grouped four to a panel, the layout the
+/// batched Hermitian kernels of [`CMatrix`](crate::cmatrix::CMatrix)
+/// read. Panel `p` holds vectors `4p..4p + 4` as two planes, real and
+/// imaginary parts apart, stored element by element: entry `p·dim + i`
+/// of a plane holds element `i` of the panel's four vectors, one per
+/// lane. A kernel then loads one element of four vectors as two
+/// contiguous 4-lane rows and runs the four vectors' arithmetic side by
+/// side. Lanes past [`Self::len`] in the last panel stay zero.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct VectorPanels {
+    dim: usize,
+    len: usize,
+    re: Vec<[f64; 4]>,
+    im: Vec<[f64; 4]>,
+}
+
+impl VectorPanels {
+    /// `len` zero vectors of dimension `dim`, in `⌈len/4⌉` panels.
+    pub fn zeros(dim: usize, len: usize) -> Self {
+        let entries = len.div_ceil(4) * dim;
+        Self {
+            dim,
+            len,
+            re: vec![[0.0; 4]; entries],
+            im: vec![[0.0; 4]; entries],
+        }
+    }
+
+    /// Dimension of every vector.
+    #[inline]
+    pub fn dim(&self) -> usize {
+        self.dim
+    }
+
+    /// Number of vectors.
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// `true` when the set holds no vector.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Stores `x` as vector `k`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `k ≥ len` or `x.len() != dim`.
+    pub fn set(&mut self, k: usize, x: &[Complex64]) {
+        assert!(k < self.len, "panel vector index out of range");
+        assert_eq!(x.len(), self.dim, "panel vector dimension mismatch");
+        let (p, lane) = (k / 4, k % 4);
+        let rows = p * self.dim..(p + 1) * self.dim;
+        for ((re, im), z) in self.re[rows.clone()].iter_mut().zip(&mut self.im[rows]).zip(x) {
+            re[lane] = z.re;
+            im[lane] = z.im;
+        }
+    }
+
+    /// The real and imaginary planes of panel `p`, `dim` rows each.
+    #[inline]
+    pub(crate) fn panel(&self, p: usize) -> (&[[f64; 4]], &[[f64; 4]]) {
+        let rows = p * self.dim..(p + 1) * self.dim;
+        (&self.re[rows.clone()], &self.im[rows])
+    }
+}
+
 impl Index<usize> for CVector {
     type Output = Complex64;
     #[inline]

@@ -32,6 +32,25 @@ fn remainder_after(weights: &[f64], u: f64) -> f64 {
     acc
 }
 
+/// Half-width, in units in the last place, of the first bracket
+/// [`DiscreteSampler::new`] searches for a threshold.
+const BRACKET_ULPS: u64 = 64;
+
+/// Bit patterns `(lo, hi)` that bracket the threshold of `prefix`:
+/// `±BRACKET_ULPS` around its forward sum `sum`, which rounds differently
+/// from the subtraction loop but lands within a few ulps of the
+/// threshold. `None` unless the remainder at `lo` is `≤ 0` and at `hi`
+/// is `> 0`; the caller then searches the whole range.
+fn bracket(prefix: &[f64], sum: f64) -> Option<(u64, u64)> {
+    let inf = f64::INFINITY.to_bits();
+    let center = if sum > 0.0 { sum.to_bits() } else { 0 };
+    let lo = center.saturating_sub(BRACKET_ULPS);
+    let hi = center.saturating_add(BRACKET_ULPS).min(inf);
+    let brackets = remainder_after(prefix, f64::from_bits(lo)) <= 0.0
+        && remainder_after(prefix, f64::from_bits(hi)) > 0.0;
+    brackets.then_some((lo, hi))
+}
+
 /// A precomputed categorical sampler that reproduces
 /// [`rng::discrete`](crate::rng::discrete) bit for bit.
 ///
@@ -42,7 +61,9 @@ fn remainder_after(weights: &[f64], u: f64) -> f64 {
 /// exactly when `u ≤ t_j`, where `t_j` is the largest float with a
 /// non-positive remainder. The constructor finds every `t_j` by binary
 /// search over the (order-preserving) bit patterns of non-negative
-/// floats; a draw is then one uniform plus a `partition_point` over the
+/// floats, first within a few ulps of the prefix sum and over the whole
+/// range only when that bracket misses; a draw is then one uniform plus
+/// a `partition_point` over the
 /// ascending ladder — identical output, O(log n) instead of O(n), and
 /// no re-validation per shot.
 ///
@@ -85,14 +106,17 @@ impl DiscreteSampler {
         assert!(total > 0.0, "discrete: all weights zero");
         // The final outcome needs no threshold: it is the fall-through.
         let mut thresholds = Vec::with_capacity(weights.len().saturating_sub(1));
+        let mut sum = 0.0;
         for j in 0..weights.len().saturating_sub(1) {
             let prefix = &weights[..=j];
+            sum += weights[j];
             // Remainders are monotone in u, non-positive at u = 0 and
             // positive at u = ∞ (∞ − finite = ∞), so the non-negative
             // float bit patterns [0, ∞) are split in two; find the last
-            // pattern on the non-positive side.
-            let mut lo = 0u64;
-            let mut hi = f64::INFINITY.to_bits();
+            // pattern on the non-positive side. Any bracket whose ends
+            // lie on either side holds that pattern, so searching it
+            // finds the same threshold as searching the whole range.
+            let (mut lo, mut hi) = bracket(prefix, sum).unwrap_or((0, f64::INFINITY.to_bits()));
             while hi - lo > 1 {
                 let mid = lo + (hi - lo) / 2;
                 if remainder_after(prefix, f64::from_bits(mid)) <= 0.0 {
@@ -246,6 +270,7 @@ mod tests {
     use super::*;
     use crate::rng::{discrete, rng_from_seed};
     use proptest::prelude::*;
+    use rand::Rng;
 
     /// Reference: discrete's subtraction loop applied to a known uniform.
     fn discrete_with_uniform(weights: &[f64], u01: f64) -> usize {
@@ -302,6 +327,70 @@ mod tests {
                 discrete_with_uniform(&w, u),
                 "u = {u:e}"
             );
+        }
+    }
+
+    /// Reference: the threshold search over the whole range `[0, ∞]`.
+    fn full_range_thresholds(weights: &[f64]) -> Vec<u64> {
+        (0..weights.len().saturating_sub(1))
+            .map(|j| {
+                let (mut lo, mut hi) = (0u64, f64::INFINITY.to_bits());
+                while hi - lo > 1 {
+                    let mid = lo + (hi - lo) / 2;
+                    if remainder_after(&weights[..=j], f64::from_bits(mid)) <= 0.0 {
+                        lo = mid;
+                    } else {
+                        hi = mid;
+                    }
+                }
+                lo
+            })
+            .collect()
+    }
+
+    fn threshold_bits(weights: &[f64]) -> Vec<u64> {
+        let table = DiscreteSampler::new(weights);
+        table.thresholds.iter().map(|t| t.to_bits()).collect()
+    }
+
+    #[test]
+    fn bracketed_thresholds_match_the_full_range_search() {
+        // 250 weights of 0.4 ulp after a 1: the forward sum stays at 1,
+        // while the subtraction loop removes all of them exactly, so the
+        // last threshold lies 100 ulps above the sum.
+        let mut drift = vec![1.0];
+        drift.extend([0.4 * f64::EPSILON; 250]);
+        let hard: [&[f64]; 6] = [
+            &[0.0, 0.0, 1.0, 0.0, 2.0, 0.0],
+            &[5e-324, 1e-310, 0.0, 3e-320, 2.2e-308, 1.0],
+            &[1e300, 1e-300, 1e-300, 1e300, 1e-300, 0.5],
+            &[1e-300, 1e300, 1e-300, 1e-300],
+            &[f64::MAX, 0.0, 1.0],
+            &drift,
+        ];
+        for w in hard {
+            assert_eq!(threshold_bits(w), full_range_thresholds(w), "weights {w:?}");
+        }
+        let sum: f64 = drift.iter().fold(0.0, |acc, &w| acc + w);
+        assert_eq!(sum, 1.0);
+        assert_eq!(bracket(&drift, sum), None, "the drift case falls back");
+        // Random weights spanning 30 decades, zeros included.
+        let mut rng = rng_from_seed(5);
+        for _ in 0..200 {
+            let n = 2 + (38.0 * rng.gen::<f64>()) as usize;
+            let w: Vec<f64> = (0..n)
+                .map(|_| {
+                    let (zero, decade, mantissa) = (rng.gen::<f64>(), rng.gen::<f64>(), rng.gen::<f64>());
+                    if zero < 0.25 {
+                        0.0
+                    } else {
+                        10f64.powf(30.0 * decade - 15.0) * mantissa
+                    }
+                })
+                .collect();
+            if w.iter().sum::<f64>() > 0.0 {
+                assert_eq!(threshold_bits(&w), full_range_thresholds(&w), "weights {w:?}");
+            }
         }
     }
 

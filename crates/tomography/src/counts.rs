@@ -98,6 +98,20 @@ impl TomographyData {
     }
 }
 
+/// Outcome probabilities of one setting: `⟨ψ_o|ρ|ψ_o⟩` for every outcome
+/// vector [`Setting::outcome_vector`], clamped to `[0, 1]` as
+/// [`DensityMatrix::probability`] clamps `tr(ρ·Π)`. The quadratic form
+/// reads `ρ`'s upper triangle only, as density matrices are Hermitian.
+fn outcome_probabilities(rho: &DensityMatrix, setting: &Setting) -> Vec<f64> {
+    (0..setting.outcomes())
+        .map(|o| {
+            rho.as_matrix()
+                .quadratic_form_hermitian(&setting.outcome_vector(o))
+                .clamp(0.0, 1.0)
+        })
+        .collect()
+}
+
 /// Simulates `shots_per_setting` projective measurements of `rho` in each
 /// setting.
 ///
@@ -117,10 +131,7 @@ pub fn simulate_counts<R: Rng + ?Sized>(
             rho.qubits(),
             "setting does not match state size"
         );
-        let probs: Vec<f64> = (0..setting.outcomes())
-            .map(|o| rho.probability(&setting.outcome_projector(o)))
-            .collect();
-        let sampler = DiscreteSampler::new(&probs);
+        let sampler = DiscreteSampler::new(&outcome_probabilities(rho, setting));
         let mut c = vec![0u64; setting.outcomes()];
         // qfc-lint: hot
         for _ in 0..shots_per_setting {
@@ -160,10 +171,7 @@ pub fn setting_histogram(
         rho.qubits(),
         "setting does not match state size"
     );
-    let probs: Vec<f64> = (0..setting.outcomes())
-        .map(|o| rho.probability(&setting.outcome_projector(o)))
-        .collect();
-    let sampler = DiscreteSampler::new(&probs);
+    let sampler = DiscreteSampler::new(&outcome_probabilities(rho, setting));
     let mut rng = rng_from_seed(stream_seed);
     let mut c = vec![0u64; setting.outcomes()];
     // qfc-lint: hot
@@ -174,12 +182,15 @@ pub fn setting_histogram(
 }
 
 /// Minimum shots per setting before the seeded count paths fan out to
-/// the worker pool. Below this grain the per-task dispatch and shard
-/// merge cost more than the sampling itself — a four-photon run of 40
-/// shots × 81 settings measured *slower* in parallel than serial — so
-/// small jobs run the identical per-setting kernels
-/// serially instead. Outputs are unaffected: each setting's histogram
-/// depends only on its own split seed, never on which thread ran it.
+/// the worker pool. Below this grain a one-shot `par_map` costs more
+/// than it saves, so small jobs run the identical per-setting kernels
+/// serially instead. Measured on the rank-1 count path, 81 four-qubit
+/// settings on a 2-vCPU host (medians of 400 interleaved repetitions,
+/// two processes): at 40 shots per setting the serial loop took
+/// 0.45–0.67 ms and `par_map` at 2 threads 0.54–0.76 ms; at 60 shots
+/// 0.44–0.70 ms against 0.50–0.79 ms. At 1 thread both are the same
+/// loop. Outputs are unaffected: each setting's histogram depends only
+/// on its own split seed, never on which thread ran it.
 pub(crate) const PAR_MIN_SHOTS_PER_SETTING: u64 = 1024;
 
 /// Seeded, parallel variant of [`simulate_counts`]: every setting draws
@@ -227,10 +238,9 @@ pub fn exact_counts(rho: &DensityMatrix, settings: &[Setting], scale: u64) -> To
     let mut counts = Vec::with_capacity(settings.len());
     for setting in settings {
         assert_eq!(setting.qubits(), rho.qubits());
-        let c: Vec<u64> = (0..setting.outcomes())
-            .map(|o| {
-                cast::f64_to_u64((rho.probability(&setting.outcome_projector(o)) * cast::to_f64(scale)).round())
-            })
+        let c = outcome_probabilities(rho, setting)
+            .into_iter()
+            .map(|p| cast::f64_to_u64((p * cast::to_f64(scale)).round()))
             .collect();
         counts.push(c);
     }
@@ -284,6 +294,46 @@ mod tests {
         assert_eq!(data.counts[xx_index][1], 0);
         assert_eq!(data.counts[xx_index][2], 0);
         assert!((data.frequency(xx_index, 0) - 0.5).abs() < 1e-6);
+    }
+
+    /// Dense oracle: `tr(ρ·Π_o)` through the materialized projector of
+    /// every outcome, clamped by [`DensityMatrix::probability`].
+    fn dense_probabilities(rho: &DensityMatrix, setting: &Setting) -> Vec<f64> {
+        (0..setting.outcomes())
+            .map(|o| rho.probability(&setting.outcome_projector(o)))
+            .collect()
+    }
+
+    #[test]
+    fn probabilities_and_histograms_match_the_dense_oracle() {
+        use qfc_mathkit::rng::split_seed;
+        use qfc_quantum::bell::werner_state;
+        use qfc_quantum::multiphoton::noisy_four_photon;
+        // The `tomography_counts` fixture's data (a V = 0.83 Werner state,
+        // 500 shots per setting, seed 17) and the `four_photon` fixture's
+        // (the fast-demo four-photon state at its pairwise visibility,
+        // 40 shots per setting, seed 13).
+        let cases = [
+            (werner_state(0.83, 0.0), all_settings(2), 500, 17),
+            (noisy_four_photon(0.0, 0.6822499505097467, 0.08), all_settings(4), 40, 13),
+        ];
+        for (rho, settings, shots, seed) in &cases {
+            for (s, setting) in settings.iter().enumerate() {
+                let rank1 = outcome_probabilities(rho, setting);
+                let dense = dense_probabilities(rho, setting);
+                for (o, (a, b)) in rank1.iter().zip(&dense).enumerate() {
+                    assert!((a - b).abs() <= 1e-15, "setting {s} outcome {o}: {a} vs {b}");
+                }
+                let stream = split_seed(*seed, s as u64);
+                let sampler = DiscreteSampler::new(&dense);
+                let mut rng = rng_from_seed(stream);
+                let mut oracle = vec![0u64; setting.outcomes()];
+                for _ in 0..*shots {
+                    oracle[sampler.sample(&mut rng)] += 1;
+                }
+                assert_eq!(setting_histogram(rho, setting, *shots, stream), oracle, "setting {s}");
+            }
+        }
     }
 
     #[test]

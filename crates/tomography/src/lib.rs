@@ -37,7 +37,7 @@ pub mod stream;
 pub use counts::{exact_counts, simulate_counts, TomographyData};
 pub use rank1::{
     deterministic_bases, exact_counts_repr, synthetic_low_rank_state, try_mle_repr,
-    ProjectorRepr, ProjectorReprSet,
+    ProjectorReprSet,
 };
 pub use reconstruct::{
     try_linear_reconstruction, try_mle_reconstruction, MleOptions, MleResult,

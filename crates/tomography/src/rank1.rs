@@ -3,49 +3,52 @@
 //! Every measurement this workspace reconstructs — the Pauli product
 //! settings of qubit tomography and any orthonormal-basis qudit
 //! measurement — has outcome projectors that are rank-1 outer products
-//! `|ψ⟩⟨ψ|`. Materializing each as a dense `d × d` matrix makes one RρR
-//! iteration stream `m·d²` complex entries through `tr(ρ·Π)` (a
-//! stride-`d` column walk) and again through the `R` accumulation — at
-//! `d = 64` with ~10³ projectors that is tens of megabytes of traffic
-//! per iteration, far beyond any cache.
+//! `|ψ⟩⟨ψ|`, and the workspace keeps only the vectors `|ψ⟩`: `d` entries
+//! per outcome instead of `d²`.
+//! [`Setting::outcome_vector`](crate::settings::Setting::outcome_vector)
+//! builds those
+//! of qubit settings and [`ProjectorReprSet`] holds those of qudit bases.
+//! Expectations are the Hermitian quadratic form `⟨ψ|ρ|ψ⟩` over `ρ`'s
+//! upper triangle ([`CMatrix::quadratic_form_hermitian`]), and the `R`
+//! build is upper-triangle-only rank-1 updates
+//! ([`CMatrix::ger_hermitian_upper`]) with one mirror per sweep — each at
+//! half the complex multiplies of its full-matrix form, every access
+//! contiguous.
 //!
-//! This module keeps the *vectors* instead: [`ProjectorRepr::Rank1`]
-//! stores `|ψ⟩` (shrinking the projector cache from `m·d²` to `m·d`
-//! entries) and exploits the Hermitian structure of both operands —
-//! expectations become the allocation-free quadratic form `⟨ψ|ρ|ψ⟩`
-//! over `ρ`'s upper triangle ([`CMatrix::quadratic_form_hermitian`]),
-//! and the `R` build becomes upper-triangle-only
-//! [`CMatrix::ger_hermitian_upper`] rank-1 updates with a single
-//! mirror per sweep — each at *half* the complex multiplies of their
-//! full-matrix counterparts, every access contiguous. The `RρR`
-//! products run through the packed GEMM
+//! **Panels.** The sweep reads its measured vectors four at a time, as
+//! [`VectorPanels`]: four vectors' real and imaginary parts stored apart,
+//! element by element. The panel kernels
+//! ([`CMatrix::quadratic_forms_hermitian_panels`],
+//! [`CMatrix::ger_hermitian_upper_panels`]) load one element of four
+//! vectors as two contiguous rows and run the four lanes side by side.
+//! Each lane evaluates its vector's single-vector expression tree, in the
+//! same order, so the panels move no bit of any expectation, `R` or
+//! iterate. Each sweep chunk fills its panels once per reconstruction —
+//! straight from the settings for
+//! [`try_mle_reconstruction`](crate::reconstruct::try_mle_reconstruction),
+//! or from the caller's set for [`try_mle_repr`] — and the engine keeps
+//! no other copy of the vectors: a reconstruction's heap is one copy of
+//! its measured vectors plus each chunk's `d × d` buffer.
+//!
+//! The `RρR` products run through the packed GEMM
 //! ([`CMatrix::matmul_packed_into`]), and iterates are kept bitwise
-//! Hermitian so the triangle kernels stay exact. The per-iteration
-//! sweep is parallelized over fixed-size pair chunks with a
-//! chunk-index-ordered merge, so results are bitwise identical at any
-//! thread count. Each reconstruction runs in one
-//! [`qfc_runtime::par_team`] region: its threads are spawned once, every
-//! sweep is one barrier step of that team, and each chunk's buffers are
-//! built once, so an iteration allocates nothing at any thread count.
-//!
-//! [`try_mle_repr`] is the workspace's one MLE engine:
-//! [`crate::reconstruct::try_mle_reconstruction`] builds the rank-1 set
-//! of its settings and calls it. [`ProjectorRepr::Dense`] survives only
-//! as the reference leg that tests and the `qudit_tomography_scale`
-//! example compare against.
-
-use serde::{Deserialize, Serialize};
+//! Hermitian so the triangle kernels stay exact. The per-iteration sweep
+//! is parallelized over fixed-size chunks with a chunk-index-ordered
+//! merge, so results are bitwise identical at any thread count. Each
+//! reconstruction runs in one [`qfc_runtime::par_team`] region: its
+//! threads are spawned once, every sweep is one barrier step of that
+//! team, and each chunk's buffers are built once, so an iteration
+//! allocates nothing at any thread count.
 
 use qfc_faults::{QfcError, QfcResult};
 use qfc_mathkit::cast;
 use qfc_mathkit::cmatrix::{CMatrix, GemmScratch};
 use qfc_mathkit::complex::Complex64;
-use qfc_mathkit::cvector::CVector;
+use qfc_mathkit::cvector::{CVector, VectorPanels};
 use qfc_mathkit::hermitian::largest_eigenvalue_bound;
 use qfc_quantum::qudit::BipartiteQudit;
 
 use crate::reconstruct::{try_project_physical, MleOptions, MleResult};
-use crate::settings::Setting;
 
 /// Probability floor: expectations are clamped to this before dividing,
 /// so empty-outcome projectors cannot blow up `R`.
@@ -77,107 +80,18 @@ const GAMMA_GROWTH: f64 = 1.4;
 /// …up to this cap.
 const GAMMA_MAX: f64 = 8.0;
 
-/// One outcome projector, stored in whichever representation the
-/// measurement admits.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub enum ProjectorRepr {
-    /// A general projector as a dense matrix — the reference leg that
-    /// tests and the `qudit_tomography_scale` example compare the rank-1
-    /// representation against.
-    Dense(CMatrix),
-    /// A rank-1 projector `|ψ⟩⟨ψ|` stored as the vector `|ψ⟩` — `d`
-    /// entries instead of `d²`.
-    Rank1(CVector),
-}
-
-impl ProjectorRepr {
-    /// Hilbert-space dimension the projector acts on.
-    pub fn dim(&self) -> usize {
-        match self {
-            ProjectorRepr::Dense(m) => m.rows(),
-            ProjectorRepr::Rank1(v) => v.dim(),
-        }
-    }
-
-    /// Expectation `tr(ρ·Π)`. Dense projectors use the diagonal-only
-    /// product trace; rank-1 projectors use the Hermitian quadratic form
-    /// `⟨ψ|ρ|ψ⟩` ([`CMatrix::quadratic_form_hermitian`]) — contiguous,
-    /// allocation-free, and half the complex multiplies of a full
-    /// sandwich because only `ρ`'s upper triangle is read. The rank-1
-    /// arm therefore requires `rho` to be Hermitian — density matrices
-    /// always are, and the MLE driver below keeps its iterates bitwise
-    /// Hermitian.
-    pub fn expectation(&self, rho: &CMatrix) -> f64 {
-        match self {
-            ProjectorRepr::Dense(m) => rho.trace_of_product(m).re,
-            ProjectorRepr::Rank1(v) => rho.quadratic_form_hermitian(v),
-        }
-    }
-
-    /// Sweep-internal accumulation that keeps only `r`'s diagonal and
-    /// upper triangle authoritative: the dense arm adds the full matrix
-    /// (its upper triangle is correct either way), the rank-1 arm runs
-    /// the half-work [`CMatrix::ger_hermitian_upper`] update. `build_r`
-    /// mirrors the triangle once after the chunk merge, so callers of
-    /// the driver always observe a full Hermitian `R`.
-    fn accumulate_scaled_upper(&self, r: &mut CMatrix, w: f64) {
-        match self {
-            ProjectorRepr::Dense(m) => r.add_scaled_assign(m, w),
-            ProjectorRepr::Rank1(v) => r.ger_hermitian_upper(w, v),
-        }
-    }
-
-    /// The projector as a dense matrix (clones / materializes).
-    pub fn to_dense_matrix(&self) -> CMatrix {
-        match self {
-            ProjectorRepr::Dense(m) => m.clone(),
-            ProjectorRepr::Rank1(v) => CMatrix::outer(v, v),
-        }
-    }
-}
-
-/// Outcome projectors for a list of measurement settings, in
-/// representation form.
+/// The rank-1 outcome vectors `|ψ⟩` of a list of measurements — the
+/// qudit path's projector set, where each measurement is one
+/// orthonormal basis.
 #[derive(Debug, Clone)]
 pub struct ProjectorReprSet {
-    /// `reprs[s][o]` for setting `s`, outcome `o`.
-    reprs: Vec<Vec<ProjectorRepr>>,
+    /// `vectors[s][o]` for setting `s`, outcome `o`.
+    vectors: Vec<Vec<CVector>>,
     /// Hilbert-space dimension.
     dim: usize,
 }
 
 impl ProjectorReprSet {
-    /// Rank-1 projectors for qubit tomography settings, via
-    /// [`Setting::outcome_vector`] Kronecker chains — `m·d` stored
-    /// entries where dense projectors would store `m·d²`.
-    ///
-    /// # Errors
-    ///
-    /// [`QfcError::InsufficientData`] for an empty setting list,
-    /// [`QfcError::InvalidParameter`] for mixed-arity settings.
-    pub fn try_rank1_from_settings(settings: &[Setting]) -> QfcResult<Self> {
-        let first = settings.first().ok_or_else(|| QfcError::InsufficientData {
-            context: "rank-1 projector set needs at least one setting".to_owned(),
-        })?;
-        let n = first.qubits();
-        let mut reprs = Vec::with_capacity(settings.len());
-        for (s, setting) in settings.iter().enumerate() {
-            if setting.qubits() != n {
-                return Err(QfcError::invalid(format!(
-                    "mixed-arity setting list: setting {s} measures {} qubit(s) \
-                     but setting 0 measures {n}",
-                    setting.qubits()
-                )));
-            }
-            reprs.push(
-                (0..setting.outcomes())
-                    .map(|o| ProjectorRepr::Rank1(setting.outcome_vector(o)))
-                    .collect(),
-            );
-        }
-        Ok(Self { reprs, dim: 1 << n })
-    }
-
     /// Rank-1 projectors from orthonormal measurement bases: each basis
     /// is a `d × d` unitary whose *columns* are the outcome vectors —
     /// the natural form for qudit tomography where each reconfiguration
@@ -193,7 +107,7 @@ impl ProjectorReprSet {
             context: "rank-1 projector set needs at least one basis".to_owned(),
         })?;
         let dim = first.rows();
-        let mut reprs = Vec::with_capacity(bases.len());
+        let mut vectors = Vec::with_capacity(bases.len());
         for (b, basis) in bases.iter().enumerate() {
             if !basis.is_square() || basis.rows() != dim {
                 return Err(QfcError::invalid(format!(
@@ -208,31 +122,9 @@ impl ProjectorReprSet {
                      form an orthonormal outcome basis"
                 )));
             }
-            reprs.push(
-                (0..dim)
-                    .map(|o| ProjectorRepr::Rank1(basis.col(o)))
-                    .collect(),
-            );
+            vectors.push((0..dim).map(|o| basis.col(o)).collect());
         }
-        Ok(Self { reprs, dim })
-    }
-
-    /// The same set with every projector materialized as a dense
-    /// matrix — the reference leg for A/B checks and benchmarks of the
-    /// rank-1 representation.
-    pub fn to_dense(&self) -> Self {
-        Self {
-            reprs: self
-                .reprs
-                .iter()
-                .map(|row| {
-                    row.iter()
-                        .map(|r| ProjectorRepr::Dense(r.to_dense_matrix()))
-                        .collect()
-                })
-                .collect(),
-            dim: self.dim,
-        }
+        Ok(Self { vectors, dim })
     }
 
     /// Hilbert-space dimension.
@@ -244,19 +136,19 @@ impl ProjectorReprSet {
     /// Number of settings covered.
     #[inline]
     pub fn settings(&self) -> usize {
-        self.reprs.len()
+        self.vectors.len()
     }
 
     /// Outcomes of setting `s`.
     #[inline]
     pub fn outcomes(&self, s: usize) -> usize {
-        self.reprs[s].len()
+        self.vectors[s].len()
     }
 
-    /// The representation of outcome `o` in setting `s`.
+    /// The vector `|ψ⟩` of outcome `o` in setting `s`.
     #[inline]
-    pub fn repr(&self, s: usize, o: usize) -> &ProjectorRepr {
-        &self.reprs[s][o]
+    pub fn vector(&self, s: usize, o: usize) -> &CVector {
+        &self.vectors[s][o]
     }
 }
 
@@ -392,7 +284,7 @@ pub fn synthetic_low_rank_state(dim: usize, rank: usize, salt: u64) -> QfcResult
 }
 
 /// Exact ("infinite statistics") outcome counts of `rho` under a
-/// projector set: `round(scale · tr(ρ·Π))` per outcome — the qudit
+/// projector set: `round(scale · ⟨ψ|ρ|ψ⟩)` per outcome — the qudit
 /// counterpart of [`crate::counts::exact_counts`].
 ///
 /// # Errors
@@ -416,7 +308,7 @@ pub fn exact_counts_repr(
     for s in 0..set.settings() {
         let row: Vec<u64> = (0..set.outcomes(s))
             .map(|o| {
-                let p = set.repr(s, o).expectation(rho).clamp(0.0, 1.0);
+                let p = rho.quadratic_form_hermitian(set.vector(s, o)).clamp(0.0, 1.0);
                 cast::f64_to_u64((p * cast::to_f64(scale)).round())
             })
             .collect();
@@ -425,106 +317,127 @@ pub fn exact_counts_repr(
     Ok(counts)
 }
 
+/// The measured outcomes of a count table, in `(s, o)` order: every
+/// outcome with a nonzero count, with its per-setting frequency.
+struct Measured {
+    /// `(s, o)` per measured outcome.
+    outcomes: Vec<(usize, usize)>,
+    /// Frequency `f = c / N_s` per measured outcome.
+    freqs: Vec<f64>,
+    /// Events per measured setting, `N̄`: `ℓ` weighs every measured
+    /// setting equally and the count likelihood by its events, so `N̄`
+    /// converts a gap in `ℓ` to nats of the latter.
+    mean_events: f64,
+}
+
+impl Measured {
+    /// The measured outcomes of `counts`.
+    ///
+    /// # Errors
+    ///
+    /// [`QfcError::SingularSystem`] for zero total events.
+    fn try_new(counts: &[Vec<u64>]) -> QfcResult<Self> {
+        let grand_total: u64 = counts.iter().map(|row| row.iter().sum::<u64>()).sum();
+        if grand_total == 0 {
+            return Err(QfcError::SingularSystem {
+                context: "MLE reconstruction: zero total events (all-dark data)".to_owned(),
+            });
+        }
+        let slots = counts.iter().map(Vec::len).sum();
+        let mut outcomes = Vec::with_capacity(slots);
+        let mut freqs = Vec::with_capacity(slots);
+        let mut measured_settings = 0u64;
+        for (s, row) in counts.iter().enumerate() {
+            let total: u64 = row.iter().sum();
+            if total == 0 {
+                continue;
+            }
+            measured_settings += 1;
+            for (o, &c) in row.iter().enumerate().filter(|&(_, &c)| c > 0) {
+                outcomes.push((s, o));
+                freqs.push(cast::to_f64(c) / cast::to_f64(total));
+            }
+        }
+        Ok(Self {
+            outcomes,
+            freqs,
+            mean_events: cast::to_f64(grand_total) / cast::to_f64(measured_settings),
+        })
+    }
+}
+
 /// One sweep task's working set — a slot of the reconstruction's team:
-/// a fixed chunk of `(projector, frequency)` pairs plus every buffer the
-/// sweep writes — the partial `R`, the expectations, the rank-1 update
-/// list and its vectors. It is built once per reconstruction, so an
-/// iteration allocates nothing.
+/// a fixed chunk of measured outcomes, their vectors as panels, and
+/// every buffer the sweep writes. It is built once per reconstruction,
+/// so an iteration allocates nothing.
 ///
 /// The partial `R` is authoritative only on its diagonal and upper
-/// triangle (rank-1 pairs skip the lower half); [`build_r`] mirrors once
-/// after the merge.
+/// triangle; [`build_r`] mirrors once after the merge.
 struct SweepChunk<'a> {
-    /// The chunk's pairs, in `(s, o)` order.
-    pairs: &'a [(&'a ProjectorRepr, f64)],
-    /// `|ψ⟩` per pair when every pair is rank-1; empty otherwise.
-    vecs: Vec<&'a CVector>,
-    /// Expectation `p` per pair (rank-1 chunks only).
-    ps: Vec<f64>,
-    /// `(f/p, |ψ⟩)` per pair (rank-1 chunks only); the weights are
-    /// rewritten by every sweep.
-    updates: Vec<(f64, &'a CVector)>,
+    /// The chunk's outcome vectors, four to a panel, in `(s, o)` order.
+    panels: VectorPanels,
+    /// Frequency `f` per vector.
+    freqs: &'a [f64],
+    /// Per vector, the expectation `p` of the last sweep, then its `R`
+    /// weight `f/p`.
+    weights: Vec<f64>,
     /// Partial `R` of the last sweep.
     r_part: CMatrix,
     /// Partial log-likelihood `Σ f·ln p` of the last sweep.
     ll: f64,
 }
 
-impl<'a> SweepChunk<'a> {
-    fn new(pairs: &'a [(&'a ProjectorRepr, f64)], dim: usize) -> Self {
-        let vecs: Option<Vec<&CVector>> = pairs
-            .iter()
-            .map(|&(repr, _)| match repr {
-                ProjectorRepr::Rank1(v) => Some(v),
-                ProjectorRepr::Dense(_) => None,
-            })
-            .collect();
-        let vecs = vecs.unwrap_or_default();
-        Self {
-            pairs,
-            ps: vec![0.0; vecs.len()],
-            updates: vecs.iter().map(|&v| (0.0, v)).collect(),
-            vecs,
-            r_part: CMatrix::zeros(dim, dim),
-            ll: 0.0,
-        }
-    }
-
-    /// Recomputes the partial `R` and log-likelihood against `rho`.
-    ///
-    /// All-rank-1 chunks (the common case — sets built by the public
-    /// constructors are homogeneous) take a blocked fast path:
-    /// expectations via [`CMatrix::quadratic_forms_hermitian`] and the
-    /// `R` accumulation via [`CMatrix::ger_hermitian_upper_batch`], four
-    /// pairs per pass over `ρ` / `R`. Both batch kernels are bitwise
-    /// identical to their per-pair forms and the log-likelihood is summed
-    /// in pair order, so the fast path produces exactly the bits of the
-    /// generic loop below.
+impl SweepChunk<'_> {
+    /// Recomputes the partial `R` and log-likelihood against `rho`: one
+    /// panel pass over `ρ` for every expectation, `ℓ` summed in pair
+    /// order, and one panel pass over `R` for every rank-1 update.
     fn sweep(&mut self, rho: &CMatrix) {
-        let Self {
-            pairs,
-            vecs,
-            ps,
-            updates,
-            r_part,
-            ll,
-        } = self;
-        r_part.fill_zero();
-        *ll = 0.0;
-        if vecs.len() == pairs.len() {
-            rho.quadratic_forms_hermitian(vecs, ps);
-            // qfc-lint: hot
-            let terms = pairs.iter().zip(ps.iter_mut()).zip(updates.iter_mut());
-            for ((&(_, f), p), update) in terms {
-                *p = p.max(P_FLOOR);
-                *ll += f * p.ln();
-                update.0 = f / *p;
-            }
-            r_part.ger_hermitian_upper_batch(updates);
-            return;
-        }
+        rho.quadratic_forms_hermitian_panels(&self.panels, &mut self.weights);
+        self.ll = 0.0;
         // qfc-lint: hot
-        for &(repr, f) in pairs.iter() {
-            let p = repr.expectation(rho).max(P_FLOOR);
-            *ll += f * p.ln();
-            repr.accumulate_scaled_upper(r_part, f / p);
+        for (w, &f) in self.weights.iter_mut().zip(self.freqs) {
+            let p = w.max(P_FLOOR);
+            self.ll += f * p.ln();
+            *w = f / p;
         }
+        self.r_part.fill_zero();
+        self.r_part.ger_hermitian_upper_panels(&self.weights, &self.panels);
     }
 }
 
-/// Splits the pairs into sweep chunks by the [`PAR_SWEEP_MIN_WORK`]
-/// layout rule: fixed [`SWEEP_CHUNK_PAIRS`]-sized chunks for the worker
-/// team, or one chunk that sweeps inline. The layout depends only on
-/// the problem, never on the thread count.
-fn sweep_chunks<'a>(pairs: &'a [(&'a ProjectorRepr, f64)], dim: usize) -> Vec<SweepChunk<'a>> {
-    let chunk_len = if pairs.len() * dim * dim >= PAR_SWEEP_MIN_WORK {
+/// Splits the measured outcomes into sweep chunks by the
+/// [`PAR_SWEEP_MIN_WORK`] layout rule — fixed [`SWEEP_CHUNK_PAIRS`]-sized
+/// chunks for the worker team, or one chunk that sweeps inline — and
+/// fills each chunk's panels with `fill(panels, k, (s, o))`. The layout
+/// depends only on the problem, never on the thread count.
+fn sweep_chunks<'a>(
+    measured: &'a Measured,
+    dim: usize,
+    fill: impl Fn(&mut VectorPanels, usize, (usize, usize)),
+) -> Vec<SweepChunk<'a>> {
+    let pairs = measured.freqs.len();
+    let chunk_len = if pairs * dim * dim >= PAR_SWEEP_MIN_WORK {
         SWEEP_CHUNK_PAIRS
     } else {
-        pairs.len().max(1)
+        pairs.max(1)
     };
-    pairs
+    measured
+        .outcomes
         .chunks(chunk_len)
-        .map(|chunk| SweepChunk::new(chunk, dim))
+        .zip(measured.freqs.chunks(chunk_len))
+        .map(|(outcomes, freqs)| {
+            let mut panels = VectorPanels::zeros(dim, outcomes.len());
+            for (k, &outcome) in outcomes.iter().enumerate() {
+                fill(&mut panels, k, outcome);
+            }
+            SweepChunk {
+                panels,
+                freqs,
+                weights: vec![0.0; freqs.len()],
+                r_part: CMatrix::zeros(dim, dim),
+                ll: 0.0,
+            }
+        })
         .collect()
 }
 
@@ -533,9 +446,9 @@ fn sweep_chunks<'a>(pairs: &'a [(&'a ProjectorRepr, f64)], dim: usize) -> Vec<Sw
 /// team, each into its own buffers, and their partial `R` matrices are
 /// summed in chunk-index order, so the result is bitwise identical at
 /// any thread count. `rho` moves into the team for the step and comes
-/// back unchanged. The sweep accumulates only the upper triangle for
-/// rank-1 pairs; one [`CMatrix::hermitianize_upper`] mirror after the
-/// merge (O(d²/2) copies, no arithmetic) restores the full Hermitian `R`.
+/// back unchanged. The sweep accumulates only the upper triangle; one
+/// [`CMatrix::hermitianize_upper`] mirror after the merge (O(d²/2)
+/// copies, no arithmetic) restores the full Hermitian `R`.
 fn build_r(
     team: &mut qfc_runtime::Team<'_, CMatrix, SweepChunk<'_>>,
     rho: &mut CMatrix,
@@ -560,13 +473,15 @@ fn build_r(
     ll
 }
 
-/// Iterative RρR maximum-likelihood reconstruction against a
-/// representation projector set — the workspace's one MLE engine.
+/// Iterative RρR maximum-likelihood reconstruction against a qudit
+/// projector set — the workspace's one MLE engine, which
+/// [`try_mle_reconstruction`](crate::reconstruct::try_mle_reconstruction)
+/// runs on the outcome vectors of qubit settings.
 ///
 /// Maximizes `ℓ(ρ) = Σ f·ln p` over density matrices, with `f` the
-/// per-setting frequencies and `p = tr(ρ·Π)`. Expectations run through
-/// [`ProjectorRepr::expectation`], the `R = Σ (f/p)·Π` build through a
-/// fixed-order chunked sweep, and the products through the packed GEMM.
+/// per-setting frequencies and `p = ⟨ψ|ρ|ψ⟩`. The `R = Σ (f/p)·|ψ⟩⟨ψ|`
+/// build runs as a fixed-order chunked sweep over four-vector panels, and
+/// the products through the packed GEMM.
 ///
 /// **Schedule.** Starting from the maximally mixed state, each iteration
 /// sets `ρ ← AρA / tr(AρA)` with `A = (1−γ)·I + γ·R/Σf`; `γ = 1` is the
@@ -602,13 +517,6 @@ pub fn try_mle_repr(
     counts: &[Vec<u64>],
     options: &MleOptions,
 ) -> QfcResult<MleResult> {
-    let dim = set.dim();
-    if dim < 2 || !dim.is_power_of_two() {
-        return Err(QfcError::invalid(format!(
-            "MLE result is a DensityMatrix: dimension must be a power of \
-             two ≥ 2 (got {dim})"
-        )));
-    }
     if counts.len() != set.settings() {
         return Err(QfcError::invalid(format!(
             "count table has {} row(s) for {} setting(s)",
@@ -625,134 +533,149 @@ pub fn try_mle_repr(
             )));
         }
     }
-    let grand_total: u64 = counts.iter().map(|row| row.iter().sum::<u64>()).sum();
-    if grand_total == 0 {
-        return Err(QfcError::SingularSystem {
-            context: "MLE reconstruction: zero total events (all-dark data)".to_owned(),
-        });
-    }
+    try_mle_engine(set.dim(), counts, options, |panels, k, (s, o)| {
+        panels.set(k, set.vector(s, o).as_slice());
+    })
+}
 
-    // (projector, frequency) pairs in (s, o) order, f > 0 only.
-    let mut pairs: Vec<(&ProjectorRepr, f64)> =
-        Vec::with_capacity(counts.iter().map(Vec::len).sum());
-    let mut measured_settings = 0u64;
-    for (s, row) in counts.iter().enumerate() {
-        let total: u64 = row.iter().sum();
-        if total == 0 {
-            continue;
-        }
-        measured_settings += 1;
-        for (o, &c) in row.iter().enumerate() {
-            if c > 0 {
-                pairs.push((
-                    set.repr(s, o),
-                    cast::to_f64(c) / cast::to_f64(total),
-                ));
-            }
-        }
+/// The engine of [`try_mle_repr`] on a count table whose shape the
+/// caller has checked: `fill(panels, k, (s, o))` stores the vector of
+/// outcome `o` of setting `s` as vector `k` of a chunk's panels.
+///
+/// # Errors
+///
+/// As [`try_mle_repr`].
+pub(crate) fn try_mle_engine(
+    dim: usize,
+    counts: &[Vec<u64>],
+    options: &MleOptions,
+    fill: impl Fn(&mut VectorPanels, usize, (usize, usize)),
+) -> QfcResult<MleResult> {
+    if dim < 2 || !dim.is_power_of_two() {
+        return Err(QfcError::invalid(format!(
+            "MLE result is a DensityMatrix: dimension must be a power of \
+             two ≥ 2 (got {dim})"
+        )));
     }
-    // `ℓ` weighs every measured setting equally, the count likelihood by
-    // its events: `N̄` converts a gap in `ℓ` to nats of the latter.
-    let mean_events = cast::to_f64(grand_total) / cast::to_f64(measured_settings);
-    let mut chunks = sweep_chunks(&pairs, dim);
-
-    // One team for the whole reconstruction: every R build below is one
-    // step of it (two in an iteration whose over-relaxed step is rolled
-    // back), and the loop itself runs on the calling thread between steps.
+    let measured = Measured::try_new(counts)?;
+    let mut chunks = sweep_chunks(&measured, dim, fill);
+    // One team for the whole reconstruction: every R build is one step of
+    // it, and the schedule itself runs on the calling thread between steps.
     let (rho, iterations, gap_nats, accelerated_steps) = qfc_runtime::par_team(
         &mut chunks,
         |rho: &CMatrix, _, chunk: &mut SweepChunk<'_>| chunk.sweep(rho),
-        |team| {
-            let mut rho =
-                CMatrix::identity(dim).scale(1.0 / cast::to_f64(cast::usize_to_u64(dim)));
-            let mut r = CMatrix::zeros(dim, dim);
-            let mut r_rho = CMatrix::zeros(dim, dim);
-            let mut next = CMatrix::zeros(dim, dim);
-            let mut gemm = GemmScratch::new();
-            let mut tridiagonal = CMatrix::zeros(dim, dim);
-            let mut iterations = 0;
-            let mut accelerated_steps = 0usize;
-            // `R` sums one ≈identity resolution per measured setting, so its
-            // fixed-point value is `fsum·I`; the identity mix is applied to
-            // `R/fsum` so that `γ` measures the over-relaxation relative to a
-            // unit classic step, and the normalization cancels in `tr(AρA)` at
-            // `γ = 1`, which is why the unscaled classic step is the same map.
-            // `A` is Hermitian, so the sandwich stays positive semidefinite for
-            // any real `γ`. `prev` holds the iterate the current one was
-            // produced from, so an overshoot can be rolled back for the price
-            // of one extra R build.
-            let fsum: f64 = pairs.iter().map(|&(_, f)| f).sum();
-            let mut prev = rho.clone();
-            let mut gamma = 1.0f64;
-            let mut ll_prev = f64::NEG_INFINITY;
-            let mut update_prev = f64::INFINITY;
-            // qfc-lint: hot
-            loop {
-                let mut ll = build_r(team, &mut rho, &mut r);
-                if ll + 1e-12 * ll.abs().max(1.0) < ll_prev {
-                    // The over-relaxed step lost likelihood: restore the
-                    // parent iterate, fall back to a classic step, and
-                    // rebuild R there.
-                    std::mem::swap(&mut rho, &mut prev);
-                    gamma = 1.0;
-                    ll = build_r(team, &mut rho, &mut r);
-                }
-                ll_prev = ll;
-                let lambda_max = largest_eigenvalue_bound(&r, &mut tridiagonal);
-                // `tr(Rρ)`, not `Σf`: the `P_FLOOR` clamp makes them differ.
-                let gap = mean_events * (lambda_max - r.trace_of_product(&rho).re);
-                if gap <= MLE_GAP_NATS || iterations >= options.max_iterations {
-                    return Ok((rho, iterations, gap, accelerated_steps));
-                }
-                iterations += 1;
-                if gamma > 1.0 {
-                    accelerated_steps += 1;
-                    r.scale_in_place(1.0 / fsum);
-                    r.lerp_identity_in_place(gamma);
-                }
-                prev.copy_from(&rho);
-                r.matmul_packed_into(&rho, &mut r_rho, &mut gemm);
-                r_rho.matmul_packed_into(&r, &mut next, &mut gemm);
-                let tr = next.trace().re;
-                if !(tr.is_finite() && tr > 0.0) {
-                    return Err(QfcError::SingularSystem {
-                        context: format!(
-                            "RρR update annihilated the trace (tr = {tr}) at iteration {iterations}"
-                        ),
-                    });
-                }
-                next.scale_in_place(1.0 / tr);
-                // RρR with Hermitian R, ρ is Hermitian up to round-off;
-                // mirroring the upper triangle makes every iterate *bitwise*
-                // Hermitian, which the rank-1 expectation kernel relies on (it
-                // never reads the lower half).
-                next.hermitianize_upper();
-                let update = next.frobenius_distance(&rho);
-                if !update.is_finite() {
-                    return Err(QfcError::non_finite("RρR update norm"));
-                }
-                std::mem::swap(&mut rho, &mut next);
-                // An over-relaxed step is ~γ× a classic step, so `update/γ` is
-                // the classic-equivalent residual. Near the likelihood ridge the
-                // iterate can oscillate with a stalled residual while the
-                // likelihood is flat at FP resolution; dropping back to a
-                // classic step there restores the monotone tail.
-                let residual = update / gamma;
-                gamma = if residual > update_prev {
-                    1.0
-                } else {
-                    (gamma * GAMMA_GROWTH).min(GAMMA_MAX)
-                };
-                update_prev = residual;
-            }
-        },
+        |team| run_schedule(dim, &measured, options, |rho, r| build_r(team, rho, r)),
     )?;
+    finish(rho, iterations, gap_nats, accelerated_steps)
+}
+
+/// The schedule and stop rule of [`try_mle_repr`], from the maximally
+/// mixed state. `build_r(ρ, R)` writes the full Hermitian `R` of `ρ` and
+/// returns `ℓ(ρ)`: two in an iteration whose over-relaxed step is rolled
+/// back, one otherwise. Returns the iterate, its iterations, its
+/// certified gap and its over-relaxed steps.
+fn run_schedule(
+    dim: usize,
+    measured: &Measured,
+    options: &MleOptions,
+    mut build_r: impl FnMut(&mut CMatrix, &mut CMatrix) -> f64,
+) -> QfcResult<(CMatrix, usize, f64, usize)> {
+    let mut rho = CMatrix::identity(dim).scale(1.0 / cast::to_f64(cast::usize_to_u64(dim)));
+    let mut r = CMatrix::zeros(dim, dim);
+    let mut r_rho = CMatrix::zeros(dim, dim);
+    let mut next = CMatrix::zeros(dim, dim);
+    let mut gemm = GemmScratch::new();
+    let mut tridiagonal = CMatrix::zeros(dim, dim);
+    let mut iterations = 0;
+    let mut accelerated_steps = 0usize;
+    // `R` sums one ≈identity resolution per measured setting, so its
+    // fixed-point value is `fsum·I`; the identity mix is applied to
+    // `R/fsum` so that `γ` measures the over-relaxation relative to a
+    // unit classic step, and the normalization cancels in `tr(AρA)` at
+    // `γ = 1`, which is why the unscaled classic step is the same map.
+    // `A` is Hermitian, so the sandwich stays positive semidefinite for
+    // any real `γ`. `prev` holds the iterate the current one was
+    // produced from, so an overshoot can be rolled back for the price
+    // of one extra R build.
+    let fsum: f64 = measured.freqs.iter().sum();
+    let mut prev = rho.clone();
+    let mut gamma = 1.0f64;
+    let mut ll_prev = f64::NEG_INFINITY;
+    let mut update_prev = f64::INFINITY;
+    // qfc-lint: hot
+    loop {
+        let mut ll = build_r(&mut rho, &mut r);
+        if ll + 1e-12 * ll.abs().max(1.0) < ll_prev {
+            // The over-relaxed step lost likelihood: restore the parent
+            // iterate, fall back to a classic step, and rebuild R there.
+            std::mem::swap(&mut rho, &mut prev);
+            gamma = 1.0;
+            ll = build_r(&mut rho, &mut r);
+        }
+        ll_prev = ll;
+        let lambda_max = largest_eigenvalue_bound(&r, &mut tridiagonal);
+        // `tr(Rρ)`, not `Σf`: the `P_FLOOR` clamp makes them differ.
+        let gap = measured.mean_events * (lambda_max - r.trace_of_product(&rho).re);
+        if gap <= MLE_GAP_NATS || iterations >= options.max_iterations {
+            return Ok((rho, iterations, gap, accelerated_steps));
+        }
+        iterations += 1;
+        if gamma > 1.0 {
+            accelerated_steps += 1;
+            r.scale_in_place(1.0 / fsum);
+            r.lerp_identity_in_place(gamma);
+        }
+        prev.copy_from(&rho);
+        r.matmul_packed_into(&rho, &mut r_rho, &mut gemm);
+        r_rho.matmul_packed_into(&r, &mut next, &mut gemm);
+        let tr = next.trace().re;
+        if !(tr.is_finite() && tr > 0.0) {
+            return Err(QfcError::SingularSystem {
+                context: format!(
+                    "RρR update annihilated the trace (tr = {tr}) at iteration {iterations}"
+                ),
+            });
+        }
+        next.scale_in_place(1.0 / tr);
+        // RρR with Hermitian R, ρ is Hermitian up to round-off; mirroring
+        // the upper triangle makes every iterate *bitwise* Hermitian,
+        // which the expectation kernel relies on (it never reads the
+        // lower half).
+        next.hermitianize_upper();
+        let update = next.frobenius_distance(&rho);
+        if !update.is_finite() {
+            return Err(QfcError::non_finite("RρR update norm"));
+        }
+        std::mem::swap(&mut rho, &mut next);
+        // An over-relaxed step is ~γ× a classic step, so `update/γ` is the
+        // classic-equivalent residual. Near the likelihood ridge the
+        // iterate can oscillate with a stalled residual while the
+        // likelihood is flat at FP resolution; dropping back to a classic
+        // step there restores the monotone tail.
+        let residual = update / gamma;
+        gamma = if residual > update_prev {
+            1.0
+        } else {
+            (gamma * GAMMA_GROWTH).min(GAMMA_MAX)
+        };
+        update_prev = residual;
+    }
+}
+
+/// Counts the reconstruction and projects its iterate onto the physical
+/// states: symmetrize, then clip round-off negativity.
+fn finish(
+    rho: CMatrix,
+    iterations: usize,
+    gap_nats: f64,
+    accelerated_steps: usize,
+) -> QfcResult<MleResult> {
     qfc_obs::counter_add("mle_iterations", cast::usize_to_u64(iterations));
     qfc_obs::counter_add(
         "mle_accelerated_steps",
         cast::usize_to_u64(accelerated_steps),
     );
-    // Numerical cleanup: symmetrize and clip round-off negativity.
+    let dim = rho.rows();
     let herm = CMatrix::from_fn(dim, dim, |i, j| {
         (rho[(i, j)] + rho[(j, i)].conj()).scale(0.5)
     });
@@ -770,45 +693,49 @@ pub fn try_mle_repr(
 mod tests {
     use super::*;
     use crate::counts::simulate_counts_seeded;
-    use crate::settings::all_settings;
+    use crate::reconstruct::try_mle_reconstruction;
+    use crate::settings::{all_settings, Setting};
     use crate::stream::try_stream_counts_seeded;
     use qfc_quantum::bell::werner_state;
     use qfc_quantum::fidelity::state_fidelity;
     use qfc_quantum::multiphoton::noisy_four_photon;
 
-    #[test]
-    fn rank1_set_matches_dense_projectors() {
-        let settings = all_settings(2);
-        let set = ProjectorReprSet::try_rank1_from_settings(&settings).expect("build");
-        assert_eq!(set.dim(), 4);
-        assert_eq!(set.settings(), 9);
-        for (s, setting) in settings.iter().enumerate() {
-            assert_eq!(set.outcomes(s), 4);
-            for o in 0..4 {
-                let outer = set.repr(s, o).to_dense_matrix();
-                assert!(
-                    outer.approx_eq(&setting.outcome_projector(o), 1e-13),
-                    "setting {s} outcome {o}"
-                );
-            }
+    /// The outcome vectors of qubit settings as a projector set, so the
+    /// qudit entry point and the dense leg below can run on qubit data.
+    fn settings_set(settings: &[Setting]) -> ProjectorReprSet {
+        ProjectorReprSet {
+            vectors: settings
+                .iter()
+                .map(|s| (0..s.outcomes()).map(|o| s.outcome_vector(o)).collect())
+                .collect(),
+            dim: settings[0].outcomes(),
         }
     }
 
-    #[test]
-    fn rank1_set_rejects_empty_and_mixed_arity() {
-        assert!(matches!(
-            ProjectorReprSet::try_rank1_from_settings(&[]).unwrap_err(),
-            QfcError::InsufficientData { .. }
-        ));
-        use crate::settings::PauliBasis;
-        let mixed = [
-            Setting::from_bases(&[PauliBasis::Z]),
-            Setting::from_bases(&[PauliBasis::Z, PauliBasis::X]),
-        ];
-        assert!(matches!(
-            ProjectorReprSet::try_rank1_from_settings(&mixed).unwrap_err(),
-            QfcError::InvalidParameter { .. }
-        ));
+    /// The dense leg: the engine's schedule and stop with `R` and `ℓ` built
+    /// from materialized `d × d` projectors `Π = |ψ⟩⟨ψ|` and `p = tr(ρ·Π)`,
+    /// the reference the rank-1 panel sweep is checked against.
+    fn dense_mle(set: &ProjectorReprSet, counts: &[Vec<u64>], options: &MleOptions) -> MleResult {
+        let measured = Measured::try_new(counts).expect("measured outcomes");
+        let projectors: Vec<CMatrix> = measured
+            .outcomes
+            .iter()
+            .map(|&(s, o)| CMatrix::outer(set.vector(s, o), set.vector(s, o)))
+            .collect();
+        let build_r = |rho: &mut CMatrix, r: &mut CMatrix| {
+            r.fill_zero();
+            let mut ll = 0.0;
+            for (projector, &f) in projectors.iter().zip(&measured.freqs) {
+                let p = rho.trace_of_product(projector).re.max(P_FLOOR);
+                ll += f * p.ln();
+                r.add_scaled_assign(projector, f / p);
+            }
+            r.hermitianize_upper();
+            ll
+        };
+        let (rho, iterations, gap, accelerated) =
+            run_schedule(set.dim(), &measured, options, build_r).expect("dense leg");
+        finish(rho, iterations, gap, accelerated).expect("dense projection")
     }
 
     #[test]
@@ -890,11 +817,9 @@ mod tests {
         let rho4 = noisy_four_photon(0.0, FAST_DEMO_FOUR_PHOTON_VISIBILITY, 0.08);
         let four = try_stream_counts_seeded(&rho4, &all_settings(4), 40, 13).expect("counts");
         for (name, data) in [("bell", &bell), ("four-photon", &four)] {
-            let set = ProjectorReprSet::try_rank1_from_settings(&data.settings).expect("set");
-            let dense = set.to_dense();
             let opts = MleOptions::default();
-            let fast = try_mle_repr(&set, &data.counts, &opts).expect("rank-1 leg");
-            let slow = try_mle_repr(&dense, &data.counts, &opts).expect("dense leg");
+            let fast = try_mle_reconstruction(data, &opts).expect("rank-1 leg");
+            let slow = dense_mle(&settings_set(&data.settings), &data.counts, &opts);
             assert_eq!(fast.iterations, slow.iterations, "{name}: iteration counts differ");
             let worst = fast
                 .rho
@@ -922,7 +847,7 @@ mod tests {
         let counts = exact_counts_repr(&rho, &set, 200_000).expect("counts");
         let opts = MleOptions { max_iterations: 150 };
         let fast = try_mle_repr(&set, &counts, &opts).expect("rank1 leg");
-        let dense = try_mle_repr(&set.to_dense(), &counts, &opts).expect("dense leg");
+        let dense = dense_mle(&set, &counts, &opts);
         let f = state_fidelity(&fast.rho, &dense.rho);
         assert!(f > 0.9999, "rank-1 vs dense-repr fidelity {f}");
         let f_truth = state_fidelity(&fast.rho, &qfc_quantum::density::DensityMatrix::from_matrix(rho).expect("truth"));
@@ -990,7 +915,7 @@ mod tests {
             let total: u64 = row.iter().sum();
             for (o, &c) in row.iter().enumerate().filter(|&(_, &c)| c > 0) {
                 let f = cast::to_f64(c) / cast::to_f64(total);
-                ll += f * set.repr(s, o).expectation(rho).max(P_FLOOR).ln();
+                ll += f * rho.quadratic_form_hermitian(set.vector(s, o)).max(P_FLOOR).ln();
             }
         }
         ll
@@ -1012,8 +937,7 @@ mod tests {
     /// that run stops only about 2²⁰ times closer to the maximum.
     #[test]
     fn certified_gap_bounds_the_likelihood_gap_at_every_iterate() {
-        use crate::settings::all_settings;
-        let pauli = ProjectorReprSet::try_rank1_from_settings(&all_settings(2)).expect("set");
+        let pauli = settings_set(&all_settings(2));
         let bases = deterministic_bases(16, 9, 31).expect("bases");
         let qudit = ProjectorReprSet::try_rank1_from_bases(&bases).expect("set");
         let werner = werner_state(0.9, 0.3);

@@ -19,7 +19,7 @@ use qfc_mathkit::hermitian::psd_projection;
 use qfc_quantum::density::DensityMatrix;
 
 use crate::counts::TomographyData;
-use crate::rank1::{try_mle_repr, ProjectorReprSet};
+use crate::rank1::try_mle_engine;
 use crate::settings::{pauli_string_matrix, PauliBasis};
 
 /// Reconstructs a Hermitian unit-trace matrix by Pauli-basis linear
@@ -115,7 +115,7 @@ pub fn try_project_physical(mat: &CMatrix) -> QfcResult<DensityMatrix> {
 }
 
 /// Options for the iterative MLE reconstruction. The schedule and the
-/// stopping rule are fixed (see [`try_mle_repr`]); only the budget is
+/// stopping rule are fixed (see [`try_mle_repr`](crate::rank1::try_mle_repr)); only the budget is
 /// set per call.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct MleOptions {
@@ -141,7 +141,7 @@ pub struct MleResult {
     pub iterations: usize,
     /// Certified bound, in nats of the count likelihood, on how far the
     /// log-likelihood of `rho` lies below the maximum over all states
-    /// (see [`try_mle_repr`]). Infinite when no certificate exists, as
+    /// (see [`try_mle_repr`](crate::rank1::try_mle_repr)). Infinite when no certificate exists, as
     /// for the supervisor's linear-inversion fallback.
     pub gap_nats: f64,
     /// `true` when `gap_nats` is at most
@@ -153,8 +153,8 @@ pub struct MleResult {
 }
 
 /// Iterative RρR maximum-likelihood reconstruction of qubit tomography
-/// data: builds the rank-1 projector set of `data`'s settings and runs
-/// the engine [`try_mle_repr`] on it.
+/// data: the engine of [`try_mle_repr`](crate::rank1::try_mle_repr), its panels filled straight from
+/// the outcome vectors of `data`'s settings.
 ///
 /// # Errors
 ///
@@ -165,8 +165,11 @@ pub struct MleResult {
 /// * [`QfcError::NonFinite`] — an update left the finite range.
 pub fn try_mle_reconstruction(data: &TomographyData, options: &MleOptions) -> QfcResult<MleResult> {
     data.validate()?;
-    let set = ProjectorReprSet::try_rank1_from_settings(&data.settings)?;
-    try_mle_repr(&set, &data.counts, options)
+    let dim = 1usize << data.try_qubits()?;
+    let settings = &data.settings;
+    try_mle_engine(dim, &data.counts, options, |panels, k, (s, o)| {
+        panels.set(k, settings[s].outcome_vector(o).as_slice());
+    })
 }
 
 /// Full pipeline from data to a physical state via linear inversion and

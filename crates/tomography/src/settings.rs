@@ -27,26 +27,30 @@ impl PauliBasis {
     /// All three bases.
     pub const ALL: [PauliBasis; 3] = [PauliBasis::X, PauliBasis::Y, PauliBasis::Z];
 
-    /// Eigenstate of this basis for `outcome` (`0` → +1 eigenvalue,
-    /// `1` → −1 eigenvalue), as a 2-vector.
-    pub fn eigenstate(self, outcome: u8) -> CVector {
+    /// The two amplitudes of this basis's eigenstate for `outcome` (`0` →
+    /// +1 eigenvalue, `1` → −1 eigenvalue).
+    fn amplitudes(self, outcome: u8) -> [Complex64; 2] {
         let s = std::f64::consts::FRAC_1_SQRT_2;
         match (self, outcome) {
-            (PauliBasis::Z, 0) => CVector::from_real(&[1.0, 0.0]),
-            (PauliBasis::Z, _) => CVector::from_real(&[0.0, 1.0]),
-            (PauliBasis::X, 0) => CVector::from_real(&[s, s]),
-            (PauliBasis::X, _) => CVector::from_real(&[s, -s]),
-            (PauliBasis::Y, 0) => {
-                CVector::from_vec(vec![Complex64::real(s), Complex64::new(0.0, s)])
-            }
-            (PauliBasis::Y, _) => {
-                CVector::from_vec(vec![Complex64::real(s), Complex64::new(0.0, -s)])
-            }
+            (PauliBasis::Z, 0) => [Complex64::real(1.0), Complex64::real(0.0)],
+            (PauliBasis::Z, _) => [Complex64::real(0.0), Complex64::real(1.0)],
+            (PauliBasis::X, 0) => [Complex64::real(s), Complex64::real(s)],
+            (PauliBasis::X, _) => [Complex64::real(s), Complex64::real(-s)],
+            (PauliBasis::Y, 0) => [Complex64::real(s), Complex64::new(0.0, s)],
+            (PauliBasis::Y, _) => [Complex64::real(s), Complex64::new(0.0, -s)],
         }
     }
 
-    /// Rank-1 projector onto the eigenstate for `outcome`.
-    pub fn projector(self, outcome: u8) -> CMatrix {
+    /// Eigenstate of this basis for `outcome`, as a 2-vector.
+    #[cfg(test)]
+    fn eigenstate(self, outcome: u8) -> CVector {
+        CVector::from_vec(self.amplitudes(outcome).to_vec())
+    }
+
+    /// Rank-1 projector onto the eigenstate for `outcome`: the dense
+    /// reference the rank-1 paths are tested against.
+    #[cfg(test)]
+    pub(crate) fn projector(self, outcome: u8) -> CMatrix {
         let v = self.eigenstate(outcome);
         CMatrix::outer(&v, &v)
     }
@@ -83,28 +87,13 @@ impl Setting {
         1 << self.0.len()
     }
 
-    /// Projector of outcome `o` (bit `q` of `o`, counted from the most
-    /// significant qubit, selects that qubit's eigenstate).
-    pub fn outcome_projector(&self, o: usize) -> CMatrix {
-        let n = self.0.len();
-        assert!(o < self.outcomes(), "outcome index out of range");
-        let mut acc: Option<CMatrix> = None;
-        for (q, basis) in self.0.iter().enumerate() {
-            let bit = u8::from((o >> (n - 1 - q)) & 1 == 1);
-            let p = basis.projector(bit);
-            acc = Some(match acc {
-                None => p,
-                Some(m) => m.kron(&p),
-            });
-        }
-        acc.unwrap_or_else(|| unreachable!("setting has at least one qubit")) // qfc-lint: allow(panic-reachability) — invariant: Setting construction requires at least one qubit
-    }
-
-    /// Outcome eigenvector `|ψ_o⟩ = ⊗_q |b_q, bit_q(o)⟩` — the rank-1
-    /// factor of [`Self::outcome_projector`], which equals
-    /// `|ψ_o⟩⟨ψ_o|` (to rounding; the projector path associates its
-    /// products differently). The rank-1 tomography path stores these
-    /// `d`-vectors instead of the `d × d` outer products.
+    /// Outcome eigenvector `|ψ_o⟩ = ⊗_q |b_q, bit_q(o)⟩`, where bit `q`
+    /// of `o`, counted from the most significant qubit, selects qubit
+    /// `q`'s eigenstate. Its outer product `|ψ_o⟩⟨ψ_o|` is the outcome's
+    /// projector, which the tomography paths never materialize: they
+    /// take `⟨ψ_o|ρ|ψ_o⟩` and rank-1 updates of `d`-vectors instead of
+    /// `d × d` matrices. Built in one allocation, as the left-to-right
+    /// Kronecker chain `((1 ⊗ e₀) ⊗ e₁) ⊗ …` with the same products.
     ///
     /// # Panics
     ///
@@ -112,12 +101,33 @@ impl Setting {
     pub fn outcome_vector(&self, o: usize) -> CVector {
         let n = self.0.len();
         assert!(o < self.outcomes(), "outcome index out of range");
-        let mut acc = CVector::from_vec(vec![C_ONE]);
+        let mut data = Vec::with_capacity(self.outcomes());
+        data.push(C_ONE);
         for (q, basis) in self.0.iter().enumerate() {
-            let bit = u8::from((o >> (n - 1 - q)) & 1 == 1);
-            acc = acc.kron(&basis.eigenstate(bit));
+            let e = basis.amplitudes(u8::from((o >> (n - 1 - q)) & 1 == 1));
+            // Entry k of the chain so far becomes entries 2k and 2k + 1;
+            // walking down, every entry is read before it is overwritten.
+            let len = data.len();
+            data.resize(2 * len, C_ONE);
+            for k in (0..len).rev() {
+                let a = data[k];
+                data[2 * k] = a * e[0];
+                data[2 * k + 1] = a * e[1];
+            }
         }
-        acc
+        CVector::from_vec(data)
+    }
+
+    /// Projector of outcome `o`, materialized as the Kronecker product
+    /// of the single-qubit projectors: the dense reference the rank-1
+    /// paths are tested against.
+    #[cfg(test)]
+    pub(crate) fn outcome_projector(&self, o: usize) -> CMatrix {
+        let n = self.0.len();
+        assert!(o < self.outcomes(), "outcome index out of range");
+        self.0.iter().enumerate().fold(CMatrix::identity(1), |acc, (q, basis)| {
+            acc.kron(&basis.projector(u8::from((o >> (n - 1 - q)) & 1 == 1)))
+        })
     }
 
     /// Eigenvalue product `Πq (±1)` of outcome `o` over the qubits in
@@ -232,6 +242,24 @@ mod tests {
                 outer.approx_eq(&s.outcome_projector(o), 1e-13),
                 "outcome {o}"
             );
+        }
+    }
+
+    #[test]
+    fn outcome_vectors_match_the_kronecker_chain_bitwise() {
+        for n in 1..=4 {
+            for setting in all_settings(n) {
+                for o in 0..setting.outcomes() {
+                    let chain = setting.0.iter().enumerate().fold(
+                        CVector::from_vec(vec![C_ONE]),
+                        |acc, (q, basis)| acc.kron(&basis.eigenstate(u8::from((o >> (n - 1 - q)) & 1 == 1))),
+                    );
+                    let bits = |v: &CVector| -> Vec<(u64, u64)> {
+                        v.iter().map(|z| (z.re.to_bits(), z.im.to_bits())).collect()
+                    };
+                    assert_eq!(bits(&setting.outcome_vector(o)), bits(&chain), "{setting:?} outcome {o}");
+                }
+            }
         }
     }
 

@@ -12,7 +12,10 @@
 //!   [`SHOT_DOUBLING_SLACK`] calls (a growing result vector may realloc
 //!   once more; one allocation per shot adds thousands);
 //! - a sweep adds fewer than one call per 100 added grid points (one
-//!   staging row per 1024-point chunk).
+//!   staging row per 1024-point chunk);
+//! - the T4 MLE's heap peaks below one copy of its measured vectors plus
+//!   its partial `R` buffers and a stated slack, so a second copy of the
+//!   vectors fails here.
 //!
 //! Every check runs at 1 and at 2 threads. The counts are deterministic:
 //! the workloads are seeded and a worker team spawns a fixed number of
@@ -21,7 +24,7 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 
 use qfc::campaign::{run_campaign, CampaignOptions, TimeBinCampaign};
 use qfc::core::crosspol::{try_run_crosspol_experiment, CrossPolConfig};
@@ -51,10 +54,25 @@ struct Counting;
 
 static ON: AtomicBool = AtomicBool::new(false);
 static CALLS: AtomicU64 = AtomicU64::new(0);
+/// Net heap bytes allocated while counting was on; a block allocated
+/// while off and freed while on lowers it, so growth above a
+/// [`heap_peak`] start is still exact.
+static LIVE: AtomicI64 = AtomicI64::new(0);
+/// Highest [`LIVE`] since the last [`heap_peak`] start.
+static PEAK: AtomicI64 = AtomicI64::new(0);
 
-fn count() {
+fn grow(bytes: usize) {
     if ON.load(Ordering::Relaxed) {
         CALLS.fetch_add(1, Ordering::Relaxed);
+        let bytes = bytes as i64;
+        let live = LIVE.fetch_add(bytes, Ordering::Relaxed) + bytes;
+        PEAK.fetch_max(live, Ordering::Relaxed);
+    }
+}
+
+fn shrink(bytes: usize) {
+    if ON.load(Ordering::Relaxed) {
+        LIVE.fetch_sub(bytes as i64, Ordering::Relaxed);
     }
 }
 
@@ -63,28 +81,39 @@ fn count() {
 // the bookkeeping only touches atomics and never allocates.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count();
         // SAFETY: forwarded unchanged; the caller upholds `alloc`'s contract.
-        unsafe { System.alloc(layout) }
+        let p = unsafe { System.alloc(layout) };
+        if !p.is_null() {
+            grow(layout.size());
+        }
+        p
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count();
         // SAFETY: forwarded unchanged; the caller upholds the contract.
-        unsafe { System.alloc_zeroed(layout) }
+        let p = unsafe { System.alloc_zeroed(layout) };
+        if !p.is_null() {
+            grow(layout.size());
+        }
+        p
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         // SAFETY: `ptr` came from this allocator, hence from `System`,
         // with this `layout`, as the caller guarantees.
-        unsafe { System.dealloc(ptr, layout) }
+        unsafe { System.dealloc(ptr, layout) };
+        shrink(layout.size());
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count();
         // SAFETY: forwarded unchanged; the caller upholds `realloc`'s
         // contract for a block this allocator handed out.
-        unsafe { System.realloc(ptr, layout, new_size) }
+        let p = unsafe { System.realloc(ptr, layout, new_size) };
+        if !p.is_null() {
+            grow(new_size);
+            shrink(layout.size());
+        }
+        p
     }
 }
 
@@ -101,6 +130,17 @@ fn allocs<T>(f: impl FnOnce() -> T) -> u64 {
     let calls = CALLS.load(Ordering::SeqCst) - before;
     drop(std::hint::black_box(out));
     calls
+}
+
+/// Peak heap growth, in bytes, while `f` runs, and its result. The
+/// result is dropped after counting stops.
+fn heap_peak<T>(f: impl FnOnce() -> T) -> (i64, T) {
+    let start = LIVE.load(Ordering::SeqCst);
+    PEAK.store(start, Ordering::SeqCst);
+    ON.store(true, Ordering::SeqCst);
+    let out = f();
+    ON.store(false, Ordering::SeqCst);
+    (PEAK.load(Ordering::SeqCst) - start, out)
 }
 
 /// Most calls that doubling a workload's shots may add.
@@ -176,6 +216,42 @@ fn check_mle_iterations(threads: usize) {
     );
 }
 
+/// Heap bytes of one complex entry.
+const COMPLEX_BYTES: i64 = 16;
+
+/// Heap the T4 MLE may use beyond its vectors and partial `R` buffers.
+/// Measured at 72 KB on the data below: the measured-outcome table (one
+/// `(s, o)` and one frequency per outcome slot, 31 KB), the chunks'
+/// weights (9 KB) and chunk list (2 KB), and the schedule's six `d × d`
+/// work matrices with their GEMM scratch (29 KB); at 2 threads the
+/// team adds under 1 KB. A second copy of the measured vectors, 290 KB
+/// here, does not fit.
+const MLE_HEAP_SLACK: i64 = 96 * 1024;
+
+/// The T4 MLE keeps one copy of its measured vectors: on 60-shot
+/// four-qubit data (the §V paper statistics), `try_mle_reconstruction`
+/// peaks below those vectors — `d` complex entries per measured outcome,
+/// as four-vector panels — plus each sweep chunk's `d × d` partial `R`
+/// and [`MLE_HEAP_SLACK`].
+fn check_mle_heap(threads: usize) {
+    let rho4 = noisy_four_photon(0.0, 0.68, 0.08);
+    let data = try_stream_counts_seeded(&rho4, &all_settings(4), 60, 31).expect("counts");
+    let measured = data.counts.iter().flatten().filter(|&&c| c > 0).count() as i64;
+    let dim = 16;
+    let vectors = measured * dim * COMPLEX_BYTES;
+    // The sweep cuts this problem into 64-outcome chunks.
+    let r_parts = (measured + 63) / 64 * dim * dim * COMPLEX_BYTES;
+    let opts = MleOptions::default();
+    try_mle_reconstruction(&data, &opts).expect("warm-up");
+    let (peak, result) = heap_peak(|| try_mle_reconstruction(&data, &opts));
+    result.expect("reconstruction");
+    assert!(
+        peak < vectors + r_parts + MLE_HEAP_SLACK,
+        "at {threads} thread(s): the T4 MLE peaked at {peak} bytes; its {measured} measured \
+         vectors take {vectors} and its partial R buffers {r_parts}"
+    );
+}
+
 fn check_shot_workloads(threads: usize, campaign_dir: &Path) {
     // §II heralded driver: the tags per channel scale with the duration,
     // the linewidth histogram with its pair count.
@@ -213,16 +289,18 @@ fn check_shot_workloads(threads: usize, campaign_dir: &Path) {
     });
 
     // §V counts streamed over the 81 four-qubit settings, then
-    // reconstructed by the MLE engine.
+    // reconstructed by the MLE engine. White noise puts every outcome
+    // near 0.3 % or above, so at 2 000 shots nearly all 1 296 outcomes
+    // are measured at both scales, and the one-allocation vector build
+    // per measured outcome stays within the slack.
     let rho4 = noisy_four_photon(0.0, 0.92, 0.05);
     let settings = all_settings(4);
-    let set = ProjectorReprSet::try_rank1_from_settings(&settings).expect("set");
     let opts = MleOptions { max_iterations: 5 };
     assert_flat_in_shots("streamed counts + MLE", threads, |scale| {
         allocs(|| {
             let data =
                 try_stream_counts_seeded(&rho4, &settings, 2_000 * scale, 29).expect("counts");
-            try_mle_repr(&set, &data.counts, &opts).expect("reconstruction")
+            try_mle_reconstruction(&data, &opts).expect("reconstruction")
         })
     });
 
@@ -297,6 +375,7 @@ fn hot_kernels_allocate_nothing_per_iteration_shot_or_point() {
     for threads in [1, 2] {
         with_threads(threads, || {
             check_mle_iterations(threads);
+            check_mle_heap(threads);
             check_shot_workloads(threads, &campaign_dir);
             check_sweeps(threads);
         });
