@@ -138,9 +138,12 @@ fn main() {
     mc.bell_shots_per_setting = 100;
     mc.four_fold_phase_steps = 8;
     mc.four_shots_per_setting = 10;
+    // A detector dropout over the middle half of the nominal scan, so the
+    // fixture pins a faulted health section.
+    let run_s = nominal_duration_s(&mc.timebin);
     let dropout = FaultSchedule::empty().with(FaultEvent::new(
-        10.0,
-        40.0,
+        0.25 * run_s,
+        0.5 * run_s,
         FaultKind::DetectorDropout {
             channel: 1,
             arm: Arm::Signal,

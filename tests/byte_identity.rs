@@ -231,9 +231,11 @@ fn multiphoton_run_matches_pinned_bytes() {
     cfg.bell_shots_per_setting = 100;
     cfg.four_fold_phase_steps = 8;
     cfg.four_shots_per_setting = 10;
+    // A detector dropout over the middle half of the nominal scan.
+    let run_s = nominal_duration_s(&cfg.timebin);
     let schedule = FaultSchedule::empty().with(FaultEvent::new(
-        10.0,
-        40.0,
+        0.25 * run_s,
+        0.5 * run_s,
         FaultKind::DetectorDropout {
             channel: 1,
             arm: Arm::Signal,
