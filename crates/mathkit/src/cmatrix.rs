@@ -654,34 +654,35 @@ impl CMatrix {
         assert!(self.is_square(), "quadratic form needs a square matrix");
         assert_eq!(panels.dim(), self.rows, "matvec dimension mismatch");
         assert_eq!(panels.len(), out.len(), "quadratic form output length mismatch");
-        let n = self.rows;
         for (p, out) in out.chunks_mut(4).enumerate() {
             let (xr, xi) = panels.panel(p);
-            let mut diag = [0.0f64; 4];
-            let mut cross = [0.0f64; 4];
-            // qfc-lint: hot
-            for i in 0..n {
-                let row = &self.data[i * n..(i + 1) * n];
-                let mut tr = [0.0f64; 4];
-                let mut ti = [0.0f64; 4];
-                for ((a, br), bi) in row[i + 1..].iter().zip(&xr[i + 1..]).zip(&xi[i + 1..]) {
-                    // `t += a·b`, lane by lane.
-                    tr = std::array::from_fn(|l| tr[l] + (a.re * br[l] - a.im * bi[l]));
-                    ti = std::array::from_fn(|l| ti[l] + (a.re * bi[l] + a.im * br[l]));
-                }
-                let (aii, x_re, x_im) = (row[i].re, xr[i], xi[i]);
-                diag = std::array::from_fn(|l| {
-                    diag[l] + aii * (x_re[l] * x_re[l] + x_im[l] * x_im[l])
-                });
-                // `Re(conj(x)·t)` as the complex product forms it.
-                cross = std::array::from_fn(|l| {
-                    cross[l] + (x_re[l] * tr[l] - (-x_im[l]) * ti[l])
-                });
-            }
-            for ((o, d), c) in out.iter_mut().zip(diag).zip(cross) {
-                *o = d + 2.0 * c;
-            }
+            let forms = self.quadratic_form_hermitian_panel(xr, xi);
+            out.copy_from_slice(&forms[..out.len()]);
         }
+    }
+
+    /// One panel of [`Self::quadratic_forms_hermitian_panels`]: the forms
+    /// of all four lanes. Dimensions are checked by the caller.
+    fn quadratic_form_hermitian_panel(&self, xr: &[[f64; 4]], xi: &[[f64; 4]]) -> [f64; 4] {
+        let n = self.rows;
+        let mut diag = [0.0f64; 4];
+        let mut cross = [0.0f64; 4];
+        // qfc-lint: hot
+        for i in 0..n {
+            let row = &self.data[i * n..(i + 1) * n];
+            let mut tr = [0.0f64; 4];
+            let mut ti = [0.0f64; 4];
+            for ((a, br), bi) in row[i + 1..].iter().zip(&xr[i + 1..]).zip(&xi[i + 1..]) {
+                // `t += a·b`, lane by lane.
+                tr = std::array::from_fn(|l| tr[l] + (a.re * br[l] - a.im * bi[l]));
+                ti = std::array::from_fn(|l| ti[l] + (a.re * bi[l] + a.im * br[l]));
+            }
+            let (aii, x_re, x_im) = (row[i].re, xr[i], xi[i]);
+            diag = std::array::from_fn(|l| diag[l] + aii * (x_re[l] * x_re[l] + x_im[l] * x_im[l]));
+            // `Re(conj(x)·t)` as the complex product forms it.
+            cross = std::array::from_fn(|l| cross[l] + (x_re[l] * tr[l] - (-x_im[l]) * ti[l]));
+        }
+        std::array::from_fn(|l| diag[l] + 2.0 * cross[l])
     }
 
     /// [`Self::ger_hermitian_upper`] with weight `alphas[k]` for every

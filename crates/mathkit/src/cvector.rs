@@ -196,7 +196,7 @@ impl CVector {
 /// lane. A kernel then loads one element of four vectors as two
 /// contiguous 4-lane rows and runs the four vectors' arithmetic side by
 /// side. Lanes past [`Self::len`] in the last panel stay zero.
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug)]
 pub struct VectorPanels {
     dim: usize,
     len: usize,

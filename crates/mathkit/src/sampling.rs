@@ -380,7 +380,8 @@ mod tests {
             let n = 2 + (38.0 * rng.gen::<f64>()) as usize;
             let w: Vec<f64> = (0..n)
                 .map(|_| {
-                    let (zero, decade, mantissa) = (rng.gen::<f64>(), rng.gen::<f64>(), rng.gen::<f64>());
+                    let (zero, decade, mantissa) =
+                        (rng.gen::<f64>(), rng.gen::<f64>(), rng.gen::<f64>());
                     if zero < 0.25 {
                         0.0
                     } else {

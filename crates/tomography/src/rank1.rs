@@ -6,8 +6,8 @@
 //! `|ψ⟩⟨ψ|`, and the workspace keeps only the vectors `|ψ⟩`: `d` entries
 //! per outcome instead of `d²`.
 //! [`Setting::outcome_vector`](crate::settings::Setting::outcome_vector)
-//! builds those
-//! of qubit settings and [`ProjectorReprSet`] holds those of qudit bases.
+//! builds those of qubit settings, and [`ProjectorReprSet`] holds those of
+//! qudit bases.
 //! Expectations are the Hermitian quadratic form `⟨ψ|ρ|ψ⟩` over `ρ`'s
 //! upper triangle ([`CMatrix::quadratic_form_hermitian`]), and the `R`
 //! build is upper-triangle-only rank-1 updates

@@ -115,8 +115,9 @@ pub fn try_project_physical(mat: &CMatrix) -> QfcResult<DensityMatrix> {
 }
 
 /// Options for the iterative MLE reconstruction. The schedule and the
-/// stopping rule are fixed (see [`try_mle_repr`](crate::rank1::try_mle_repr)); only the budget is
-/// set per call.
+/// stopping rule are fixed (see
+/// [`try_mle_repr`](crate::rank1::try_mle_repr)); only the budget is set
+/// per call.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct MleOptions {
     /// Maximum RρR iterations. A reconstruction that has not certified by
@@ -141,8 +142,9 @@ pub struct MleResult {
     pub iterations: usize,
     /// Certified bound, in nats of the count likelihood, on how far the
     /// log-likelihood of `rho` lies below the maximum over all states
-    /// (see [`try_mle_repr`](crate::rank1::try_mle_repr)). Infinite when no certificate exists, as
-    /// for the supervisor's linear-inversion fallback.
+    /// (see [`try_mle_repr`](crate::rank1::try_mle_repr)). Infinite when
+    /// no certificate exists, as for the supervisor's linear-inversion
+    /// fallback.
     pub gap_nats: f64,
     /// `true` when `gap_nats` is at most
     /// [`MLE_GAP_NATS`](crate::rank1::MLE_GAP_NATS): the returned state
@@ -153,8 +155,8 @@ pub struct MleResult {
 }
 
 /// Iterative RρR maximum-likelihood reconstruction of qubit tomography
-/// data: the engine of [`try_mle_repr`](crate::rank1::try_mle_repr), its panels filled straight from
-/// the outcome vectors of `data`'s settings.
+/// data: the engine of [`try_mle_repr`](crate::rank1::try_mle_repr), its
+/// panels filled straight from the outcome vectors of `data`'s settings.
 ///
 /// # Errors
 ///

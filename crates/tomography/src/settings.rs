@@ -252,12 +252,16 @@ mod tests {
                 for o in 0..setting.outcomes() {
                     let chain = setting.0.iter().enumerate().fold(
                         CVector::from_vec(vec![C_ONE]),
-                        |acc, (q, basis)| acc.kron(&basis.eigenstate(u8::from((o >> (n - 1 - q)) & 1 == 1))),
+                        |acc, (q, basis)| {
+                            let bit = u8::from((o >> (n - 1 - q)) & 1 == 1);
+                            acc.kron(&basis.eigenstate(bit))
+                        },
                     );
                     let bits = |v: &CVector| -> Vec<(u64, u64)> {
                         v.iter().map(|z| (z.re.to_bits(), z.im.to_bits())).collect()
                     };
-                    assert_eq!(bits(&setting.outcome_vector(o)), bits(&chain), "{setting:?} outcome {o}");
+                    let built = bits(&setting.outcome_vector(o));
+                    assert_eq!(built, bits(&chain), "{setting:?} outcome {o}");
                 }
             }
         }
