@@ -11,11 +11,11 @@ use qfc_photonics::pump::PumpConfig;
 use qfc_photonics::units::Power;
 use qfc_quantum::bell::werner_state;
 use qfc_quantum::fidelity::state_fidelity;
-use qfc_tomography::counts::simulate_counts_seeded;
 use qfc_tomography::reconstruct::{
     try_linear_reconstruction, try_mle_reconstruction, MleOptions,
 };
 use qfc_tomography::settings::all_settings;
+use qfc_tomography::stream::try_stream_counts_seeded;
 
 use crate::heralded::{
     run_stability_experiment, try_run_heralded_experiment, HeraldedConfig, StabilityConfig,
@@ -101,7 +101,12 @@ pub fn tomography_ablation(shots: &[u64], seed: u64) -> QfcResult<Vec<Tomography
     // split-seed stream, independent of the others.
     let indexed: Vec<(usize, u64)> = shots.iter().copied().enumerate().collect();
     qfc_runtime::par_map(&indexed, |&(row, n)| {
-        let data = simulate_counts_seeded(&truth, &settings, n, split_seed(seed, cast::usize_to_u64(row)));
+        let data = try_stream_counts_seeded(
+            &truth,
+            &settings,
+            n,
+            split_seed(seed, cast::usize_to_u64(row)),
+        )?;
         let lin = try_linear_reconstruction(&data)?;
         let mle = try_mle_reconstruction(&data, &MleOptions::default())?;
         Ok(TomographyAblationRow {

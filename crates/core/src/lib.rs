@@ -21,12 +21,13 @@
 //!
 //! ```
 //! use qfc_core::source::QfcSource;
-//! use qfc_core::timebin::{channel_state_model, TimeBinConfig};
+//! use qfc_core::timebin::{try_channel_state_model, TimeBinConfig};
 //!
 //! let source = QfcSource::paper_device_timebin();
-//! let model = channel_state_model(&source, &TimeBinConfig::paper(), 1);
+//! let model = try_channel_state_model(&source, &TimeBinConfig::paper(), 1)?;
 //! // The visibility budget lands near the paper's 83 % operating point.
 //! assert!(model.state_visibility > 0.8);
+//! # Ok::<(), qfc_faults::QfcError>(())
 //! ```
 
 #![forbid(unsafe_code)]

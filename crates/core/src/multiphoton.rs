@@ -26,10 +26,7 @@ use crate::experiment::{run_in_process, Experiment, ShardSpec};
 use crate::report::{Comparison, Expectation, ExperimentReport};
 use crate::source::QfcSource;
 use crate::supervisor::{self, SupervisorPolicy};
-use crate::timebin::{
-    channel_state_model_boosted, nominal_duration_s, try_channel_state_model_boosted,
-    TimeBinConfig,
-};
+use crate::timebin::{nominal_duration_s, try_channel_state_model_boosted, TimeBinConfig};
 
 /// Four-qubit tomography settings per T4 count task: the 81 settings
 /// split into six tasks, each sampling its setting range on the
@@ -149,8 +146,7 @@ pub fn bell_channel_task(
         * 0.125; // mean post-selected coincidence probability scale
     let white = (model.accidental_prob / (model.accidental_prob + p_sig)).clamp(0.0, 1.0);
     let rho = model.rho.depolarize(white);
-    // Streaming accumulation — byte-identical to the materializing
-    // `simulate_counts_seeded` (same per-setting split-seed streams).
+    // One split-seed stream per setting, folded as it streams in.
     let data = try_stream_counts_seeded(
         &rho,
         &settings,
@@ -363,24 +359,29 @@ pub struct PumpTradeRow {
 /// forces the §V boost: the four-fold rate grows as the fourth power of
 /// the pump amplitude while the pairwise visibility (and hence every
 /// entanglement figure) degrades.
+///
+/// # Errors
+///
+/// [`QfcError::InvalidParameter`] for a non-positive factor,
+/// [`QfcError::RegimeMismatch`] when the source is not double-pulsed.
 pub fn pump_trade_scan(
     source: &QfcSource,
     config: &TimeBinConfig,
     factors: &[f64],
-) -> Vec<PumpTradeRow> {
-    let mu_ref = channel_state_model_boosted(source, config, 1, 1.0).mu;
+) -> QfcResult<Vec<PumpTradeRow>> {
+    let mu_ref = try_channel_state_model_boosted(source, config, 1, 1.0)?.mu;
     factors
         .iter()
         .map(|&f| {
-            let model = channel_state_model_boosted(source, config, 1, f);
+            let model = try_channel_state_model_boosted(source, config, 1, f)?;
             let target = bell_phi(config.pump_phase);
-            PumpTradeRow {
+            Ok(PumpTradeRow {
                 pump_factor: f,
                 mu: model.mu,
                 state_visibility: model.state_visibility,
                 relative_four_fold_rate: (model.mu / mu_ref).powi(2),
                 pair_fidelity: fidelity_with_pure(&model.rho, &target),
-            }
+            })
         })
         .collect()
 }
@@ -826,7 +827,8 @@ mod tests {
             &source(),
             &TimeBinConfig::paper(),
             &[1.0, 2.0, 3.0, 5.0],
-        );
+        )
+        .expect("double-pulse source");
         assert_eq!(rows.len(), 4);
         assert!((rows[0].relative_four_fold_rate - 1.0).abs() < 1e-12);
         for w in rows.windows(2) {

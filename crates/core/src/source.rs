@@ -12,7 +12,6 @@ use qfc_photonics::pump::PumpConfig;
 use qfc_photonics::ring::{Microring, MicroringBuilder};
 use qfc_photonics::units::Frequency;
 use qfc_photonics::waveguide::{Polarization, Waveguide};
-use qfc_quantum::fock::TwoModeSqueezedVacuum;
 
 /// What family of quantum states the source emits under its current pump.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -173,17 +172,13 @@ impl QfcSource {
     /// Generated cross-polarized pair flux (pairs/s) on channel `m` for
     /// the §III bichromatic pump.
     ///
+    /// # Errors
+    ///
+    /// [`QfcError::RegimeMismatch`] when the pump is not bichromatic.
+    ///
     /// # Panics
     ///
-    /// Panics if the pump is not bichromatic or `m == 0`.
-    pub fn type2_pair_rate(&self, m: u32) -> f64 {
-        match self.try_type2_pair_rate(m) {
-            Ok(r) => r,
-            Err(e) => panic!("type2_pair_rate requires the bichromatic pump ({e})"), // qfc-lint: allow(panic-reachability) — documented panicking wrapper over the try_* twin (`# Panics` contract)
-        }
-    }
-
-    /// Fallible form of [`Self::type2_pair_rate`].
+    /// Panics if `m == 0`.
     pub fn try_type2_pair_rate(&self, m: u32) -> QfcResult<f64> {
         match self.pump {
             PumpConfig::BichromaticOrthogonal { power_te, power_tm } => {
@@ -234,11 +229,6 @@ impl QfcSource {
             }),
         }
     }
-
-    /// The photon-number state of channel `m` under the pulsed pump.
-    pub fn channel_state(&self, m: u32) -> TwoModeSqueezedVacuum {
-        TwoModeSqueezedVacuum::new(self.pairs_per_frame(m))
-    }
 }
 
 #[cfg(test)]
@@ -285,7 +275,7 @@ mod tests {
     #[test]
     fn type2_rate_positive_at_2mw() {
         let src = QfcSource::paper_device_type2();
-        let r = src.type2_pair_rate(1);
+        let r = src.try_type2_pair_rate(1).expect("bichromatic pump");
         assert!(r > 0.05 && r < 100.0, "rate {r}");
     }
 
@@ -294,7 +284,6 @@ mod tests {
         let src = QfcSource::paper_device_timebin();
         let mu = src.pairs_per_frame(1);
         assert!(mu > 1e-5 && mu < 0.2, "μ = {mu}");
-        assert!((src.channel_state(1).mean_pairs() - mu).abs() < 1e-15);
     }
 
     #[test]

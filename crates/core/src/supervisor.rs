@@ -277,32 +277,6 @@ pub fn apply_tdc_saturation(
     qfc_timetag::events::TagStream::from_sorted(kept)
 }
 
-/// Runs `f` up to `max_attempts` times, recording a retry in `health`
-/// for every failed attempt that is retried; returns the first success
-/// or the last error.
-pub fn with_retries<T>(
-    stage: &str,
-    max_attempts: u32,
-    health: &mut HealthReport,
-    mut f: impl FnMut(u32) -> QfcResult<T>,
-) -> QfcResult<T> {
-    let mut last: Option<QfcError> = None;
-    for attempt in 0..max_attempts.max(1) {
-        match f(attempt) {
-            Ok(v) => return Ok(v),
-            Err(e) => {
-                if attempt + 1 < max_attempts {
-                    health.record_retry(stage);
-                }
-                last = Some(e);
-            }
-        }
-    }
-    Err(last.unwrap_or_else(|| {
-        QfcError::invalid(format!("{stage}: retry loop made no attempts"))
-    }))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -487,12 +461,11 @@ mod tests {
     fn diverging_mle_falls_back_to_linear_inversion() {
         use qfc_quantum::bell::bell_phi;
         use qfc_quantum::density::DensityMatrix;
-        use qfc_tomography::counts::simulate_counts_seeded;
         use qfc_tomography::settings::all_settings;
+        use qfc_tomography::stream::try_stream_counts_seeded;
 
         let rho = DensityMatrix::from_pure(&bell_phi(0.0));
-        let data =
-            simulate_counts_seeded(&rho, &all_settings(2), 400, 11);
+        let data = try_stream_counts_seeded(&rho, &all_settings(2), 400, 11).expect("counts");
         // One iteration leaves 400-shot data thousands of nats short.
         let opts = MleOptions { max_iterations: 1 };
         let mut h = HealthReport::pristine();
@@ -508,28 +481,6 @@ mod tests {
         // target.
         let f = qfc_quantum::fidelity::fidelity_with_pure(&res.rho, &bell_phi(0.0));
         assert!(f > 0.8, "fallback fidelity {f}");
-    }
-
-    #[test]
-    fn with_retries_records_and_recovers() {
-        let mut h = HealthReport::pristine();
-        let result = with_retries("linewidth fit", 3, &mut h, |attempt| {
-            if attempt < 2 {
-                Err(QfcError::invalid("flaky"))
-            } else {
-                Ok(attempt)
-            }
-        })
-        .expect("third attempt succeeds");
-        assert_eq!(result, 2);
-        assert_eq!(h.recovery_actions.len(), 2);
-
-        let mut h2 = HealthReport::pristine();
-        let err = with_retries("always fails", 2, &mut h2, |_| {
-            Err::<(), _>(QfcError::invalid("broken"))
-        })
-        .expect_err("exhausted");
-        assert!(err.to_string().contains("broken"));
     }
 
     #[test]

@@ -97,19 +97,6 @@ pub struct ChannelStateModel {
 
 /// Builds the state model of channel `m` from the source and config.
 ///
-/// # Panics
-///
-/// Panics if the source is not in the double-pulse regime.
-pub fn channel_state_model(
-    source: &QfcSource,
-    config: &TimeBinConfig,
-    m: u32,
-) -> ChannelStateModel {
-    channel_state_model_boosted(source, config, m, 1.0)
-}
-
-/// Fallible form of [`channel_state_model`].
-///
 /// # Errors
 ///
 /// [`QfcError::RegimeMismatch`] when the source is not double-pulsed.
@@ -121,27 +108,9 @@ pub fn try_channel_state_model(
     try_channel_state_model_boosted(source, config, m, 1.0)
 }
 
-/// Like [`channel_state_model`], with the pump *amplitude* scaled by
-/// `power_factor` (the §V four-photon runs pump harder, trading pairwise
-/// visibility for four-fold rate: `μ ∝ P²`).
-///
-/// # Panics
-///
-/// Panics if the source is not in the double-pulse regime or
-/// `power_factor <= 0`.
-pub fn channel_state_model_boosted(
-    source: &QfcSource,
-    config: &TimeBinConfig,
-    m: u32,
-    power_factor: f64,
-) -> ChannelStateModel {
-    match try_channel_state_model_boosted(source, config, m, power_factor) {
-        Ok(model) => model,
-        Err(e) => panic!("{e}"), // qfc-lint: allow(panic-reachability) — documented panicking wrapper over the try_* twin (`# Panics` contract)
-    }
-}
-
-/// Fallible form of [`channel_state_model_boosted`].
+/// Like [`try_channel_state_model`], with the pump *amplitude* scaled
+/// by `power_factor` (the §V four-photon runs pump harder, trading
+/// pairwise visibility for four-fold rate: `μ ∝ P²`).
 ///
 /// # Errors
 ///
@@ -312,18 +281,22 @@ impl SlotScanPoint {
 /// efficiency, and binned by joint arrival slot; dark coincidences land
 /// in the middle/middle cell. Slower but assumption-free — used to
 /// cross-validate the analytic fringe of [`try_run_timebin_experiment`].
+///
+/// # Errors
+///
+/// [`QfcError::RegimeMismatch`] when the source is not double-pulsed.
 pub fn run_timebin_event_mc(
     source: &QfcSource,
     config: &TimeBinConfig,
     m: u32,
     phases: &[f64],
     seed: u64,
-) -> Vec<SlotScanPoint> {
+) -> QfcResult<Vec<SlotScanPoint>> {
     use qfc_interferometry::analysis::two_photon_slot_table;
     use qfc_interferometry::michelson::UnbalancedMichelson;
     use qfc_mathkit::sampling::DiscreteSampler;
 
-    let model = channel_state_model(source, config, m);
+    let model = try_channel_state_model(source, config, m)?;
     let eta = config.arm_efficiency;
     let ifo_b = UnbalancedMichelson::paper_instrument(0.0);
 
@@ -331,7 +304,7 @@ pub fn run_timebin_event_mc(
     // are independent tasks and the scan parallelizes without any
     // cross-point RNG coupling.
     let indexed: Vec<(usize, f64)> = phases.iter().copied().enumerate().collect();
-    qfc_runtime::par_map(&indexed, |&(k, phase)| {
+    Ok(qfc_runtime::par_map(&indexed, |&(k, phase)| {
         let mut rng = rng_from_seed(split_seed(seed, cast::usize_to_u64(k)));
         {
             let ifo_a = UnbalancedMichelson::paper_instrument(phase);
@@ -368,7 +341,7 @@ pub fn run_timebin_event_mc(
             slots[1][1] += binomial(&mut rng, config.frames_per_point, model.accidental_prob);
             SlotScanPoint { phase, slots }
         }
-    })
+    }))
 }
 
 /// A completed §IV run: the physics report plus its health record.
@@ -664,7 +637,7 @@ mod tests {
     #[test]
     fn state_model_visibility_budget() {
         let cfg = TimeBinConfig::paper();
-        let model = channel_state_model(&source(), &cfg, 1);
+        let model = try_channel_state_model(&source(), &cfg, 1).expect("double-pulse source");
         assert!(model.mu > 0.005 && model.mu < 0.1, "μ = {}", model.mu);
         assert!(
             model.state_visibility > 0.8 && model.state_visibility < 0.95,
@@ -716,7 +689,7 @@ mod tests {
     #[test]
     fn probability_peaks_at_sum_phase() {
         let cfg = TimeBinConfig::paper();
-        let model = channel_state_model(&source(), &cfg, 1);
+        let model = try_channel_state_model(&source(), &cfg, 1).expect("double-pulse source");
         let p0 = coincidence_probability(&model, &cfg, 0.0, 0.0);
         let p_pi = coincidence_probability(&model, &cfg, std::f64::consts::PI, 0.0);
         assert!(p0 > 5.0 * p_pi);
@@ -765,8 +738,9 @@ mod tests {
         let phases: Vec<f64> = (0..12)
             .map(|k| 2.0 * std::f64::consts::PI * k as f64 / 12.0)
             .collect();
-        let scan = run_timebin_event_mc(&source(), &cfg, 1, &phases, 45);
-        let model = channel_state_model(&source(), &cfg, 1);
+        let scan = run_timebin_event_mc(&source(), &cfg, 1, &phases, 45)
+            .expect("double-pulse source");
+        let model = try_channel_state_model(&source(), &cfg, 1).expect("double-pulse source");
         for p in &scan {
             let expected =
                 coincidence_probability(&model, &cfg, p.phase, 0.0) * cfg.frames_per_point as f64;
@@ -792,7 +766,8 @@ mod tests {
             1,
             &[0.0, std::f64::consts::FRAC_PI_2, std::f64::consts::PI],
             46,
-        );
+        )
+        .expect("double-pulse source");
         let sats: Vec<f64> = scan.iter().map(|p| p.satellites() as f64).collect();
         let mean = sats.iter().sum::<f64>() / sats.len() as f64;
         for s in &sats {

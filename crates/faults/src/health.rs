@@ -134,14 +134,6 @@ impl HealthReport {
         });
     }
 
-    /// Records a retried stage.
-    pub fn record_retry(&mut self, stage: impl Into<String>) {
-        qfc_obs::counter_add("recovery_retries", 1);
-        self.recovery_actions.push(RecoveryAction::Retry {
-            stage: stage.into(),
-        });
-    }
-
     /// Merges another health report into this one (for drivers composed
     /// of sub-experiments).
     pub fn absorb(&mut self, other: HealthReport) {
@@ -237,7 +229,9 @@ mod tests {
         h.record_fault("dark-count burst ×5 (all channels)".into(), 2.0, 1.0);
         h.record_relock(3, 1.2);
         h.record_fallback("MLE", "linear inversion");
-        h.record_retry("linewidth fit");
+        h.recovery_actions.push(RecoveryAction::Retry {
+            stage: "linewidth fit".into(),
+        });
         let r = h.render();
         assert!(r.contains("dark-count burst"));
         assert!(r.contains("re-locked after 3"));

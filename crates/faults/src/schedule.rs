@@ -144,18 +144,6 @@ impl FaultKind {
             Self::CheckpointStale { shard } => format!("shard {shard} checkpoint stale"),
         }
     }
-
-    /// `true` for the campaign-level fault kinds (shard crashes and
-    /// checkpoint storage faults), which every physics query ignores.
-    pub fn is_campaign(&self) -> bool {
-        matches!(
-            self,
-            Self::ShardAbort { .. }
-                | Self::ShardExecutorFault { .. }
-                | Self::CheckpointCorruption { .. }
-                | Self::CheckpointStale { .. }
-        )
-    }
 }
 
 /// One fault: a kind active over `[start_s, start_s + duration_s)`.
@@ -461,18 +449,6 @@ impl FaultSchedule {
             / cast::to_f64(MEAN_SAMPLES)
     }
 
-    /// Tightest TDC saturation cap active at `t_s`, Hz.
-    pub fn saturation_cap_hz(&self, t_s: f64) -> Option<f64> {
-        self.events
-            .iter()
-            .filter(|e| e.active_at(t_s))
-            .filter_map(|e| match e.kind {
-                FaultKind::TdcSaturation { max_rate_hz } => Some(max_rate_hz),
-                _ => None,
-            })
-            .min_by(|a, b| a.total_cmp(b))
-    }
-
     /// The lowest shard index named by a [`FaultKind::ShardAbort`]
     /// event, if any — the campaign engine's crash-injection query.
     ///
@@ -544,7 +520,6 @@ mod tests {
         assert_eq!(s.dead_fraction(1, Arm::Signal, 0.0, 10.0), 0.0);
         assert_eq!(s.dark_multiplier(1, 1.0), 1.0);
         assert_eq!(s.phase_offset(1.0), 0.0);
-        assert_eq!(s.saturation_cap_hz(1.0), None);
     }
 
     #[test]
@@ -626,17 +601,6 @@ mod tests {
     }
 
     #[test]
-    fn saturation_takes_tightest_cap() {
-        let s = FaultSchedule::from_events(vec![
-            FaultEvent::new(0.0, 4.0, FaultKind::TdcSaturation { max_rate_hz: 5000.0 }),
-            FaultEvent::new(1.0, 2.0, FaultKind::TdcSaturation { max_rate_hz: 1000.0 }),
-        ]);
-        assert_eq!(s.saturation_cap_hz(0.5), Some(5000.0));
-        assert_eq!(s.saturation_cap_hz(1.5), Some(1000.0));
-        assert_eq!(s.saturation_cap_hz(4.5), None);
-    }
-
-    #[test]
     fn stress_schedule_is_deterministic_and_covers_kinds() {
         let a = FaultSchedule::stress(7, 60.0);
         let b = FaultSchedule::stress(7, 60.0);
@@ -663,9 +627,7 @@ mod tests {
         assert!(!s.detector_dead_at(1, Arm::Idler, 1.0));
         assert_eq!(s.dark_multiplier(1, 1.0), 1.0);
         assert_eq!(s.phase_offset(1.0), 0.0);
-        assert_eq!(s.saturation_cap_hz(1.0), None);
         assert!(s.lock_loss_events(10.0).is_empty());
-        assert!(s.events().iter().all(|e| e.kind.is_campaign()));
     }
 
     #[test]
@@ -699,7 +661,6 @@ mod tests {
             .label()
             .contains("corrupted"));
         assert!(FaultKind::CheckpointStale { shard: 9 }.label().contains("stale"));
-        assert!(!FaultKind::PumpLockLoss.is_campaign());
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //! table of §IV.
 //!
 //! After both photons pass their analyzers, each lands in one of three
-//! arrival slots ([`qfc_quantum::timebin::ArrivalSlot`]); the 3 × 3 table
-//! of joint probabilities shows where the quantum interference lives:
+//! arrival slots (first, middle, last); the 3 × 3 table of joint
+//! probabilities shows where the quantum interference lives:
 //! only the **middle/middle** cell depends on the phases — the satellite
 //! cells are phase-independent, which is exactly what the experiment
 //! post-selects against.
@@ -67,13 +67,6 @@ pub fn middle_middle(table: &[[f64; 3]; 3]) -> f64 {
     table[1][1]
 }
 
-/// Sum of all 9 cells: the fraction of photon pairs that exit toward
-/// the detectors. This is *phase-dependent* (the unused ports carry the
-/// complementary fringe); its phase average is ¼ (½ per photon).
-pub fn table_total(table: &[[f64; 3]; 3]) -> f64 {
-    table.iter().flatten().sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -94,7 +87,10 @@ mod tests {
         let avg: f64 = (0..n)
             .map(|k| {
                 let phi = 2.0 * std::f64::consts::PI * k as f64 / n as f64;
-                table_total(&two_photon_slot_table(&rho, &ifo(phi), &ifo(0.0)))
+                // All 9 cells: the fraction of pairs that exit toward
+                // the detectors.
+                let table = two_photon_slot_table(&rho, &ifo(phi), &ifo(0.0));
+                table.iter().flatten().sum::<f64>()
             })
             .sum::<f64>()
             / n as f64;

@@ -2,9 +2,9 @@
 //!
 //! Interferometric substrate of the `qfc` workspace: unbalanced Michelson
 //! interferometers for writing (double-pulse pump preparation) and reading
-//! (time-bin analysis) the time-bin qubits of §IV–V, plus the phase-noise
-//! model, piezo actuator, and stabilization loop that determine how much
-//! fringe visibility survives.
+//! (time-bin analysis) the time-bin qubits of §IV–V, plus the visibility
+//! penalty of residual phase noise that determines how much fringe
+//! visibility survives.
 //!
 //! ## Example
 //!
@@ -26,4 +26,4 @@ pub mod michelson;
 pub mod stabilization;
 
 pub use michelson::UnbalancedMichelson;
-pub use stabilization::{visibility_factor, PhaseNoiseModel, PiezoPhaseShifter};
+pub use stabilization::visibility_factor;

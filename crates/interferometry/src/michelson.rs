@@ -64,27 +64,6 @@ impl UnbalancedMichelson {
         (self.delay_s - other.delay_s).abs() < coherence_s
     }
 
-    /// Double-pulse writer: amplitudes of the early and late output
-    /// pulses produced from one input pulse (pump preparation).
-    ///
-    /// Each amplitude carries a factor ½ (two passes of the 50/50
-    /// splitter); the long arm adds `e^{iφ}`. The remaining probability
-    /// exits the unused port.
-    pub fn double_pulse_amplitudes(&self) -> (Complex64, Complex64) {
-        let t = (1.0 - self.excess_loss).sqrt();
-        (
-            Complex64::real(0.5 * t),
-            Complex64::cis(self.phase_rad).scale(0.5 * t),
-        )
-    }
-
-    /// Efficiency of double-pulse preparation: total output probability
-    /// of the two pulses.
-    pub fn double_pulse_efficiency(&self) -> f64 {
-        let (a, b) = self.double_pulse_amplitudes();
-        a.norm_sqr() + b.norm_sqr()
-    }
-
     /// Analyzer action on a single time-bin qubit `α|e⟩ + β|l⟩`:
     /// amplitudes of the three arrival slots
     /// `(first, middle, last) = (α, α·e^{iφ} + β, β·e^{iφ})/2`.
@@ -116,29 +95,6 @@ impl UnbalancedMichelson {
 mod tests {
     use super::*;
     use qfc_mathkit::cvector::CVector;
-
-    #[test]
-    fn double_pulse_equal_amplitudes() {
-        let m = UnbalancedMichelson::new(4e-9, 0.0);
-        let (a, b) = m.double_pulse_amplitudes();
-        assert!((a.abs() - 0.5).abs() < 1e-12);
-        assert!((b.abs() - 0.5).abs() < 1e-12);
-        assert!((m.double_pulse_efficiency() - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn phase_appears_on_late_pulse() {
-        let m = UnbalancedMichelson::new(4e-9, 1.3);
-        let (a, b) = m.double_pulse_amplitudes();
-        assert!((b.arg() - 1.3).abs() < 1e-12);
-        assert!(a.arg().abs() < 1e-12);
-    }
-
-    #[test]
-    fn excess_loss_scales_output() {
-        let m = UnbalancedMichelson::new(4e-9, 0.0).with_excess_loss(0.5);
-        assert!((m.double_pulse_efficiency() - 0.25).abs() < 1e-12);
-    }
 
     #[test]
     fn analyzer_slot_probabilities_early_input() {

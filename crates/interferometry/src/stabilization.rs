@@ -2,190 +2,22 @@
 //!
 //! The §IV quantum-interference measurement hinges on *phase-stabilized*
 //! interferometers: residual Gaussian phase noise of RMS `σ` multiplies
-//! every fringe visibility by `e^{−σ²/2}`. This module models the noise
-//! process, the piezo phase shifter that scans and corrects the phase,
-//! and a proportional–integral lock loop, and exposes the resulting
+//! every fringe visibility by `e^{−σ²/2}`. This module exposes that
 //! visibility penalty.
-
-use qfc_mathkit::cast;
-use rand::Rng;
-use serde::{Deserialize, Serialize};
-
-use qfc_mathkit::rng::normal;
 
 /// Visibility penalty of Gaussian phase noise: `V → V·e^{−σ²/2}`.
 pub fn visibility_factor(sigma_rad: f64) -> f64 {
     (-0.5 * sigma_rad * sigma_rad).exp()
 }
 
-/// A random-walk + white phase-noise process for a free-running fiber
-/// interferometer.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct PhaseNoiseModel {
-    /// Random-walk diffusion, rad/√s.
-    pub walk_rad_per_sqrt_s: f64,
-    /// White (fast) phase jitter RMS, rad.
-    pub white_rms_rad: f64,
-}
-
-impl PhaseNoiseModel {
-    /// A fiber Michelson on an optical table: slow thermal walk plus a
-    /// small acoustic jitter.
-    pub fn laboratory() -> Self {
-        Self {
-            walk_rad_per_sqrt_s: 0.8,
-            white_rms_rad: 0.05,
-        }
-    }
-}
-
-/// Piezo-actuated phase shifter: sets the scan phase and applies lock
-/// corrections, with a bounded actuation range per step.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct PiezoPhaseShifter {
-    /// Largest correction applicable in one servo step, rad.
-    pub max_step_rad: f64,
-}
-
-impl PiezoPhaseShifter {
-    /// Typical piezo fiber stretcher servo authority.
-    pub fn typical() -> Self {
-        Self { max_step_rad: 0.5 }
-    }
-
-    /// Clamps a requested correction to the actuator authority.
-    pub fn apply(&self, requested_rad: f64) -> f64 {
-        requested_rad.clamp(-self.max_step_rad, self.max_step_rad)
-    }
-}
-
-/// Result of a stabilization-loop simulation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct LockResult {
-    /// Residual phase error at each servo step, rad.
-    pub residuals_rad: Vec<f64>,
-    /// RMS of the residual phase error, rad.
-    pub residual_rms_rad: f64,
-    /// Fringe-visibility factor implied by the residual noise.
-    pub visibility_factor: f64,
-}
-
-/// Simulates `steps` iterations of a proportional–integral phase lock at
-/// `servo_rate_hz` against the given noise model. With the lock off
-/// (`gain_p = gain_i = 0`) the phase random-walks freely.
-///
-/// # Panics
-///
-/// Panics if `steps == 0` or `servo_rate_hz <= 0`.
-pub fn simulate_lock<R: Rng + ?Sized>(
-    rng: &mut R,
-    noise: &PhaseNoiseModel,
-    piezo: &PiezoPhaseShifter,
-    gain_p: f64,
-    gain_i: f64,
-    servo_rate_hz: f64,
-    steps: usize,
-) -> LockResult {
-    assert!(steps > 0, "need at least one servo step");
-    assert!(servo_rate_hz > 0.0, "servo rate must be positive");
-    let dt = 1.0 / servo_rate_hz;
-    let walk_sigma = noise.walk_rad_per_sqrt_s * dt.sqrt();
-    let mut phase = 0.0f64;
-    let mut integral = 0.0f64;
-    let mut residuals = Vec::with_capacity(steps);
-    for _ in 0..steps {
-        // Environment: random walk plus white jitter on the readout.
-        phase += normal(rng, 0.0, walk_sigma);
-        let measured = phase + normal(rng, 0.0, noise.white_rms_rad);
-        // PI correction through the piezo.
-        integral += measured * dt;
-        let correction = piezo.apply(-(gain_p * measured + gain_i * integral));
-        phase += correction;
-        residuals.push(phase);
-    }
-    let rms = (residuals.iter().map(|r| r * r).sum::<f64>() / cast::to_f64(steps)).sqrt();
-    LockResult {
-        residuals_rad: residuals,
-        residual_rms_rad: rms,
-        visibility_factor: visibility_factor(rms),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qfc_mathkit::rng::rng_from_seed;
 
     #[test]
     fn visibility_factor_limits() {
         assert_eq!(visibility_factor(0.0), 1.0);
         assert!(visibility_factor(0.3) < 1.0);
         assert!(visibility_factor(3.0) < 0.02);
-    }
-
-    #[test]
-    fn lock_beats_free_running() {
-        let noise = PhaseNoiseModel::laboratory();
-        let piezo = PiezoPhaseShifter::typical();
-        let mut rng = rng_from_seed(11);
-        let free = simulate_lock(&mut rng, &noise, &piezo, 0.0, 0.0, 100.0, 4000);
-        let mut rng = rng_from_seed(11);
-        let locked = simulate_lock(&mut rng, &noise, &piezo, 0.6, 0.5, 100.0, 4000);
-        assert!(
-            locked.residual_rms_rad < free.residual_rms_rad / 3.0,
-            "locked {} vs free {}",
-            locked.residual_rms_rad,
-            free.residual_rms_rad
-        );
-        assert!(locked.visibility_factor > 0.95, "V factor {}", locked.visibility_factor);
-    }
-
-    #[test]
-    fn free_running_walk_grows() {
-        let noise = PhaseNoiseModel::laboratory();
-        let piezo = PiezoPhaseShifter::typical();
-        let mut rng = rng_from_seed(12);
-        let short = simulate_lock(&mut rng, &noise, &piezo, 0.0, 0.0, 100.0, 100);
-        let mut rng = rng_from_seed(12);
-        let long = simulate_lock(&mut rng, &noise, &piezo, 0.0, 0.0, 100.0, 10000);
-        assert!(long.residual_rms_rad > short.residual_rms_rad);
-    }
-
-    #[test]
-    fn piezo_clamps_authority() {
-        let p = PiezoPhaseShifter { max_step_rad: 0.2 };
-        assert_eq!(p.apply(1.0), 0.2);
-        assert_eq!(p.apply(-1.0), -0.2);
-        assert_eq!(p.apply(0.05), 0.05);
-    }
-
-    #[test]
-    fn residuals_length_matches_steps() {
-        let mut rng = rng_from_seed(13);
-        let r = simulate_lock(
-            &mut rng,
-            &PhaseNoiseModel::laboratory(),
-            &PiezoPhaseShifter::typical(),
-            0.5,
-            0.1,
-            50.0,
-            123,
-        );
-        assert_eq!(r.residuals_rad.len(), 123);
-    }
-
-    #[test]
-    #[should_panic(expected = "servo step")]
-    fn zero_steps_rejected() {
-        let mut rng = rng_from_seed(14);
-        let _ = simulate_lock(
-            &mut rng,
-            &PhaseNoiseModel::laboratory(),
-            &PiezoPhaseShifter::typical(),
-            0.5,
-            0.1,
-            50.0,
-            0,
-        );
     }
 }

@@ -161,39 +161,6 @@ impl CMatrix {
         (0..self.rows).map(|i| self[(i, j)]).collect()
     }
 
-    /// Copies row `i` into an existing vector — the scratch-space form
-    /// of [`Self::row`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range or `out.dim() != self.cols()`.
-    pub fn row_into(&self, i: usize, out: &mut CVector) {
-        assert!(i < self.rows);
-        assert_eq!(out.dim(), self.cols, "row_into output dimension mismatch");
-        out.as_mut_slice()
-            .copy_from_slice(&self.data[i * self.cols..(i + 1) * self.cols]);
-    }
-
-    /// Copies column `j` into an existing vector — the scratch-space
-    /// form of [`Self::col`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `j` is out of range or `out.dim() != self.rows()`.
-    pub fn col_into(&self, j: usize, out: &mut CVector) {
-        assert!(j < self.cols);
-        assert_eq!(out.dim(), self.rows, "col_into output dimension mismatch");
-        let os = out.as_mut_slice();
-        for (i, o) in os.iter_mut().enumerate() {
-            *o = self.data[i * self.cols + j];
-        }
-    }
-
-    /// Transpose (no conjugation).
-    pub fn transpose(&self) -> Self {
-        Self::from_fn(self.cols, self.rows, |i, j| self[(j, i)])
-    }
-
     /// Conjugate transpose `A†`.
     pub fn adjoint(&self) -> Self {
         Self::from_fn(self.cols, self.rows, |i, j| self[(j, i)].conj())
@@ -216,15 +183,6 @@ impl CMatrix {
     pub fn trace(&self) -> Complex64 {
         assert!(self.is_square(), "trace of non-square matrix");
         (0..self.rows).map(|i| self[(i, i)]).sum()
-    }
-
-    /// Frobenius norm `√Σ|aᵢⱼ|²`.
-    pub fn frobenius_norm(&self) -> f64 {
-        self.data
-            .iter()
-            .map(|z| z.norm_sqr())
-            .sum::<f64>()
-            .sqrt()
     }
 
     /// Scales every entry by a real factor.
@@ -539,9 +497,9 @@ impl CMatrix {
         }
     }
 
-    /// Frobenius norm of the difference, `‖A − B‖_F` — bit-identical to
-    /// `(&self - &other).frobenius_norm()` (element-wise differences in
-    /// data order, then the same sum-of-squares fold) with no temporary.
+    /// Frobenius norm of the difference, `‖A − B‖_F`: the element-wise
+    /// differences in data order, then the sum-of-squares fold — the same
+    /// bits as folding `&self - &other`, with no temporary.
     ///
     /// # Panics
     ///
@@ -1007,12 +965,6 @@ mod tests {
     }
 
     #[test]
-    fn frobenius_norm_known() {
-        let m = CMatrix::from_real_rows(&[&[3.0, 0.0], &[0.0, 4.0]]);
-        assert_eq!(m.frobenius_norm(), 5.0);
-    }
-
-    #[test]
     #[should_panic(expected = "dimension mismatch")]
     fn matmul_mismatch_panics() {
         let a = CMatrix::zeros(2, 3);
@@ -1103,10 +1055,9 @@ mod tests {
     fn frobenius_distance_bit_identical() {
         let a = scrambled(6, 10);
         let b = scrambled(6, 11);
-        assert_eq!(
-            a.frobenius_distance(&b).to_bits(),
-            (&a - &b).frobenius_norm().to_bits()
-        );
+        let diff = &a - &b;
+        let folded = diff.as_slice().iter().map(|z| z.norm_sqr()).sum::<f64>().sqrt();
+        assert_eq!(a.frobenius_distance(&b).to_bits(), folded.to_bits());
     }
 
     #[test]
@@ -1316,21 +1267,6 @@ mod tests {
         let x = CVector::from_real(&[1.0, 2.0, 3.0]);
         let y = CVector::from_real(&[1.0, 2.0]);
         m.ger_assign(1.0, &x, &y);
-    }
-
-    #[test]
-    fn row_col_into_bit_identical() {
-        let m = scrambled_rect(4, 6, 701);
-        let mut r = CVector::from_vec(vec![C_I; 6]);
-        let mut c = CVector::from_vec(vec![C_I; 4]);
-        for i in 0..4 {
-            m.row_into(i, &mut r);
-            assert!(vbits_eq(&r, &m.row(i)), "row {i}");
-        }
-        for j in 0..6 {
-            m.col_into(j, &mut c);
-            assert!(vbits_eq(&c, &m.col(j)), "col {j}");
-        }
     }
 
     #[test]

@@ -50,12 +50,6 @@ impl Complex64 {
         Self { re, im: 0.0 }
     }
 
-    /// Creates a purely imaginary complex number.
-    #[inline]
-    pub const fn imag(im: f64) -> Self {
-        Self { re: 0.0, im }
-    }
-
     /// Creates a complex number from polar coordinates `r·e^{iθ}`.
     ///
     /// ```
@@ -342,7 +336,6 @@ mod tests {
         assert_eq!(z.re, 1.5);
         assert_eq!(z.im, -2.5);
         assert_eq!(Complex64::real(3.0), Complex64::new(3.0, 0.0));
-        assert_eq!(Complex64::imag(3.0), Complex64::new(0.0, 3.0));
         assert_eq!(Complex64::from(2.0), Complex64::real(2.0));
     }
 
@@ -408,7 +401,7 @@ mod tests {
 
     #[test]
     fn euler_identity() {
-        let z = Complex64::imag(std::f64::consts::PI).exp();
+        let z = Complex64::new(0.0, std::f64::consts::PI).exp();
         assert!(z.approx_eq(-C_ONE, 1e-12));
     }
 

@@ -76,39 +76,15 @@ impl EigenDecomposition {
     }
 }
 
-/// Pivot-sweep strategy for the Jacobi iteration.
-///
-/// `Cyclic` visits every off-diagonal element in order each sweep;
-/// `Threshold` skips pivots already below the current sweep threshold,
-/// which saves rotations on nearly-diagonal matrices. Both converge to the
-/// same decomposition; the ablation bench `ablation_eigen` compares them.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum JacobiStrategy {
-    /// Rotate at every off-diagonal pivot, every sweep.
-    #[default]
-    Cyclic,
-    /// Skip pivots below the per-sweep threshold.
-    Threshold,
-}
-
 const MAX_SWEEPS: usize = 128;
 
-/// Diagonalizes a Hermitian matrix with the default (cyclic) strategy.
+/// Diagonalizes a Hermitian matrix by cyclic Jacobi sweeps.
 ///
 /// # Panics
 ///
 /// Panics if `a` is not square or not Hermitian to `1e-9` (relative to its
 /// largest element).
 pub fn eigh(a: &CMatrix) -> EigenDecomposition {
-    eigh_with(a, JacobiStrategy::Cyclic)
-}
-
-/// Diagonalizes a Hermitian matrix with an explicit pivot strategy.
-///
-/// # Panics
-///
-/// Panics if `a` is not square or not Hermitian (see [`eigh`]).
-pub fn eigh_with(a: &CMatrix, strategy: JacobiStrategy) -> EigenDecomposition {
     assert!(a.is_square(), "eigh requires a square matrix");
     let scale = a.max_abs().max(1.0);
     assert!(
@@ -119,7 +95,7 @@ pub fn eigh_with(a: &CMatrix, strategy: JacobiStrategy) -> EigenDecomposition {
     let mut m = a.clone();
     symmetrize_in_place(&mut m);
     let mut v = CMatrix::identity(n);
-    jacobi_sweeps(&mut m, Some(&mut v), strategy, scale);
+    jacobi_sweeps(&mut m, Some(&mut v), scale);
 
     let mut idx: Vec<usize> = (0..n).collect();
     let diag: Vec<f64> = (0..n).map(|i| m[(i, i)].re).collect();
@@ -137,23 +113,18 @@ pub fn eigh_with(a: &CMatrix, strategy: JacobiStrategy) -> EigenDecomposition {
 
 /// Eigenvalues only, ascending, computed in caller-provided scratch.
 ///
-/// Runs exactly the Jacobi rotation sequence of [`eigh_with`] on `work`
+/// Runs exactly the Jacobi rotation sequence of [`eigh`] on `work`
 /// (overwritten with a symmetrized copy of `a`, reallocated only when
 /// its shape differs) but skips the eigenvector accumulation, then
 /// writes the sorted eigenvalues into `out` (cleared first). The values
-/// are bit-identical to `eigh_with(a, strategy).eigenvalues` — the
+/// are bit-identical to `eigh(a).eigenvalues` — the
 /// eigenvector updates never feed back into the iterated matrix, and
 /// `total_cmp` ordering is a total order on bit patterns.
 ///
 /// # Panics
 ///
 /// Panics if `a` is not square or not Hermitian (see [`eigh`]).
-pub fn eigenvalues_into(
-    a: &CMatrix,
-    strategy: JacobiStrategy,
-    work: &mut CMatrix,
-    out: &mut Vec<f64>,
-) {
+pub fn eigenvalues_into(a: &CMatrix, work: &mut CMatrix, out: &mut Vec<f64>) {
     assert!(a.is_square(), "eigh requires a square matrix");
     let scale = a.max_abs().max(1.0);
     assert!(
@@ -171,7 +142,7 @@ pub fn eigenvalues_into(
         }
     }
     symmetrize_in_place(work);
-    jacobi_sweeps(work, None, strategy, scale);
+    jacobi_sweeps(work, None, scale);
     out.clear();
     out.extend((0..n).map(|i| work[(i, i)].re));
     out.sort_by(f64::total_cmp);
@@ -313,35 +284,17 @@ fn symmetrize_in_place(m: &mut CMatrix) {
 }
 
 /// Jacobi sweep loop: rotates `m` to diagonal form, accumulating the
-/// rotations into `v` when provided.
-fn jacobi_sweeps(
-    m: &mut CMatrix,
-    mut v: Option<&mut CMatrix>,
-    strategy: JacobiStrategy,
-    scale: f64,
-) {
+/// rotations into `v` when provided. Every off-diagonal pivot is visited
+/// in order each sweep; `jacobi_rotate` leaves zero pivots untouched.
+fn jacobi_sweeps(m: &mut CMatrix, mut v: Option<&mut CMatrix>, scale: f64) {
     let n = m.rows();
-    for sweep in 0..MAX_SWEEPS {
+    for _ in 0..MAX_SWEEPS {
         let off = off_diagonal_norm(m);
         if off <= 1e-14 * scale * cast::to_f64(n) {
             break;
         }
-        let threshold = match strategy {
-            JacobiStrategy::Cyclic => 0.0,
-            // Classic Jacobi threshold schedule: tighten as sweeps progress.
-            JacobiStrategy::Threshold => {
-                if sweep < 4 {
-                    0.2 * off / cast::to_f64(n * n)
-                } else {
-                    0.0
-                }
-            }
-        };
         for p in 0..n {
             for q in (p + 1)..n {
-                if m[(p, q)].abs() <= threshold {
-                    continue;
-                }
                 let rot = jacobi_rotate(m, p, q);
                 if let (Some(v), Some((c, s))) = (v.as_deref_mut(), rot) {
                     // Accumulate eigenvectors: V ← V·U.
@@ -620,28 +573,16 @@ mod tests {
     }
 
     #[test]
-    fn threshold_strategy_agrees_with_cyclic() {
-        let a = random_hermitian(7, 7);
-        let e1 = eigh_with(&a, JacobiStrategy::Cyclic);
-        let e2 = eigh_with(&a, JacobiStrategy::Threshold);
-        for (x, y) in e1.eigenvalues.iter().zip(&e2.eigenvalues) {
-            assert!((x - y).abs() < 1e-8);
-        }
-    }
-
-    #[test]
     fn eigenvalues_into_bit_identical_to_eigh() {
         let mut work = CMatrix::zeros(1, 1); // wrong shape: exercises the resize path
         let mut vals = Vec::new();
         for seed in 1..8 {
             let a = random_hermitian(6, seed);
-            for strategy in [JacobiStrategy::Cyclic, JacobiStrategy::Threshold] {
-                eigenvalues_into(&a, strategy, &mut work, &mut vals);
-                let full = eigh_with(&a, strategy);
-                assert_eq!(vals.len(), full.eigenvalues.len());
-                for (x, y) in vals.iter().zip(&full.eigenvalues) {
-                    assert_eq!(x.to_bits(), y.to_bits(), "seed {seed}");
-                }
+            eigenvalues_into(&a, &mut work, &mut vals);
+            let full = eigh(&a);
+            assert_eq!(vals.len(), full.eigenvalues.len());
+            for (x, y) in vals.iter().zip(&full.eigenvalues) {
+                assert_eq!(x.to_bits(), y.to_bits(), "seed {seed}");
             }
         }
     }

@@ -173,21 +173,6 @@ pub fn binomial<R: Rng + ?Sized>(rng: &mut R, n: u64, p: f64) -> u64 {
     }
 }
 
-/// Draws a geometric variate: the number of failures before the first
-/// success, with success probability `p`.
-///
-/// # Panics
-///
-/// Panics if `p` is not in `(0, 1]`.
-pub fn geometric<R: Rng + ?Sized>(rng: &mut R, p: f64) -> u64 {
-    assert!(p > 0.0 && p <= 1.0, "geometric: p must be in (0, 1]");
-    if p == 1.0 {
-        return 0;
-    }
-    let u = 1.0 - rng.gen::<f64>();
-    cast::f64_to_u64((u.ln() / (1.0 - p).ln()).floor())
-}
-
 /// Samples an index from a discrete distribution given by non-negative
 /// `weights` (need not be normalized).
 ///
@@ -310,16 +295,6 @@ mod tests {
         assert!(bernoulli(&mut rng, 1.0));
         assert!(!bernoulli(&mut rng, -0.3));
         assert!(bernoulli(&mut rng, 1.7));
-    }
-
-    #[test]
-    fn geometric_mean() {
-        let mut rng = rng_from_seed(9);
-        let p = 0.25;
-        let n = 100_000;
-        let mean = (0..n).map(|_| geometric(&mut rng, p)).sum::<u64>() as f64 / n as f64;
-        // E[failures before success] = (1 − p)/p = 3.
-        assert!((mean - 3.0).abs() < 0.05, "mean {mean}");
     }
 
     #[test]

@@ -1,116 +1,4 @@
-//! Special functions needed by the photonics and quantum models.
-
-use crate::cast;
-
-/// Normalized `sinc(x) = sin(πx)/(πx)` with `sinc(0) = 1`.
-pub fn sinc(x: f64) -> f64 {
-    if x == 0.0 {
-        return 1.0;
-    }
-    let px = std::f64::consts::PI * x;
-    px.sin() / px
-}
-
-/// Unnormalized `sinc_u(x) = sin(x)/x` with `sinc_u(0) = 1`.
-///
-/// This is the form that appears in the four-wave-mixing phase-matching
-/// function `sinc(Δβ·L/2)`.
-pub fn sinc_u(x: f64) -> f64 {
-    if x == 0.0 {
-        return 1.0;
-    }
-    x.sin() / x
-}
-
-/// Error function via the Abramowitz–Stegun 7.1.26 rational approximation
-/// (absolute error < 1.5 × 10⁻⁷, ample for the noise models here).
-pub fn erf(x: f64) -> f64 {
-    let sign = if x < 0.0 { -1.0 } else { 1.0 };
-    let x = x.abs();
-    let t = 1.0 / (1.0 + 0.3275911 * x);
-    let poly = t
-        * (0.254829592
-            + t * (-0.284496736 + t * (1.421413741 + t * (-1.453152027 + t * 1.061405429))));
-    sign * (1.0 - poly * (-x * x).exp())
-}
-
-/// Standard normal cumulative distribution function.
-pub fn normal_cdf(x: f64) -> f64 {
-    0.5 * (1.0 + erf(x / std::f64::consts::SQRT_2))
-}
-
-/// Natural logarithm of the gamma function (Lanczos approximation,
-/// `g = 7`, 9 coefficients; relative error < 1e-13 for `x > 0`).
-///
-/// The coefficient table keeps the published digits verbatim.
-///
-/// # Panics
-///
-/// Panics if `x <= 0`.
-pub fn ln_gamma(x: f64) -> f64 {
-    assert!(x > 0.0, "ln_gamma requires x > 0");
-    const G: f64 = 7.0;
-    #[allow(clippy::excessive_precision)] // published Lanczos table, digits kept verbatim
-    const COEFFS: [f64; 9] = [
-        0.99999999999980993,
-        676.5203681218851,
-        -1259.1392167224028,
-        771.32342877765313,
-        -176.61502916214059,
-        12.507343278686905,
-        -0.13857109526572012,
-        9.9843695780195716e-6,
-        1.5056327351493116e-7,
-    ];
-    if x < 0.5 {
-        // Reflection formula.
-        let pi = std::f64::consts::PI;
-        return (pi / (pi * x).sin()).ln() - ln_gamma(1.0 - x);
-    }
-    let x = x - 1.0;
-    let mut a = COEFFS[0];
-    let t = x + G + 0.5;
-    for (i, &c) in COEFFS.iter().enumerate().skip(1) {
-        a += c / (x + cast::to_f64(i));
-    }
-    0.5 * (2.0 * std::f64::consts::PI).ln() + (x + 0.5) * t.ln() - t + a.ln()
-}
-
-/// Natural logarithm of `n!`.
-pub fn ln_factorial(n: u64) -> f64 {
-    if n < 2 {
-        0.0
-    } else {
-        ln_gamma(cast::to_f64(n) + 1.0)
-    }
-}
-
-/// Binomial coefficient `C(n, k)` as `f64` (exact for small arguments,
-/// accurate in log-space otherwise).
-pub fn binomial_coeff(n: u64, k: u64) -> f64 {
-    if k > n {
-        return 0.0;
-    }
-    let k = k.min(n - k);
-    if n <= 62 {
-        let mut acc = 1.0f64;
-        for i in 0..k {
-            acc = acc * cast::to_f64(n - i) / cast::to_f64(i + 1);
-        }
-        acc.round()
-    } else {
-        (ln_factorial(n) - ln_factorial(k) - ln_factorial(n - k)).exp()
-    }
-}
-
-/// Poisson probability mass function `P(k; λ)`, computed in log space for
-/// stability at large `k` or `λ`.
-pub fn poisson_pmf(k: u64, lambda: f64) -> f64 {
-    if lambda <= 0.0 {
-        return if k == 0 { 1.0 } else { 0.0 };
-    }
-    (cast::to_f64(k) * lambda.ln() - lambda - ln_factorial(k)).exp()
-}
+//! Line shapes needed by the photonics models.
 
 /// Lorentzian profile with unit peak: `1 / (1 + (2(x − x0)/fwhm)²)`.
 ///
@@ -123,67 +11,6 @@ pub fn lorentzian(x: f64, x0: f64, fwhm: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn sinc_values() {
-        assert_eq!(sinc(0.0), 1.0);
-        assert!(sinc(1.0).abs() < 1e-15); // sin(π)/π = 0
-        assert!((sinc(0.5) - 2.0 / std::f64::consts::PI).abs() < 1e-12);
-        assert_eq!(sinc_u(0.0), 1.0);
-        assert!((sinc_u(std::f64::consts::PI)).abs() < 1e-15);
-    }
-
-    #[test]
-    fn erf_reference_values() {
-        assert!(erf(0.0).abs() < 1e-7);
-        assert!((erf(1.0) - 0.8427007929).abs() < 1e-6);
-        assert!((erf(-1.0) + 0.8427007929).abs() < 1e-6);
-        assert!((erf(3.0) - 0.9999779095).abs() < 1e-6);
-    }
-
-    #[test]
-    fn normal_cdf_symmetry() {
-        assert!((normal_cdf(0.0) - 0.5).abs() < 1e-7);
-        assert!((normal_cdf(1.96) - 0.975).abs() < 1e-3);
-        assert!((normal_cdf(-1.0) + normal_cdf(1.0) - 1.0).abs() < 1e-7);
-    }
-
-    #[test]
-    fn ln_gamma_factorials() {
-        // Γ(n+1) = n!
-        assert!((ln_gamma(1.0)).abs() < 1e-12);
-        assert!((ln_gamma(5.0) - 24.0f64.ln()).abs() < 1e-10);
-        assert!((ln_gamma(11.0) - 3628800.0f64.ln()).abs() < 1e-9);
-        // Γ(1/2) = √π
-        assert!((ln_gamma(0.5) - std::f64::consts::PI.sqrt().ln()).abs() < 1e-10);
-    }
-
-    #[test]
-    fn ln_factorial_small() {
-        assert_eq!(ln_factorial(0), 0.0);
-        assert_eq!(ln_factorial(1), 0.0);
-        assert!((ln_factorial(5) - 120.0f64.ln()).abs() < 1e-10);
-    }
-
-    #[test]
-    fn binomial_coeff_exact() {
-        assert_eq!(binomial_coeff(5, 2), 10.0);
-        assert_eq!(binomial_coeff(10, 0), 1.0);
-        assert_eq!(binomial_coeff(10, 10), 1.0);
-        assert_eq!(binomial_coeff(3, 5), 0.0);
-        // Large-argument log-space path.
-        let big = binomial_coeff(100, 50);
-        assert!((big / 1.0089134e29 - 1.0).abs() < 1e-5);
-    }
-
-    #[test]
-    fn poisson_pmf_sums_to_one() {
-        let lam = 4.2;
-        let total: f64 = (0..60).map(|k| poisson_pmf(k, lam)).sum();
-        assert!((total - 1.0).abs() < 1e-10);
-        assert_eq!(poisson_pmf(0, 0.0), 1.0);
-        assert_eq!(poisson_pmf(3, 0.0), 0.0);
-    }
 
     #[test]
     fn lorentzian_shape() {

@@ -11,20 +11,6 @@ pub fn mean(xs: &[f64]) -> f64 {
     xs.iter().sum::<f64>() / cast::to_f64(xs.len())
 }
 
-/// Population variance (divides by `n`). Returns `NaN` for an empty slice.
-pub fn variance(xs: &[f64]) -> f64 {
-    if xs.is_empty() {
-        return f64::NAN;
-    }
-    let m = mean(xs);
-    xs.iter().map(|x| (x - m).powi(2)).sum::<f64>() / cast::to_f64(xs.len())
-}
-
-/// Population standard deviation.
-pub fn std_dev(xs: &[f64]) -> f64 {
-    variance(xs).sqrt()
-}
-
 /// Sample standard deviation (divides by `n − 1`).
 ///
 /// Returns `NaN` when fewer than two samples are given.
@@ -315,18 +301,15 @@ mod tests {
     use super::*;
 
     #[test]
-    fn mean_variance_known() {
+    fn mean_and_sample_std_dev_known() {
         let xs = [1.0, 2.0, 3.0, 4.0];
         assert_eq!(mean(&xs), 2.5);
-        assert_eq!(variance(&xs), 1.25);
-        assert!((std_dev(&xs) - 1.25f64.sqrt()).abs() < 1e-15);
         assert!((sample_std_dev(&xs) - (5.0f64 / 3.0).sqrt()).abs() < 1e-15);
     }
 
     #[test]
     fn empty_sample_statistics() {
         assert!(mean(&[]).is_nan());
-        assert!(variance(&[]).is_nan());
         assert!(sample_std_dev(&[1.0]).is_nan());
         assert!(relative_fluctuation(&[]).is_nan());
     }

@@ -96,12 +96,6 @@ impl Demultiplexer {
         &self.channels[i]
     }
 
-    /// Power routing matrix entry: fraction of light at the center of
-    /// port `j`'s channel that leaks out of port `i`.
-    pub fn crosstalk(&self, i: usize, j: usize) -> f64 {
-        self.channels[i].transmission(self.channels[j].center)
-    }
-
     /// Worst adjacent-channel isolation across the bank, dB.
     pub fn worst_adjacent_isolation_db(&self) -> f64 {
         let mut worst = f64::INFINITY;
@@ -168,20 +162,6 @@ mod tests {
         let demux = Demultiplexer::new(&grid(5));
         // Flat-top on a 200-GHz grid: adjacent leakage far below −25 dB.
         assert!(demux.worst_adjacent_isolation_db() > 25.0);
-    }
-
-    #[test]
-    fn crosstalk_matrix_diagonal_dominant() {
-        let demux = Demultiplexer::new(&grid(4));
-        for i in 0..4 {
-            for j in 0..4 {
-                if i == j {
-                    assert!((demux.crosstalk(i, j) - 0.8).abs() < 1e-12);
-                } else {
-                    assert!(demux.crosstalk(i, j) < 1e-3, "({i},{j})");
-                }
-            }
-        }
     }
 
     #[test]

@@ -15,8 +15,6 @@
 //! implemented here.
 
 use qfc_mathkit::cast;
-use serde::{Deserialize, Serialize};
-
 use qfc_mathkit::special::lorentzian;
 
 use crate::ring::Microring;
@@ -146,29 +144,6 @@ pub fn stimulated_suppression(ring: &Microring) -> f64 {
     best
 }
 
-/// Summary of a channel's SFWM figures at a given pump power, convenient
-/// for reports and benches.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct ChannelSfwm {
-    /// Channel-pair index `m`.
-    pub m: u32,
-    /// Generated pair flux, pairs/s.
-    pub pair_rate_hz: f64,
-    /// Spectral envelope factor (0‥1).
-    pub envelope: f64,
-}
-
-/// Computes SFWM figures for channel pairs `1..=max_m` at a CW pump power.
-pub fn comb_sfwm(ring: &Microring, pol: Polarization, input: Power, max_m: u32) -> Vec<ChannelSfwm> {
-    (1..=max_m)
-        .map(|m| ChannelSfwm {
-            m,
-            pair_rate_hz: pair_rate_cw(ring, pol, input, m),
-            envelope: spectral_envelope(ring, pol, m),
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -279,12 +254,5 @@ mod tests {
         // 2ν_TE − ν_TM mirrors ν_TM about ν_TE.
         assert!(((f1.hz() - pte.hz()) + (ptm.hz() - pte.hz())).abs() < 1.0);
         assert!(((f2.hz() - ptm.hz()) + (pte.hz() - ptm.hz())).abs() < 1.0);
-    }
-
-    #[test]
-    fn comb_sfwm_covers_requested_channels() {
-        let figures = comb_sfwm(&ring(), Polarization::Te, Power::from_mw(15.0), 5);
-        assert_eq!(figures.len(), 5);
-        assert!(figures.windows(2).all(|w| w[0].pair_rate_hz >= w[1].pair_rate_hz));
     }
 }

@@ -1,15 +1,12 @@
 //! Jones calculus: polarization states and optics for the §III
-//! cross-polarized pair experiment (polarizing beam splitter, waveplates,
-//! rotatable polarizer — the elements between the chip and the
-//! detectors).
+//! cross-polarized pair experiment (waveplates, rotatable polarizer —
+//! the elements between the chip and the detectors).
 
 use serde::{Deserialize, Serialize};
 
 use qfc_mathkit::cmatrix::CMatrix;
 use qfc_mathkit::complex::{Complex64, C_ONE, C_ZERO};
 use qfc_mathkit::cvector::CVector;
-
-use crate::waveguide::Polarization;
 
 /// A (normalized) Jones polarization state.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -18,41 +15,10 @@ pub struct JonesVector {
 }
 
 impl JonesVector {
-    /// Horizontal polarization `(1, 0)` — the chip's TE mode after
-    /// collection.
-    pub fn horizontal() -> Self {
-        Self {
-            amps: CVector::from_real(&[1.0, 0.0]),
-        }
-    }
-
-    /// Vertical polarization `(0, 1)` — the TM mode.
-    pub fn vertical() -> Self {
-        Self {
-            amps: CVector::from_real(&[0.0, 1.0]),
-        }
-    }
-
     /// Linear polarization at angle `θ` from horizontal.
     pub fn linear(theta: f64) -> Self {
         Self {
             amps: CVector::from_real(&[theta.cos(), theta.sin()]),
-        }
-    }
-
-    /// Right-circular polarization `(1, −i)/√2`.
-    pub fn right_circular() -> Self {
-        let s = std::f64::consts::FRAC_1_SQRT_2;
-        Self {
-            amps: CVector::from_vec(vec![Complex64::real(s), Complex64::new(0.0, -s)]),
-        }
-    }
-
-    /// The Jones state of a waveguide polarization mode.
-    pub fn from_mode(pol: Polarization) -> Self {
-        match pol {
-            Polarization::Te => Self::horizontal(),
-            Polarization::Tm => Self::vertical(),
         }
     }
 
@@ -67,11 +33,6 @@ impl JonesVector {
         Self {
             amps: v.normalized(),
         }
-    }
-
-    /// Amplitudes `(E_x, E_y)`.
-    pub fn amplitudes(&self) -> (Complex64, Complex64) {
-        (self.amps[0], self.amps[1])
     }
 
     /// Intensity transmitted through an optical element (the squared
@@ -93,11 +54,6 @@ impl JonesVector {
             acc += z.norm_sqr();
         }
         acc
-    }
-
-    /// Squared overlap with another polarization state.
-    pub fn overlap(&self, other: &Self) -> f64 {
-        self.amps.dot(&other.amps).norm_sqr()
     }
 }
 
@@ -163,38 +119,6 @@ impl JonesMatrix {
     }
 }
 
-/// An ideal polarizing beam splitter: transmits horizontal, reflects
-/// vertical. Returns the (transmitted, reflected) intensities for an
-/// input state.
-pub fn pbs_split(state: &JonesVector) -> (f64, f64) {
-    let (x, y) = state.amplitudes();
-    (x.norm_sqr(), y.norm_sqr())
-}
-
-/// A PBS with finite extinction: a fraction `leakage` of each output's
-/// power appears at the wrong port.
-pub fn pbs_split_with_leakage(state: &JonesVector, leakage: f64) -> (f64, f64) {
-    assert!((0.0..=0.5).contains(&leakage), "leakage must be in [0, 0.5]");
-    let (t, r) = pbs_split(state);
-    (
-        t * (1.0 - leakage) + r * leakage,
-        r * (1.0 - leakage) + t * leakage,
-    )
-}
-
-/// Degree of polarization-basis correlation of the §III pair: the
-/// probability that signal and idler exit *opposite* PBS ports minus the
-/// probability they exit the same port, for ideal H/V inputs.
-pub fn crosspol_correlation(leakage: f64) -> f64 {
-    let h = JonesVector::horizontal();
-    let v = JonesVector::vertical();
-    let (ht, hr) = pbs_split_with_leakage(&h, leakage);
-    let (vt, vr) = pbs_split_with_leakage(&v, leakage);
-    let opposite = ht * vr + hr * vt;
-    let same = ht * vt + hr * vr;
-    opposite - same
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -204,7 +128,7 @@ mod tests {
 
     #[test]
     fn malus_law() {
-        let h = JonesVector::horizontal();
+        let h = JonesVector::linear(0.0);
         for theta in [0.0, 0.3, std::f64::consts::FRAC_PI_4, 1.2] {
             let i = h.intensity_after(&JonesMatrix::polarizer(theta));
             assert!((i - theta.cos().powi(2)).abs() < TOL, "θ = {theta}");
@@ -214,7 +138,7 @@ mod tests {
     #[test]
     fn hwp_rotates_polarization() {
         // HWP at 45° maps H → V.
-        let out_int = JonesVector::horizontal()
+        let out_int = JonesVector::linear(0.0)
             .intensity_after(&JonesMatrix::half_wave_plate(std::f64::consts::FRAC_PI_4)
                 .then(&JonesMatrix::polarizer(std::f64::consts::FRAC_PI_2)));
         assert!((out_int - 1.0).abs() < TOL);
@@ -230,36 +154,6 @@ mod tests {
             let i = d.intensity_after(&qwp.then(&JonesMatrix::polarizer(theta)));
             assert!((i - 0.5).abs() < 1e-9, "θ = {theta}: {i}");
         }
-    }
-
-    #[test]
-    fn circular_state_overlap() {
-        let r = JonesVector::right_circular();
-        assert!((r.overlap(&JonesVector::horizontal()) - 0.5).abs() < TOL);
-        assert!((r.overlap(&r) - 1.0).abs() < TOL);
-    }
-
-    #[test]
-    fn pbs_routes_h_and_v() {
-        assert_eq!(pbs_split(&JonesVector::horizontal()), (1.0, 0.0));
-        assert_eq!(pbs_split(&JonesVector::vertical()), (0.0, 1.0));
-        let d = pbs_split(&JonesVector::linear(std::f64::consts::FRAC_PI_4));
-        assert!((d.0 - 0.5).abs() < TOL && (d.1 - 0.5).abs() < TOL);
-    }
-
-    #[test]
-    fn leakage_degrades_correlation() {
-        assert!((crosspol_correlation(0.0) - 1.0).abs() < TOL);
-        let c = crosspol_correlation(0.01);
-        assert!(c < 1.0 && c > 0.95, "C = {c}");
-        // Total depolarization of routing at 50 % leakage.
-        assert!(crosspol_correlation(0.5).abs() < TOL);
-    }
-
-    #[test]
-    fn mode_mapping() {
-        assert_eq!(JonesVector::from_mode(Polarization::Te), JonesVector::horizontal());
-        assert_eq!(JonesVector::from_mode(Polarization::Tm), JonesVector::vertical());
     }
 
     #[test]

@@ -175,40 +175,6 @@ fn lorentzian_field(detuning: f64, fwhm: f64) -> Complex64 {
     Complex64::real(half) / Complex64::new(half, detuning)
 }
 
-/// Unnormalized joint spectral *intensity* of channel pair `m` at one
-/// (signal, idler) detuning point (Hz from the respective resonances),
-/// using the bare pump envelope:
-/// `|α(Δ_grid + d_s + d_i) · ℓ(d_s) · ℓ(d_i)|²`.
-///
-/// This is the point-by-point scalar oracle for the batch JSA-slice
-/// kernel in [`crate::sweep`]. Unlike
-/// [`JointSpectralAmplitude::for_channel`] it applies the laser envelope
-/// directly (no intracavity self-convolution), which is the textbook
-/// single-pass JSA and cheap enough to evaluate per grid point.
-///
-/// # Panics
-///
-/// Panics if `m == 0` (the pump mode itself cannot be a pair channel).
-pub fn jsa_point_intensity(
-    ring: &Microring,
-    pol: Polarization,
-    m: u32,
-    pump: PumpEnvelope,
-    signal_detuning_hz: f64,
-    idler_detuning_hz: f64,
-) -> f64 {
-    assert!(m > 0, "pair channel must differ from the pump mode");
-    let lw = ring.linewidth().hz();
-    let f_s0 = ring.resonance(pol, cast::u32_to_i32(m)).hz();
-    let f_i0 = ring.resonance(pol, -cast::u32_to_i32(m)).hz();
-    let f_p0 = ring.resonance(pol, 0).hz();
-    let grid_mismatch = f_s0 + f_i0 - 2.0 * f_p0;
-    let alpha = pump.amplitude(grid_mismatch + signal_detuning_hz + idler_detuning_hz);
-    let ls = lorentzian_field(signal_detuning_hz, lw);
-    let li = lorentzian_field(idler_detuning_hz, lw);
-    (alpha * ls * li).norm_sqr()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

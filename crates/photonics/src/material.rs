@@ -64,18 +64,6 @@ impl Material {
         }
     }
 
-    /// Stoichiometric silicon nitride, for comparison studies.
-    pub fn silicon_nitride() -> Self {
-        Self {
-            kind: MaterialKind::SiliconNitride,
-            cauchy_a: 1.9805,
-            cauchy_b: 0.0129,
-            cauchy_c: 0.0003,
-            n2: 2.5e-19,
-            loss_db_per_cm: 0.1,
-        }
-    }
-
     /// Refractive index at the given vacuum wavelength.
     pub fn refractive_index(&self, lambda: Wavelength) -> f64 {
         let um = lambda.um();
@@ -88,15 +76,6 @@ impl Material {
         // dn/dλ = −2B/λ³ − 4C/λ⁵  ⇒  n_g = n + 2B/λ² + 4C/λ⁴.
         self.refractive_index(lambda) + 2.0 * self.cauchy_b / (um * um)
             + 4.0 * self.cauchy_c / um.powi(4)
-    }
-
-    /// Material group-velocity dispersion `β₂ = λ³/(2πc²)·d²n/dλ²` in s²/m.
-    pub fn material_gvd(&self, lambda: Wavelength) -> f64 {
-        use crate::constants::SPEED_OF_LIGHT as C;
-        let um = lambda.um();
-        // d²n/dλ² = 6B/λ⁴ + 20C/λ⁶ in µm⁻² → ×1e12 for m⁻².
-        let d2n = (6.0 * self.cauchy_b / um.powi(4) + 20.0 * self.cauchy_c / um.powi(6)) * 1e12;
-        lambda.m().powi(3) / (2.0 * std::f64::consts::PI * C * C) * d2n
     }
 
     /// Linear power attenuation coefficient α in 1/m
@@ -134,27 +113,9 @@ mod tests {
     }
 
     #[test]
-    fn material_gvd_is_normal_and_small() {
-        let h = Material::hydex();
-        let b2 = h.material_gvd(Wavelength::from_nm(1550.0));
-        // Normal (positive) material dispersion, order tens of ps²/km.
-        assert!(b2 > 0.0);
-        assert!(b2 < 200e-27, "β₂ = {b2}");
-    }
-
-    #[test]
     fn alpha_from_db() {
         let h = Material::hydex();
         // 0.06 dB/m → α = 0.06·ln10/10 ≈ 0.0138 /m.
         assert!((h.alpha_per_m() - 0.013816).abs() < 1e-5);
-    }
-
-    #[test]
-    fn nitride_has_higher_index() {
-        let lam = Wavelength::from_nm(1550.0);
-        assert!(
-            Material::silicon_nitride().refractive_index(lam)
-                > Material::hydex().refractive_index(lam)
-        );
     }
 }

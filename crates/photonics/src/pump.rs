@@ -77,38 +77,9 @@ impl PumpConfig {
         }
     }
 
-    /// Total average on-chip pump power of the configuration.
-    pub fn total_power(&self) -> Power {
-        match *self {
-            Self::SelfLockedCw { power } | Self::ExternalCw { power, .. } => power,
-            Self::BichromaticOrthogonal { power_te, power_tm } => power_te + power_tm,
-            Self::DoublePulse {
-                peak_power,
-                repetition_rate,
-                ..
-            } => {
-                // Two resonance-limited pulses per frame; duty cycle is
-                // (2 × cavity lifetime) × repetition rate. The lifetime
-                // is a property of the ring, so approximate with 1.5 ns.
-                let duty = (2.0 * 1.5e-9 * repetition_rate).min(1.0);
-                peak_power * duty
-            }
-        }
-    }
-
     /// `true` for the passively stable §II scheme.
     pub fn is_passively_stable(&self) -> bool {
         matches!(self, Self::SelfLockedCw { .. })
-    }
-
-    /// `true` when the scheme drives type-II (cross-polarized) SFWM.
-    pub fn drives_type2(&self) -> bool {
-        matches!(self, Self::BichromaticOrthogonal { .. })
-    }
-
-    /// `true` when the scheme prepares time-bin superpositions.
-    pub fn prepares_time_bins(&self) -> bool {
-        matches!(self, Self::DoublePulse { .. })
     }
 }
 
@@ -165,28 +136,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn paper_configs_have_expected_powers() {
-        assert!((PumpConfig::paper_self_locked().total_power().mw() - 15.0).abs() < 1e-9);
-        assert!((PumpConfig::paper_bichromatic().total_power().mw() - 2.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn classification_flags() {
         assert!(PumpConfig::paper_self_locked().is_passively_stable());
         assert!(!PumpConfig::paper_bichromatic().is_passively_stable());
-        assert!(PumpConfig::paper_bichromatic().drives_type2());
-        assert!(PumpConfig::paper_double_pulse().prepares_time_bins());
-        assert!(!PumpConfig::paper_double_pulse().drives_type2());
-    }
-
-    #[test]
-    fn double_pulse_average_power_below_peak() {
-        let cfg = PumpConfig::paper_double_pulse();
-        if let PumpConfig::DoublePulse { peak_power, .. } = cfg {
-            assert!(cfg.total_power().w() < peak_power.w());
-        } else {
-            unreachable!();
-        }
     }
 
     #[test]

@@ -17,7 +17,7 @@ use qfc_faults::{QfcError, QfcResult};
 use qfc_mathkit::complex::Complex64;
 
 use crate::constants::SPEED_OF_LIGHT;
-use crate::units::{Frequency, Wavelength};
+use crate::units::Frequency;
 use crate::waveguide::{Polarization, Waveguide};
 
 /// An add-drop microring resonator with symmetric couplers.
@@ -79,29 +79,6 @@ impl MicroringBuilder {
         let circumference = SPEED_OF_LIGHT / (ng * fsr.hz());
         self.radius = circumference / (2.0 * std::f64::consts::PI);
         self
-    }
-
-    /// Fallible form of [`Self::self_coupling`]: rejects `r` outside
-    /// `(0, 1)` with [`QfcError::InvalidParameter`] instead of panicking.
-    pub fn try_self_coupling(&mut self, r: f64) -> QfcResult<&mut Self> {
-        if !(r > 0.0 && r < 1.0) {
-            return Err(QfcError::invalid("self-coupling must be in (0, 1)"));
-        }
-        self.self_coupling = r;
-        Ok(self)
-    }
-
-    /// Sets the amplitude self-coupling coefficient `r` of both couplers
-    /// (`t² = 1 − r²` is the power cross-coupling).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0 < r < 1`.
-    pub fn self_coupling(&mut self, r: f64) -> &mut Self {
-        match self.try_self_coupling(r) {
-            Ok(b) => b,
-            Err(e) => panic!("{e}"), // qfc-lint: allow(panic-reachability) — documented panicking wrapper over the try_* twin (`# Panics` contract)
-        }
     }
 
     /// Chooses the coupler so the loaded linewidth equals `target` at the
@@ -274,17 +251,6 @@ impl Microring {
         Frequency::from_hz(base + cast::to_f64(m) * fsr + 0.5 * (cast::to_f64(m)).powi(2) * d2)
     }
 
-    /// Second-order dispersion of the mode grid `dFSR/dm`, Hz per mode.
-    pub fn grid_dispersion(&self, pol: Polarization) -> Frequency {
-        let fsr = self.fsr(pol).hz();
-        Frequency::from_hz(
-            -2.0 * std::f64::consts::PI
-                * self.waveguide.gvd(pol)
-                * self.circumference()
-                * fsr.powi(3),
-        )
-    }
-
     /// Normalized complex Lorentzian field response of mode `m`:
     /// `ℓ(ν) = (δν/2) / (δν/2 + i(ν − ν_m))`, unity on resonance.
     pub fn field_response(&self, pol: Polarization, m: i32, freq: Frequency) -> Complex64 {
@@ -320,11 +286,6 @@ impl Microring {
     /// coincidence histogram of §II.
     pub fn coincidence_decay_time(&self) -> f64 {
         1.0 / (2.0 * std::f64::consts::PI * self.linewidth().hz())
-    }
-
-    /// Vacuum wavelength of mode `m` of a polarization family.
-    pub fn resonance_wavelength(&self, pol: Polarization, m: i32) -> Wavelength {
-        self.resonance(pol, m).wavelength()
     }
 }
 
@@ -383,22 +344,6 @@ mod tests {
         let fsr = r.fsr(Polarization::Te);
         assert!(((f1 - f0).hz() - fsr.hz()).abs() < 1e6);
         assert!(((f0 - fm1).hz() - fsr.hz()).abs() < 1e6);
-    }
-
-    #[test]
-    fn grid_dispersion_positive_for_anomalous() {
-        // β₂ < 0 (anomalous) ⇒ FSR grows with mode number.
-        assert!(ring().grid_dispersion(Polarization::Te).hz() > 0.0);
-    }
-
-    #[test]
-    fn grid_dispersion_stays_within_linewidth_over_comb() {
-        // The comb is usable while the quadratic walk-off stays below the
-        // linewidth; check it's small for the inner ±5 channels of §IV.
-        let r = ring();
-        let d2 = r.grid_dispersion(Polarization::Te).hz();
-        let walk = 0.5 * 25.0 * d2; // m = 5
-        assert!(walk < r.linewidth().hz(), "walk-off {walk}");
     }
 
     #[test]
@@ -470,22 +415,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "self-coupling")]
-    fn builder_rejects_bad_coupling() {
-        MicroringBuilder::new(Waveguide::hydex_paper()).self_coupling(1.5);
-    }
-
-    #[test]
-    fn try_self_coupling_reports_invalid_parameter() {
-        let mut b = MicroringBuilder::new(Waveguide::hydex_paper());
-        let err = b.try_self_coupling(1.5).unwrap_err();
-        assert!(matches!(err, QfcError::InvalidParameter { .. }));
-        assert!(err.to_string().contains("self-coupling"));
-        assert!(b.try_self_coupling(f64::NAN).is_err());
-        assert!(b.try_self_coupling(0.5).is_ok());
-    }
-
-    #[test]
     fn try_build_rejects_bad_radius() {
         let mut b = MicroringBuilder::new(Waveguide::hydex_paper());
         b.radius(-1.0);
@@ -493,12 +422,5 @@ mod tests {
         assert!(err.to_string().contains("radius"));
         b.radius(140e-6);
         assert!(b.try_build().is_ok());
-    }
-
-    #[test]
-    fn resonance_wavelengths_in_telecom_bands() {
-        let r = ring();
-        let lam = r.resonance_wavelength(Polarization::Te, 0);
-        assert!(lam.nm() > 1540.0 && lam.nm() < 1560.0);
     }
 }

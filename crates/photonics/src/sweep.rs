@@ -4,7 +4,7 @@
 //! Every parameter-scan figure (dispersion scans, the OPO power-law
 //! threshold, channel-resolved comb spectra) is a pure map of a scalar
 //! model over a grid. The scalar entry points ([`Microring::power_response`],
-//! [`fwm::parametric_gain`], [`opo::output_power`], …) recompute
+//! [`opo::output_power`], …) recompute
 //! expensive per-device invariants — the Sellmeier/Cauchy group index,
 //! the finesse `exp`/`sqrt`, the mode-grid dispersion — on *every* call.
 //! The batch kernels in this module hoist those invariants out of the
@@ -49,9 +49,7 @@
 use qfc_faults::{QfcError, QfcResult};
 use qfc_mathkit::cast;
 
-use crate::filter::{ChannelFilter, PassbandShape};
 use crate::fwm;
-use crate::jsa::PumpEnvelope;
 use crate::opo;
 use crate::ring::Microring;
 use crate::units::{Frequency, Power};
@@ -245,188 +243,6 @@ pub fn ring_power_response_scalar(
     }
 }
 
-/// Batch [`fwm::parametric_gain`] over a pump-power grid (W):
-/// `ξ = γ·P·FE²·L` at every point, with γ (Cauchy nonlinear parameter),
-/// FE² and L hoisted out of the loop.
-///
-/// Byte-identical to [`fwm_gain_scalar`].
-pub fn fwm_gain_batch(ring: &Microring, powers_w: &SweepGrid, buf: &mut BatchBuffers) {
-    let gamma = ring
-        .waveguide()
-        .nonlinear_parameter(ring.resonance(Polarization::Te, 0).wavelength());
-    let fe = ring.field_enhancement_power();
-    let circ = ring.circumference();
-    let out = buf.reset(powers_w.len());
-    eval_chunked(powers_w.points(), out, |chunk, row| {
-        // qfc-lint: hot
-        for (o, &p) in row.iter_mut().zip(chunk) {
-            *o = gamma * (p * fe) * circ;
-        }
-    });
-}
-
-/// Point-by-point reference for [`fwm_gain_batch`].
-pub fn fwm_gain_scalar(ring: &Microring, powers_w: &SweepGrid, buf: &mut BatchBuffers) {
-    let out = buf.reset(powers_w.len());
-    for (o, &p) in out.iter_mut().zip(powers_w.points()) {
-        *o = fwm::parametric_gain(ring, Power::from_w(p));
-    }
-}
-
-/// Batch [`ChannelFilter::transmission`] over a frequency grid (Hz).
-///
-/// Byte-identical to [`filter_transmission_scalar`]; the passband shape
-/// is matched once outside the loop, and each branch replicates the
-/// scalar exponent expression (`ln2·x·x` resp. `ln2·x⁸`) verbatim.
-pub fn filter_transmission_batch(
-    filter: &ChannelFilter,
-    freqs_hz: &SweepGrid,
-    buf: &mut BatchBuffers,
-) {
-    let center = filter.center.hz();
-    let half_bw = 0.5 * filter.bandwidth.hz();
-    let peak = filter.peak_transmission;
-    let out = buf.reset(freqs_hz.len());
-    match filter.shape {
-        PassbandShape::Gaussian => eval_chunked(freqs_hz.points(), out, |chunk, row| {
-            // qfc-lint: hot
-            for (o, &f) in row.iter_mut().zip(chunk) {
-                let x = (f - center) / half_bw;
-                let exponent = std::f64::consts::LN_2 * x * x;
-                *o = peak * (-exponent).exp();
-            }
-        }),
-        PassbandShape::FlatTop => eval_chunked(freqs_hz.points(), out, |chunk, row| {
-            // qfc-lint: hot
-            for (o, &f) in row.iter_mut().zip(chunk) {
-                let x = (f - center) / half_bw;
-                let exponent = std::f64::consts::LN_2 * x.powi(8);
-                *o = peak * (-exponent).exp();
-            }
-        }),
-    }
-}
-
-/// Point-by-point reference for [`filter_transmission_batch`].
-pub fn filter_transmission_scalar(
-    filter: &ChannelFilter,
-    freqs_hz: &SweepGrid,
-    buf: &mut BatchBuffers,
-) {
-    let out = buf.reset(freqs_hz.len());
-    for (o, &f) in out.iter_mut().zip(freqs_hz.points()) {
-        *o = filter.transmission(Frequency::from_hz(f));
-    }
-}
-
-/// Batch [`crate::jsa::jsa_point_intensity`] along the signal-detuning
-/// axis with the idler detuning pinned at `idler_detuning_hz` — a
-/// horizontal slice through the (bare-envelope) joint spectral
-/// intensity of channel pair `m`.
-///
-/// Byte-identical to [`jsa_slice_batch_scalar`]. The loaded linewidth,
-/// the channel's grid mismatch, and the (constant) idler Lorentzian
-/// field factor are hoisted; the loop replicates the pump envelope and
-/// the two complex multiplies of the scalar oracle as `f64` pairs.
-///
-/// # Panics
-///
-/// Panics if `m == 0` (the pump mode itself cannot be a pair channel).
-pub fn jsa_slice_batch(
-    ring: &Microring,
-    pol: Polarization,
-    m: u32,
-    pump: PumpEnvelope,
-    idler_detuning_hz: f64,
-    signal_detunings_hz: &SweepGrid,
-    buf: &mut BatchBuffers,
-) {
-    assert!(m > 0, "pair channel must differ from the pump mode");
-    let lw = ring.linewidth().hz();
-    let f_s0 = ring.resonance(pol, cast::u32_to_i32(m)).hz();
-    let f_i0 = ring.resonance(pol, -cast::u32_to_i32(m)).hz();
-    let f_p0 = ring.resonance(pol, 0).hz();
-    let grid_mismatch = f_s0 + f_i0 - 2.0 * f_p0;
-    let di = idler_detuning_hz;
-    // Hoisted idler Lorentzian field ℓ(dᵢ): the same f64 sequence as
-    // `Complex64::real(h)/Complex64::new(h, dᵢ)` in the scalar path.
-    let half_lw = 0.5 * lw;
-    let (lir, lii) = {
-        let d = half_lw * half_lw + di * di;
-        let ir = half_lw / d;
-        let ii = -di / d;
-        (half_lw * ir - 0.0 * ii, half_lw * ii + 0.0 * ir)
-    };
-    let out = buf.reset(signal_detunings_hz.len());
-    match pump {
-        PumpEnvelope::Gaussian { fwhm } => {
-            let sigma = fwhm / (8.0 * std::f64::consts::LN_2).sqrt();
-            eval_chunked(signal_detunings_hz.points(), out, |chunk, row| {
-                // qfc-lint: hot
-                for (o, &ds) in row.iter_mut().zip(chunk) {
-                    let sum_det = grid_mismatch + ds + di;
-                    let ar = (-0.25 * (sum_det / sigma).powi(2)).exp();
-                    let ai = 0.0;
-                    let d = half_lw * half_lw + ds * ds;
-                    let ir = half_lw / d;
-                    let ii = -ds / d;
-                    let lsr = half_lw * ir - 0.0 * ii;
-                    let lsi = half_lw * ii + 0.0 * ir;
-                    let pr = ar * lsr - ai * lsi;
-                    let pi = ar * lsi + ai * lsr;
-                    let qr = pr * lir - pi * lii;
-                    let qi = pr * lii + pi * lir;
-                    *o = qr * qr + qi * qi;
-                }
-            });
-        }
-        PumpEnvelope::Lorentzian { fwhm } => {
-            let half_p = 0.5 * fwhm;
-            eval_chunked(signal_detunings_hz.points(), out, |chunk, row| {
-                // qfc-lint: hot
-                for (o, &ds) in row.iter_mut().zip(chunk) {
-                    let sum_det = grid_mismatch + ds + di;
-                    let dp = half_p * half_p + sum_det * sum_det;
-                    let ipr = half_p / dp;
-                    let ipi = -sum_det / dp;
-                    let ar = half_p * ipr - 0.0 * ipi;
-                    let ai = half_p * ipi + 0.0 * ipr;
-                    let d = half_lw * half_lw + ds * ds;
-                    let ir = half_lw / d;
-                    let ii = -ds / d;
-                    let lsr = half_lw * ir - 0.0 * ii;
-                    let lsi = half_lw * ii + 0.0 * ir;
-                    let pr = ar * lsr - ai * lsi;
-                    let pi = ar * lsi + ai * lsr;
-                    let qr = pr * lir - pi * lii;
-                    let qi = pr * lii + pi * lir;
-                    *o = qr * qr + qi * qi;
-                }
-            });
-        }
-    }
-}
-
-/// Point-by-point reference for [`jsa_slice_batch`].
-///
-/// # Panics
-///
-/// Panics if `m == 0`.
-pub fn jsa_slice_batch_scalar(
-    ring: &Microring,
-    pol: Polarization,
-    m: u32,
-    pump: PumpEnvelope,
-    idler_detuning_hz: f64,
-    signal_detunings_hz: &SweepGrid,
-    buf: &mut BatchBuffers,
-) {
-    let out = buf.reset(signal_detunings_hz.len());
-    for (o, &ds) in out.iter_mut().zip(signal_detunings_hz.points()) {
-        *o = crate::jsa::jsa_point_intensity(ring, pol, m, pump, ds, idler_detuning_hz);
-    }
-}
-
 /// Batch [`opo::output_power`] over a pump-power grid (W): the full
 /// OPO transfer curve (quadratic spontaneous floor below threshold,
 /// linear depleted-pump branch above) at every point.
@@ -599,55 +415,6 @@ mod tests {
     }
 
     #[test]
-    fn fwm_gain_batch_matches_scalar_bits() {
-        let r = ring();
-        let grid = SweepGrid::linspace(1e-4, 50e-3, 777);
-        let mut batch = BatchBuffers::new();
-        let mut scalar = BatchBuffers::new();
-        fwm_gain_batch(&r, &grid, &mut batch);
-        fwm_gain_scalar(&r, &grid, &mut scalar);
-        assert_eq!(bits(batch.values()), bits(scalar.values()));
-    }
-
-    #[test]
-    fn filter_batch_matches_scalar_bits_for_both_shapes() {
-        let center = Frequency::from_thz(193.1);
-        let grid = SweepGrid::linspace(center.hz() - 400e9, center.hz() + 400e9, 901);
-        for shape in [PassbandShape::Gaussian, PassbandShape::FlatTop] {
-            let filter = ChannelFilter {
-                center,
-                bandwidth: Frequency::from_ghz(150.0),
-                peak_transmission: 0.8,
-                shape,
-            };
-            let mut batch = BatchBuffers::new();
-            let mut scalar = BatchBuffers::new();
-            filter_transmission_batch(&filter, &grid, &mut batch);
-            filter_transmission_scalar(&filter, &grid, &mut scalar);
-            assert_eq!(bits(batch.values()), bits(scalar.values()), "{shape:?}");
-        }
-    }
-
-    #[test]
-    fn jsa_slice_batch_matches_scalar_bits_for_both_envelopes() {
-        let r = ring();
-        let lw = r.linewidth().hz();
-        let grid = SweepGrid::linspace(-6.0 * lw, 6.0 * lw, 513);
-        for pump in [
-            PumpEnvelope::Gaussian { fwhm: 220e6 },
-            PumpEnvelope::Lorentzian { fwhm: 110e6 },
-        ] {
-            for di in [0.0, 0.7 * lw, -2.3 * lw] {
-                let mut batch = BatchBuffers::new();
-                let mut scalar = BatchBuffers::new();
-                jsa_slice_batch(&r, Polarization::Te, 2, pump, di, &grid, &mut batch);
-                jsa_slice_batch_scalar(&r, Polarization::Te, 2, pump, di, &grid, &mut scalar);
-                assert_eq!(bits(batch.values()), bits(scalar.values()), "{pump:?} di={di}");
-            }
-        }
-    }
-
-    #[test]
     fn opo_transfer_batch_matches_scalar_bits_across_threshold() {
         let r = ring();
         let p_th = opo::threshold(&r).w();
@@ -694,7 +461,7 @@ mod tests {
         let r = ring();
         let grid = SweepGrid::from_points(Vec::new());
         let mut buf = BatchBuffers::with_capacity(16);
-        fwm_gain_batch(&r, &grid, &mut buf);
+        ring_power_response_batch(&r, Polarization::Te, 0, &grid, &mut buf);
         assert!(buf.values().is_empty());
     }
 }

@@ -126,12 +126,6 @@ impl Waveguide {
         self.material.group_index(lambda) + shift
     }
 
-    /// Modal birefringence `n_eff(TE) − n_eff(TM)`.
-    pub fn birefringence(&self, lambda: Wavelength) -> f64 {
-        self.effective_index(lambda, Polarization::Te)
-            - self.effective_index(lambda, Polarization::Tm)
-    }
-
     /// Total (engineered) group-velocity dispersion β₂, s²/m.
     pub fn gvd(&self, pol: Polarization) -> f64 {
         match pol {
@@ -149,16 +143,6 @@ impl Waveguide {
     pub fn beta(&self, freq: Frequency, pol: Polarization) -> f64 {
         let lambda = freq.wavelength();
         self.effective_index(lambda, pol) * freq.angular() / SPEED_OF_LIGHT
-    }
-
-    /// Second-order Taylor expansion of the propagation constant around a
-    /// reference frequency: `β(ω₀ + Δ) ≈ β₀ + β₁Δ + β₂Δ²/2` where `Δ` is
-    /// the angular detuning. Returns the deviation `β(Δ) − β₀`.
-    pub fn beta_expansion(&self, ref_freq: Frequency, detuning_angular: f64, pol: Polarization) -> f64 {
-        let lambda = ref_freq.wavelength();
-        let beta1 = self.group_index(lambda, pol) / SPEED_OF_LIGHT;
-        let beta2 = self.gvd(pol);
-        beta1 * detuning_angular + 0.5 * beta2 * detuning_angular * detuning_angular
     }
 }
 
@@ -181,10 +165,11 @@ mod tests {
     }
 
     #[test]
-    fn birefringence_matches_shifts() {
+    fn te_tm_index_difference_matches_shifts() {
         let lam = Wavelength::from_nm(1550.0);
         let wg = wg();
-        let b = wg.birefringence(lam);
+        let b = wg.effective_index(lam, Polarization::Te)
+            - wg.effective_index(lam, Polarization::Tm);
         assert!((b - 0.007).abs() < 1e-12, "b = {b}");
     }
 
@@ -207,16 +192,6 @@ mod tests {
     fn anomalous_dispersion_by_design() {
         assert!(wg().gvd(Polarization::Te) < 0.0);
         assert!(wg().gvd(Polarization::Tm) < 0.0);
-    }
-
-    #[test]
-    fn beta_expansion_linear_term_dominates() {
-        let wg = wg();
-        let f0 = Frequency::from_thz(193.4);
-        let delta = 2.0 * std::f64::consts::PI * 200e9; // one FSR
-        let dev = wg.beta_expansion(f0, delta, Polarization::Te);
-        let beta1 = wg.group_index(f0.wavelength(), Polarization::Te) / SPEED_OF_LIGHT;
-        assert!((dev - beta1 * delta).abs() / dev.abs() < 1e-3);
     }
 
     #[test]

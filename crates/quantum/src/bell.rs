@@ -13,17 +13,6 @@ pub fn bell_phi_plus() -> PureState {
     bell_phi(0.0)
 }
 
-/// `|Φ⁻⟩ = (|00⟩ − |11⟩)/√2`.
-pub fn bell_phi_minus() -> PureState {
-    bell_phi(std::f64::consts::PI)
-}
-
-/// `|Ψ⁺⟩ = (|01⟩ + |10⟩)/√2`.
-pub fn bell_psi_plus() -> PureState {
-    PureState::from_amplitudes(CVector::from_real(&[0.0, 1.0, 1.0, 0.0]))
-        .unwrap_or_else(|| unreachable!("Bell amplitudes are valid")) // qfc-lint: allow(panic-reachability) — invariant: fixed Bell amplitude vectors are nonzero by construction
-}
-
 /// `|Ψ⁻⟩ = (|01⟩ − |10⟩)/√2`.
 pub fn bell_psi_minus() -> PureState {
     PureState::from_amplitudes(CVector::from_real(&[0.0, 1.0, -1.0, 0.0]))
@@ -67,24 +56,12 @@ pub fn concurrence(rho: &DensityMatrix) -> f64 {
     (lambdas[0] - lambdas[1] - lambdas[2] - lambdas[3]).max(0.0)
 }
 
-/// Tangle `C²` of a two-qubit state.
-pub fn tangle(rho: &DensityMatrix) -> f64 {
-    let c = concurrence(rho);
-    c * c
-}
-
 /// The Werner state `V·|Φ⁺(φ)⟩⟨Φ⁺(φ)| + (1−V)·I/4` — the standard noise
 /// model connecting interference visibility `V` to the measured
 /// two-photon state.
 pub fn werner_state(visibility: f64, phi: f64) -> DensityMatrix {
     let v = visibility.clamp(0.0, 1.0);
     DensityMatrix::from_pure(&bell_phi(phi)).depolarize(1.0 - v)
-}
-
-/// Fidelity of a Werner state of visibility `V` with its Bell state:
-/// `F = (3V + 1)/4` (analytic).
-pub fn werner_fidelity(visibility: f64) -> f64 {
-    (3.0 * visibility.clamp(0.0, 1.0) + 1.0) / 4.0
 }
 
 #[cfg(test)]
@@ -96,8 +73,8 @@ mod tests {
     fn bell_states_are_orthonormal() {
         let states = [
             bell_phi_plus(),
-            bell_phi_minus(),
-            bell_psi_plus(),
+            bell_phi(std::f64::consts::PI),
+            PureState::from_amplitudes(CVector::from_real(&[0.0, 1.0, 1.0, 0.0])).expect("Ψ⁺"),
             bell_psi_minus(),
         ];
         for (i, a) in states.iter().enumerate() {
@@ -115,7 +92,6 @@ mod tests {
     #[test]
     fn bell_phi_phase_interpolates() {
         assert!(bell_phi(0.0).approx_eq_up_to_phase(&bell_phi_plus(), 1e-12));
-        assert!(bell_phi(std::f64::consts::PI).approx_eq_up_to_phase(&bell_phi_minus(), 1e-12));
     }
 
     #[test]
@@ -152,17 +128,8 @@ mod tests {
         for v in [0.0, 0.5, 0.83, 1.0] {
             let rho = werner_state(v, 0.0);
             let f = state_fidelity(&rho, &DensityMatrix::from_pure(&bell_phi_plus()));
-            assert!(
-                (f - werner_fidelity(v)).abs() < 1e-6,
-                "V={v}: {f} vs {}",
-                werner_fidelity(v)
-            );
+            let analytic = (3.0 * v + 1.0) / 4.0;
+            assert!((f - analytic).abs() < 1e-6, "V={v}: {f} vs {analytic}");
         }
-    }
-
-    #[test]
-    fn tangle_is_square_of_concurrence() {
-        let rho = werner_state(0.8, 0.0);
-        assert!((tangle(&rho) - concurrence(&rho).powi(2)).abs() < 1e-9);
     }
 }

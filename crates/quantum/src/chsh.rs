@@ -75,17 +75,6 @@ pub fn s_value(rho: &DensityMatrix, settings: &ChshSettings) -> f64 {
     (e_ab + e_ab2 + e_a2b - e_a2b2).abs()
 }
 
-/// Predicted CHSH value for a fringe visibility `V`: `S = 2√2·V`.
-pub fn s_from_visibility(visibility: f64) -> f64 {
-    TSIRELSON_BOUND * visibility.clamp(0.0, 1.0)
-}
-
-/// Minimum raw visibility that still violates the classical bound:
-/// `V > 1/√2`.
-pub fn visibility_threshold() -> f64 {
-    1.0 / std::f64::consts::SQRT_2
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -114,23 +103,8 @@ mod tests {
         for v in [0.5, 0.71, 0.83, 1.0] {
             let rho = werner_state(v, 0.0);
             let s = s_value(&rho, &ChshSettings::optimal_for_phi_plus());
-            assert!((s - s_from_visibility(v)).abs() < 1e-9, "V={v}: S={s}");
+            assert!((s - TSIRELSON_BOUND * v).abs() < 1e-9, "V={v}: S={s}");
         }
-    }
-
-    #[test]
-    fn paper_visibility_violates() {
-        // The paper's 83 % raw visibility.
-        let s = s_from_visibility(0.83);
-        assert!(s > CLASSICAL_BOUND, "S = {s}");
-        assert!((s - 2.347).abs() < 0.01);
-    }
-
-    #[test]
-    fn sub_threshold_visibility_does_not_violate() {
-        let s = s_from_visibility(0.70);
-        assert!(s < CLASSICAL_BOUND);
-        assert!(s_from_visibility(visibility_threshold()) <= CLASSICAL_BOUND + 1e-12);
     }
 
     #[test]

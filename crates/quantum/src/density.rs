@@ -5,8 +5,7 @@ use qfc_mathkit::cast;
 use serde::{Deserialize, Serialize};
 
 use qfc_mathkit::cmatrix::CMatrix;
-use qfc_mathkit::complex::Complex64;
-use qfc_mathkit::hermitian::{eigenvalues_into, JacobiStrategy};
+use qfc_mathkit::hermitian::eigenvalues_into;
 
 use crate::ops;
 use crate::state::PureState;
@@ -131,94 +130,11 @@ impl DensityMatrix {
         self.expectation(p).clamp(0.0, 1.0)
     }
 
-    /// Unitary evolution `UρU†`.
-    pub fn evolve(&self, u: &CMatrix) -> Self {
-        Self {
-            mat: &(u * &self.mat) * &u.adjoint(),
-            qubits: self.qubits,
-        }
-    }
-
     /// Tensor product with another register.
     pub fn tensor(&self, other: &Self) -> Self {
         Self {
             mat: self.mat.kron(&other.mat),
             qubits: self.qubits + other.qubits,
-        }
-    }
-
-    /// Partial trace keeping only the listed qubits (ascending order of
-    /// the result follows the order given in `keep`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `keep` is empty, has duplicates, or indexes out of range.
-    pub fn partial_trace_keep(&self, keep: &[usize]) -> Self {
-        let kd = 1usize << keep.len();
-        let mut out = CMatrix::zeros(kd, kd);
-        self.partial_trace_keep_into(keep, &mut out);
-        Self {
-            mat: out,
-            qubits: keep.len(),
-        }
-    }
-
-    /// Scratch-buffer variant of [`Self::partial_trace_keep`]: writes
-    /// the reduced matrix into `out` (reallocated only on a shape
-    /// change), so repeated reductions — per-channel marginal scans —
-    /// run without per-call matrix or bookkeeping allocations.
-    ///
-    /// # Panics
-    ///
-    /// As [`Self::partial_trace_keep`].
-    pub fn partial_trace_keep_into(&self, keep: &[usize], out: &mut CMatrix) {
-        let n = self.qubits;
-        assert!(!keep.is_empty(), "must keep at least one qubit");
-        assert!(keep.iter().all(|&q| q < n), "qubit index out of range");
-        assert!(n <= 64, "register too large for partial trace");
-        let mut seen = 0u64;
-        for &q in keep {
-            assert!(seen & (1 << q) == 0, "duplicate qubit in keep list");
-            seen |= 1 << q;
-        }
-        let mut traced = [0usize; 64];
-        let mut tn = 0usize;
-        for q in 0..n {
-            if seen & (1 << q) == 0 {
-                traced[tn] = q;
-                tn += 1;
-            }
-        }
-        let traced = &traced[..tn];
-        let kd = 1usize << keep.len();
-        let td = 1usize << tn;
-
-        // Maps (kept-subsystem index, traced-subsystem index) → register
-        // basis index. Qubit 0 is the most significant bit.
-        let compose = |ki: usize, ti: usize| -> usize {
-            let mut idx = 0usize;
-            for (pos, &q) in keep.iter().enumerate() {
-                let bit = (ki >> (keep.len() - 1 - pos)) & 1;
-                idx |= bit << (n - 1 - q);
-            }
-            for (pos, &q) in traced.iter().enumerate() {
-                let bit = (ti >> (tn - 1 - pos)) & 1;
-                idx |= bit << (n - 1 - q);
-            }
-            idx
-        };
-
-        if out.rows() != kd || out.cols() != kd {
-            *out = CMatrix::zeros(kd, kd);
-        }
-        for i in 0..kd {
-            for j in 0..kd {
-                let mut acc = Complex64::real(0.0);
-                for t in 0..td {
-                    acc += self.mat[(compose(i, t), compose(j, t))];
-                }
-                out[(i, j)] = acc;
-            }
         }
     }
 
@@ -235,7 +151,7 @@ impl DensityMatrix {
     /// reused across calls. Values are bit-identical to
     /// [`Self::eigenvalues`].
     pub fn eigenvalues_into(&self, work: &mut CMatrix, out: &mut Vec<f64>) {
-        eigenvalues_into(&self.mat, JacobiStrategy::Cyclic, work, out);
+        eigenvalues_into(&self.mat, work, out);
     }
 
     /// `true` when all eigenvalues are ≥ `−tol` (positive semidefinite up
@@ -243,31 +159,6 @@ impl DensityMatrix {
     pub fn is_physical(&self, tol: f64) -> bool {
         (self.mat.trace().re - 1.0).abs() <= tol
             && self.eigenvalues().iter().all(|&l| l >= -tol)
-    }
-
-    /// Von Neumann entropy `−Σ λ ln λ` in nats.
-    pub fn von_neumann_entropy(&self) -> f64 {
-        self.eigenvalues()
-            .iter()
-            .filter(|&&l| l > 1e-15)
-            .map(|&l| -l * l.ln())
-            .sum()
-    }
-
-    /// Dephasing channel on qubit `k`: off-diagonal coherences involving
-    /// that qubit are scaled by `1 − strength` (`strength = 1` destroys
-    /// them) — the effect of interferometer phase noise on a time-bin
-    /// qubit.
-    pub fn dephase_qubit(&self, k: usize, strength: f64) -> Self {
-        assert!(k < self.qubits, "qubit index out of range");
-        let s = strength.clamp(0.0, 1.0);
-        let z = ops::embed(&ops::pauli_z(), k, self.qubits);
-        // ρ → (1 − s/2)·ρ + (s/2)·ZρZ scales coherences by (1 − s).
-        let zpz = &(&z * &self.mat) * &z;
-        Self {
-            mat: &self.mat.scale(1.0 - s / 2.0) + &zpz.scale(s / 2.0),
-            qubits: self.qubits,
-        }
     }
 
     /// Global depolarizing channel:
@@ -290,14 +181,12 @@ mod tests {
         let rho = DensityMatrix::from_pure(&PureState::plus());
         assert!((rho.purity() - 1.0).abs() < 1e-12);
         assert!(rho.is_physical(1e-10));
-        assert!(rho.von_neumann_entropy() < 1e-9);
     }
 
     #[test]
     fn maximally_mixed_properties() {
         let rho = DensityMatrix::maximally_mixed(2);
         assert!((rho.purity() - 0.25).abs() < 1e-12);
-        assert!((rho.von_neumann_entropy() - (4.0f64).ln()).abs() < 1e-9);
     }
 
     #[test]
@@ -323,47 +212,6 @@ mod tests {
     }
 
     #[test]
-    fn partial_trace_of_product_state() {
-        let a = DensityMatrix::from_pure(&PureState::ket1());
-        let b = DensityMatrix::from_pure(&PureState::plus());
-        let ab = a.tensor(&b);
-        let ra = ab.partial_trace_keep(&[0]);
-        let rb = ab.partial_trace_keep(&[1]);
-        assert!(ra.as_matrix().approx_eq(a.as_matrix(), 1e-12));
-        assert!(rb.as_matrix().approx_eq(b.as_matrix(), 1e-12));
-    }
-
-    #[test]
-    fn partial_trace_of_bell_state_is_mixed() {
-        let rho = DensityMatrix::from_pure(&bell_phi_plus());
-        let reduced = rho.partial_trace_keep(&[0]);
-        assert!((reduced.purity() - 0.5).abs() < 1e-12, "maximally mixed marginal");
-        // Entropy of entanglement = ln 2.
-        assert!((reduced.von_neumann_entropy() - std::f64::consts::LN_2).abs() < 1e-9);
-    }
-
-    #[test]
-    fn evolve_preserves_physicality() {
-        let rho = DensityMatrix::from_pure(&PureState::ket0());
-        let u = ops::ry(1.1);
-        let out = rho.evolve(&u);
-        assert!(out.is_physical(1e-10));
-        assert!((out.purity() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn dephasing_kills_coherence() {
-        let rho = DensityMatrix::from_pure(&PureState::plus());
-        let full = rho.dephase_qubit(0, 1.0);
-        // Fully dephased |+⟩ becomes I/2.
-        assert!(full
-            .as_matrix()
-            .approx_eq(DensityMatrix::maximally_mixed(1).as_matrix(), 1e-12));
-        let partial = rho.dephase_qubit(0, 0.4);
-        assert!((partial.as_matrix()[(0, 1)].re - 0.3).abs() < 1e-12);
-    }
-
-    #[test]
     fn depolarizing_channel_mixes() {
         let rho = DensityMatrix::from_pure(&bell_phi_plus());
         let noisy = rho.depolarize(0.2);
@@ -386,7 +234,7 @@ mod tests {
     #[test]
     fn scratch_variants_match_allocating_ones() {
         let rho = DensityMatrix::from_pure(&bell_phi_plus()).depolarize(0.3);
-        // Deliberately mis-shaped scratch: both calls must resize.
+        // Deliberately mis-shaped scratch: the call must resize.
         let mut work = CMatrix::zeros(1, 1);
         let mut vals = vec![99.0];
         rho.eigenvalues_into(&mut work, &mut vals);
@@ -395,27 +243,5 @@ mod tests {
         for (a, b) in vals.iter().zip(&direct) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
-        let mut reduced = CMatrix::zeros(1, 1);
-        rho.partial_trace_keep_into(&[1], &mut reduced);
-        let direct = rho.partial_trace_keep(&[1]);
-        assert!(reduced
-            .as_slice()
-            .iter()
-            .zip(direct.as_matrix().as_slice())
-            .all(|(a, b)| a.re.to_bits() == b.re.to_bits() && a.im.to_bits() == b.im.to_bits()));
-    }
-
-    #[test]
-    #[should_panic(expected = "keep at least one")]
-    fn partial_trace_rejects_empty_keep() {
-        let rho = DensityMatrix::maximally_mixed(2);
-        let _ = rho.partial_trace_keep(&[]);
-    }
-
-    #[test]
-    #[should_panic(expected = "duplicate")]
-    fn partial_trace_rejects_duplicates() {
-        let rho = DensityMatrix::maximally_mixed(2);
-        let _ = rho.partial_trace_keep(&[0, 0]);
     }
 }

@@ -36,16 +36,6 @@ impl TwoModeSqueezedVacuum {
         Self { mu }
     }
 
-    /// Creates a TMSV from the squeeze parameter `ξ` (`μ = sinh²ξ`).
-    pub fn from_squeeze_parameter(xi: f64) -> Self {
-        Self::new(xi.sinh().powi(2))
-    }
-
-    /// Mean pair number `μ`.
-    pub fn mean_pairs(&self) -> f64 {
-        self.mu
-    }
-
     /// Probability of exactly `n` pairs:
     /// `P(n) = μⁿ/(1+μ)^{n+1}` (thermal/geometric), evaluated in log
     /// space so large `n`/`μ` cannot overflow.
@@ -138,12 +128,6 @@ mod tests {
         let t = TwoModeSqueezedVacuum::new(0.25);
         let mean: f64 = (0..300).map(|n| n as f64 * t.p_n(n)).sum();
         assert!((mean - 0.25).abs() < 1e-9);
-    }
-
-    #[test]
-    fn squeeze_parameter_roundtrip() {
-        let t = TwoModeSqueezedVacuum::from_squeeze_parameter(0.1);
-        assert!((t.mean_pairs() - 0.1f64.sinh().powi(2)).abs() < 1e-15);
     }
 
     #[test]

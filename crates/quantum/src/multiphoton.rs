@@ -7,8 +7,6 @@
 //! product `|Φ(φ_p)⟩₁₂ ⊗ |Φ(φ_p)⟩₃₄` — a four-photon entangled state
 //! verified through four-fold quantum interference and tomography.
 
-
-use qfc_mathkit::cast;
 use crate::bell::bell_phi;
 use crate::density::DensityMatrix;
 use crate::ops::equatorial_projector;
@@ -51,22 +49,6 @@ pub fn four_photon_fringe_point(rho: &DensityMatrix, phi: f64) -> f64 {
     four_fold_probability(rho, [phi; 4])
 }
 
-/// Raw visibility of the four-photon fringe of a noisy state, from its
-/// analytic extrema (evaluated numerically over a dense phase scan).
-pub fn four_photon_fringe_visibility(rho: &DensityMatrix, pump_phase: f64) -> f64 {
-    // The fringe is even in (2φ + φ_p); sample a period densely.
-    let samples = 256;
-    let mut max = f64::NEG_INFINITY;
-    let mut min = f64::INFINITY;
-    for k in 0..samples {
-        let phi = -pump_phase / 2.0 + std::f64::consts::PI * cast::to_f64(k) / cast::to_f64(samples);
-        let p = four_photon_fringe_point(rho, phi);
-        max = max.max(p);
-        min = min.min(p);
-    }
-    (max - min) / (max + min)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -88,13 +70,6 @@ mod tests {
     }
 
     #[test]
-    fn ideal_fringe_visibility_is_one() {
-        let rho = DensityMatrix::from_pure(&four_photon_product(0.0));
-        let v = four_photon_fringe_visibility(&rho, 0.0);
-        assert!((v - 1.0).abs() < 1e-9, "V = {v}");
-    }
-
-    #[test]
     fn fringe_oscillates_at_second_harmonic() {
         // p(φ) for the ideal state ∝ [(1 + cos 2φ)/2]²: period π, not 2π.
         let rho = DensityMatrix::from_pure(&four_photon_product(0.0));
@@ -113,30 +88,6 @@ mod tests {
         let rho = DensityMatrix::from_pure(&four_photon_product(0.0));
         let p0 = four_photon_fringe_point(&rho, 0.0);
         assert!(p0 > 0.0 && p0 <= (0.25f64).powi(3), "p0 = {p0}");
-    }
-
-    #[test]
-    fn pairwise_noise_reduces_four_fold_visibility() {
-        let clean = four_photon_fringe_visibility(
-            &DensityMatrix::from_pure(&four_photon_product(0.0)),
-            0.0,
-        );
-        let noisy = four_photon_fringe_visibility(&noisy_four_photon(0.0, 0.83, 0.1), 0.0);
-        assert!(noisy < clean);
-        assert!(noisy > 0.5, "V = {noisy}");
-    }
-
-    #[test]
-    fn product_fringe_sharpening() {
-        // With dephasing only (no white noise), the four-fold visibility
-        // 2V/(1+V²) exceeds the pairwise visibility V — the effect that
-        // lets the paper report 89 % four-photon vs 83 % two-photon.
-        let v_pair = 0.83;
-        let rho = noisy_four_photon(0.0, v_pair, 0.0);
-        let v4 = four_photon_fringe_visibility(&rho, 0.0);
-        let expect = 2.0 * v_pair / (1.0 + v_pair * v_pair);
-        assert!((v4 - expect).abs() < 0.01, "V4 = {v4} vs {expect}");
-        assert!(v4 > v_pair);
     }
 
     #[test]

@@ -26,25 +26,6 @@ pub struct BipartiteQudit {
 }
 
 impl BipartiteQudit {
-    /// The maximally entangled pair `Σ_k |kk⟩/√d` in dimension `d`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `d < 2` or `d > 64`.
-    pub fn maximally_entangled(d: usize) -> Self {
-        assert!((2..=64).contains(&d), "dimension out of supported range");
-        let mut v = CVector::zeros(d * d);
-        let a = 1.0 / (cast::to_f64(d)).sqrt();
-        for k in 0..d {
-            v[k * d + k] = Complex64::real(a);
-        }
-        Self {
-            amps: v,
-            d_a: d,
-            d_b: d,
-        }
-    }
-
     /// Builds a bipartite state from a (normalized) amplitude matrix
     /// `c[j][k] = ⟨jk|ψ⟩`.
     ///
@@ -170,8 +151,9 @@ mod tests {
 
     #[test]
     fn maximally_entangled_entropy() {
+        // Equal channel weights give `Σ_k |kk⟩/√d`.
         for d in [2usize, 3, 4, 8] {
-            let s = BipartiteQudit::maximally_entangled(d);
+            let s = BipartiteQudit::from_channel_weights(&vec![1.0; d]);
             assert!((s.entanglement_entropy_bits() - (d as f64).log2()).abs() < 1e-9);
             assert_eq!(s.schmidt_rank(1e-9), d);
         }
@@ -179,7 +161,7 @@ mod tests {
 
     #[test]
     fn reduced_state_is_maximally_mixed() {
-        let s = BipartiteQudit::maximally_entangled(3);
+        let s = BipartiteQudit::from_channel_weights(&[1.0; 3]);
         let rho = s.reduced_a();
         assert!(rho.approx_eq(&CMatrix::identity(3).scale(1.0 / 3.0), 1e-12));
     }
@@ -241,11 +223,5 @@ mod tests {
             assert!(cglmp_value(d, vc * 0.99) < CGLMP_CLASSICAL_BOUND);
             assert!(cglmp_value(d, vc * 1.01) > CGLMP_CLASSICAL_BOUND);
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "dimension out of supported range")]
-    fn dimension_one_rejected() {
-        let _ = BipartiteQudit::maximally_entangled(1);
     }
 }

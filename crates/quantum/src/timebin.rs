@@ -7,46 +7,10 @@
 //! late–late amplitude. Interferometer phase noise dephases the state
 //! without affecting the arrival-time (Z-basis) populations.
 
-use serde::{Deserialize, Serialize};
-
 use crate::bell::bell_phi;
 use crate::density::DensityMatrix;
 use crate::ops::equatorial_projector;
 use crate::state::PureState;
-
-/// A photon's time bin.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum TimeBin {
-    /// Generated by the first pump pulse.
-    Early,
-    /// Generated by the second pump pulse.
-    Late,
-}
-
-impl TimeBin {
-    /// Computational-basis index of this bin (`early = 0`).
-    pub fn index(self) -> usize {
-        match self {
-            Self::Early => 0,
-            Self::Late => 1,
-        }
-    }
-}
-
-/// Arrival-time slot of a photon after its analyzer interferometer.
-///
-/// An unbalanced analyzer maps each input bin onto two output slots
-/// (short/long arm); early-via-long and late-via-short coincide in the
-/// **middle** slot, where the §IV quantum interference lives.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum ArrivalSlot {
-    /// Early bin through the short arm.
-    First,
-    /// Early-long and late-short, indistinguishable — post-selected.
-    Middle,
-    /// Late bin through the long arm.
-    Last,
-}
 
 /// The ideal time-bin Bell state `(|ee⟩ + e^{iφ_p}|ll⟩)/√2`.
 pub fn timebin_bell(pump_phase: f64) -> PureState {
@@ -146,12 +110,5 @@ mod tests {
         let p = slot_probabilities();
         assert!((p.iter().sum::<f64>() - 1.0).abs() < 1e-15);
         assert_eq!(p[1], 0.5);
-    }
-
-    #[test]
-    fn timebin_enum_indices() {
-        assert_eq!(TimeBin::Early.index(), 0);
-        assert_eq!(TimeBin::Late.index(), 1);
-        assert_ne!(ArrivalSlot::First, ArrivalSlot::Middle);
     }
 }

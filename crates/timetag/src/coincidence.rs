@@ -262,24 +262,6 @@ pub fn measure_car(
     }
 }
 
-/// Finds the relative delay between two streams by locating the peak of
-/// their cross-correlation — the cable/path-length calibration every
-/// real coincidence setup performs first.
-///
-/// Returns `None` when no correlation peak stands out (peak below
-/// `3 + 2·√floor` over the median bin count).
-pub fn find_delay(a: &TagStream, b: &TagStream, range_ps: i64, bin_ps: i64) -> Option<i64> {
-    let hist = cross_correlation_histogram(a, b, range_ps, bin_ps);
-    let (idx, peak) = hist.peak()?;
-    let mut counts: Vec<u64> = hist.counts().to_vec();
-    counts.sort_unstable();
-    let median = cast::to_f64(counts[counts.len() / 2]);
-    if (cast::to_f64(peak)) < median + 3.0 + 2.0 * median.sqrt() {
-        return None;
-    }
-    Some(cast::f64_to_i64(hist.bin_center(idx)))
-}
-
 /// Result of extracting a photon-pair coherence time (and thus linewidth)
 /// from a time-resolved coincidence histogram.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -506,40 +488,6 @@ mod tests {
             r.linewidth_hz / 1e6
         );
         assert!(r.r_squared > 0.9);
-    }
-
-    #[test]
-    fn find_delay_recovers_cable_offset() {
-        let mut rng = rng_from_seed(10);
-        let true_delay = 12_345i64;
-        let mut a = Vec::new();
-        let mut b = Vec::new();
-        for _ in 0..5_000 {
-            let t = (rng.gen::<f64>() * 1e12) as i64;
-            a.push(t);
-            b.push(t + true_delay);
-        }
-        let sa = TagStream::from_unsorted(a);
-        let sb = TagStream::from_unsorted(b);
-        let found = find_delay(&sa, &sb, 50_000, 500).expect("clear peak");
-        assert!((found - true_delay).abs() <= 500, "found {found}");
-    }
-
-    #[test]
-    fn find_delay_rejects_uncorrelated_streams() {
-        // Keep the accidental density low enough that a spurious ≥3-count
-        // bin is a many-sigma event rather than a coin flip: 10k tags over
-        // 1e12 ps give ~0.05 expected counts per 500 ps bin.
-        let mut rng = rng_from_seed(11);
-        let a: Vec<i64> = (0..10_000).map(|_| (rng.gen::<f64>() * 1e12) as i64).collect();
-        let b: Vec<i64> = (0..10_000).map(|_| (rng.gen::<f64>() * 1e12) as i64).collect();
-        let found = find_delay(
-            &TagStream::from_unsorted(a),
-            &TagStream::from_unsorted(b),
-            50_000,
-            500,
-        );
-        assert!(found.is_none(), "spurious delay {found:?}");
     }
 
     #[test]

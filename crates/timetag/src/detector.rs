@@ -36,17 +36,6 @@ impl SinglePhotonDetector {
         }
     }
 
-    /// Superconducting nanowire detector, for comparison studies:
-    /// η ≈ 80 %, ~100 Hz darks, 30 ps jitter, short dead time.
-    pub fn snspd() -> Self {
-        Self {
-            efficiency: 0.80,
-            dark_count_rate_hz: 100.0,
-            jitter_sigma_ps: 30.0,
-            dead_time_ps: 50_000, // 50 ns
-        }
-    }
-
     /// An ideal detector (for analysis-path unit tests).
     pub fn ideal() -> Self {
         Self {
@@ -260,9 +249,7 @@ mod tests {
     #[test]
     fn presets_are_valid() {
         SinglePhotonDetector::ingaas_paper().validate();
-        SinglePhotonDetector::snspd().validate();
         SinglePhotonDetector::ideal().validate();
-        assert!(SinglePhotonDetector::snspd().efficiency > SinglePhotonDetector::ingaas_paper().efficiency);
     }
 
     #[test]

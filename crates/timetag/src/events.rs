@@ -101,16 +101,6 @@ impl FromIterator<i64> for TagStream {
     }
 }
 
-/// Converts seconds to integer picoseconds (saturating).
-pub fn s_to_ps(t_s: f64) -> i64 {
-    cast::f64_to_i64((t_s * 1e12).round())
-}
-
-/// Converts picoseconds to seconds.
-pub fn ps_to_s(t_ps: i64) -> f64 {
-    cast::to_f64(t_ps) * 1e-12
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -136,13 +126,6 @@ mod tests {
     fn rate_calculation() {
         let s = TagStream::from_unsorted(vec![0; 100]);
         assert!((s.rate_hz(2.0) - 50.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn time_conversions_roundtrip() {
-        assert_eq!(s_to_ps(1e-9), 1000);
-        assert!((ps_to_s(1500) - 1.5e-9).abs() < 1e-21);
-        assert_eq!(s_to_ps(ps_to_s(123_456)), 123_456);
     }
 
     #[test]

@@ -53,15 +53,6 @@ impl Tdc {
         tags.sort_by_key(|t| (t.time_ps, t.channel));
         tags
     }
-
-    /// Splits a merged record back into one stream per requested channel.
-    pub fn channel_stream(record: &[TimeTag], channel: ChannelId) -> TagStream {
-        record
-            .iter()
-            .filter(|t| t.channel == channel)
-            .map(|t| t.time_ps)
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -85,16 +76,6 @@ mod tests {
         let times: Vec<i64> = rec.iter().map(|t| t.time_ps).collect();
         assert_eq!(times, vec![10, 20, 30]);
         assert_eq!(rec[1].channel, ChannelId(1));
-    }
-
-    #[test]
-    fn channel_streams_roundtrip() {
-        let tdc = Tdc::new(1);
-        let a = TagStream::from_unsorted(vec![10, 30]);
-        let b = TagStream::from_unsorted(vec![20, 40]);
-        let rec = tdc.record(&[(ChannelId(0), &a), (ChannelId(1), &b)]);
-        assert_eq!(Tdc::channel_stream(&rec, ChannelId(0)), a);
-        assert_eq!(Tdc::channel_stream(&rec, ChannelId(1)), b);
     }
 
     #[test]

@@ -148,12 +148,12 @@ pub fn simulate_counts<R: Rng + ?Sized>(
 /// One setting's outcome histogram: `shots` projective measurements of
 /// `rho` drawn from the dedicated RNG stream `stream_seed`.
 ///
-/// This is the per-shard kernel of the seeded count paths:
-/// [`simulate_counts_seeded`] (and the streaming accumulator in
-/// [`crate::stream`]) give setting `s` the stream
-/// `split_seed(seed, s)`, so any shard that runs this kernel with the
-/// same stream seed reproduces that setting's histogram bit for bit,
-/// regardless of which process or thread executes it.
+/// This is the per-shard kernel of the seeded count path:
+/// [`try_stream_counts_seeded`](crate::stream::try_stream_counts_seeded)
+/// gives setting `s` the stream `split_seed(seed, s)`, so any shard that
+/// runs this kernel with the same stream seed reproduces that setting's
+/// histogram bit for bit, regardless of which process or thread executes
+/// it.
 ///
 /// # Panics
 ///
@@ -179,57 +179,6 @@ pub fn setting_histogram(
         c[sampler.sample(&mut rng)] += 1;
     }
     c
-}
-
-/// Minimum shots per setting before the seeded count paths fan out to
-/// the worker pool. Below this grain a one-shot `par_map` costs more
-/// than it saves, so small jobs run the identical per-setting kernels
-/// serially instead. Measured on the rank-1 count path, 81 four-qubit
-/// settings on a 2-vCPU host (medians of 400 interleaved repetitions,
-/// two processes): at 40 shots per setting the serial loop took
-/// 0.45–0.67 ms and `par_map` at 2 threads 0.54–0.76 ms; at 60 shots
-/// 0.44–0.70 ms against 0.50–0.79 ms. At 1 thread both are the same
-/// loop. Outputs are unaffected: each setting's histogram depends only
-/// on its own split seed, never on which thread ran it.
-pub(crate) const PAR_MIN_SHOTS_PER_SETTING: u64 = 1024;
-
-/// Seeded, parallel variant of [`simulate_counts`]: every setting draws
-/// its shots from an independent split-seed stream
-/// (`split_seed(seed, setting_index)`), so settings run concurrently on
-/// the worker pool and the counts are bitwise-identical at any thread
-/// count. Jobs below `PAR_MIN_SHOTS_PER_SETTING` (1024) shots per setting
-/// skip the pool and run the same kernels serially (same bytes, no
-/// dispatch overhead).
-///
-/// # Panics
-///
-/// Panics if settings don't match the state dimension.
-pub fn simulate_counts_seeded(
-    rho: &DensityMatrix,
-    settings: &[Setting],
-    shots_per_setting: u64,
-    seed: u64,
-) -> TomographyData {
-    use qfc_mathkit::rng::split_seed;
-
-    let indexed: Vec<usize> = (0..settings.len()).collect();
-    let histogram = |s: usize| {
-        setting_histogram(
-            rho,
-            &settings[s],
-            shots_per_setting,
-            split_seed(seed, cast::usize_to_u64(s)),
-        )
-    };
-    let counts = if shots_per_setting < PAR_MIN_SHOTS_PER_SETTING {
-        indexed.iter().map(|&s| histogram(s)).collect()
-    } else {
-        qfc_runtime::par_map(&indexed, |&s| histogram(s))
-    };
-    TomographyData {
-        settings: settings.to_vec(),
-        counts,
-    }
 }
 
 /// Computes the *exact* outcome distribution instead of sampling —

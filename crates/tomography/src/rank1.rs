@@ -692,7 +692,6 @@ fn finish(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::counts::simulate_counts_seeded;
     use crate::reconstruct::try_mle_reconstruction;
     use crate::settings::{all_settings, Setting};
     use crate::stream::try_stream_counts_seeded;
@@ -811,7 +810,8 @@ mod tests {
     fn rank1_and_dense_legs_agree_entrywise_on_paper_data() {
         // The `mle_reconstruction` golden fixture's data: a V = 0.83
         // Werner state, 500 shots per setting, seed 17.
-        let bell = simulate_counts_seeded(&werner_state(0.83, 0.0), &all_settings(2), 500, 17);
+        let bell = try_stream_counts_seeded(&werner_state(0.83, 0.0), &all_settings(2), 500, 17)
+            .expect("counts");
         // The four-photon fast-demo data: 81 settings × 40 shots of the
         // fast-demo four-photon state, seed 13 (the `four_photon` fixture).
         let rho4 = noisy_four_photon(0.0, FAST_DEMO_FOUR_PHOTON_VISIBILITY, 0.08);
@@ -947,19 +947,25 @@ mod tests {
             (
                 "d=4 Werner, 2000 shots",
                 &pauli,
-                simulate_counts_seeded(&werner, &all_settings(2), 2000, 3).counts,
+                try_stream_counts_seeded(&werner, &all_settings(2), 2000, 3)
+                    .expect("counts")
+                    .counts,
             ),
             // 12 shots: zero-count outcomes everywhere.
             (
                 "d=4 Werner, 12 shots",
                 &pauli,
-                simulate_counts_seeded(&werner, &all_settings(2), 12, 4).counts,
+                try_stream_counts_seeded(&werner, &all_settings(2), 12, 4)
+                    .expect("counts")
+                    .counts,
             ),
             // A pure state: whole outcomes never click, the MLE is rank-deficient.
             (
                 "d=4 pure Bell, 500 shots",
                 &pauli,
-                simulate_counts_seeded(&pure, &all_settings(2), 500, 5).counts,
+                try_stream_counts_seeded(&pure, &all_settings(2), 500, 5)
+                    .expect("counts")
+                    .counts,
             ),
             // About 20 events per basis: most of the 144 outcomes are empty.
             (

@@ -11,12 +11,10 @@
 //! the reconstructor), then absorbs histograms shard by shard and
 //! finishes into a plain [`TomographyData`].
 //!
-//! [`try_stream_counts_seeded`] drives the accumulator with the exact
-//! per-setting stream protocol of
-//! [`simulate_counts_seeded`](crate::counts::simulate_counts_seeded)
-//! (`split_seed(seed, setting_index)` per setting), so its output is
-//! byte-identical to the materializing path at any thread count — the
-//! property `tests/` pins with a 1/4/8-thread proptest.
+//! [`try_stream_counts_seeded`] drives the accumulator with one
+//! split-seed stream per setting (`split_seed(seed, setting_index)`),
+//! so its output is byte-identical at any thread count — the property
+//! `tests/` pins with a 1/4/8-thread proptest.
 
 use qfc_faults::{QfcError, QfcResult};
 use qfc_mathkit::cast;
@@ -129,26 +127,6 @@ impl CountAccumulator {
         Ok(())
     }
 
-    /// Folds a partial [`TomographyData`] (same setting list) in —
-    /// the merge step for campaign shards that each cover a setting
-    /// range and serialize their partial table.
-    ///
-    /// # Errors
-    ///
-    /// [`QfcError::InvalidParameter`] when the partial's setting list
-    /// differs from the pinned one or a histogram is malformed.
-    pub fn absorb_partial(&mut self, partial: &TomographyData) -> QfcResult<()> {
-        if partial.settings != self.settings {
-            return Err(QfcError::invalid(
-                "partial tomography data was taken under a different setting list",
-            ));
-        }
-        for (s, histogram) in partial.counts.iter().enumerate() {
-            self.absorb_histogram(s, histogram)?;
-        }
-        Ok(())
-    }
-
     /// Hands the accumulated table over. The result may still be
     /// degenerate (zero grand total) — reconstruction entry points
     /// validate that, so an all-dark run surfaces as a
@@ -161,13 +139,27 @@ impl CountAccumulator {
     }
 }
 
-/// Streaming variant of
-/// [`simulate_counts_seeded`](crate::counts::simulate_counts_seeded):
-/// simulates every setting's histogram on its own split-seed stream
-/// (`split_seed(seed, setting_index)`, the identical draw protocol) and
-/// folds the shards through a [`CountAccumulator`] instead of
-/// assembling the table by collection. Byte-identical to the
-/// materializing path at any thread count.
+/// Minimum shots per setting before [`try_stream_counts_seeded`] fans out to
+/// the worker pool. Below this grain a one-shot `par_map` costs more
+/// than it saves, so small jobs run the identical per-setting kernels
+/// serially instead. Measured on the rank-1 count path, 81 four-qubit
+/// settings on a 2-vCPU host (medians of 400 interleaved repetitions,
+/// two processes): at 40 shots per setting the serial loop took
+/// 0.45–0.67 ms and `par_map` at 2 threads 0.54–0.76 ms; at 60 shots
+/// 0.44–0.70 ms against 0.50–0.79 ms. At 1 thread both are the same
+/// loop. Outputs are unaffected: each setting's histogram depends only
+/// on its own split seed, never on which thread ran it.
+const PAR_MIN_SHOTS_PER_SETTING: u64 = 1024;
+
+/// Simulates `shots_per_setting` projective measurements of `rho` in
+/// each setting, every setting on its own split-seed stream
+/// (`split_seed(seed, setting_index)`, through [`setting_histogram`]),
+/// and folds the histograms through a [`CountAccumulator`]. Settings
+/// run concurrently on the worker pool, and the counts are
+/// bitwise-identical at any thread count. Jobs below
+/// `PAR_MIN_SHOTS_PER_SETTING` (1024) shots per setting skip the pool
+/// and run the same kernels serially (same bytes, no dispatch
+/// overhead).
 ///
 /// # Errors
 ///
@@ -197,11 +189,10 @@ pub fn try_stream_counts_seeded(
             split_seed(seed, cast::usize_to_u64(s)),
         )
     };
-    // Same serial-below-grain rule as `simulate_counts_seeded`: tiny
-    // jobs pay more for pool dispatch than for the sampling itself,
-    // and the per-setting streams make serial and parallel runs
+    // Tiny jobs pay more for pool dispatch than for the sampling
+    // itself, and the per-setting streams make serial and parallel runs
     // byte-identical anyway.
-    let histograms = if shots_per_setting < crate::counts::PAR_MIN_SHOTS_PER_SETTING {
+    let histograms = if shots_per_setting < PAR_MIN_SHOTS_PER_SETTING {
         indexed.iter().map(|&s| histogram(s)).collect::<Vec<_>>()
     } else {
         qfc_runtime::par_map(&indexed, |&s| histogram(s))
@@ -216,18 +207,22 @@ pub fn try_stream_counts_seeded(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::counts::simulate_counts_seeded;
     use crate::settings::{all_settings, PauliBasis};
     use qfc_quantum::bell::werner_state;
 
     #[test]
-    fn streaming_matches_materializing_path_bit_for_bit() {
+    fn streaming_draws_each_setting_from_its_split_seed() {
         let truth = werner_state(0.83, 0.0);
         let settings = all_settings(2);
-        let direct = simulate_counts_seeded(&truth, &settings, 400, 17);
+        let direct: Vec<Vec<u64>> = settings
+            .iter()
+            .enumerate()
+            .map(|(s, setting)| setting_histogram(&truth, setting, 400, split_seed(17, s as u64)))
+            .collect();
         let streamed =
             try_stream_counts_seeded(&truth, &settings, 400, 17).expect("valid settings");
-        assert_eq!(direct, streamed);
+        assert_eq!(streamed.settings, settings);
+        assert_eq!(streamed.counts, direct);
     }
 
     #[test]
@@ -259,7 +254,7 @@ mod tests {
     fn shard_arrival_order_is_immaterial() {
         let truth = werner_state(0.7, 0.1);
         let settings = all_settings(2);
-        let direct = simulate_counts_seeded(&truth, &settings, 150, 29);
+        let direct = try_stream_counts_seeded(&truth, &settings, 150, 29).expect("valid settings");
         let mut acc = CountAccumulator::try_new(&settings).expect("valid");
         // Absorb the per-setting histograms in reverse, split into two
         // half-shards each.
@@ -276,19 +271,6 @@ mod tests {
         }
         assert_eq!(acc.grand_total(), direct.grand_total());
         assert_eq!(acc.finish(), direct);
-    }
-
-    #[test]
-    fn absorb_partial_requires_matching_settings() {
-        let truth = werner_state(0.8, 0.0);
-        let settings = all_settings(2);
-        let data = simulate_counts_seeded(&truth, &settings, 100, 3);
-        let mut acc = CountAccumulator::try_new(&settings).expect("valid");
-        acc.absorb_partial(&data).expect("matching settings fold");
-        assert_eq!(acc.grand_total(), data.grand_total());
-        let other = CountAccumulator::try_new(&all_settings(1)).expect("valid");
-        let mut other = other;
-        assert!(other.absorb_partial(&data).is_err());
     }
 
     #[test]

@@ -10,8 +10,9 @@ use qfc::core::heralded::StabilityConfig;
 use qfc::core::multiphoton::pump_trade_scan;
 use qfc::core::source::QfcSource;
 use qfc::core::timebin::TimeBinConfig;
+use qfc::faults::QfcResult;
 
-fn main() {
+fn main() -> QfcResult<()> {
     println!("== Pump scheme (the §II claim: why self-locking matters) ==");
     println!("{:<24} {:>16} {:>18}", "scheme", "fluctuation", "active hardware?");
     for row in pump_scheme_ablation(&StabilityConfig::paper(), 2017) {
@@ -28,8 +29,7 @@ fn main() {
         "{:>16} {:>16} {:>14} {:>10} {:>14}",
         "shots/setting", "linear F", "MLE F", "MLE it", "MLE gap (nat)"
     );
-    let rows = tomography_ablation(&[10, 30, 100, 300, 1000, 10_000], 2018)
-        .expect("every statistics level reconstructs");
+    let rows = tomography_ablation(&[10, 30, 100, 300, 1000, 10_000], 2018)?;
     for row in rows {
         println!(
             "{:>16} {:>16.4} {:>14.4} {:>10} {:>14.3}",
@@ -43,8 +43,7 @@ fn main() {
 
     println!("\n== Coincidence window (capture vs accidentals) ==");
     println!("{:>14} {:>12} {:>18}", "window (ps)", "CAR", "coinc rate (Hz)");
-    let rows = window_ablation(&[250, 1000, 4000, 8000, 16_000, 64_000], 2019)
-        .expect("every window runs");
+    let rows = window_ablation(&[250, 1000, 4000, 8000, 16_000, 64_000], 2019)?;
     for row in rows {
         println!(
             "{:>14} {:>12.1} {:>18.3}",
@@ -62,7 +61,7 @@ fn main() {
         "factor", "μ/frame", "visibility", "4-fold rate ×", "pair fidelity"
     );
     let source = QfcSource::paper_device_timebin();
-    for row in pump_trade_scan(&source, &TimeBinConfig::paper(), &[0.5, 1.0, 2.0, 3.0, 5.0]) {
+    for row in pump_trade_scan(&source, &TimeBinConfig::paper(), &[0.5, 1.0, 2.0, 3.0, 5.0])? {
         println!(
             "{:>8.1} {:>10.4} {:>14.3} {:>16.1} {:>14.3}",
             row.pump_factor,
@@ -77,4 +76,5 @@ fn main() {
          practical while the pair fidelity is still ~0.84, which after\n\
          squaring (two pairs) and white noise lands the 0.64 fidelity."
     );
+    Ok(())
 }

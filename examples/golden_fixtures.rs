@@ -22,17 +22,17 @@ use qfc::core::source::QfcSource;
 use qfc::core::timebin::{
     nominal_duration_s, run_timebin_event_mc, try_run_timebin_experiment, TimeBinConfig,
 };
-use qfc::faults::{Arm, FaultEvent, FaultKind, FaultSchedule, HealthReport};
+use qfc::faults::{Arm, FaultEvent, FaultKind, FaultSchedule, HealthReport, QfcResult};
 use qfc::quantum::bell::{bell_phi_plus, werner_state};
 use qfc::quantum::fidelity::fidelity_with_pure;
 use qfc::tomography::bootstrap::bootstrap_functional;
-use qfc::tomography::counts::simulate_counts_seeded;
 use qfc::tomography::rank1::{
     deterministic_bases, exact_counts_repr, synthetic_low_rank_state, try_mle_repr,
     ProjectorReprSet,
 };
 use qfc::tomography::reconstruct::{try_mle_reconstruction, MleOptions};
 use qfc::tomography::settings::all_settings;
+use qfc::tomography::stream::try_stream_counts_seeded;
 
 fn write_fixture(dir: &Path, name: &str, json: &str) {
     let path = dir.join(name);
@@ -40,7 +40,7 @@ fn write_fixture(dir: &Path, name: &str, json: &str) {
     println!("wrote {} ({} bytes)", path.display(), json.len());
 }
 
-fn main() {
+fn main() -> QfcResult<()> {
     let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden");
     fs::create_dir_all(&dir).expect("create tests/golden");
     let source = QfcSource::paper_device();
@@ -50,13 +50,13 @@ fn main() {
     let mut tb = TimeBinConfig::fast_demo();
     tb.frames_per_point = 200_000;
     let phases: Vec<f64> = (0..6).map(|k| 0.3 * f64::from(k)).collect();
-    let scan = run_timebin_event_mc(&tb_source, &tb, 1, &phases, 11);
+    let scan = run_timebin_event_mc(&tb_source, &tb, 1, &phases, 11)?;
     write_fixture(&dir, "timebin_event_mc.json", &serde_json::to_string(&scan).expect("json"));
 
     // §V two-qubit tomography counts: the per-setting categorical draw.
     let truth = werner_state(0.83, 0.0);
     let settings = all_settings(2);
-    let data = simulate_counts_seeded(&truth, &settings, 500, 17);
+    let data = try_stream_counts_seeded(&truth, &settings, 500, 17)?;
     write_fixture(&dir, "tomography_counts.json", &serde_json::to_string(&data).expect("json"));
 
     // MLE RρR reconstruction of those counts.
@@ -152,4 +152,5 @@ fn main() {
     let run = try_run_multiphoton_experiment(&tb_source, &mc, 73, &dropout)
         .expect("multiphoton run");
     write_fixture(&dir, "multiphoton_run.json", &serde_json::to_string(&run).expect("json"));
+    Ok(())
 }

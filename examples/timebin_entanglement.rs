@@ -7,19 +7,17 @@
 
 use qfc::core::source::QfcSource;
 use qfc::core::timebin::{run_timebin_event_mc, try_run_timebin_experiment, TimeBinConfig};
-use qfc::faults::FaultSchedule;
+use qfc::faults::{FaultSchedule, QfcResult};
 use qfc::quantum::chsh::TSIRELSON_BOUND;
 
-fn main() {
+fn main() -> QfcResult<()> {
     let source = QfcSource::paper_device_timebin();
     let config = TimeBinConfig::paper();
     println!(
         "Running §IV double-pulse pumping, {} channels, {} phase points…",
         config.channels, config.phase_steps
     );
-    let report = try_run_timebin_experiment(&source, &config, 23, &FaultSchedule::empty())
-        .expect("fault-free time-bin run")
-        .report;
+    let report = try_run_timebin_experiment(&source, &config, 23, &FaultSchedule::empty())?.report;
 
     println!("\n== F7 two-photon interference fringes ==");
     for f in &report.fringes {
@@ -61,7 +59,7 @@ fn main() {
 
     println!("\n== Event-based Monte Carlo: joint arrival-slot table ==");
     println!("(channel 1, constructive vs destructive analyzer phase)\n");
-    let scan = run_timebin_event_mc(&source, &config, 1, &[0.0, std::f64::consts::PI], 99);
+    let scan = run_timebin_event_mc(&source, &config, 1, &[0.0, std::f64::consts::PI], 99)?;
     for p in &scan {
         println!("analyzer phase φ = {:.2}:", p.phase);
         println!("            B:first  B:middle  B:last");
@@ -80,4 +78,5 @@ fn main() {
     }
 
     println!("{}", report.to_report().render());
+    Ok(())
 }

@@ -5,8 +5,10 @@
 # drivers and the allocation budget of the hot kernels in an optimized
 # build, the concurrency tests and the coincidence sweep's differential
 # test in release, workspace static analysis
-# (qfc-lint), drift checks of the committed CALLGRAPH and EXPERIMENTS.md,
-# per-crate lints and rustdoc with warnings denied. Wall time is gated
+# (qfc-lint), a check that two qfc-lint runs write the same CALLGRAPH and
+# report (neither is committed; the step compares the two runs), a drift
+# check of the committed EXPERIMENTS.md, per-crate lints and rustdoc with
+# warnings denied. Wall time is gated
 # only by the repository benchmark's per-change bounds (BENCHMARK.json).
 # Run from the repository root.
 set -euo pipefail

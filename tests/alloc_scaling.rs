@@ -41,7 +41,6 @@ use qfc::quantum::fidelity::fidelity_with_pure;
 use qfc::quantum::multiphoton::noisy_four_photon;
 use qfc::runtime::with_threads;
 use qfc::tomography::bootstrap::bootstrap_functional;
-use qfc::tomography::counts::simulate_counts_seeded;
 use qfc::tomography::rank1::{
     deterministic_bases, exact_counts_repr, synthetic_low_rank_state, try_mle_repr,
     ProjectorReprSet,
@@ -285,7 +284,7 @@ fn check_shot_workloads(threads: usize, campaign_dir: &Path) {
     assert_flat_in_shots("timebin event MC", threads, |scale| {
         let mut cfg = TimeBinConfig::fast_demo();
         cfg.frames_per_point = 20_000 * scale;
-        allocs(|| run_timebin_event_mc(&pulsed, &cfg, 1, &phases, 11))
+        allocs(|| run_timebin_event_mc(&pulsed, &cfg, 1, &phases, 11).expect("double-pulse source"))
     });
 
     // §V counts streamed over the 81 four-qubit settings, then
@@ -310,7 +309,8 @@ fn check_shot_workloads(threads: usize, campaign_dir: &Path) {
     let target = bell_phi_plus();
     let replica_opts = MleOptions { max_iterations: 20 };
     assert_flat_in_shots("MLE bootstrap", threads, |scale| {
-        let data = simulate_counts_seeded(&truth, &all_settings(2), 2_000 * scale, 17);
+        let data =
+            try_stream_counts_seeded(&truth, &all_settings(2), 2_000 * scale, 17).expect("counts");
         allocs(|| {
             bootstrap_functional(
                 17,

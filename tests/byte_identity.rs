@@ -28,13 +28,13 @@ use qfc::faults::{Arm, FaultEvent, FaultKind, FaultSchedule, HealthReport};
 use qfc::quantum::bell::{bell_phi_plus, werner_state};
 use qfc::quantum::fidelity::fidelity_with_pure;
 use qfc::tomography::bootstrap::bootstrap_functional;
-use qfc::tomography::counts::simulate_counts_seeded;
 use qfc::tomography::rank1::{
     deterministic_bases, exact_counts_repr, synthetic_low_rank_state, try_mle_repr,
     ProjectorReprSet,
 };
 use qfc::tomography::reconstruct::{try_mle_reconstruction, MleOptions};
 use qfc::tomography::settings::all_settings;
+use qfc::tomography::stream::try_stream_counts_seeded;
 
 /// Thread counts the MLE-bearing fixtures replay at: the serial loop
 /// and a four-member worker team, whatever the host's default.
@@ -73,7 +73,7 @@ fn timebin_event_mc_matches_pre_rework_bytes() {
     let mut cfg = TimeBinConfig::fast_demo();
     cfg.frames_per_point = 200_000;
     let phases: Vec<f64> = (0..6).map(|k| 0.3 * f64::from(k)).collect();
-    let scan = run_timebin_event_mc(&source, &cfg, 1, &phases, 11);
+    let scan = run_timebin_event_mc(&source, &cfg, 1, &phases, 11).expect("double-pulse source");
     assert_bytes_match(
         "timebin_event_mc.json",
         &serde_json::to_string(&scan).expect("json"),
@@ -83,7 +83,7 @@ fn timebin_event_mc_matches_pre_rework_bytes() {
 #[test]
 fn tomography_counts_match_pre_rework_bytes() {
     let truth = werner_state(0.83, 0.0);
-    let data = simulate_counts_seeded(&truth, &all_settings(2), 500, 17);
+    let data = try_stream_counts_seeded(&truth, &all_settings(2), 500, 17).expect("counts");
     assert_bytes_match(
         "tomography_counts.json",
         &serde_json::to_string(&data).expect("json"),
@@ -93,7 +93,7 @@ fn tomography_counts_match_pre_rework_bytes() {
 #[test]
 fn mle_reconstruction_matches_pre_rework_bytes() {
     let truth = werner_state(0.83, 0.0);
-    let data = simulate_counts_seeded(&truth, &all_settings(2), 500, 17);
+    let data = try_stream_counts_seeded(&truth, &all_settings(2), 500, 17).expect("counts");
     let mle = try_mle_reconstruction(&data, &MleOptions::default()).expect("MLE");
     assert_bytes_match(
         "mle_reconstruction.json",
@@ -104,7 +104,7 @@ fn mle_reconstruction_matches_pre_rework_bytes() {
 #[test]
 fn bootstrap_mle_matches_pre_rework_bytes() {
     let truth = werner_state(0.83, 0.0);
-    let data = simulate_counts_seeded(&truth, &all_settings(2), 500, 17);
+    let data = try_stream_counts_seeded(&truth, &all_settings(2), 500, 17).expect("counts");
     let target = bell_phi_plus();
     let opts = MleOptions { max_iterations: 50 };
     // Replicas run on the worker team and each runs the MLE, so the

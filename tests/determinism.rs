@@ -148,7 +148,9 @@ fn timebin_event_mc_identical_at_1_4_8_threads() {
     let mut cfg = TimeBinConfig::fast_demo();
     cfg.frames_per_point = 300_000;
     let phases: Vec<f64> = (0..5).map(|k| 0.4 * f64::from(k)).collect();
-    let run = || run_timebin_event_mc(&source, &cfg, 1, &phases, 4245);
+    let run = || {
+        run_timebin_event_mc(&source, &cfg, 1, &phases, 4245).expect("double-pulse source")
+    };
     let one = serde_json::to_string(&with_threads(1, run)).unwrap();
     let four = serde_json::to_string(&with_threads(4, run)).unwrap();
     let eight = serde_json::to_string(&with_threads(8, run)).unwrap();

@@ -276,12 +276,12 @@ fn all_channels_dead_is_a_taxonomy_error() {
 fn diverging_mle_fallback_is_reported_in_health() {
     use qfc::quantum::bell::bell_phi;
     use qfc::quantum::density::DensityMatrix;
-    use qfc::tomography::counts::simulate_counts_seeded;
     use qfc::tomography::reconstruct::MleOptions;
     use qfc::tomography::settings::all_settings;
+    use qfc::tomography::stream::try_stream_counts_seeded;
 
     let rho = DensityMatrix::from_pure(&bell_phi(0.0));
-    let data = simulate_counts_seeded(&rho, &all_settings(2), 400, 17);
+    let data = try_stream_counts_seeded(&rho, &all_settings(2), 400, 17).expect("counts");
     // A one-iteration budget cannot settle: the supervisor must swap in
     // linear inversion and say so.
     let opts = MleOptions { max_iterations: 1 };
