@@ -23,6 +23,7 @@ use qfc_photonics::units::{Frequency, Power};
 use qfc_photonics::waveguide::Waveguide;
 use qfc_timetag::coincidence::measure_car;
 use qfc_timetag::detector::SinglePhotonDetector;
+use qfc_timetag::events::try_duration_ps;
 
 use crate::experiment::{run_in_process, Experiment, ShardSpec};
 use crate::report::{Comparison, Expectation, ExperimentReport};
@@ -196,11 +197,9 @@ impl Experiment for CrossPolConfig {
         seed: u64,
         schedule: &FaultSchedule,
     ) -> QfcResult<(CrossPolPlan, Vec<ShardSpec>)> {
-        if self.duration_s.is_nan() || self.duration_s <= 0.0 {
-            return Err(QfcError::invalid("duration must be positive"));
-        }
-        if self.background_rate_hz.is_nan() || self.background_rate_hz < 0.0 {
-            return Err(QfcError::invalid("background rate must be ≥ 0"));
+        let duration_ps = try_duration_ps(self.duration_s)?;
+        if !(self.background_rate_hz >= 0.0 && self.background_rate_hz.is_finite()) {
+            return Err(QfcError::invalid("background rate must be finite and ≥ 0"));
         }
         if !(0.0..=1.0).contains(&self.pbs_leakage) {
             return Err(QfcError::invalid("PBS leakage must be in [0, 1]"));
@@ -234,6 +233,20 @@ impl Experiment for CrossPolConfig {
         let rate = source.try_type2_pair_rate(1)?
             * schedule.mean_pump_rate_factor(0.0, self.duration_s, linewidth_hz)
             * live;
+        // The task draws Poisson counts from these means, with the
+        // schedule's pump steps and dark bursts applied: each must be
+        // finite.
+        let dark_hz = self.detector.dark_count_rate_hz
+            * schedule.mean_dark_multiplier(1, 0.0, self.duration_s);
+        let pairs = rate * self.duration_s;
+        let background = self.background_rate_hz * self.duration_s;
+        let darks = dark_hz * cast::to_f64(duration_ps) * 1e-12;
+        if !(pairs.is_finite() && background.is_finite() && darks.is_finite()) {
+            return Err(QfcError::invalid(format!(
+                "{pairs} pairs, {background} background photons and {darks} dark counts \
+                 expected per arm; each must be finite"
+            )));
+        }
         let plan = CrossPolPlan { rate, health };
         Ok((plan, vec![ShardSpec::unit(0, "full".to_owned(), seed)]))
     }
@@ -463,6 +476,7 @@ pub fn run_suppression_sweep(offsets_ghz: &[f64]) -> Vec<SuppressionPoint> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qfc_faults::{FaultEvent, FaultKind};
 
     fn run(src: &QfcSource, seed: u64) -> CrossPolReport {
         let cfg = CrossPolConfig::fast_demo();
@@ -506,6 +520,45 @@ mod tests {
     #[test]
     fn negative_window_is_invalid_parameter() {
         assert_rejected_at_plan(|cfg| cfg.coincidence_window_ps = -2);
+    }
+
+    #[test]
+    fn duration_outside_the_picosecond_clock_is_invalid_parameter() {
+        for duration_s in [f64::INFINITY, f64::NAN, 1e300, 4.7e6, 1e-13] {
+            assert_rejected_at_plan(|cfg| cfg.duration_s = duration_s);
+        }
+    }
+
+    #[test]
+    fn non_finite_rate_is_invalid_parameter() {
+        assert_rejected_at_plan(|cfg| cfg.background_rate_hz = f64::INFINITY);
+        assert_rejected_at_plan(|cfg| cfg.detector.dark_count_rate_hz = f64::INFINITY);
+        assert_rejected_at_plan(|cfg| cfg.detector.jitter_sigma_ps = f64::INFINITY);
+    }
+
+    #[test]
+    fn non_finite_scheduled_rate_is_invalid_parameter() {
+        let src = QfcSource::paper_device_type2();
+        let cfg = CrossPolConfig::fast_demo();
+        for kind in [
+            FaultKind::PumpPowerStep {
+                factor: f64::INFINITY,
+            },
+            FaultKind::DarkCountBurst {
+                channel: Some(1),
+                rate_multiplier: f64::INFINITY,
+            },
+        ] {
+            let schedule = FaultSchedule::empty().with(FaultEvent::new(1.0, 1.0, kind));
+            let outcome =
+                std::panic::catch_unwind(|| try_run_crosspol_experiment(&src, &cfg, 1, &schedule));
+            let result = outcome.unwrap_or_else(|_| panic!("{kind:?} panicked"));
+            assert!(
+                matches!(result, Err(QfcError::InvalidParameter { .. })),
+                "{kind:?}: {:?}",
+                result.map(|run| run.report)
+            );
+        }
     }
 
     #[test]

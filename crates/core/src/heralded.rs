@@ -24,7 +24,7 @@ use qfc_timetag::coincidence::{
     LinewidthResult,
 };
 use qfc_timetag::detector::SinglePhotonDetector;
-use qfc_timetag::events::TagStream;
+use qfc_timetag::events::{try_duration_ps, TagStream};
 
 use crate::experiment::{run_in_process, Experiment, ShardSpec};
 use crate::report::{Comparison, Expectation, ExperimentReport};
@@ -482,9 +482,7 @@ pub fn plan_heralded_experiment(
     if config.channels < 1 {
         return Err(QfcError::invalid("need at least one channel"));
     }
-    if config.duration_s.is_nan() || config.duration_s <= 0.0 {
-        return Err(QfcError::invalid("duration must be positive"));
-    }
+    let duration_ps = try_duration_ps(config.duration_s)?;
     if !(0.0..=1.0).contains(&config.collection_efficiency) {
         return Err(QfcError::invalid(format!(
             "collection efficiency must be in [0, 1], got {}",
@@ -524,7 +522,6 @@ pub fn plan_heralded_experiment(
     config.detector.try_validate()?;
     let tau = source.ring().coincidence_decay_time();
     let linewidth_hz = source.ring().linewidth().hz();
-    let duration_ps = cast::f64_to_i64(config.duration_s * 1e12);
 
     // Supervision: log the schedule, recover pump lock losses, and
     // quarantine channels with mostly-dead detectors.
@@ -554,6 +551,19 @@ pub fn plan_heralded_experiment(
             })
         })
         .collect::<QfcResult<_>>()?;
+    // The channel tasks draw Poisson counts from these means, with the
+    // schedule's pump steps and dark bursts applied: each must be finite.
+    for (&m, &rate) in survivors.iter().zip(&rates) {
+        let dark_hz = config.detector.dark_count_rate_hz
+            * schedule.mean_dark_multiplier(m, 0.0, config.duration_s);
+        let pairs = rate * config.duration_s;
+        let darks = dark_hz * cast::to_f64(duration_ps) * 1e-12;
+        if !(pairs.is_finite() && darks.is_finite()) {
+            return Err(QfcError::invalid(format!(
+                "channel {m} expects {pairs} pairs and {darks} dark counts; both must be finite"
+            )));
+        }
+    }
 
     // Independent seed domains for the experiment's two stochastic
     // stages, so channel streams and the F2 pair run never alias.
@@ -873,6 +883,7 @@ pub fn run_stability_experiment(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qfc_faults::{FaultEvent, FaultKind};
     use qfc_photonics::pump::PumpConfig;
     use qfc_photonics::units::Power;
 
@@ -1019,6 +1030,44 @@ mod tests {
     #[test]
     fn negative_window_is_invalid_parameter() {
         assert_rejected_at_plan(|cfg| cfg.coincidence_window_ps = -2);
+    }
+
+    #[test]
+    fn duration_outside_the_picosecond_clock_is_invalid_parameter() {
+        for duration_s in [f64::INFINITY, f64::NAN, 1e300, 4.7e6, 1e-13] {
+            assert_rejected_at_plan(|cfg| cfg.duration_s = duration_s);
+        }
+    }
+
+    #[test]
+    fn non_finite_detector_is_invalid_parameter() {
+        assert_rejected_at_plan(|cfg| cfg.detector.dark_count_rate_hz = f64::INFINITY);
+        assert_rejected_at_plan(|cfg| cfg.detector.jitter_sigma_ps = f64::INFINITY);
+    }
+
+    #[test]
+    fn non_finite_scheduled_rate_is_invalid_parameter() {
+        let cfg = HeraldedConfig::fast_demo();
+        for kind in [
+            FaultKind::PumpPowerStep {
+                factor: f64::INFINITY,
+            },
+            FaultKind::DarkCountBurst {
+                channel: None,
+                rate_multiplier: f64::INFINITY,
+            },
+        ] {
+            let schedule = FaultSchedule::empty().with(FaultEvent::new(1.0, 1.0, kind));
+            let outcome = std::panic::catch_unwind(|| {
+                try_run_heralded_experiment(&fast_source(), &cfg, 1, &schedule)
+            });
+            let result = outcome.unwrap_or_else(|_| panic!("{kind:?} panicked"));
+            assert!(
+                matches!(result, Err(QfcError::InvalidParameter { .. })),
+                "{kind:?}: {:?}",
+                result.map(|run| run.report)
+            );
+        }
     }
 
     #[test]

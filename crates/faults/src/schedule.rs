@@ -298,12 +298,6 @@ impl FaultSchedule {
         self
     }
 
-    /// Merges another schedule's events into this one.
-    pub fn merge(mut self, other: &Self) -> Self {
-        self.events.extend_from_slice(&other.events);
-        self
-    }
-
     /// Events whose window overlaps `[t0, t1)`.
     pub fn overlapping(&self, t0: f64, t1: f64) -> impl Iterator<Item = &FaultEvent> {
         self.events.iter().filter(move |e| e.overlap_s(t0, t1) > 0.0)
@@ -661,18 +655,5 @@ mod tests {
             .label()
             .contains("corrupted"));
         assert!(FaultKind::CheckpointStale { shard: 9 }.label().contains("stale"));
-    }
-
-    #[test]
-    fn merge_concatenates() {
-        let a = FaultSchedule::empty().with(FaultEvent::new(0.0, 1.0, FaultKind::PumpLockLoss));
-        let b = FaultSchedule::empty().with(FaultEvent::new(
-            2.0,
-            1.0,
-            FaultKind::PumpPowerStep { factor: 2.0 },
-        ));
-        let m = a.merge(&b);
-        assert_eq!(m.events().len(), 2);
-        assert_eq!(m.lock_loss_events(10.0).len(), 1);
     }
 }

@@ -5,6 +5,16 @@
 //! Windowed counting is one merge sweep per stream pair: a CAR's
 //! zero-delay and displaced windows are counted together, in the same
 //! pass that a single window costs (see [`measure_car`]).
+//!
+//! The sweep runs as two lanes stepped in lockstep. It cuts the start
+//! tags at a quiet gap near their middle, one wider than the span of
+//! delays any window can match, so that no stop tag is within reach of
+//! start tags on both sides. Each lane then counts exactly the matches
+//! the single sweep makes over its own start tags, and the counts add.
+//! The second lane starts at the first stop tag not too early for its
+//! first start tag, found by binary search. A stream pair with no quiet
+//! gap runs as one lane. The two lanes' loop-carried chains are
+//! independent, so they overlap on one core.
 
 use qfc_mathkit::cast;
 use serde::{Deserialize, Serialize};
@@ -34,9 +44,10 @@ pub fn count_coincidences(a: &TagStream, b: &TagStream, window_ps: i64, offset_p
 struct OffsetWindow {
     /// Delay `t_b − t_a` at the window's centre, ps.
     offset_ps: i64,
-    /// One past the index of the last stop tag matched at this offset.
-    next: usize,
-    /// Coincidences counted at this offset.
+    /// Per lane of the sweep: one past the index of the last stop tag
+    /// that lane matched at this offset.
+    next: [usize; 2],
+    /// Coincidences counted at this offset, over both lanes.
     count: u64,
 }
 
@@ -44,25 +55,183 @@ impl OffsetWindow {
     fn at(offset_ps: i64) -> Self {
         Self {
             offset_ps,
-            next: 0,
+            next: [0; 2],
             count: 0,
         }
     }
 }
 
+/// The stop tags, the reach and the per-offset state of one sweep,
+/// shared by its lanes.
+#[derive(Debug)]
+struct Sweep<'a> {
+    stops: &'a [i64],
+    /// Half the coincidence window, ps.
+    half: i64,
+    /// Start of the first offset's window, ps.
+    reach_lo: i64,
+    /// End of the last offset's window, ps.
+    reach_hi: i64,
+    /// `reach_hi − reach_lo`, exact.
+    span: u64,
+    windows: &'a mut [OffsetWindow],
+}
+
+/// One lane of a sweep: the start tags `starts[i..]` still to match,
+/// and the index `lo` of the first stop tag not too early for
+/// `starts[i]`.
+#[derive(Debug)]
+struct Lane<'a> {
+    starts: &'a [i64],
+    i: usize,
+    lo: usize,
+    /// This lane's slot in each window's `next`.
+    id: usize,
+}
+
+impl Sweep<'_> {
+    fn live(&self, lane: &Lane) -> bool {
+        lane.i < lane.starts.len() && lane.lo < self.stops.len()
+    }
+
+    /// Steps `first` and `second` in lockstep while both are live, then
+    /// each alone to its end. With `BY_SIGN`, the sign bit of
+    /// `d − reach_lo` tells a too-early stop tag, which the caller has
+    /// checked with [`sign_decides_early`]; without it, `d < reach_lo` is
+    /// compared outright.
+    fn run<'a, const BY_SIGN: bool>(&mut self, mut first: Lane<'a>, mut second: Lane<'a>) {
+        // qfc-lint: hot
+        while self.live(&first) && self.live(&second) {
+            self.step::<BY_SIGN>(&mut first);
+            self.step::<BY_SIGN>(&mut second);
+        }
+        for lane in [&mut first, &mut second] {
+            while self.live(lane) {
+                self.step::<BY_SIGN>(lane);
+            }
+        }
+    }
+
+    /// One merge step of `lane`: counts the matches of its current start
+    /// tag if a stop tag is within reach, then advances `lo` past a stop
+    /// tag that is too early, or `i` past the start tag. The common case,
+    /// no stop tag within reach, takes no data-dependent branch, and the
+    /// rare walk is out of line, so the lanes' indices stay in registers.
+    /// Taking "too early" from the sign bit instead of a comparison
+    /// keeps no flag alive across the step.
+    #[inline(always)]
+    fn step<const BY_SIGN: bool>(&mut self, lane: &mut Lane) {
+        let t = lane.starts[lane.i];
+        let d = self.stops[lane.lo] - t;
+        // `reach_lo ≤ d ≤ reach_hi` as one unsigned comparison: a `d`
+        // below `reach_lo` wraps past `span`.
+        let x = d.wrapping_sub(self.reach_lo);
+        if x.cast_unsigned() <= self.span {
+            self.walk_in_reach(t, lane.lo, lane.id);
+        }
+        let early = if BY_SIGN {
+            cast::u64_to_usize(x.cast_unsigned() >> 63)
+        } else {
+            usize::from(d < self.reach_lo)
+        };
+        lane.lo += early;
+        lane.i += early ^ 1;
+    }
+
+    /// Counts, for lane `lane`, the greedy matches of start tag `t` among
+    /// the stop tags from index `lo` on that lie within reach.
+    #[cold]
+    #[inline(never)]
+    fn walk_in_reach(&mut self, t: i64, lo: usize, lane: usize) {
+        // `k` is the first offset whose window does not end before the
+        // current delay.
+        let mut k = 0;
+        for (j, &s) in (lo..).zip(&self.stops[lo..]) {
+            let d = s - t;
+            if d > self.reach_hi {
+                break;
+            }
+            while d > self.windows[k].offset_ps + self.half {
+                k += 1;
+            }
+            let w = &mut self.windows[k];
+            if d >= w.offset_ps - self.half && j >= w.next[lane] {
+                w.count += 1;
+                w.next[lane] = j + 1;
+                // One match per start tag and offset: the rest of this
+                // window lies before offset `k + 1`'s window.
+                k += 1;
+                if k == self.windows.len() {
+                    break;
+                }
+            }
+        }
+    }
+}
+
+/// `true` when every delay `d = t_b − t_a` a sweep of `ta` against `tb`
+/// forms has `d − reach_lo` inside i64, so that its sign bit tells
+/// whether `d < reach_lo`.
+///
+/// Write `x = d − reach_lo`. A step with `x < 0` moves to the next stop
+/// tag and raises `x` by at most the largest stop-tag gap, so to below
+/// that gap; a step with `x ≥ 0` moves to the next start tag and lowers
+/// `x` by at most the largest start-tag gap, so to no less than minus
+/// that gap. The first lane starts at `x₀ = tb[0] − ta[0] − reach_lo`,
+/// and the second at an `x` below one stop-tag gap or at most `x₀`. So
+/// every `x` lies between `min(x₀, −span of ta)` and `max(x₀, span of
+/// tb)`, inside i64 when `x₀` and both spans are.
+fn sign_decides_early(ta: &[i64], tb: &[i64], reach_lo: i64) -> bool {
+    let (Some(&a0), Some(&an), Some(&b0), Some(&bn)) =
+        (ta.first(), ta.last(), tb.first(), tb.last())
+    else {
+        return true;
+    };
+    let max = i64::MAX.cast_unsigned();
+    an.abs_diff(a0) <= max
+        && bn.abs_diff(b0) <= max
+        && i64::try_from(i128::from(b0) - i128::from(a0) - i128::from(reach_lo)).is_ok()
+}
+
+/// Where a sweep cuts its start tags into two lanes: the first index at
+/// or past the middle whose gap to the previous start tag is wider than
+/// `span`, or `starts.len()` when there is none.
+fn quiet_cut(starts: &[i64], span: u64) -> usize {
+    ((starts.len() / 2).max(1)..starts.len())
+        .find(|&c| starts[c].abs_diff(starts[c - 1]) > span)
+        .unwrap_or(starts.len())
+}
+
 /// Counts the greedy coincidences of `a` against `b` at each of the
-/// ascending offsets of `windows`, in one merge sweep over both streams.
+/// ascending offsets of `windows`, in one merge sweep over both streams
+/// that runs as two lanes.
 ///
 /// At one offset, greedy matching pairs each start tag, in order, with
 /// the first stop tag in its window whose index is past the last match;
 /// a stop tag it passes over is too early for every later start tag. So
 /// the count depends only on the in-window (start, stop) pairs, taken in
 /// index order. The sweep visits, for each start tag `t`, exactly the
-/// stop tags in `[t + first offset − w/2, t + last offset + w/2]`, in
-/// index order, and keeps one "last matched index" per offset. Windows of
+/// stop tags in `[t + reach_lo, t + reach_hi]`, where `reach_lo` is the
+/// first offset − w/2 and `reach_hi` the last offset + w/2, in index
+/// order, and keeps one "last matched index" per offset. Windows of
 /// consecutive offsets are more than `w` apart, hence disjoint, so each
 /// visited pair belongs to at most one offset: every count equals the
 /// two-pointer count at that offset alone.
+///
+/// The start tags are cut in two at the first gap at or past their
+/// middle that is wider than `reach_hi − reach_lo`, between `a = t_{c−1}`
+/// and `a' = t_c`. No stop tag `s` is within reach of both: that would
+/// need `s − a ≤ reach_hi` and `s − a' ≥ reach_lo`, so `a' − a ≤ reach_hi
+/// − reach_lo`. Every stop tag the first lane visits therefore lies
+/// before every stop tag the second lane visits, the "last matched
+/// index" of each offset never crosses the cut, and each lane's counts
+/// are the single sweep's counts over its own start tags. The second
+/// lane starts at the first stop tag not too early for `a'`, where the
+/// single sweep's stop pointer stops advancing at `a'`; if the first
+/// lane runs out of stop tags, the second starts at the end too, just as
+/// the single sweep would stop. The two lanes step in lockstep, so their
+/// independent loop-carried chains overlap; with no such gap, the first
+/// lane takes every start tag.
 ///
 /// # Panics
 ///
@@ -85,48 +254,42 @@ fn sweep_coincidences(
     // A stop tag `t_b` can match start tag `t_a` at some offset only if
     // `t_b − t_a` lies in `[reach_lo, reach_hi]`.
     let (reach_lo, reach_hi) = (first.offset_ps - half, last.offset_ps + half);
+    let span = reach_hi.abs_diff(reach_lo);
     let (ta, tb) = (a.as_slice(), b.as_slice());
-    // `lo` is the first stop tag not too early for start tag `i`; every
-    // earlier one is too early for all later start tags as well.
-    let (mut i, mut lo) = (0usize, 0usize);
-    // qfc-lint: hot
-    while i < ta.len() && lo < tb.len() {
-        let t = ta[i];
-        let d = tb[lo] - t;
-        let early = d < reach_lo;
-        // Non-short-circuit `&`: the common case, no stop tag within
-        // reach, takes no data-dependent branch.
-        if !early & (d <= reach_hi) {
-            // Walk the stop tags within reach of `t`. `k` is the first
-            // offset whose window does not end before the current delay.
-            let mut k = 0;
-            for (j, &s) in (lo..).zip(&tb[lo..]) {
-                let d = s - t;
-                if d > reach_hi {
-                    break;
-                }
-                while d > windows[k].offset_ps + half {
-                    k += 1;
-                }
-                let w = &mut windows[k];
-                if d >= w.offset_ps - half && j >= w.next {
-                    w.count += 1;
-                    w.next = j + 1;
-                    // One match per start tag and offset: the rest of
-                    // this window lies before offset `k + 1`'s window.
-                    k += 1;
-                    if k == windows.len() {
-                        break;
-                    }
-                }
-            }
-        }
-        lo += usize::from(early);
-        i += usize::from(!early);
+    let cut = quiet_cut(ta, span);
+    // The first stop tag not too early for the second lane's first start
+    // tag, compared exactly.
+    let tail_lo = ta.get(cut).map_or(tb.len(), |&t| {
+        tb.partition_point(|&s| i128::from(s) - i128::from(t) < i128::from(reach_lo))
+    });
+    let first = Lane {
+        starts: &ta[..cut],
+        i: 0,
+        lo: 0,
+        id: 0,
+    };
+    let second = Lane {
+        starts: ta,
+        i: cut,
+        lo: tail_lo,
+        id: 1,
+    };
+    let mut sweep = Sweep {
+        stops: tb,
+        half,
+        reach_lo,
+        reach_hi,
+        span,
+        windows,
+    };
+    if sign_decides_early(ta, tb, reach_lo) {
+        sweep.run::<true>(first, second);
+    } else {
+        sweep.run::<false>(first, second);
     }
     qfc_obs::counter_add(
         "coincidences_counted",
-        windows.iter().map(|w| w.count).sum(),
+        sweep.windows.iter().map(|w| w.count).sum(),
     );
 }
 
@@ -326,13 +489,14 @@ mod tests {
     use rand::Rng;
 
     /// The greedy two-pointer scan at one offset: the reference the
-    /// merge sweep must reproduce at every offset.
+    /// merge sweep must reproduce at every offset. Delays are taken in
+    /// i128, so the reference stays exact at any timestamp and offset.
     fn two_pointer_oracle(a: &TagStream, b: &TagStream, window_ps: i64, offset_ps: i64) -> u64 {
-        let half = window_ps / 2;
+        let half = i128::from(window_ps / 2);
         let (ta, tb) = (a.as_slice(), b.as_slice());
         let (mut i, mut j, mut count) = (0usize, 0usize, 0u64);
         while i < ta.len() && j < tb.len() {
-            let delta = tb[j] - ta[i] - offset_ps;
+            let delta = i128::from(tb[j]) - i128::from(ta[i]) - i128::from(offset_ps);
             if delta < -half {
                 j += 1;
             } else if delta > half {
@@ -346,6 +510,32 @@ mod tests {
         count
     }
 
+    /// Sweeps `a` against `b` at `offsets` and asserts that every count
+    /// equals the two-pointer oracle's. Returns where the sweep cuts
+    /// `a` into lanes (`a.len()` for one lane).
+    fn assert_sweep_matches_oracle(
+        a: &TagStream,
+        b: &TagStream,
+        window: i64,
+        offsets: &[i64],
+        case: &str,
+    ) -> usize {
+        let mut windows: Vec<OffsetWindow> =
+            offsets.iter().map(|&off| OffsetWindow::at(off)).collect();
+        sweep_coincidences(a, b, window, &mut windows);
+        for w in &windows {
+            assert_eq!(
+                w.count,
+                two_pointer_oracle(a, b, window, w.offset_ps),
+                "{case}: window {window}, offset {} of {offsets:?}",
+                w.offset_ps
+            );
+        }
+        let half = window / 2;
+        let span = (offsets[offsets.len() - 1] + half).abs_diff(offsets[0] - half);
+        quiet_cut(a.as_slice(), span)
+    }
+
     /// A draw in `0..n` (the modulo bias is irrelevant here).
     fn below(rng: &mut impl Rng, n: u64) -> u64 {
         rng.gen::<u64>() % n
@@ -357,6 +547,16 @@ mod tests {
         let len = below(rng, max_len + 1);
         let span = span.unsigned_abs();
         TagStream::from_unsorted((0..len).map(|_| below(rng, span) as i64).collect())
+    }
+
+    /// One arm of a §II channel over `duration_ps`: 1 200 Hz of uniform
+    /// dark counts plus the given correlated arrivals.
+    fn paper_density_arm(rng: &mut impl Rng, duration_ps: i64, pairs: &[i64]) -> TagStream {
+        let darks = 1_200 * duration_ps / 1_000_000_000_000;
+        let span = duration_ps.unsigned_abs();
+        let mut tags: Vec<i64> = (0..darks).map(|_| below(rng, span) as i64).collect();
+        tags.extend_from_slice(pairs);
+        TagStream::from_unsorted(tags)
     }
 
     #[test]
@@ -379,18 +579,104 @@ mod tests {
                 offsets.push(offset);
                 offset += window + 1 + [0, 1, 5, 60][below(&mut rng, 4) as usize];
             }
-            let mut windows: Vec<OffsetWindow> =
-                offsets.iter().map(|&off| OffsetWindow::at(off)).collect();
-            sweep_coincidences(&a, &b, window, &mut windows);
-            for w in &windows {
-                assert_eq!(
-                    w.count,
-                    two_pointer_oracle(&a, &b, window, w.offset_ps),
-                    "case {case}: window {window}, offset {} of {offsets:?}",
-                    w.offset_ps
-                );
-            }
+            assert_sweep_matches_oracle(&a, &b, window, &offsets, &format!("case {case}"));
         }
+
+        // The lane cut. Window 10 at offsets 0 and 20 reaches delays
+        // −5‥25, a span of 30, so a gap of 31 or more cuts.
+        let (window, offsets) = (10, [0, 20]);
+        let check = |a: Vec<i64>, b: Vec<i64>, case: &str| {
+            let (a, b) = (TagStream::from_unsorted(a), TagStream::from_unsorted(b));
+            assert_sweep_matches_oracle(&a, &b, window, &offsets, case)
+        };
+        // A middle gap of exactly the span does not cut, though stop tag
+        // 2025 lies within reach of both 2000 and 2030; the next gap does.
+        let b = vec![5, 1003, 1020, 2000, 2025, 2045, 3030, 4050];
+        let cut = check(
+            vec![0, 1000, 2000, 2030, 3030, 4030],
+            b,
+            "middle gap of the span",
+        );
+        assert_eq!(cut, 4);
+        // The same at one offset, where a wrong cut would count stop tag
+        // 2005, within reach of 2000 and of 2010, twice.
+        let a = TagStream::from_sorted(vec![0, 1000, 2000, 2010, 3010, 4010]);
+        let b = TagStream::from_sorted(vec![3, 1004, 2005, 3012]);
+        assert_eq!(
+            assert_sweep_matches_oracle(&a, &b, 10, &[0], "one-offset gap of the span"),
+            4
+        );
+        // One more and the middle gap cuts: 2025 is lane 1's, 2026 lane 2's.
+        let b = vec![5, 1003, 1020, 2000, 2025, 2026, 2046, 3031, 4051];
+        let cut = check(
+            vec![0, 1000, 2000, 2031, 3031, 4031],
+            b,
+            "middle gap of span + 1",
+        );
+        assert_eq!(cut, 3);
+        // A burst from before the middle to the end leaves one lane.
+        let burst: Vec<i64> = (0..40).map(|k| 2_500 + 10 * k).collect();
+        let a = [vec![0, 1000, 2000], burst.clone()].concat();
+        let b: Vec<i64> = burst.iter().map(|t| t + 3).chain([7, 1021, 2500]).collect();
+        let len = a.len();
+        assert_eq!(check(a, b, "burst across the middle"), len);
+        // A lone start tag, and a second lane past every stop tag.
+        assert_eq!(check(vec![100], vec![95, 104, 120], "one start tag"), 1);
+        let cut = check(
+            vec![0, 1000, 2000, 3000],
+            vec![3, 1010, 1500],
+            "second lane ends at once",
+        );
+        assert_eq!(cut, 2);
+        // Duplicate timestamps on both sides of the cut.
+        let a = vec![100, 100, 100, 500, 500, 500];
+        let b = vec![96, 100, 100, 105, 120, 495, 500, 500, 520, 525];
+        assert_eq!(check(a, b, "duplicates around the cut"), 3);
+        // Stop tags within reach of lane 1's last start tag, 200: its
+        // window edges 195 and 225, and one just past them.
+        let a = vec![0, 100, 200, 300, 1000, 1100];
+        let b = vec![20, 195, 205, 215, 225, 226, 295, 1018];
+        assert_eq!(check(a, b, "stop tags at lane 1's last reach"), 3);
+
+        // Paper density: 1 200 Hz of darks per arm plus correlated pairs
+        // 1.45 ns apart on average, at the §II CAR's 11 offsets and at
+        // zero delay alone.
+        let duration_ps = 16_000_000_000_000;
+        let mut signal = Vec::new();
+        let mut idler = Vec::new();
+        for _ in 0..500 {
+            let t = below(&mut rng, duration_ps as u64) as i64;
+            let dt = (exponential(&mut rng, 1.0 / 1_450.0)) as i64;
+            signal.push(t);
+            idler.push(if rng.gen::<bool>() { t + dt } else { t - dt });
+        }
+        let a = paper_density_arm(&mut rng, duration_ps, &signal);
+        let b = paper_density_arm(&mut rng, duration_ps, &idler);
+        assert!(a.len() > 19_000 && b.len() > 19_000);
+        let car_offsets: Vec<i64> = (0..=10).map(|k| k * 24_000).collect();
+        let cut = assert_sweep_matches_oracle(&a, &b, 8_000, &car_offsets, "paper density, CAR");
+        assert!(cut < a.len(), "no cut at paper density");
+        assert_sweep_matches_oracle(&a, &b, 8_000, &[0], "paper density, zero delay");
+
+        // Where `d − reach_lo` leaves i64 the sign bit cannot decide, and
+        // the sweep compares instead: here `−200 − (i64::MAX − 100)`.
+        let (a, b) = (
+            TagStream::from_sorted(vec![0, 10]),
+            TagStream::from_sorted(vec![-200, i64::MAX - 100]),
+        );
+        assert!(!sign_decides_early(
+            a.as_slice(),
+            b.as_slice(),
+            i64::MAX - 100
+        ));
+        assert_sweep_matches_oracle(&a, &b, 0, &[i64::MAX - 100], "offset near i64::MAX");
+        assert_eq!(count_coincidences(&a, &b, 0, i64::MAX - 100), 1);
+        // Start tags spanning more than i64 holds, with small delays.
+        let a = TagStream::from_sorted(vec![-(1 << 62) - 5, 0, 10, (1 << 62) + 5]);
+        let b = TagStream::from_sorted(vec![-(1 << 62) - 3, 3, 12, (1 << 62) + 6]);
+        assert!(!sign_decides_early(a.as_slice(), b.as_slice(), -5));
+        assert_sweep_matches_oracle(&a, &b, 10, &[0], "span past i64");
+        assert_eq!(count_coincidences(&a, &b, 10, 0), 4);
     }
 
     #[test]

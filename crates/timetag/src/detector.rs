@@ -9,7 +9,7 @@ use serde::{Deserialize, Serialize};
 use qfc_faults::{QfcError, QfcResult};
 use qfc_mathkit::rng::{bernoulli, normal, poisson};
 
-use crate::events::TagStream;
+use crate::events::{TagStream, MAX_DURATION_PS};
 
 /// A click detector (non-number-resolving).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -33,16 +33,6 @@ impl SinglePhotonDetector {
             dark_count_rate_hz: 1000.0,
             jitter_sigma_ps: 100.0,
             dead_time_ps: 10_000_000, // 10 µs
-        }
-    }
-
-    /// An ideal detector (for analysis-path unit tests).
-    pub fn ideal() -> Self {
-        Self {
-            efficiency: 1.0,
-            dark_count_rate_hz: 0.0,
-            jitter_sigma_ps: 0.0,
-            dead_time_ps: 0,
         }
     }
 
@@ -72,15 +62,18 @@ impl SinglePhotonDetector {
                 self.efficiency
             )));
         }
-        if self.dark_count_rate_hz.is_nan() || self.dark_count_rate_hz < 0.0 {
+        if !(self.dark_count_rate_hz >= 0.0 && self.dark_count_rate_hz.is_finite()) {
             return Err(QfcError::invalid(format!(
-                "detector dark rate must be ≥ 0, got {}",
+                "detector dark rate must be finite and ≥ 0, got {}",
                 self.dark_count_rate_hz
             )));
         }
-        if self.jitter_sigma_ps.is_nan() || self.jitter_sigma_ps < 0.0 {
+        // A polar-method normal variate is below 16 in magnitude, so a
+        // jitter of at most 2^56 ps moves a tag by less than 2^60 ps.
+        let max_jitter_ps = cast::to_f64(MAX_DURATION_PS >> 6);
+        if !(0.0..=max_jitter_ps).contains(&self.jitter_sigma_ps) {
             return Err(QfcError::invalid(format!(
-                "detector jitter must be ≥ 0, got {}",
+                "detector jitter must be in [0, {max_jitter_ps}] ps, got {}",
                 self.jitter_sigma_ps
             )));
         }
@@ -171,7 +164,13 @@ mod tests {
     fn ideal_detector_passes_everything() {
         let mut rng = rng_from_seed(1);
         let arrivals: Vec<i64> = (0..100).map(|i| i * 1_000_000).collect();
-        let out = SinglePhotonDetector::ideal().detect(&mut rng, &arrivals, SECOND_PS);
+        let ideal = SinglePhotonDetector {
+            efficiency: 1.0,
+            dark_count_rate_hz: 0.0,
+            jitter_sigma_ps: 0.0,
+            dead_time_ps: 0,
+        };
+        let out = ideal.detect(&mut rng, &arrivals, SECOND_PS);
         assert_eq!(out.len(), 100);
         assert_eq!(out.as_slice(), arrivals.as_slice());
     }
@@ -247,15 +246,14 @@ mod tests {
     }
 
     #[test]
-    fn presets_are_valid() {
+    fn preset_is_valid() {
         SinglePhotonDetector::ingaas_paper().validate();
-        SinglePhotonDetector::ideal().validate();
     }
 
     #[test]
     #[should_panic(expected = "efficiency")]
     fn invalid_efficiency_rejected() {
-        let mut det = SinglePhotonDetector::ideal();
+        let mut det = SinglePhotonDetector::ingaas_paper();
         det.efficiency = 1.5;
         det.validate();
     }
@@ -268,7 +266,11 @@ mod tests {
         assert!(err.to_string().contains("efficiency"));
         assert!(SinglePhotonDetector::try_new(0.5, -1.0, 0.0, 0).is_err());
         assert!(SinglePhotonDetector::try_new(0.5, f64::NAN, 0.0, 0).is_err());
+        assert!(SinglePhotonDetector::try_new(0.5, f64::INFINITY, 0.0, 0).is_err());
         assert!(SinglePhotonDetector::try_new(0.5, 0.0, -1.0, 0).is_err());
+        assert!(SinglePhotonDetector::try_new(0.5, 0.0, f64::NAN, 0).is_err());
+        assert!(SinglePhotonDetector::try_new(0.5, 0.0, f64::INFINITY, 0).is_err());
+        assert!(SinglePhotonDetector::try_new(0.5, 0.0, 1e17, 0).is_err());
         assert!(SinglePhotonDetector::try_new(0.5, 0.0, 0.0, -1).is_err());
     }
 }

@@ -2,28 +2,35 @@
 //!
 //! All timestamps are integer **picoseconds**; at ±2⁶³ ps the range covers
 //! ±106 days, comfortably beyond the paper's weeks-long stability run when
-//! events are batched per-day.
+//! events are batched per-day. A simulated observation window is at most
+//! [`MAX_DURATION_PS`] long.
 
+use qfc_faults::{QfcError, QfcResult};
 use qfc_mathkit::cast;
 use serde::{Deserialize, Serialize};
 
-/// Identifier of a detector/TDC input channel.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
-pub struct ChannelId(pub u16);
+/// Longest observation window a time-tag simulation accepts: 2^62 ps,
+/// about 53 days. Its tags, timing jitter included (bounded by
+/// [`SinglePhotonDetector::try_validate`](crate::detector::SinglePhotonDetector::try_validate)
+/// to below 2^60 ps), lie in `(−2^61, 2^62 + 2^61)`, so every delay
+/// `t_b − t_a` between two of them fits in i64.
+pub const MAX_DURATION_PS: i64 = 1 << 62;
 
-impl std::fmt::Display for ChannelId {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "ch{}", self.0)
+/// An integration time of `duration_s` seconds in whole picoseconds.
+///
+/// # Errors
+///
+/// [`QfcError::InvalidParameter`] unless it is at least 1 ps and at most
+/// [`MAX_DURATION_PS`]; NaN and infinite durations included.
+pub fn try_duration_ps(duration_s: f64) -> QfcResult<i64> {
+    let ps = cast::f64_to_i64(duration_s * 1e12);
+    if (1..=MAX_DURATION_PS).contains(&ps) {
+        Ok(ps)
+    } else {
+        Err(QfcError::invalid(format!(
+            "duration must be between 1 ps and {MAX_DURATION_PS} ps, got {duration_s} s"
+        )))
     }
-}
-
-/// A single detection event.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct TimeTag {
-    /// Timestamp, ps.
-    pub time_ps: i64,
-    /// Channel the event arrived on.
-    pub channel: ChannelId,
 }
 
 /// A time-ordered stream of timestamps for one channel.
@@ -87,12 +94,6 @@ impl TagStream {
         assert!(duration_s > 0.0, "duration must be positive");
         cast::to_f64(self.times_ps.len()) / duration_s
     }
-
-    /// Merges another stream into this one, keeping order.
-    pub fn merge(&mut self, other: &TagStream) {
-        self.times_ps.extend_from_slice(&other.times_ps);
-        self.times_ps.sort_unstable();
-    }
 }
 
 impl FromIterator<i64> for TagStream {
@@ -115,11 +116,14 @@ mod tests {
     }
 
     #[test]
-    fn stream_merge_keeps_order() {
-        let mut a = TagStream::from_unsorted(vec![1, 5]);
-        let b = TagStream::from_unsorted(vec![2, 4]);
-        a.merge(&b);
-        assert_eq!(a.as_slice(), &[1, 2, 4, 5]);
+    fn durations_outside_the_clock_are_rejected() {
+        assert_eq!(try_duration_ps(300.0).ok(), Some(300_000_000_000_000));
+        for bad in [0.0, -1.0, 1e-13, 4.7e6, 1e300, f64::INFINITY, f64::NAN] {
+            assert!(
+                matches!(try_duration_ps(bad), Err(QfcError::InvalidParameter { .. })),
+                "{bad} s"
+            );
+        }
     }
 
     #[test]
@@ -132,10 +136,5 @@ mod tests {
     fn collect_from_iterator() {
         let s: TagStream = [3i64, 1, 2].into_iter().collect();
         assert_eq!(s.as_slice(), &[1, 2, 3]);
-    }
-
-    #[test]
-    fn channel_display() {
-        assert_eq!(ChannelId(4).to_string(), "ch4");
     }
 }

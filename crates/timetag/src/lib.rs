@@ -1,10 +1,10 @@
 //! # qfc-timetag
 //!
 //! Detection substrate of the `qfc` workspace: single-photon detector
-//! models (efficiency, dark counts, jitter, dead time), a time-to-digital
-//! converter, time-tag streams, and the coincidence analyses (windowed
-//! counting, CAR, cross-correlation histograms, linewidth extraction) that
-//! produce the paper's §II–III observables.
+//! models (efficiency, dark counts, jitter, dead time), time-tag streams,
+//! and the coincidence analyses (windowed counting, CAR, cross-correlation
+//! histograms, linewidth extraction) that produce the paper's §II–III
+//! observables.
 //!
 //! ## Example
 //!
@@ -24,9 +24,7 @@
 pub mod coincidence;
 pub mod detector;
 pub mod events;
-pub mod tdc;
 
 pub use coincidence::{measure_car, CarResult};
 pub use detector::SinglePhotonDetector;
-pub use events::{ChannelId, TagStream, TimeTag};
-pub use tdc::Tdc;
+pub use events::TagStream;

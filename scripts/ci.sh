@@ -4,7 +4,8 @@
 # paper's headline runs, the serial-vs-parallel byte identity of whole
 # drivers and the allocation budget of the hot kernels in an optimized
 # build, the concurrency tests and the coincidence sweep's differential
-# test in release, workspace static analysis
+# test in release (the two-lane sweep against the two-pointer oracle),
+# workspace static analysis
 # (qfc-lint), a check that two qfc-lint runs write the same CALLGRAPH and
 # report (neither is committed; the step compares the two runs), a drift
 # check of the committed EXPERIMENTS.md, per-crate lints and rustdoc with
@@ -37,8 +38,9 @@ cargo test --release -q --test determinism --test alloc_scaling
 # The worker team's barrier/atomic protocol and the MLE that steps on it,
 # optimized: on x86-64 a too-weak atomic ordering usually passes in a
 # debug build and shows up only once the optimizer reorders. qfc-timetag
-# runs here too, so the coincidence sweep's differential test checks
-# the optimizer's branch-free code against the two-pointer oracle.
+# runs here too, so the coincidence sweep's differential test checks the
+# optimizer's branch-free two-lane code against the two-pointer oracle,
+# the lane cut and the sign-bit step included.
 echo "==> concurrency and kernel tests, optimized (qfc-runtime, qfc-tomography, qfc-timetag)"
 cargo test --release -q -p qfc-runtime -p qfc-tomography -p qfc-timetag
 

@@ -15,7 +15,10 @@
 //!   staging row per 1024-point chunk);
 //! - the T4 MLE's heap peaks below one copy of its measured vectors plus
 //!   its partial `R` buffers and a stated slack, so a second copy of the
-//!   vectors fails here.
+//!   vectors fails here;
+//! - a coincidence sweep allocates nothing: `count_coincidences` makes no
+//!   call at all, and `measure_car` as many at 100 000 tags per stream as
+//!   at 10 000.
 //!
 //! Every check runs at 1 and at 2 threads. The counts are deterministic:
 //! the workloads are seeded and a worker team spawns a fixed number of
@@ -40,6 +43,8 @@ use qfc::quantum::bell::{bell_phi_plus, werner_state};
 use qfc::quantum::fidelity::fidelity_with_pure;
 use qfc::quantum::multiphoton::noisy_four_photon;
 use qfc::runtime::with_threads;
+use qfc::timetag::coincidence::{count_coincidences, measure_car};
+use qfc::timetag::events::TagStream;
 use qfc::tomography::bootstrap::bootstrap_functional;
 use qfc::tomography::rank1::{
     deterministic_bases, exact_counts_repr, synthetic_low_rank_state, try_mle_repr,
@@ -349,6 +354,34 @@ fn check_shot_workloads(threads: usize, campaign_dir: &Path) {
     });
 }
 
+/// The §II coincidence kernels keep their state on the stack or in the
+/// CAR's window list: at 10 000 and at 100 000 tags per stream,
+/// `count_coincidences` makes no allocator call and `measure_car` the
+/// same number. The stop tags sit 0–6 ns from their start tags, 1 µs
+/// apart, so both lanes of the sweep run and count matches.
+fn check_coincidence_sweep(threads: usize) {
+    let count = |tags: i64| {
+        let a = TagStream::from_sorted((0..tags).map(|k| k * 1_000_000).collect());
+        let b = TagStream::from_sorted((0..tags).map(|k| k * 1_000_000 + k % 4 * 2_000).collect());
+        assert!(count_coincidences(&a, &b, 8_000, 0) * 2 > a.len() as u64);
+        let window = allocs(|| count_coincidences(&a, &b, 8_000, 0));
+        let car = allocs(|| measure_car(&a, &b, 8_000, 24_000, 10));
+        (window, car)
+    };
+    let (window_small, car_small) = count(10_000);
+    let (window_large, car_large) = count(100_000);
+    assert_eq!(
+        (window_small, window_large),
+        (0, 0),
+        "at {threads} thread(s): count_coincidences allocated"
+    );
+    assert_eq!(
+        car_small, car_large,
+        "at {threads} thread(s): measure_car made {car_small} allocations at 10 000 tags, \
+         {car_large} at 100 000"
+    );
+}
+
 fn check_sweeps(threads: usize) {
     let ring = Microring::paper_device();
     let sizes = [256, 8_192, 65_536];
@@ -377,6 +410,7 @@ fn hot_kernels_allocate_nothing_per_iteration_shot_or_point() {
             check_mle_iterations(threads);
             check_mle_heap(threads);
             check_shot_workloads(threads, &campaign_dir);
+            check_coincidence_sweep(threads);
             check_sweeps(threads);
         });
     }
