@@ -10,20 +10,19 @@
 //!   resonance-grid offset (the device-design ablation).
 
 use qfc_mathkit::cast;
-use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-use qfc_faults::{Arm, FaultSchedule, HealthReport, QfcError, QfcResult};
+use qfc_faults::{FaultSchedule, HealthReport, QfcError, QfcResult};
 use qfc_mathkit::fit::try_fit_power_law;
-use qfc_mathkit::rng::{exponential, poisson, rng_from_seed};
+use qfc_mathkit::rng::{rng_from_seed, split_seed};
 use qfc_photonics::fwm;
 use qfc_photonics::opo;
 use qfc_photonics::ring::MicroringBuilder;
 use qfc_photonics::units::{Frequency, Power};
 use qfc_photonics::waveguide::Waveguide;
 use qfc_timetag::coincidence::measure_car;
-use qfc_timetag::detector::SinglePhotonDetector;
-use qfc_timetag::events::try_duration_ps;
+use qfc_timetag::detector::{pair_arrivals, SinglePhotonDetector};
+use qfc_timetag::events::{try_duration_ps, try_tags_per_arm, TagStream};
 
 use crate::experiment::{run_in_process, Experiment, ShardSpec};
 use crate::report::{Comparison, Expectation, ExperimentReport};
@@ -86,6 +85,26 @@ impl CrossPolConfig {
             background_rate_hz: 300.0,
             pbs_leakage: 0.01,
         }
+    }
+
+    /// The TE and TM arms' clicks of one §III run on `lane`: the PBS
+    /// routes each pair's TE photon to the TE arm (the schedule's
+    /// channel-1 signal detector) and its TM photon to the TM arm (the
+    /// idler), swapped with its leakage probability.
+    fn arm_streams(
+        &self,
+        source: &QfcSource,
+        schedule: &FaultSchedule,
+        plan: &CrossPolPlan,
+        lane: u64,
+    ) -> (TagStream, TagStream) {
+        let tau = source.ring().coincidence_decay_time();
+        let mut rng = rng_from_seed(split_seed(lane, 0));
+        let arrivals = pair_arrivals(&mut rng, plan.rate, tau, self.duration_s, self.pbs_leakage);
+        let mut detector = self.detector;
+        detector.efficiency *= self.collection_efficiency;
+        let background_hz = self.background_rate_hz;
+        supervisor::detect_arms(schedule, 1, lane, detector, background_hz, self.duration_s, arrivals)
     }
 }
 
@@ -234,19 +253,13 @@ impl Experiment for CrossPolConfig {
             * schedule.mean_pump_rate_factor(0.0, self.duration_s, linewidth_hz)
             * live;
         // The task draws Poisson counts from these means, with the
-        // schedule's pump steps and dark bursts applied: each must be
-        // finite.
+        // schedule's pump steps and dark bursts applied, and sizes its tag
+        // lists by them.
         let dark_hz = self.detector.dark_count_rate_hz
             * schedule.mean_dark_multiplier(1, 0.0, self.duration_s);
-        let pairs = rate * self.duration_s;
-        let background = self.background_rate_hz * self.duration_s;
-        let darks = dark_hz * cast::to_f64(duration_ps) * 1e-12;
-        if !(pairs.is_finite() && background.is_finite() && darks.is_finite()) {
-            return Err(QfcError::invalid(format!(
-                "{pairs} pairs, {background} background photons and {darks} dark counts \
-                 expected per arm; each must be finite"
-            )));
-        }
+        try_tags_per_arm("pairs", rate * self.duration_s)?;
+        try_tags_per_arm("background photons", self.background_rate_hz * self.duration_s)?;
+        try_tags_per_arm("dark counts", dark_hz * cast::to_f64(duration_ps) * 1e-12)?;
         let plan = CrossPolPlan { rate, health };
         Ok((plan, vec![ShardSpec::unit(0, "full".to_owned(), seed)]))
     }
@@ -262,52 +275,7 @@ impl Experiment for CrossPolConfig {
         if spec.index != 0 {
             return Err(spec.unplanned(Self::LABEL));
         }
-        let mut rng = rng_from_seed(spec.seed);
-        let tau = source.ring().coincidence_decay_time();
-        let duration_ps = cast::f64_to_i64(self.duration_s * 1e12);
-
-        // True pair arrivals; PBS routes TE → arm A, TM → arm B with a
-        // small leakage probability that swaps the routing.
-        let n = poisson(&mut rng, plan.rate * self.duration_s);
-        qfc_obs::counter_add("shots_simulated", n);
-        let mut te_true = Vec::new();
-        let mut tm_true = Vec::new();
-        for _ in 0..n {
-            let t = rng.gen::<f64>() * self.duration_s;
-            let dt = exponential(&mut rng, 1.0 / tau);
-            let sign = if rng.gen::<bool>() { 1.0 } else { -1.0 };
-            let (a, b) = (cast::f64_to_i64(t * 1e12), cast::f64_to_i64((t + sign * dt) * 1e12));
-            if rng.gen::<f64>() < self.pbs_leakage {
-                te_true.push(b);
-                tm_true.push(a);
-            } else {
-                te_true.push(a);
-                tm_true.push(b);
-            }
-        }
-        // Uncorrelated background photons on each arm.
-        let n_bg = poisson(&mut rng, self.background_rate_hz * self.duration_s);
-        for _ in 0..n_bg {
-            te_true.push(cast::f64_to_i64(rng.gen::<f64>() * self.duration_s * 1e12));
-        }
-        let n_bg = poisson(&mut rng, self.background_rate_hz * self.duration_s);
-        for _ in 0..n_bg {
-            tm_true.push(cast::f64_to_i64(rng.gen::<f64>() * self.duration_s * 1e12));
-        }
-        te_true.sort_unstable();
-        tm_true.sort_unstable();
-        // Sub-quarantine dropout windows kill arrivals (pure filter, no RNG).
-        te_true.retain(|&t| !schedule.detector_dead_at(1, Arm::Signal, cast::to_f64(t) * 1e-12));
-        tm_true.retain(|&t| !schedule.detector_dead_at(1, Arm::Idler, cast::to_f64(t) * 1e-12));
-
-        let mut arm = self.detector;
-        arm.efficiency *= self.collection_efficiency;
-        arm.dark_count_rate_hz *= schedule.mean_dark_multiplier(1, 0.0, self.duration_s);
-        let te_stream =
-            supervisor::apply_tdc_saturation(arm.detect(&mut rng, &te_true, duration_ps), schedule);
-        let tm_stream =
-            supervisor::apply_tdc_saturation(arm.detect(&mut rng, &tm_true, duration_ps), schedule);
-
+        let (te_stream, tm_stream) = self.arm_streams(source, schedule, plan, spec.seed);
         let car_result = measure_car(
             &te_stream,
             &tm_stream,
@@ -476,7 +444,7 @@ pub fn run_suppression_sweep(offsets_ghz: &[f64]) -> Vec<SuppressionPoint> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qfc_faults::{FaultEvent, FaultKind};
+    use qfc_faults::{Arm, FaultEvent, FaultKind};
 
     fn run(src: &QfcSource, seed: u64) -> CrossPolReport {
         let cfg = CrossPolConfig::fast_demo();
@@ -534,6 +502,50 @@ mod tests {
         assert_rejected_at_plan(|cfg| cfg.background_rate_hz = f64::INFINITY);
         assert_rejected_at_plan(|cfg| cfg.detector.dark_count_rate_hz = f64::INFINITY);
         assert_rejected_at_plan(|cfg| cfg.detector.jitter_sigma_ps = f64::INFINITY);
+    }
+
+    #[test]
+    fn tags_past_the_per_arm_bound_are_invalid_parameter() {
+        for rate_hz in [1e290, 1e12] {
+            assert_rejected_at_plan(|cfg| cfg.background_rate_hz = rate_hz);
+            assert_rejected_at_plan(|cfg| cfg.detector.dark_count_rate_hz = rate_hz);
+        }
+        // About 4e6 pairs per arm over 4e6 s pass; their background does not.
+        assert_rejected_at_plan(|cfg| {
+            cfg.duration_s = 4e6;
+            cfg.detector.dark_count_rate_hz = 0.0;
+        });
+    }
+
+    /// A TE-arm dropout over [10 s, 30 s): inside it the background and
+    /// the pair photons are gone and only dark counts remain, at the dark
+    /// rate.
+    #[test]
+    fn dropout_leaves_only_dark_counts() {
+        let src = QfcSource::paper_device_type2();
+        let cfg = CrossPolConfig::fast_demo();
+        let dropout = FaultKind::DetectorDropout {
+            channel: 1,
+            arm: Arm::Signal,
+        };
+        let schedule = FaultSchedule::empty().with(FaultEvent::new(10.0, 20.0, dropout));
+        let (plan, specs) = cfg.plan(&src, 15, &schedule).expect("plan");
+        let (te, tm) = cfg.arm_streams(&src, &schedule, &plan, specs[0].seed);
+        let window_ps = 10_000_000_000_000..30_000_000_000_000;
+        let inside = |s: &TagStream| {
+            TagStream::from_sorted(
+                s.as_slice().iter().copied().filter(|t| window_ps.contains(t)).collect(),
+            )
+        };
+        let darks = cfg.detector.dark_count_rate_hz * 20.0;
+        let clicks = inside(&te).len() as f64;
+        assert!((clicks - darks).abs() < 4.0 * darks.sqrt(), "{clicks} TE clicks in the dropout");
+        let w = cfg.coincidence_window_ps;
+        assert!(measure_car(&inside(&te), &inside(&tm), w, CAR_OFFSET_STEP_PS, 10).coincidences <= 1);
+        // The TM arm keeps its background: darks plus η·background.
+        let eta = cfg.detector.efficiency * cfg.collection_efficiency;
+        let tm_clicks = inside(&tm).len() as f64;
+        assert!(tm_clicks > darks + 0.5 * eta * cfg.background_rate_hz * 20.0, "{tm_clicks}");
     }
 
     #[test]

@@ -15,7 +15,7 @@ use qfc_mathkit::cast;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-use qfc_faults::{Arm, FaultSchedule, HealthReport, QfcError, QfcResult};
+use qfc_faults::{FaultSchedule, HealthReport, QfcError, QfcResult};
 use qfc_mathkit::rng::{bernoulli, exponential, poisson, rng_from_seed, split_seed};
 use qfc_mathkit::stats::relative_fluctuation;
 use qfc_photonics::pump::{residual_detuning, DriftModel};
@@ -23,8 +23,8 @@ use qfc_timetag::coincidence::{
     count_coincidences, cross_correlation_histogram, measure_car, try_extract_linewidth,
     LinewidthResult,
 };
-use qfc_timetag::detector::SinglePhotonDetector;
-use qfc_timetag::events::{try_duration_ps, TagStream};
+use qfc_timetag::detector::{pair_arrivals, SinglePhotonDetector};
+use qfc_timetag::events::{try_duration_ps, try_tags_per_arm, TagStream};
 
 use crate::experiment::{run_in_process, Experiment, ShardSpec};
 use crate::report::{Comparison, Expectation, ExperimentReport};
@@ -240,31 +240,6 @@ impl HeraldedReport {
     }
 }
 
-/// Generates the true (pre-detector) arrival streams of one channel:
-/// pairs at rate `rate_hz` with two-sided-exponential signal–idler delay
-/// of time constant `tau_s`.
-fn generate_pair_arrivals<R: Rng + ?Sized>(
-    rng: &mut R,
-    rate_hz: f64,
-    tau_s: f64,
-    duration_s: f64,
-) -> (Vec<i64>, Vec<i64>) {
-    let n = poisson(rng, rate_hz * duration_s);
-    qfc_obs::counter_add("shots_simulated", n);
-    let mut signal = Vec::with_capacity(cast::u64_to_usize(n));
-    let mut idler = Vec::with_capacity(cast::u64_to_usize(n));
-    for _ in 0..n {
-        let t = rng.gen::<f64>() * duration_s;
-        let dt = exponential(rng, 1.0 / tau_s);
-        let sign = if rng.gen::<bool>() { 1.0 } else { -1.0 };
-        signal.push(cast::f64_to_i64(t * 1e12));
-        idler.push(cast::f64_to_i64((t + sign * dt) * 1e12));
-    }
-    signal.sort_unstable();
-    idler.sort_unstable();
-    (signal, idler)
-}
-
 /// A completed §II run: the physics report plus its health record.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct HeraldedRun {
@@ -284,7 +259,7 @@ impl HeraldedRun {
 /// Runs the §II virtual experiment: one task per surviving channel plus
 /// the fixed `SHOT_SHARDS` shot-range shards of the F2 linewidth run.
 ///
-/// Pump faults thin the pair rate, detector dropouts kill arrivals
+/// Pump faults thin the pair rate, detector dropouts remove photons
 /// inside their windows, dark bursts raise the dark rate, TDC saturation
 /// caps the click rate, and the supervisor re-locks the pump and
 /// quarantines channels whose detectors are dead for most of the run.
@@ -433,8 +408,6 @@ impl Experiment for HeraldedConfig {
 pub struct HeraldedPlan {
     /// Coincidence decay time of the ring, s.
     pub tau: f64,
-    /// Integration time, ps.
-    pub duration_ps: i64,
     /// Surviving channel indices, in channel order.
     pub survivors: Vec<u32>,
     /// Fault-derated pair generation rate per survivor, Hz.
@@ -551,19 +524,16 @@ pub fn plan_heralded_experiment(
             })
         })
         .collect::<QfcResult<_>>()?;
-    // The channel tasks draw Poisson counts from these means, with the
-    // schedule's pump steps and dark bursts applied: each must be finite.
+    // The tasks draw Poisson counts from these means, with the schedule's
+    // pump steps and dark bursts applied, and size their tag lists by them.
     for (&m, &rate) in survivors.iter().zip(&rates) {
         let dark_hz = config.detector.dark_count_rate_hz
             * schedule.mean_dark_multiplier(m, 0.0, config.duration_s);
-        let pairs = rate * config.duration_s;
         let darks = dark_hz * cast::to_f64(duration_ps) * 1e-12;
-        if !(pairs.is_finite() && darks.is_finite()) {
-            return Err(QfcError::invalid(format!(
-                "channel {m} expects {pairs} pairs and {darks} dark counts; both must be finite"
-            )));
-        }
+        try_tags_per_arm(&format!("channel {m} pairs"), rate * config.duration_s)?;
+        try_tags_per_arm(&format!("channel {m} dark counts"), darks)?;
     }
+    try_tags_per_arm("F2 linewidth pairs", cast::to_f64(config.linewidth_pairs))?;
 
     // Independent seed domains for the experiment's two stochastic
     // stages, so channel streams and the F2 pair run never alias.
@@ -577,7 +547,6 @@ pub fn plan_heralded_experiment(
 
     Ok(HeraldedPlan {
         tau,
-        duration_ps,
         survivors,
         rates,
         channel_root,
@@ -588,11 +557,11 @@ pub fn plan_heralded_experiment(
 }
 
 /// Generates and detects one channel's signal/idler streams — the
-/// per-channel task of the §II [`Experiment`]. The streams
-/// depend only on `(plan.channel_root, m)` and pure schedule queries, so
-/// the bytes are identical in-process, on a pool worker, or in a
+/// per-channel task of the §II [`Experiment`]. The streams depend only on
+/// the lane `split_seed(plan.channel_root, m)` and pure schedule queries,
+/// so the bytes are identical in-process, on a pool worker, or in a
 /// separate resumed process. `idx` is the channel's position among the
-/// plan's survivors.
+/// plan's survivors. The §II arms see no background.
 pub fn heralded_channel_task(
     config: &HeraldedConfig,
     schedule: &FaultSchedule,
@@ -600,25 +569,10 @@ pub fn heralded_channel_task(
     idx: usize,
     m: u32,
 ) -> (TagStream, TagStream) {
-    let mut rng = rng_from_seed(split_seed(plan.channel_root, u64::from(m)));
-    let (mut s_true, mut i_true) =
-        generate_pair_arrivals(&mut rng, plan.rates[idx], plan.tau, config.duration_s);
-    // Sub-quarantine detector dropouts kill arrivals in their
-    // windows (no RNG draws — a pure filter).
-    s_true.retain(|&t| !schedule.detector_dead_at(m, Arm::Signal, cast::to_f64(t) * 1e-12));
-    i_true.retain(|&t| !schedule.detector_dead_at(m, Arm::Idler, cast::to_f64(t) * 1e-12));
-    let mut arm_m = plan.arm;
-    arm_m.dark_count_rate_hz *= schedule.mean_dark_multiplier(m, 0.0, config.duration_s);
-    (
-        supervisor::apply_tdc_saturation(
-            arm_m.detect(&mut rng, &s_true, plan.duration_ps),
-            schedule,
-        ),
-        supervisor::apply_tdc_saturation(
-            arm_m.detect(&mut rng, &i_true, plan.duration_ps),
-            schedule,
-        ),
-    )
+    let lane = split_seed(plan.channel_root, u64::from(m));
+    let mut rng = rng_from_seed(split_seed(lane, 0));
+    let arrivals = pair_arrivals(&mut rng, plan.rates[idx], plan.tau, config.duration_s, 0.0);
+    supervisor::detect_arms(schedule, m, lane, plan.arm, 0.0, config.duration_s, arrivals)
 }
 
 /// Draws one [`qfc_runtime::Shard`] of the F2 linewidth pair run — the
@@ -883,7 +837,7 @@ pub fn run_stability_experiment(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qfc_faults::{FaultEvent, FaultKind};
+    use qfc_faults::{Arm, FaultEvent, FaultKind};
     use qfc_photonics::pump::PumpConfig;
     use qfc_photonics::units::Power;
 
@@ -1043,6 +997,50 @@ mod tests {
     fn non_finite_detector_is_invalid_parameter() {
         assert_rejected_at_plan(|cfg| cfg.detector.dark_count_rate_hz = f64::INFINITY);
         assert_rejected_at_plan(|cfg| cfg.detector.jitter_sigma_ps = f64::INFINITY);
+    }
+
+    #[test]
+    fn tags_past_the_per_arm_bound_are_invalid_parameter() {
+        // Finite but huge dark rates: 1e290 Hz used to saturate the
+        // Poisson draw and overflow a stream's capacity on a worker.
+        for dark_hz in [1e290, 1e12] {
+            assert_rejected_at_plan(|cfg| cfg.detector.dark_count_rate_hz = dark_hz);
+        }
+        // About 8e7 pairs per arm over 4e6 s, with no darks.
+        assert_rejected_at_plan(|cfg| {
+            cfg.duration_s = 4e6;
+            cfg.detector.dark_count_rate_hz = 0.0;
+        });
+        assert_rejected_at_plan(|cfg| cfg.linewidth_pairs = usize::MAX);
+        assert_rejected_at_plan(|cfg| cfg.linewidth_pairs = (1 << 24) + 1);
+    }
+
+    /// A signal-arm dropout over [1 s, 2 s) of channel 1: inside it only
+    /// dark counts remain, at the dark rate, and none of the channel's
+    /// pairs is seen in coincidence there; outside it they are.
+    #[test]
+    fn dropout_leaves_only_dark_counts() {
+        let cfg = HeraldedConfig::fast_demo();
+        let dropout = FaultKind::DetectorDropout {
+            channel: 1,
+            arm: Arm::Signal,
+        };
+        let schedule = FaultSchedule::empty().with(FaultEvent::new(1.0, 1.0, dropout));
+        let plan = plan_heralded_experiment(&fast_source(), &cfg, 8, &schedule).expect("plan");
+        let (signal, idler) = heralded_channel_task(&cfg, &schedule, &plan, 0, 1);
+        let window_ps = 1_000_000_000_000..2_000_000_000_000;
+        let inside = |s: &TagStream| {
+            TagStream::from_sorted(
+                s.as_slice().iter().copied().filter(|t| window_ps.contains(t)).collect(),
+            )
+        };
+        let darks = cfg.detector.dark_count_rate_hz;
+        let clicks = inside(&signal).len() as f64;
+        assert!((clicks - darks).abs() < 4.0 * darks.sqrt(), "{clicks} clicks in the dropout");
+        let w = cfg.coincidence_window_ps;
+        assert!(count_coincidences(&inside(&signal), &inside(&idler), w, 0) <= 1);
+        let all = count_coincidences(&signal, &idler, w, 0);
+        assert!(all >= 20, "{all} coincidences over the run");
     }
 
     #[test]

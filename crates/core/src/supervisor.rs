@@ -24,6 +24,8 @@ use qfc_faults::{
     Arm, FaultSchedule, HealthReport, QfcError, QfcResult, FAULT_SEED_DOMAIN,
 };
 use qfc_mathkit::rng::{bernoulli, rng_from_seed, split_seed};
+use qfc_timetag::detector::SinglePhotonDetector;
+use qfc_timetag::events::TagStream;
 use qfc_tomography::counts::TomographyData;
 use qfc_tomography::reconstruct::{
     try_linear_reconstruction, try_mle_reconstruction, MleOptions, MleResult,
@@ -238,14 +240,38 @@ pub fn reconstruct_with_fallback(
     })
 }
 
+/// Detects channel `m`'s pair `arrivals` (signal, idler) under
+/// `schedule`, for the §II and §III tasks. Each arm draws from its own
+/// lane, `split_seed(lane, 1)` and `split_seed(lane, 2)` (the pair
+/// arrivals take lane 0). `detector` sees the schedule's mean dark-rate
+/// multiplier and `background_hz` of uncorrelated photons; the arm's
+/// dropouts blind it, and TDC saturation caps its clicks.
+pub fn detect_arms(
+    schedule: &FaultSchedule,
+    m: u32,
+    lane: u64,
+    mut detector: SinglePhotonDetector,
+    background_hz: f64,
+    duration_s: f64,
+    arrivals: (Vec<i64>, Vec<i64>),
+) -> (TagStream, TagStream) {
+    detector.dark_count_rate_hz *= schedule.mean_dark_multiplier(m, 0.0, duration_s);
+    let duration_ps = cast::f64_to_i64(duration_s * 1e12);
+    let detect = |arm: Arm, photons: Vec<i64>| {
+        let mut rng = rng_from_seed(split_seed(lane, if arm == Arm::Signal { 1 } else { 2 }));
+        let clicks = detector.detect(&mut rng, photons, background_hz, duration_ps, |t| {
+            schedule.detector_dead_at(m, arm, cast::to_f64(t) * 1e-12)
+        });
+        apply_tdc_saturation(clicks, schedule)
+    };
+    (detect(Arm::Signal, arrivals.0), detect(Arm::Idler, arrivals.1))
+}
+
 /// Drops clicks that exceed an active TDC saturation cap: within each
 /// saturation window, only the earliest `cap · window` clicks survive.
 /// Pure (no RNG), so it preserves determinism and is an exact no-op for
 /// schedules without saturation events.
-pub fn apply_tdc_saturation(
-    stream: qfc_timetag::events::TagStream,
-    schedule: &FaultSchedule,
-) -> qfc_timetag::events::TagStream {
+fn apply_tdc_saturation(stream: TagStream, schedule: &FaultSchedule) -> TagStream {
     let windows: Vec<(f64, f64, f64)> = schedule
         .events()
         .iter()
@@ -274,7 +300,7 @@ pub fn apply_tdc_saturation(
         }
         kept.push(t);
     }
-    qfc_timetag::events::TagStream::from_sorted(kept)
+    TagStream::from_sorted(kept)
 }
 
 #[cfg(test)]

@@ -785,7 +785,7 @@ mod tests {
 
     #[test]
     fn empty_streams_zero() {
-        let e = TagStream::new();
+        let e = TagStream::default();
         assert_eq!(count_coincidences(&e, &e, 100, 0), 0);
         let r = measure_car(&e, &e, 100, 1000, 3);
         assert_eq!(r.coincidences, 0);

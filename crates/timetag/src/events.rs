@@ -33,6 +33,28 @@ pub fn try_duration_ps(duration_s: f64) -> QfcResult<i64> {
     }
 }
 
+/// Most tags one arm may expect from any one source (pair photons, dark
+/// counts, background, F2 pairs): 2^24, or 128 MiB of tags, twelve times
+/// the largest paper arm (§III, about 1.4 M). It bounds every stream a
+/// task allocates and the click generator's fixed-point spacing sums.
+pub const MAX_TAGS_PER_ARM: u64 = 1 << 24;
+
+/// Checks at plan time that a source is expected to put at most
+/// [`MAX_TAGS_PER_ARM`] tags on an arm; `what` names the source.
+///
+/// # Errors
+///
+/// [`QfcError::InvalidParameter`] otherwise, NaN included.
+pub fn try_tags_per_arm(what: &str, expected: f64) -> QfcResult<()> {
+    if expected <= cast::to_f64(MAX_TAGS_PER_ARM) {
+        Ok(())
+    } else {
+        Err(QfcError::invalid(format!(
+            "{expected} {what} expected per arm; at most {MAX_TAGS_PER_ARM} are simulated"
+        )))
+    }
+}
+
 /// A time-ordered stream of timestamps for one channel.
 ///
 /// # Examples
@@ -49,11 +71,6 @@ pub struct TagStream {
 }
 
 impl TagStream {
-    /// Creates an empty stream.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Creates a stream from already-sorted timestamps.
     ///
     /// # Panics
@@ -112,7 +129,7 @@ mod tests {
         assert_eq!(s.as_slice(), &[1, 3, 5]);
         assert_eq!(s.len(), 3);
         assert!(!s.is_empty());
-        assert!(TagStream::new().is_empty());
+        assert!(TagStream::default().is_empty());
     }
 
     #[test]
@@ -122,6 +139,19 @@ mod tests {
             assert!(
                 matches!(try_duration_ps(bad), Err(QfcError::InvalidParameter { .. })),
                 "{bad} s"
+            );
+        }
+    }
+
+    #[test]
+    fn tag_counts_past_the_bound_are_rejected() {
+        let bound = cast::to_f64(MAX_TAGS_PER_ARM);
+        assert!(try_tags_per_arm("dark counts", 0.0).is_ok());
+        assert!(try_tags_per_arm("dark counts", bound).is_ok());
+        for bad in [bound + 2.0, 1e290, f64::INFINITY, f64::NAN] {
+            assert!(
+                matches!(try_tags_per_arm("dark counts", bad), Err(QfcError::InvalidParameter { .. })),
+                "{bad}"
             );
         }
     }

@@ -24,7 +24,3 @@
 pub mod coincidence;
 pub mod detector;
 pub mod events;
-
-pub use coincidence::{measure_car, CarResult};
-pub use detector::SinglePhotonDetector;
-pub use events::TagStream;

@@ -18,7 +18,9 @@
 //!   vectors fails here;
 //! - a coincidence sweep allocates nothing: `count_coincidences` makes no
 //!   call at all, and `measure_car` as many at 100 000 tags per stream as
-//!   at 10 000.
+//!   at 10 000;
+//! - the click generator allocates its stream once: one `detect` call
+//!   makes as many calls at 100 000 expected dark counts as at 10 000.
 //!
 //! Every check runs at 1 and at 2 threads. The counts are deterministic:
 //! the workloads are seeded and a worker team spawns a fixed number of
@@ -43,7 +45,9 @@ use qfc::quantum::bell::{bell_phi_plus, werner_state};
 use qfc::quantum::fidelity::fidelity_with_pure;
 use qfc::quantum::multiphoton::noisy_four_photon;
 use qfc::runtime::with_threads;
+use qfc::mathkit::rng::rng_from_seed;
 use qfc::timetag::coincidence::{count_coincidences, measure_car};
+use qfc::timetag::detector::SinglePhotonDetector;
 use qfc::timetag::events::TagStream;
 use qfc::tomography::bootstrap::bootstrap_functional;
 use qfc::tomography::rank1::{
@@ -382,6 +386,31 @@ fn check_coincidence_sweep(threads: usize) {
     );
 }
 
+/// The click generator sizes its stream once: one `detect` call makes
+/// as many allocator calls at 100 000 expected dark counts as at 10 000,
+/// with pair photons, background and dead time in the merge.
+fn check_click_generator(threads: usize) {
+    let detector = SinglePhotonDetector {
+        efficiency: 0.5,
+        dark_count_rate_hz: 1000.0,
+        jitter_sigma_ps: 100.0,
+        dead_time_ps: 10_000_000,
+    };
+    let count = |seconds: i64| {
+        let photons: Vec<i64> = (0..seconds * 50).map(|k| k * 20_000_000_000).collect();
+        let mut rng = rng_from_seed(3);
+        let duration_ps = seconds * 1_000_000_000_000;
+        allocs(|| detector.detect(&mut rng, photons, 200.0, duration_ps, |_| false))
+    };
+    let small = count(10);
+    let large = count(100);
+    assert_eq!(
+        small, large,
+        "at {threads} thread(s): detect made {small} allocations at 10 000 expected darks, \
+         {large} at 100 000"
+    );
+}
+
 fn check_sweeps(threads: usize) {
     let ring = Microring::paper_device();
     let sizes = [256, 8_192, 65_536];
@@ -411,6 +440,7 @@ fn hot_kernels_allocate_nothing_per_iteration_shot_or_point() {
             check_mle_heap(threads);
             check_shot_workloads(threads, &campaign_dir);
             check_coincidence_sweep(threads);
+            check_click_generator(threads);
             check_sweeps(threads);
         });
     }
