@@ -16,7 +16,7 @@ use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 use qfc_faults::{FaultSchedule, HealthReport, QfcError, QfcResult};
-use qfc_mathkit::rng::{bernoulli, exponential, poisson, rng_from_seed, split_seed};
+use qfc_mathkit::rng::{bernoulli, poisson, rng_from_seed, split_seed, standard_exponential};
 use qfc_mathkit::stats::relative_fluctuation;
 use qfc_photonics::pump::{residual_detuning, DriftModel};
 use qfc_timetag::coincidence::{
@@ -599,7 +599,7 @@ pub fn heralded_linewidth_shard(
             a.push(t_ps);
             b.push(cast::f64_to_i64(rng.gen::<f64>() * span_s * 1e12));
         } else {
-            let dt = exponential(&mut rng, 1.0 / tau);
+            let dt = standard_exponential(&mut rng) * tau;
             let sign = if rng.gen::<bool>() { 1.0 } else { -1.0 };
             let jitter_a =
                 qfc_mathkit::rng::normal(&mut rng, 0.0, config.detector.jitter_sigma_ps);

@@ -485,7 +485,7 @@ pub fn try_extract_linewidth(hist: &Histogram) -> QfcResult<LinewidthResult> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qfc_mathkit::rng::{exponential, rng_from_seed};
+    use qfc_mathkit::rng::{rng_from_seed, standard_exponential};
     use rand::Rng;
 
     /// The greedy two-pointer scan at one offset: the reference the
@@ -646,7 +646,7 @@ mod tests {
         let mut idler = Vec::new();
         for _ in 0..500 {
             let t = below(&mut rng, duration_ps as u64) as i64;
-            let dt = (exponential(&mut rng, 1.0 / 1_450.0)) as i64;
+            let dt = (standard_exponential(&mut rng) * 1_450.0) as i64;
             signal.push(t);
             idler.push(if rng.gen::<bool>() { t + dt } else { t - dt });
         }
@@ -756,7 +756,7 @@ mod tests {
         let mut b = Vec::new();
         for _ in 0..60_000 {
             let t = (rng.gen::<f64>() * 1e15) as i64;
-            let dt = exponential(&mut rng, 1.0 / tau_s) * 1e12;
+            let dt = standard_exponential(&mut rng) * tau_s * 1e12;
             let sign = if rng.gen::<bool>() { 1.0 } else { -1.0 };
             a.push(t);
             b.push(t + (sign * dt) as i64);

@@ -8,15 +8,30 @@ use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 use qfc_faults::{QfcError, QfcResult};
-use qfc_mathkit::rng::{bernoulli, exponential, normal, poisson};
+use qfc_mathkit::rng::{bernoulli, normal, poisson, standard_exponential};
 
-use crate::events::{TagStream, MAX_DURATION_PS};
+use crate::events::{TagStream, MAX_DURATION_PS, MAX_TAGS_PER_ARM};
 
 /// Fixed-point unit of the spacing sums: 2^32 per mean Exp(1) spacing.
-/// A draw is below 37, and an arm has under 2^25.1 uncorrelated clicks
-/// ([`MAX_TAGS_PER_ARM`](crate::events::MAX_TAGS_PER_ARM) expected each
-/// of darks and background), so every sum stays below 2^63.
+/// An Exp(1) draw is below 44.44 (the ziggurat tail's r − ln 2^−53 is
+/// 44.434), so a spacing is under 2^37.48 units ([`MAX_SPACING`]). An
+/// arm has under 2^25.1 spacings: the plans expect at most
+/// [`MAX_TAGS_PER_ARM`] each of dark counts and background photons, and
+/// their Poisson count stays within 16σ of its mean, because a
+/// polar-method normal is below 16 in magnitude. So every sum stays
+/// below 2^62.6.
 const SPACING_UNIT: f64 = 4_294_967_296.0;
+
+/// Bound of one [`spacing`]: 44.44 × 2^32 units, rounded up.
+const MAX_SPACING: u64 = 4444 * (1 << 32) / 100 + 1;
+
+// The count's 16σ plus the closing spacing fit in MAX_TAGS_PER_ARM / 8,
+// and 2^25 + 2^21 spacings of at most MAX_SPACING sum below 2^63.
+const _: () = assert!(16 * ((2 * MAX_TAGS_PER_ARM).isqrt() + 1) + 1 < MAX_TAGS_PER_ARM / 8);
+const _: () = assert!(matches!(
+    (2 * MAX_TAGS_PER_ARM + MAX_TAGS_PER_ARM / 8).checked_mul(MAX_SPACING),
+    Some(sum) if sum < 1 << 63
+));
 
 /// A click detector (non-number-resolving).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -158,7 +173,7 @@ impl SinglePhotonDetector {
 
 /// One Exp(1) spacing in units of [`SPACING_UNIT`].
 fn spacing<R: Rng + ?Sized>(rng: &mut R) -> i64 {
-    cast::f64_to_i64(exponential(rng, 1.0) * SPACING_UNIT)
+    cast::f64_to_i64(standard_exponential(rng) * SPACING_UNIT)
 }
 
 /// True arrival times of both photons of a Poisson number of pairs at
@@ -179,7 +194,7 @@ pub fn pair_arrivals<R: Rng + ?Sized>(
     let mut second = Vec::with_capacity(cast::u64_to_usize(n));
     for _ in 0..n {
         let t = rng.gen::<f64>() * duration_s;
-        let dt = exponential(rng, 1.0 / tau_s);
+        let dt = standard_exponential(rng) * tau_s;
         let sign = if rng.gen::<bool>() { 1.0 } else { -1.0 };
         let (a, b) = (cast::f64_to_i64(t * 1e12), cast::f64_to_i64((t + sign * dt) * 1e12));
         let (a, b) = if bernoulli(rng, swap_probability) { (b, a) } else { (a, b) };
@@ -400,6 +415,27 @@ mod tests {
             let exact = (i128::from(s) * i128::from(duration_ps) / total) as i64;
             assert!((tag - exact).abs() <= 2, "S = {s}: {tag} vs {exact}");
         }
+    }
+
+    /// The largest spacing: the ziggurat's base layer with U ≈ 1 falls
+    /// in the tail, whose smallest uniform 1 − U = 2^−53 gives
+    /// r − ln 2^−53 < 44.44, within [`MAX_SPACING`].
+    #[test]
+    fn largest_spacing_is_within_the_overflow_bound() {
+        struct Scripted(Vec<u64>);
+        impl rand::RngCore for Scripted {
+            fn next_u32(&mut self) -> u32 {
+                (self.next_u64() >> 32) as u32
+            }
+            fn next_u64(&mut self) -> u64 {
+                self.0.remove(0)
+            }
+        }
+        let largest = || Scripted(vec![u64::MAX << 8, u64::MAX]);
+        let x = standard_exponential(&mut largest());
+        assert!(x > 44.43 && x < 44.44, "{x}");
+        let units = spacing(&mut largest());
+        assert!(units > 0 && units as u64 <= MAX_SPACING, "{units}");
     }
 
     #[test]
