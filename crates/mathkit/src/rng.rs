@@ -92,8 +92,8 @@ pub fn normal<R: Rng + ?Sized>(rng: &mut R, mu: f64, sigma: f64) -> f64 {
     mu + sigma * standard_normal(rng)
 }
 
-/// Draws a standard exponential variate: density e^{−x} on [0, ∞), mean
-/// 1. An Exp(rate) variate is this draw divided by `rate`.
+/// Draws a standard exponential variate, of density e^{−x} on [0, ∞)
+/// and mean 1. An Exp(rate) variate is this draw divided by `rate`.
 ///
 /// A 256-layer ziggurat (Marsaglia & Tsang, "The Ziggurat Method for
 /// Generating Random Variables", J. Stat. Softw. 5(8), 2000, built as in

@@ -7,12 +7,13 @@
 //! `heralded_channel_task`), and the §III paper run
 //! (`try_run_crosspol_experiment` on `QfcSource::paper_device_type2()`)
 //! at 1 and at 2 threads. It prints the median over seeds of each, with
-//! the mean tags and singles per arm.
+//! its quartiles, and the mean tags and singles per arm.
 //!
 //! Law (`stats`): mean ± standard error over 32 §II seeds (1000–1031) of
 //! each channel's singles, coincidence rate, accidentals per window
-//! (coincidences / CAR), CAR and mean off-diagonal F1 count, and over 16
-//! §III seeds (2000–2015) of the singles, coincidence rate and CAR.
+//! (coincidences / CAR), CAR and mean off-diagonal F1 count, and of the
+//! F2 linewidth, and over 16 §III seeds (2000–2015) of the singles,
+//! coincidence rate and CAR.
 //!
 //! ```sh
 //! cargo run --release --example timetag_mc -- [first seed] [seeds]
@@ -29,10 +30,11 @@ use qfc::core::source::QfcSource;
 use qfc::faults::{FaultSchedule, QfcResult};
 use qfc::runtime::with_threads;
 
-/// Median of `samples`.
-fn median(mut samples: Vec<f64>) -> f64 {
+/// "median (lower–upper quartile)" of `samples`, nearest rank.
+fn quartiles(mut samples: Vec<f64>) -> String {
     samples.sort_by(f64::total_cmp);
-    samples[samples.len() / 2]
+    let n = samples.len();
+    format!("{:.1} ({:.1}–{:.1})", samples[n / 2], samples[n / 4], samples[3 * n / 4])
 }
 
 /// Mean and standard error of the mean of `samples`.
@@ -86,15 +88,15 @@ fn timing(first: u64, seeds: u64) -> QfcResult<()> {
     let n = seeds as f64;
     println!("seeds {first}..={}", first + seeds - 1);
     println!(
-        "§II  5 channel tasks, serial: median {:.1} ms; {:.0} tags per arm, {:.2} Hz singles",
-        median(heralded_ms),
+        "§II  5 channel tasks, serial: median {} ms; {:.0} tags per arm, {:.2} Hz singles",
+        quartiles(heralded_ms),
         tags as f64 / n / 10.0,
         singles / n
     );
     println!(
-        "§III paper run: median {:.1} ms at 1 thread, {:.1} ms at 2; {:.2} Hz singles",
-        median(one_ms),
-        median(two_ms),
+        "§III paper run: median {} ms at 1 thread, {} ms at 2; {:.2} Hz singles",
+        quartiles(one_ms),
+        quartiles(two_ms),
         crosspol_singles / n
     );
     Ok(())
@@ -111,9 +113,11 @@ fn stats() -> QfcResult<()> {
     // Per channel: signal and idler singles, coincidence rate,
     // accidentals per window, CAR, mean off-diagonal F1 count.
     let mut rows = vec![vec![Vec::new(); 6]; config.channels as usize];
+    let mut linewidth_mhz = Vec::new();
     for seed in 1000..1032 {
         let run = try_run_heralded_experiment(&source, &config, seed, &FaultSchedule::empty())?;
         let report = &run.report;
+        linewidth_mhz.push(report.linewidth.linewidth_hz * 1e-6);
         for (k, c) in report.channels.iter().enumerate() {
             let coincidences = c.coincidence_rate_hz * report.duration_s;
             let row = &report.coincidence_matrix[k];
@@ -138,6 +142,7 @@ fn stats() -> QfcResult<()> {
             print_row(&format!("II ch{} {name}", k + 1), samples);
         }
     }
+    print_row("II f2 linewidth_mhz", &linewidth_mhz);
     let mut crosspol = vec![Vec::new(); 4];
     for seed in 2000..2016 {
         let (_, r) = crosspol_run(seed, 2)?;

@@ -3,8 +3,9 @@
 # (perfbench/) still builds, root test suite, every crate's tests, the
 # paper's headline runs, the serial-vs-parallel byte identity of whole
 # drivers and the allocation budget of the hot kernels in an optimized
-# build, the concurrency tests and the coincidence sweep's differential
-# test in release (the two-lane sweep against the two-pointer oracle),
+# build, the concurrency tests, the coincidence sweep's differential
+# test (the two-lane sweep against the two-pointer oracle) and the Exp(1)
+# sampler's law tests in release,
 # workspace static analysis
 # (qfc-lint), a check that two qfc-lint runs write the same CALLGRAPH and
 # report (neither is committed; the step compares the two runs), a drift
@@ -40,9 +41,11 @@ cargo test --release -q --test determinism --test alloc_scaling
 # debug build and shows up only once the optimizer reorders. qfc-timetag
 # runs here too, so the coincidence sweep's differential test checks the
 # optimizer's branch-free two-lane code against the two-pointer oracle,
-# the lane cut and the sign-bit step included.
-echo "==> concurrency and kernel tests, optimized (qfc-runtime, qfc-tomography, qfc-timetag)"
-cargo test --release -q -p qfc-runtime -p qfc-tomography -p qfc-timetag
+# the lane cut and the sign-bit step included. qfc-mathkit runs here so
+# the Exp(1) ziggurat's law tests also check the sampler as the optimizer
+# inlines it.
+echo "==> concurrency and kernel tests, optimized (qfc-runtime, qfc-tomography, qfc-timetag, qfc-mathkit)"
+cargo test --release -q -p qfc-runtime -p qfc-tomography -p qfc-timetag -p qfc-mathkit
 
 echo "==> qfc-lint --deny (workspace static analysis)"
 cargo run --release -p qfc-lint -- --deny
