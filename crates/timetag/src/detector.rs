@@ -419,7 +419,7 @@ mod tests {
 
     /// The largest spacing: the ziggurat's base layer with U ≈ 1 falls
     /// in the tail, whose smallest uniform 1 − U = 2^−53 gives
-    /// r − ln 2^−53 < 44.44, within [`MAX_SPACING`].
+    /// r − ln 2^−53 = 44.434 mean spacings, within [`MAX_SPACING`].
     #[test]
     fn largest_spacing_is_within_the_overflow_bound() {
         struct Scripted(Vec<u64>);
@@ -431,11 +431,8 @@ mod tests {
                 self.0.remove(0)
             }
         }
-        let largest = || Scripted(vec![u64::MAX << 8, u64::MAX]);
-        let x = standard_exponential(&mut largest());
-        assert!(x > 44.43 && x < 44.44, "{x}");
-        let units = spacing(&mut largest());
-        assert!(units > 0 && units as u64 <= MAX_SPACING, "{units}");
+        let units = spacing(&mut Scripted(vec![u64::MAX << 8, u64::MAX]));
+        assert!(units as f64 > 44.43 * SPACING_UNIT && units as u64 <= MAX_SPACING, "{units}");
     }
 
     #[test]
