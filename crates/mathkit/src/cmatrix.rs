@@ -149,6 +149,12 @@ impl CMatrix {
         &self.data
     }
 
+    /// Flat row-major mutable view of the entries.
+    #[inline]
+    pub fn as_mut_slice(&mut self) -> &mut [Complex64] {
+        &mut self.data
+    }
+
     /// Extracts row `i` as a vector.
     pub fn row(&self, i: usize) -> CVector {
         assert!(i < self.rows);

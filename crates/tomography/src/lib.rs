@@ -29,6 +29,7 @@
 
 pub mod bootstrap;
 pub mod counts;
+mod factored;
 pub mod rank1;
 pub mod reconstruct;
 pub mod settings;

@@ -3,17 +3,20 @@
 //! Every measurement this workspace reconstructs — the Pauli product
 //! settings of qubit tomography and any orthonormal-basis qudit
 //! measurement — has outcome projectors that are rank-1 outer products
-//! `|ψ⟩⟨ψ|`, and the workspace keeps only the vectors `|ψ⟩`: `d` entries
-//! per outcome instead of `d²`.
-//! [`Setting::outcome_vector`](crate::settings::Setting::outcome_vector)
-//! builds those of qubit settings, and [`ProjectorReprSet`] holds those of
-//! qudit bases.
+//! `|ψ⟩⟨ψ|`, and the engine never materializes them. This module holds
+//! the engine's schedule and stop rule, shared by both paths, and the
+//! qudit path's `R` build: [`ProjectorReprSet`] keeps the vectors `|ψ⟩`
+//! of qudit bases, `d` entries per outcome instead of `d²`.
 //! Expectations are the Hermitian quadratic form `⟨ψ|ρ|ψ⟩` over `ρ`'s
 //! upper triangle ([`CMatrix::quadratic_form_hermitian`]), and the `R`
 //! build is upper-triangle-only rank-1 updates
-//! ([`CMatrix::ger_hermitian_upper`]) with one mirror per sweep — each at
-//! half the complex multiplies of its full-matrix form, every access
-//! contiguous.
+//! ([`CMatrix::ger_hermitian_upper_panels`]) with one mirror per sweep —
+//! each at half the complex multiplies of its full-matrix form, every
+//! access contiguous. Qubit settings take
+//! [`try_mle_reconstruction`](crate::reconstruct::try_mle_reconstruction)
+//! instead, whose `R` build contracts `ρ` one qubit at a time and forms no
+//! outcome vector; the single-vector forms here and the dense leg of the
+//! tests are its oracles.
 //!
 //! **Panels.** The sweep reads its measured vectors four at a time, as
 //! [`VectorPanels`]: four vectors' real and imaginary parts stored apart,
@@ -23,12 +26,10 @@
 //! vectors as two contiguous rows and run the four lanes side by side.
 //! Each lane evaluates its vector's single-vector expression tree, in the
 //! same order, so the panels move no bit of any expectation, `R` or
-//! iterate. Each sweep chunk fills its panels once per reconstruction —
-//! straight from the settings for
-//! [`try_mle_reconstruction`](crate::reconstruct::try_mle_reconstruction),
-//! or from the caller's set for [`try_mle_repr`] — and the engine keeps
-//! no other copy of the vectors: a reconstruction's heap is one copy of
-//! its measured vectors plus each chunk's `d × d` buffer.
+//! iterate. Each sweep chunk fills its panels once per reconstruction
+//! from the caller's set, and the engine keeps no other copy of the
+//! vectors: a reconstruction's heap is one copy of its measured vectors
+//! plus each chunk's `d × d` buffer.
 //!
 //! The `RρR` products run through the packed GEMM
 //! ([`CMatrix::matmul_packed_into`]), and iterates are kept bitwise
@@ -52,7 +53,7 @@ use crate::reconstruct::{try_project_physical, MleOptions, MleResult};
 
 /// Probability floor: expectations are clamped to this before dividing,
 /// so empty-outcome projectors cannot blow up `R`.
-const P_FLOOR: f64 = 1e-12;
+pub(crate) const P_FLOOR: f64 = 1e-12;
 
 /// Pairs per parallel sweep task. The chunk layout depends only on the
 /// pair count — never on the thread count — so the partial-`R` merge
@@ -65,7 +66,7 @@ const SWEEP_CHUNK_PAIRS: usize = 64;
 /// step. The layout fixes the order in which partial `R` matrices are
 /// summed, so it depends only on the problem size — never on the thread
 /// count — and changing this value changes result bits.
-const PAR_SWEEP_MIN_WORK: usize = 1 << 15;
+pub(crate) const PAR_SWEEP_MIN_WORK: usize = 1 << 15;
 
 /// Stopping rule of [`try_mle_repr`]: an iterate is returned once its
 /// certified log-likelihood gap is at most this many nats of the count
@@ -319,11 +320,11 @@ pub fn exact_counts_repr(
 
 /// The measured outcomes of a count table, in `(s, o)` order: every
 /// outcome with a nonzero count, with its per-setting frequency.
-struct Measured {
+pub(crate) struct Measured {
     /// `(s, o)` per measured outcome.
-    outcomes: Vec<(usize, usize)>,
+    pub(crate) outcomes: Vec<(usize, usize)>,
     /// Frequency `f = c / N_s` per measured outcome.
-    freqs: Vec<f64>,
+    pub(crate) freqs: Vec<f64>,
     /// Events per measured setting, `N̄`: `ℓ` weighs every measured
     /// setting equally and the count likelihood by its events, so `N̄`
     /// converts a gap in `ℓ` to nats of the latter.
@@ -336,7 +337,7 @@ impl Measured {
     /// # Errors
     ///
     /// [`QfcError::SingularSystem`] for zero total events.
-    fn try_new(counts: &[Vec<u64>]) -> QfcResult<Self> {
+    pub(crate) fn try_new(counts: &[Vec<u64>]) -> QfcResult<Self> {
         let grand_total: u64 = counts.iter().map(|row| row.iter().sum::<u64>()).sum();
         if grand_total == 0 {
             return Err(QfcError::SingularSystem {
@@ -408,14 +409,10 @@ impl SweepChunk<'_> {
 /// Splits the measured outcomes into sweep chunks by the
 /// [`PAR_SWEEP_MIN_WORK`] layout rule — fixed [`SWEEP_CHUNK_PAIRS`]-sized
 /// chunks for the worker team, or one chunk that sweeps inline — and
-/// fills each chunk's panels with `fill(panels, k, (s, o))`. The layout
-/// depends only on the problem, never on the thread count.
-fn sweep_chunks<'a>(
-    measured: &'a Measured,
-    dim: usize,
-    fill: impl Fn(&mut VectorPanels, usize, (usize, usize)),
-) -> Vec<SweepChunk<'a>> {
-    let pairs = measured.freqs.len();
+/// fills each chunk's panels with the outcome vectors of `set`. The
+/// layout depends only on the problem, never on the thread count.
+fn sweep_chunks<'a>(measured: &'a Measured, set: &ProjectorReprSet) -> Vec<SweepChunk<'a>> {
+    let (pairs, dim) = (measured.freqs.len(), set.dim());
     let chunk_len = if pairs * dim * dim >= PAR_SWEEP_MIN_WORK {
         SWEEP_CHUNK_PAIRS
     } else {
@@ -427,8 +424,8 @@ fn sweep_chunks<'a>(
         .zip(measured.freqs.chunks(chunk_len))
         .map(|(outcomes, freqs)| {
             let mut panels = VectorPanels::zeros(dim, outcomes.len());
-            for (k, &outcome) in outcomes.iter().enumerate() {
-                fill(&mut panels, k, outcome);
+            for (k, &(s, o)) in outcomes.iter().enumerate() {
+                panels.set(k, set.vector(s, o).as_slice());
             }
             SweepChunk {
                 panels,
@@ -474,9 +471,10 @@ fn build_r(
 }
 
 /// Iterative RρR maximum-likelihood reconstruction against a qudit
-/// projector set — the workspace's one MLE engine, which
+/// projector set — the workspace's one MLE engine, whose schedule and
+/// stop rule
 /// [`try_mle_reconstruction`](crate::reconstruct::try_mle_reconstruction)
-/// runs on the outcome vectors of qubit settings.
+/// runs on qubit settings with a factored `R` build.
 ///
 /// Maximizes `ℓ(ρ) = Σ f·ln p` over density matrices, with `f` the
 /// per-setting frequencies and `p = ⟨ψ|ρ|ψ⟩`. The `R = Σ (f/p)·|ψ⟩⟨ψ|`
@@ -533,24 +531,7 @@ pub fn try_mle_repr(
             )));
         }
     }
-    try_mle_engine(set.dim(), counts, options, |panels, k, (s, o)| {
-        panels.set(k, set.vector(s, o).as_slice());
-    })
-}
-
-/// The engine of [`try_mle_repr`] on a count table whose shape the
-/// caller has checked: `fill(panels, k, (s, o))` stores the vector of
-/// outcome `o` of setting `s` as vector `k` of a chunk's panels.
-///
-/// # Errors
-///
-/// As [`try_mle_repr`].
-pub(crate) fn try_mle_engine(
-    dim: usize,
-    counts: &[Vec<u64>],
-    options: &MleOptions,
-    fill: impl Fn(&mut VectorPanels, usize, (usize, usize)),
-) -> QfcResult<MleResult> {
+    let dim = set.dim();
     if dim < 2 || !dim.is_power_of_two() {
         return Err(QfcError::invalid(format!(
             "MLE result is a DensityMatrix: dimension must be a power of \
@@ -558,7 +539,7 @@ pub(crate) fn try_mle_engine(
         )));
     }
     let measured = Measured::try_new(counts)?;
-    let mut chunks = sweep_chunks(&measured, dim, fill);
+    let mut chunks = sweep_chunks(&measured, set);
     // One team for the whole reconstruction: every R build is one step of
     // it, and the schedule itself runs on the calling thread between steps.
     let (rho, iterations, gap_nats, accelerated_steps) = qfc_runtime::par_team(
@@ -574,7 +555,7 @@ pub(crate) fn try_mle_engine(
 /// returns `ℓ(ρ)`: two in an iteration whose over-relaxed step is rolled
 /// back, one otherwise. Returns the iterate, its iterations, its
 /// certified gap and its over-relaxed steps.
-fn run_schedule(
+pub(crate) fn run_schedule(
     dim: usize,
     measured: &Measured,
     options: &MleOptions,
@@ -664,7 +645,7 @@ fn run_schedule(
 
 /// Counts the reconstruction and projects its iterate onto the physical
 /// states: symmetrize, then clip round-off negativity.
-fn finish(
+pub(crate) fn finish(
     rho: CMatrix,
     iterations: usize,
     gap_nats: f64,

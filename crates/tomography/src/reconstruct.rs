@@ -19,7 +19,7 @@ use qfc_mathkit::hermitian::psd_projection;
 use qfc_quantum::density::DensityMatrix;
 
 use crate::counts::TomographyData;
-use crate::rank1::try_mle_engine;
+use crate::factored::try_mle_settings;
 use crate::settings::{pauli_string_matrix, PauliBasis};
 
 /// Reconstructs a Hermitian unit-trace matrix by Pauli-basis linear
@@ -155,23 +155,28 @@ pub struct MleResult {
 }
 
 /// Iterative RρR maximum-likelihood reconstruction of qubit tomography
-/// data: the engine of [`try_mle_repr`](crate::rank1::try_mle_repr), its
-/// panels filled straight from the outcome vectors of `data`'s settings.
+/// data: the schedule and stop rule of
+/// [`try_mle_repr`](crate::rank1::try_mle_repr), with an `R` build that
+/// contracts `ρ` one qubit at a time over the trie of the settings'
+/// shared eigenstate prefixes and never forms an outcome vector (see
+/// DESIGN.md §15).
 ///
 /// # Errors
 ///
 /// * [`QfcError::InsufficientData`] — empty or mixed-arity setting list;
-/// * [`QfcError::InvalidParameter`] — malformed count table;
+/// * [`QfcError::InvalidParameter`] — malformed count table, or settings
+///   of no qubit;
 /// * [`QfcError::SingularSystem`] — zero total events, or an iteration
 ///   whose `RρR` update annihilated the trace;
 /// * [`QfcError::NonFinite`] — an update left the finite range.
 pub fn try_mle_reconstruction(data: &TomographyData, options: &MleOptions) -> QfcResult<MleResult> {
     data.validate()?;
-    let dim = 1usize << data.try_qubits()?;
-    let settings = &data.settings;
-    try_mle_engine(dim, &data.counts, options, |panels, k, (s, o)| {
-        panels.set(k, settings[s].outcome_vector(o).as_slice());
-    })
+    if data.try_qubits()? == 0 {
+        return Err(QfcError::invalid(
+            "MLE result is a DensityMatrix: settings must measure at least one qubit",
+        ));
+    }
+    try_mle_settings(&data.settings, &data.counts, options)
 }
 
 /// Full pipeline from data to a physical state via linear inversion and

@@ -7,15 +7,15 @@
 //! two problem sizes and asserts exactly that:
 //!
 //! - an MLE makes the same number of calls at 1 and at 12 iterations, on
-//!   a problem large enough to run as several sweep chunks;
+//!   a qudit problem large enough to run as several sweep chunks and on
+//!   four-qubit data whose factored sweep runs as team steps;
 //! - doubling the shots of a shot-based workload adds at most
 //!   [`SHOT_DOUBLING_SLACK`] calls (a growing result vector may realloc
 //!   once more; one allocation per shot adds thousands);
 //! - a sweep adds fewer than one call per 100 added grid points (one
 //!   staging row per 1024-point chunk);
-//! - the T4 MLE's heap peaks below one copy of its measured vectors plus
-//!   its partial `R` buffers and a stated slack, so a second copy of the
-//!   vectors fails here;
+//! - the T4 MLE's heap peaks below its factored buffers plus a stated
+//!   slack, so one copy of its measured outcome vectors fails here;
 //! - a coincidence sweep allocates nothing: `count_coincidences` makes no
 //!   call at all, and `measure_car` as many at 100 000 tags per stream as
 //!   at 10 000;
@@ -224,39 +224,71 @@ fn check_mle_iterations(threads: usize) {
     );
 }
 
+/// The same on qubit data: the §V four-qubit grid at 2 000 shots per
+/// setting, whose factored sweep runs as team steps at 2 threads, makes
+/// as many allocator calls at 12 iterations as at 1.
+fn check_qubit_mle_iterations(threads: usize) {
+    let rho4 = noisy_four_photon(0.0, 0.92, 0.05);
+    let data = try_stream_counts_seeded(&rho4, &all_settings(4), 2_000, 37).expect("counts");
+    let count = |max_iterations: usize| {
+        let opts = MleOptions { max_iterations };
+        let mut result = None;
+        let calls = allocs(|| result = Some(try_mle_reconstruction(&data, &opts)));
+        let result = result.expect("ran").expect("reconstruction");
+        assert_eq!(result.iterations, max_iterations);
+        assert!(!result.converged, "gap {} at {max_iterations}", result.gap_nats);
+        calls
+    };
+    count(1);
+    let one = count(1);
+    let twelve = count(12);
+    assert_eq!(
+        one, twelve,
+        "qubit MLE at {threads} thread(s): {one} allocations at 1 iteration, {twelve} at 12"
+    );
+}
+
 /// Heap bytes of one complex entry.
 const COMPLEX_BYTES: i64 = 16;
 
-/// Heap the T4 MLE may use beyond its vectors and partial `R` buffers.
-/// Measured at 72 KB on the data below: the measured-outcome table (one
-/// `(s, o)` and one frequency per outcome slot, 31 KB), the chunks'
-/// weights (9 KB) and chunk list (2 KB), and the schedule's six `d × d`
-/// work matrices with their GEMM scratch (29 KB); at 2 threads the
-/// team adds under 1 KB. A second copy of the measured vectors, 290 KB
-/// here, does not fit.
+/// Heap bytes of one word (an index or an `f64`).
+const WORD_BYTES: i64 = 8;
+
+/// Heap the T4 MLE may use beyond its trie and per-outcome buffers.
+/// Measured at 78 KB on the data below: the measured-outcome table (one
+/// `(s, o)` and one frequency per outcome slot, 31 KB), the schedule's
+/// six `d × d` work matrices with their GEMM scratch (29 KB), and the
+/// trie build's prefix tables, which live only while it runs; the team
+/// adds nothing measurable at 2 threads. One copy of the 1 134 measured
+/// outcome vectors, 290 KB here, does not fit.
 const MLE_HEAP_SLACK: i64 = 96 * 1024;
 
-/// The T4 MLE keeps one copy of its measured vectors: on 60-shot
-/// four-qubit data (the §V paper statistics), `try_mle_reconstruction`
-/// peaks below those vectors — `d` complex entries per measured outcome,
-/// as four-vector panels — plus each sweep chunk's `d × d` partial `R`
-/// and [`MLE_HEAP_SLACK`].
+/// The T4 MLE forms no outcome vector: on 60-shot four-qubit data (the
+/// §V paper statistics), `try_mle_reconstruction` peaks below its
+/// factored buffers — for the full grid's trie, every level's blocks
+/// (`6^(q+1)` blocks of side `16/2^(q+1)` at level `q`) and each node's
+/// link, and per measured outcome its leaf index, frequency and leaf
+/// weight — plus [`MLE_HEAP_SLACK`]. The bound, 200 KB here, replaces
+/// one of 456 KB for the vector panels.
 fn check_mle_heap(threads: usize) {
     let rho4 = noisy_four_photon(0.0, 0.68, 0.08);
     let data = try_stream_counts_seeded(&rho4, &all_settings(4), 60, 31).expect("counts");
     let measured = data.counts.iter().flatten().filter(|&&c| c > 0).count() as i64;
-    let dim = 16;
-    let vectors = measured * dim * COMPLEX_BYTES;
-    // The sweep cuts this problem into 64-outcome chunks.
-    let r_parts = (measured + 63) / 64 * dim * dim * COMPLEX_BYTES;
+    let trie: i64 = (0..4)
+        .map(|q| {
+            let (nodes, side) = (6i64.pow(q + 1), 16i64 >> (q + 1));
+            nodes * (side * side * COMPLEX_BYTES + 2 * WORD_BYTES)
+        })
+        .sum();
+    let per_outcome = measured * 3 * WORD_BYTES;
     let opts = MleOptions::default();
     try_mle_reconstruction(&data, &opts).expect("warm-up");
     let (peak, result) = heap_peak(|| try_mle_reconstruction(&data, &opts));
     result.expect("reconstruction");
     assert!(
-        peak < vectors + r_parts + MLE_HEAP_SLACK,
-        "at {threads} thread(s): the T4 MLE peaked at {peak} bytes; its {measured} measured \
-         vectors take {vectors} and its partial R buffers {r_parts}"
+        peak < trie + per_outcome + MLE_HEAP_SLACK,
+        "at {threads} thread(s): the T4 MLE peaked at {peak} bytes; its trie takes at most \
+         {trie} and its {measured} measured outcomes {per_outcome}"
     );
 }
 
@@ -299,8 +331,8 @@ fn check_shot_workloads(threads: usize, campaign_dir: &Path) {
     // §V counts streamed over the 81 four-qubit settings, then
     // reconstructed by the MLE engine. White noise puts every outcome
     // near 0.3 % or above, so at 2 000 shots nearly all 1 296 outcomes
-    // are measured at both scales, and the one-allocation vector build
-    // per measured outcome stays within the slack.
+    // are measured at both scales, and the trie's buffers keep the same
+    // shape.
     let rho4 = noisy_four_photon(0.0, 0.92, 0.05);
     let settings = all_settings(4);
     let opts = MleOptions { max_iterations: 5 };
@@ -437,6 +469,7 @@ fn hot_kernels_allocate_nothing_per_iteration_shot_or_point() {
     for threads in [1, 2] {
         with_threads(threads, || {
             check_mle_iterations(threads);
+            check_qubit_mle_iterations(threads);
             check_mle_heap(threads);
             check_shot_workloads(threads, &campaign_dir);
             check_coincidence_sweep(threads);
