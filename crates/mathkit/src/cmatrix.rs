@@ -280,15 +280,16 @@ impl CMatrix {
         out
     }
 
-    /// Matrix product `A·B` written into an existing buffer — the
-    /// scratch-space form of [`Self::matmul`] for iteration hot loops.
-    /// Bit-identical to `matmul`: the output is zeroed, then accumulated
-    /// with the same skip-zero `i, k, j` loop in the same order.
+    /// Matrix product `A·B` written into an existing buffer: the oracle
+    /// of [`Self::matmul_packed_into`]'s tests. Bit-identical to
+    /// `matmul`: the output is zeroed, then accumulated with the same
+    /// skip-zero `i, k, j` loop in the same order.
     ///
     /// # Panics
     ///
     /// Panics if inner dimensions disagree or `out` has the wrong shape.
-    pub fn matmul_into(&self, other: &Self, out: &mut Self) {
+    #[cfg(test)]
+    pub(crate) fn matmul_into(&self, other: &Self, out: &mut Self) {
         assert_eq!(
             self.cols, other.rows,
             "matmul dimension mismatch {}x{} · {}x{}",
@@ -314,7 +315,8 @@ impl CMatrix {
     }
 
     /// Matrix product `A·B` through a packed right-hand side — the
-    /// cache-friendly form of [`Self::matmul_into`] for large matrices.
+    /// cache-friendly form of [`Self::matmul`] for hot loops, writing
+    /// into an existing buffer.
     ///
     /// The RHS is first packed into `scratch` in transposed
     /// (adjoint-layout, unconjugated) order, so every output element is
@@ -323,7 +325,7 @@ impl CMatrix {
     /// the packing, rows of `A` with no exact-zero entry take a
     /// branch-free inner loop the compiler can vectorize.
     ///
-    /// **Bit-identical to [`Self::matmul`]/[`Self::matmul_into`]**: each
+    /// **Bit-identical to [`Self::matmul`]**: each
     /// output element accumulates `aᵢₖ·bₖⱼ` over ascending `k` starting
     /// from zero, with the same skip test on exactly-zero `aᵢₖ` — the
     /// same operations on the same values in the same order, so the IEEE
@@ -649,12 +651,15 @@ impl CMatrix {
         std::array::from_fn(|l| diag[l] + 2.0 * cross[l])
     }
 
-    /// [`Self::ger_hermitian_upper`] with weight `alphas[k]` for every
-    /// vector `k` of `panels`, in vector order. Each panel touches every
+    /// The Hermitian rank-1 updates `self += αₖ·xₖ·xₖ†` of every vector
+    /// `k` of `panels`, in vector order, writing only the diagonal and
+    /// strict upper triangle — half the work of [`Self::ger_assign`] on a
+    /// Hermitian accumulator; pair with [`Self::hermitianize_upper`]. Each panel touches every
     /// upper-triangle element once for its four updates instead of four
-    /// times. Bitwise identical to the sequential single updates: per
-    /// element the lanes are added in vector order, each as that form's
-    /// product, and a short last panel adds only its own lanes.
+    /// times. Bitwise identical to sequential single-vector updates (the
+    /// test oracle `ger_hermitian_upper`): per element the lanes are added
+    /// in vector order, each as that form's product, and a short last
+    /// panel adds only its own lanes.
     ///
     /// # Panics
     ///
@@ -705,15 +710,14 @@ impl CMatrix {
     }
 
     /// Hermitian rank-1 update `self += α·x·x†`, writing only the
-    /// diagonal and strict upper triangle — half the work of
-    /// [`Self::ger_assign`] on a Hermitian accumulator. Pair with
-    /// [`Self::hermitianize_upper`] to materialize the lower triangle
-    /// once after a batch of updates.
+    /// diagonal and strict upper triangle: the single-vector oracle of
+    /// [`Self::ger_hermitian_upper_panels`]'s tests.
     ///
     /// # Panics
     ///
     /// Panics if `self` is not square or `x.dim() != self.rows()`.
-    pub fn ger_hermitian_upper(&mut self, alpha: f64, x: &CVector) {
+    #[cfg(test)]
+    pub(crate) fn ger_hermitian_upper(&mut self, alpha: f64, x: &CVector) {
         assert!(self.is_square(), "ger_hermitian_upper needs a square matrix");
         assert_eq!(x.dim(), self.rows, "ger_assign row dimension mismatch");
         let xs = x.as_slice();

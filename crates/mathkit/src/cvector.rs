@@ -123,19 +123,6 @@ impl CVector {
         self.scale(1.0 / n)
     }
 
-    /// Normalizes in place.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the vector is (numerically) zero.
-    pub fn normalize(&mut self) {
-        let n = self.norm();
-        assert!(n > 0.0, "cannot normalize zero vector");
-        for z in &mut self.data {
-            *z = *z / n;
-        }
-    }
-
     /// Scales all components by a real factor.
     pub fn scale(&self, s: f64) -> Self {
         Self {
@@ -373,10 +360,9 @@ mod tests {
 
     #[test]
     fn norm_and_normalize() {
-        let mut v = CVector::from_real(&[3.0, 4.0]);
+        let v = CVector::from_real(&[3.0, 4.0]);
         assert_eq!(v.norm(), 5.0);
-        v.normalize();
-        assert!((v.norm() - 1.0).abs() < 1e-15);
+        assert!((v.normalized().norm() - 1.0).abs() < 1e-15);
         let w = CVector::from_real(&[0.0, 2.0]).normalized();
         assert!((w.norm() - 1.0).abs() < 1e-15);
     }
@@ -384,7 +370,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "zero vector")]
     fn normalize_zero_panics() {
-        CVector::zeros(2).normalize();
+        let _ = CVector::zeros(2).normalized();
     }
 
     #[test]

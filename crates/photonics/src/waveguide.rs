@@ -22,16 +22,6 @@ pub enum Polarization {
     Tm,
 }
 
-impl Polarization {
-    /// The orthogonal polarization.
-    pub fn orthogonal(self) -> Self {
-        match self {
-            Self::Te => Self::Tm,
-            Self::Tm => Self::Te,
-        }
-    }
-}
-
 impl std::fmt::Display for Polarization {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
@@ -195,9 +185,7 @@ mod tests {
     }
 
     #[test]
-    fn orthogonal_polarization() {
-        assert_eq!(Polarization::Te.orthogonal(), Polarization::Tm);
-        assert_eq!(Polarization::Tm.orthogonal(), Polarization::Te);
+    fn polarization_display() {
         assert_eq!(Polarization::Te.to_string(), "TE");
     }
 }
