@@ -18,7 +18,7 @@ use qfc_tomography::settings::all_settings;
 use qfc_tomography::stream::try_stream_counts_seeded;
 
 use crate::heralded::{
-    run_stability_experiment, try_run_heralded_experiment, HeraldedConfig, StabilityConfig,
+    try_run_heralded_experiment, try_run_stability_experiment, HeraldedConfig, StabilityConfig,
 };
 use crate::source::QfcSource;
 
@@ -35,7 +35,14 @@ pub struct PumpSchemeOutcome {
 
 /// Ablation of the §II pump scheme: self-locked vs actively stabilized
 /// external vs free-running external, same environment, same seed.
-pub fn pump_scheme_ablation(config: &StabilityConfig, seed: u64) -> Vec<PumpSchemeOutcome> {
+///
+/// # Errors
+///
+/// As [`try_run_stability_experiment`] (every scheme here is CW).
+pub fn pump_scheme_ablation(
+    config: &StabilityConfig,
+    seed: u64,
+) -> QfcResult<Vec<PumpSchemeOutcome>> {
     let power = Power::from_mw(15.0);
     let schemes: [(&str, PumpConfig, bool); 3] = [
         ("self-locked", PumpConfig::SelfLockedCw { power }, false),
@@ -60,13 +67,15 @@ pub fn pump_scheme_ablation(config: &StabilityConfig, seed: u64) -> Vec<PumpSche
     // an independent task on the worker pool.
     qfc_runtime::par_map(&schemes, |&(label, pump, active)| {
         let source = QfcSource::paper_device().with_pump(pump);
-        let report = run_stability_experiment(&source, config, seed); // qfc-lint: allow(rng-lane-flow) — matched-seed comparison by design: every pump scheme must see the identical shot stream so differences are attributable to the pump alone
-        PumpSchemeOutcome {
+        let report = try_run_stability_experiment(&source, config, seed)?; // qfc-lint: allow(rng-lane-flow) — matched-seed comparison by design: every pump scheme must see the identical shot stream so differences are attributable to the pump alone
+        Ok(PumpSchemeOutcome {
             scheme: label.to_owned(),
             relative_fluctuation: report.relative_fluctuation,
             needs_active_stabilization: active,
-        }
+        })
     })
+    .into_iter()
+    .collect()
 }
 
 /// One row of the tomography-reconstructor ablation.
@@ -167,7 +176,7 @@ mod tests {
 
     #[test]
     fn pump_scheme_ordering() {
-        let results = pump_scheme_ablation(&StabilityConfig::paper(), 91);
+        let results = pump_scheme_ablation(&StabilityConfig::paper(), 91).expect("CW pumps");
         assert_eq!(results.len(), 3);
         let locked = results[0].relative_fluctuation;
         let active = results[1].relative_fluctuation;

@@ -797,13 +797,17 @@ impl StabilityReport {
 /// resonance; the self-locked scheme tracks it passively, an unlocked
 /// external laser does not, and the pair rate falls as the fourth power
 /// of the pump field response (both pump photons must enter the cavity).
-pub fn run_stability_experiment(
+///
+/// # Errors
+///
+/// [`QfcError::RegimeMismatch`] when the source's pump is not CW.
+pub fn try_run_stability_experiment(
     source: &QfcSource,
     config: &StabilityConfig,
     seed: u64,
-) -> StabilityReport {
+) -> QfcResult<StabilityReport> {
     let mut rng = rng_from_seed(seed);
-    let base_rate = source.pair_rate_cw(1);
+    let base_rate = source.try_pair_rate_cw(1)?;
     // Detected coincidence rate at nominal detuning.
     let het = HeraldedConfig::paper();
     let eta = het.detector.efficiency * het.collection_efficiency;
@@ -827,11 +831,11 @@ pub fn run_stability_experiment(
         series.push((t_days, cast::to_f64(counts) / config.sample_integration_s));
     }
     let rates: Vec<f64> = series.iter().map(|s| s.1).collect();
-    StabilityReport {
+    Ok(StabilityReport {
         relative_fluctuation: relative_fluctuation(&rates),
         series,
         self_locked: source.pump().is_passively_stable(),
-    }
+    })
 }
 
 #[cfg(test)]
@@ -886,7 +890,7 @@ mod tests {
         cfg.detector.dark_count_rate_hz = 100.0;
         cfg.linewidth_pairs = 1000;
         let report = run(&cfg, 4);
-        let generated = fast_source().pair_rate_cw(1);
+        let generated = fast_source().try_pair_rate_cw(1).expect("CW pump");
         let inferred = report.channels[0].inferred_pair_rate_hz;
         assert!(
             (inferred - generated).abs() / generated < 0.3,
@@ -897,16 +901,17 @@ mod tests {
     #[test]
     fn stability_self_locked_beats_free_running() {
         let cfg = StabilityConfig::paper();
-        let locked = run_stability_experiment(&fast_source(), &cfg, 5);
+        let locked = try_run_stability_experiment(&fast_source(), &cfg, 5).expect("CW pump");
         assert!(locked.self_locked);
-        let free = run_stability_experiment(
+        let free = try_run_stability_experiment(
             &fast_source().with_pump(PumpConfig::ExternalCw {
                 power: Power::from_mw(15.0),
                 actively_stabilized: false,
             }),
             &cfg,
             5,
-        );
+        )
+        .expect("CW pump");
         assert!(!free.self_locked);
         assert!(
             locked.relative_fluctuation < free.relative_fluctuation,

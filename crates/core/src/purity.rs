@@ -9,6 +9,8 @@ use qfc_photonics::memory::{ring_memory_efficiency, MemoryProfile};
 use qfc_photonics::waveguide::Polarization;
 use qfc_quantum::fock::TwoModeSqueezedVacuum;
 
+use qfc_faults::QfcResult;
+
 use crate::report::{Comparison, Expectation, ExperimentReport};
 use crate::source::QfcSource;
 
@@ -88,7 +90,13 @@ impl PurityReport {
 ///
 /// Panics if the source is not in the double-pulse regime (the purity
 /// claim concerns the resonance-matched pulsed configuration).
-pub fn run_purity_analysis(source: &QfcSource, config: &PurityConfig) -> PurityReport {
+///
+/// # Errors
+///
+/// [`QfcError::RegimeMismatch`](qfc_faults::QfcError::RegimeMismatch)
+/// when the source's pump is not the
+/// double-pulse configuration.
+pub fn try_run_purity_analysis(source: &QfcSource, config: &PurityConfig) -> QfcResult<PurityReport> {
     let ring = source.ring();
     // The double pulses are spectrally filtered to one resonance by a
     // grating filter that is still far wider (GHz-class) than the
@@ -106,14 +114,14 @@ pub fn run_purity_analysis(source: &QfcSource, config: &PurityConfig) -> PurityR
         config.grid,
         config.span_linewidths,
     );
-    let mu = source.pairs_per_frame(config.m);
+    let mu = source.try_pairs_per_frame(config.m)?;
     let tmsv = TwoModeSqueezedVacuum::new(mu);
-    PurityReport {
+    Ok(PurityReport {
         schmidt_number: jsa.schmidt_number(),
         heralded_purity: jsa.heralded_purity(),
         heralded_g2: tmsv.heralded_g2(config.herald_efficiency),
         memory_acceptance: ring_memory_efficiency(ring, &MemoryProfile::atomic_100mhz()),
-    }
+    })
 }
 
 #[cfg(test)]
@@ -123,7 +131,7 @@ mod tests {
     #[test]
     fn paper_operating_point_is_pure() {
         let source = QfcSource::paper_device_timebin();
-        let report = run_purity_analysis(&source, &PurityConfig::paper());
+        let report = try_run_purity_analysis(&source, &PurityConfig::paper()).expect("double-pulse pump");
         assert!(report.heralded_purity > 0.9, "P = {}", report.heralded_purity);
         assert!(report.schmidt_number < 1.15, "K = {}", report.schmidt_number);
         assert!(report.heralded_g2 < 0.2, "g2 = {}", report.heralded_g2);
@@ -135,9 +143,9 @@ mod tests {
     fn purity_consistent_between_channels() {
         let source = QfcSource::paper_device_timebin();
         let mut cfg = PurityConfig::paper();
-        let p1 = run_purity_analysis(&source, &cfg);
+        let p1 = try_run_purity_analysis(&source, &cfg).expect("double-pulse pump");
         cfg.m = 3;
-        let p3 = run_purity_analysis(&source, &cfg);
+        let p3 = try_run_purity_analysis(&source, &cfg).expect("double-pulse pump");
         // All channels share the resonance-set bandwidth.
         assert!((p1.heralded_purity - p3.heralded_purity).abs() < 0.02);
     }
@@ -147,8 +155,8 @@ mod tests {
         // Heralded g² worsens at higher μ — the §V pump-boost trade.
         let source = QfcSource::paper_device_timebin();
         let cfg = PurityConfig::paper();
-        let base = run_purity_analysis(&source, &cfg);
-        let mu_boosted = source.pairs_per_frame(1) * 9.0;
+        let base = try_run_purity_analysis(&source, &cfg).expect("double-pulse pump");
+        let mu_boosted = source.try_pairs_per_frame(1).expect("double-pulse pump") * 9.0;
         let g2_boosted = TwoModeSqueezedVacuum::new(mu_boosted).heralded_g2(cfg.herald_efficiency);
         assert!(g2_boosted > base.heralded_g2);
     }

@@ -34,8 +34,9 @@ pub enum EmissionRegime {
 ///
 /// let source = QfcSource::paper_device();
 /// // §II channel-1 emission at 15 mW: tens to hundreds of pairs/s.
-/// let r = source.pair_rate_cw(1);
+/// let r = source.try_pair_rate_cw(1)?;
 /// assert!(r > 1.0 && r < 1e4, "rate {r}");
+/// # Ok::<(), qfc_faults::QfcError>(())
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct QfcSource {
@@ -140,18 +141,13 @@ impl QfcSource {
     /// Generated pair flux (pairs/s) on channel pair `m` for the §II CW
     /// configurations.
     ///
+    /// # Errors
+    ///
+    /// [`QfcError::RegimeMismatch`] when the pump is not CW.
+    ///
     /// # Panics
     ///
-    /// Panics if the pump is not a CW configuration or `m == 0`.
-    pub fn pair_rate_cw(&self, m: u32) -> f64 {
-        match self.try_pair_rate_cw(m) {
-            Ok(r) => r,
-            Err(e) => panic!("pair_rate_cw requires a CW pump configuration ({e})"), // qfc-lint: allow(panic-reachability) — documented panicking wrapper over the try_* twin (`# Panics` contract)
-        }
-    }
-
-    /// Fallible form of [`Self::pair_rate_cw`]: returns
-    /// [`QfcError::RegimeMismatch`] when the pump is not CW.
+    /// Panics if `m == 0`.
     pub fn try_pair_rate_cw(&self, m: u32) -> QfcResult<f64> {
         match self.pump {
             PumpConfig::SelfLockedCw { power } | PumpConfig::ExternalCw { power, .. } => {
@@ -199,17 +195,10 @@ impl QfcSource {
     /// Mean photon pairs per double-pulse frame on channel `m` for the
     /// §IV–V pulsed pump (per *frame*, i.e. summed over both bins).
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the pump is not a double-pulse configuration.
-    pub fn pairs_per_frame(&self, m: u32) -> f64 {
-        match self.try_pairs_per_frame(m) {
-            Ok(r) => r,
-            Err(e) => panic!("pairs_per_frame requires the double-pulse pump ({e})"), // qfc-lint: allow(panic-reachability) — documented panicking wrapper over the try_* twin (`# Panics` contract)
-        }
-    }
-
-    /// Fallible form of [`Self::pairs_per_frame`].
+    /// [`QfcError::RegimeMismatch`] when the pump is not a double-pulse
+    /// configuration.
     pub fn try_pairs_per_frame(&self, m: u32) -> QfcResult<f64> {
         match self.pump {
             PumpConfig::DoublePulse { peak_power, .. } => {
@@ -257,7 +246,7 @@ mod tests {
         // ~10–40 pairs/s window the paper infers.
         let src = QfcSource::paper_device();
         for m in 1..=5 {
-            let r = src.pair_rate_cw(m);
+            let r = src.try_pair_rate_cw(m).expect("CW pump");
             assert!(r > 5.0 && r < 80.0, "m={m}: rate {r}");
         }
     }
@@ -265,7 +254,7 @@ mod tests {
     #[test]
     fn cw_rates_decrease_with_channel() {
         let src = QfcSource::paper_device();
-        let rates: Vec<f64> = (1..=5).map(|m| src.pair_rate_cw(m)).collect();
+        let rates: Vec<f64> = (1..=5).map(|m| src.try_pair_rate_cw(m).expect("CW pump")).collect();
         assert!(rates.windows(2).all(|w| w[0] > w[1]), "{rates:?}");
         // Span roughly a factor two, like 14–29 Hz.
         let ratio = rates[0] / rates[4];
@@ -282,14 +271,8 @@ mod tests {
     #[test]
     fn pulsed_mu_in_low_gain_regime() {
         let src = QfcSource::paper_device_timebin();
-        let mu = src.pairs_per_frame(1);
+        let mu = src.try_pairs_per_frame(1).expect("double-pulse pump");
         assert!(mu > 1e-5 && mu < 0.2, "μ = {mu}");
-    }
-
-    #[test]
-    #[should_panic(expected = "CW pump")]
-    fn cw_rate_needs_cw_pump() {
-        let _ = QfcSource::paper_device_timebin().pair_rate_cw(1);
     }
 
     #[test]

@@ -15,7 +15,7 @@ use qfc::faults::QfcResult;
 fn main() -> QfcResult<()> {
     println!("== Pump scheme (the §II claim: why self-locking matters) ==");
     println!("{:<24} {:>16} {:>18}", "scheme", "fluctuation", "active hardware?");
-    for row in pump_scheme_ablation(&StabilityConfig::paper(), 2017) {
+    for row in pump_scheme_ablation(&StabilityConfig::paper(), 2017)? {
         println!(
             "{:<24} {:>14.1} % {:>18}",
             row.scheme,

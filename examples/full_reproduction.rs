@@ -8,7 +8,7 @@
 
 use qfc::core::crosspol::{run_power_sweep, try_run_crosspol_experiment, CrossPolConfig};
 use qfc::core::heralded::{
-    run_stability_experiment, try_run_heralded_experiment, HeraldedConfig, StabilityConfig,
+    try_run_heralded_experiment, try_run_stability_experiment, HeraldedConfig, StabilityConfig,
 };
 use qfc::core::multiphoton::{try_run_multiphoton_experiment, MultiPhotonConfig};
 use qfc::core::report::ExperimentReport;
@@ -66,16 +66,18 @@ fn main() {
 
     // §II — F3
     eprintln!("running §II stability…");
-    let stab = run_stability_experiment(&source2, &StabilityConfig::paper(), seed);
+    let stab = try_run_stability_experiment(&source2, &StabilityConfig::paper(), seed)
+        .expect("CW pump");
     reports.push(stab.to_report());
-    let free = run_stability_experiment(
+    let free = try_run_stability_experiment(
         &source2.clone().with_pump(PumpConfig::ExternalCw {
             power: Power::from_mw(15.0),
             actively_stabilized: false,
         }),
         &StabilityConfig::paper(),
         seed,
-    );
+    )
+    .expect("CW pump");
     reports.push(free.to_report());
 
     // §III — F4/F5/F6
@@ -120,10 +122,11 @@ fn main() {
 
     // Extension: purity/memory (P1–P3).
     eprintln!("running purity extension…");
-    let purity = qfc::core::purity::run_purity_analysis(
+    let purity = qfc::core::purity::try_run_purity_analysis(
         &source4,
         &qfc::core::purity::PurityConfig::paper(),
-    );
+    )
+    .expect("double-pulse pump");
     reports.push(purity.to_report());
 
     let mut all_pass = true;

@@ -7,14 +7,14 @@
 //! ```
 
 use qfc::core::heralded::{
-    run_stability_experiment, try_run_heralded_experiment, HeraldedConfig, StabilityConfig,
+    try_run_heralded_experiment, try_run_stability_experiment, HeraldedConfig, StabilityConfig,
 };
 use qfc::core::source::QfcSource;
-use qfc::faults::FaultSchedule;
+use qfc::faults::{FaultSchedule, QfcResult};
 use qfc::photonics::pump::PumpConfig;
 use qfc::photonics::units::Power;
 
-fn main() {
+fn main() -> QfcResult<()> {
     let source = QfcSource::paper_device();
     let config = HeraldedConfig::paper();
     println!(
@@ -71,19 +71,19 @@ fn main() {
 
     println!("\n== F3 stability over 3 weeks ==");
     let stab_cfg = StabilityConfig::paper();
-    let locked = run_stability_experiment(&source, &stab_cfg, 8);
+    let locked = try_run_stability_experiment(&source, &stab_cfg, 8)?;
     println!(
         "self-locked    : {:.1} % peak-to-peak fluctuation (paper: < 5 %)",
         locked.relative_fluctuation * 100.0
     );
-    let free = run_stability_experiment(
+    let free = try_run_stability_experiment(
         &source.clone().with_pump(PumpConfig::ExternalCw {
             power: Power::from_mw(15.0),
             actively_stabilized: false,
         }),
         &stab_cfg,
         8,
-    );
+    )?;
     println!(
         "free-running   : {:.1} % peak-to-peak fluctuation (unlocked baseline)",
         free.relative_fluctuation * 100.0
@@ -91,4 +91,5 @@ fn main() {
 
     println!("\n{}", report.to_report().render());
     println!("{}", locked.to_report().render());
+    Ok(())
 }

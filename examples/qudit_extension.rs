@@ -8,11 +8,12 @@
 //! ```
 
 use qfc::core::source::QfcSource;
+use qfc::faults::QfcResult;
 use qfc::quantum::qudit::{
     cglmp_critical_visibility, cglmp_value, BipartiteQudit, CGLMP_CLASSICAL_BOUND,
 };
 
-fn main() {
+fn main() -> QfcResult<()> {
     let source = QfcSource::paper_device_timebin();
 
     println!("== Frequency-bin qudits from the comb ==");
@@ -21,8 +22,8 @@ fn main() {
     for d in [2usize, 3, 4, 5, 8] {
         // Per-channel pair emission weights from the source model.
         let weights: Vec<f64> = (1..=d as u32)
-            .map(|m| source.pairs_per_frame(m))
-            .collect();
+            .map(|m| source.try_pairs_per_frame(m))
+            .collect::<QfcResult<_>>()?;
         let state = BipartiteQudit::from_channel_weights(&weights);
         println!(
             " {:>2}     {:>6.3}          {:>6.3}          {:>3}",
@@ -55,4 +56,5 @@ fn main() {
          CGLMP bound — and the margin grows with d: high-dimensional\n\
          frequency-bin operation is within the measured noise budget."
     );
+    Ok(())
 }

@@ -3,6 +3,9 @@
 //! ```text
 //! qfc-cli <experiment> [--seed N] [--fast] [--json]
 //!
+//! Under `--json` every verb prints one JSON document; `all` prints one
+//! per verb, in order.
+//!
 //! experiments:
 //!   device       print the calibrated device figures
 //!   heralded     §II  F1/T1/F2  heralded single photons
@@ -20,15 +23,17 @@ use std::process::ExitCode;
 
 use qfc::core::crosspol::{run_power_sweep, try_run_crosspol_experiment, CrossPolConfig};
 use qfc::core::heralded::{
-    run_stability_experiment, try_run_heralded_experiment, HeraldedConfig, StabilityConfig,
+    try_run_heralded_experiment, try_run_stability_experiment, HeraldedConfig, StabilityConfig,
 };
 use qfc::core::multiphoton::{try_run_multiphoton_experiment, MultiPhotonConfig};
-use qfc::core::purity::{run_purity_analysis, PurityConfig};
+use qfc::core::purity::{try_run_purity_analysis, PurityConfig};
 use qfc::core::report::ExperimentReport;
 use qfc::core::source::QfcSource;
 use qfc::core::timebin::{try_run_timebin_experiment, TimeBinConfig};
 use qfc::faults::{FaultSchedule, QfcError, QfcResult};
+use qfc::photonics::comb::TelecomBand;
 use qfc::photonics::waveguide::Polarization;
+use serde::Serialize;
 
 struct Options {
     seed: u64,
@@ -36,15 +41,41 @@ struct Options {
     json: bool,
 }
 
+/// The calibrated device figures `device` prints.
+#[derive(Serialize)]
+struct DeviceFigures {
+    radius_um: f64,
+    fsr_te_hz: f64,
+    loaded_linewidth_hz: f64,
+    loaded_q: f64,
+    finesse: f64,
+    field_enhancement: f64,
+}
+
+/// The comb-spectrum summary `spectrum` prints.
+#[derive(Serialize)]
+struct SpectrumSummary {
+    above_threshold: bool,
+    total_power_w: f64,
+    lines_within_30_db: usize,
+    bands_covered: Vec<TelecomBand>,
+}
+
+/// Prints `value` as one pretty JSON document.
+fn print_json(value: &impl Serialize, what: &str) -> QfcResult<()> {
+    let json = serde_json::to_string_pretty(value)
+        .map_err(|e| QfcError::persistence(format!("serialize {what}: {e}")))?;
+    println!("{json}");
+    Ok(())
+}
+
 fn emit(report: &ExperimentReport, opts: &Options) -> QfcResult<()> {
     if opts.json {
-        let json = serde_json::to_string_pretty(report)
-            .map_err(|e| QfcError::persistence(format!("serialize {} report: {e}", report.title)))?;
-        println!("{json}");
+        print_json(report, &format!("{} report", report.title))
     } else {
         println!("{}", report.render());
+        Ok(())
     }
-    Ok(())
 }
 
 fn run_one(name: &str, opts: &Options) -> QfcResult<()> {
@@ -52,6 +83,17 @@ fn run_one(name: &str, opts: &Options) -> QfcResult<()> {
         "device" => {
             let source = QfcSource::paper_device();
             let ring = source.ring();
+            if opts.json {
+                let figures = DeviceFigures {
+                    radius_um: ring.radius() * 1e6,
+                    fsr_te_hz: ring.fsr(Polarization::Te).hz(),
+                    loaded_linewidth_hz: ring.linewidth().hz(),
+                    loaded_q: ring.q_loaded(),
+                    finesse: ring.finesse(),
+                    field_enhancement: ring.field_enhancement_power(),
+                };
+                return print_json(&figures, "device figures");
+            }
             println!("radius            : {:.1} um", ring.radius() * 1e6);
             println!("FSR (TE)          : {}", ring.fsr(Polarization::Te));
             println!("loaded linewidth  : {}", ring.linewidth());
@@ -78,7 +120,7 @@ fn run_one(name: &str, opts: &Options) -> QfcResult<()> {
         }
         "stability" => {
             let source = QfcSource::paper_device();
-            let report = run_stability_experiment(&source, &StabilityConfig::paper(), opts.seed);
+            let report = try_run_stability_experiment(&source, &StabilityConfig::paper(), opts.seed)?;
             emit(&report.to_report(), opts)?;
             Ok(())
         }
@@ -141,7 +183,7 @@ fn run_one(name: &str, opts: &Options) -> QfcResult<()> {
         }
         "purity" => {
             let source = QfcSource::paper_device_timebin();
-            let report = run_purity_analysis(&source, &PurityConfig::paper());
+            let report = try_run_purity_analysis(&source, &PurityConfig::paper())?;
             emit(&report.to_report(), opts)?;
             Ok(())
         }
@@ -152,12 +194,21 @@ fn run_one(name: &str, opts: &Options) -> QfcResult<()> {
                 qfc::photonics::units::Power::from_mw(30.0),
                 40,
             );
+            let summary = SpectrumSummary {
+                above_threshold: spec.above_threshold,
+                total_power_w: spec.total_power_w(),
+                lines_within_30_db: spec.lines_above_floor(30.0),
+                bands_covered: spec.bands_covered(),
+            };
+            if opts.json {
+                return print_json(&summary, "spectrum summary");
+            }
             println!(
                 "above threshold: {} | total {:.3e} W | {} lines within 30 dB | bands {:?}",
-                spec.above_threshold,
-                spec.total_power_w(),
-                spec.lines_above_floor(30.0),
-                spec.bands_covered()
+                summary.above_threshold,
+                summary.total_power_w,
+                summary.lines_within_30_db,
+                summary.bands_covered
             );
             Ok(())
         }

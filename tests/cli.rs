@@ -1,5 +1,6 @@
 //! Drives the `qfc-cli` binary: every experiment its `--help` lists runs
-//! to a zero exit with `--fast`, and an unknown verb fails loudly.
+//! to a zero exit with `--fast`, prints one JSON value under `--json`,
+//! and an unknown verb fails loudly.
 
 use std::process::{Command, Output};
 
@@ -46,6 +47,30 @@ fn every_listed_verb_runs_fast() {
     // `all` re-runs every other verb; it has its own test below.
     for verb in verbs.iter().filter(|v| *v != "all") {
         assert_runs(verb);
+    }
+}
+
+/// Any one JSON value: deserializing into it accepts every value tree,
+/// so `serde_json::from_str` checks only that the text is exactly one
+/// JSON value.
+struct AnyJson;
+
+impl serde::Deserialize for AnyJson {
+    fn from_value(_: &serde::Value) -> Result<Self, serde::Error> {
+        Ok(Self)
+    }
+}
+
+#[test]
+fn every_listed_verb_prints_one_json_value() {
+    // `all` prints one document per verb: a sequence, not one value.
+    for verb in help_verbs().iter().filter(|v| *v != "all") {
+        let out = qfc_cli(&[verb, "--fast", "--json"]);
+        assert!(out.status.success(), "`qfc-cli {verb} --fast --json` failed");
+        let stdout = String::from_utf8(out.stdout).expect("utf-8 stdout");
+        if let Err(e) = serde_json::from_str::<AnyJson>(&stdout) {
+            panic!("`qfc-cli {verb} --fast --json` is not one JSON value ({e}):\n{stdout}");
+        }
     }
 }
 

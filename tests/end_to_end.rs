@@ -4,7 +4,7 @@
 
 use qfc::core::crosspol::{run_power_sweep, try_run_crosspol_experiment, CrossPolConfig};
 use qfc::core::heralded::{
-    run_stability_experiment, try_run_heralded_experiment, HeraldedConfig, StabilityConfig,
+    try_run_heralded_experiment, try_run_stability_experiment, HeraldedConfig, StabilityConfig,
 };
 use qfc::core::multiphoton::{try_run_multiphoton_experiment, MultiPhotonConfig};
 use qfc::core::source::{EmissionRegime, QfcSource};
@@ -40,15 +40,16 @@ fn section_2_heralded_photons_end_to_end() {
 fn section_2_stability_contrast() {
     let source = QfcSource::paper_device();
     let cfg = StabilityConfig::paper();
-    let locked = run_stability_experiment(&source, &cfg, 102);
-    let free = run_stability_experiment(
+    let locked = try_run_stability_experiment(&source, &cfg, 102).expect("CW pump");
+    let free = try_run_stability_experiment(
         &source.clone().with_pump(PumpConfig::ExternalCw {
             power: Power::from_mw(15.0),
             actively_stabilized: false,
         }),
         &cfg,
         102,
-    );
+    )
+    .expect("CW pump");
     assert!(locked.relative_fluctuation < 0.10, "locked {}", locked.relative_fluctuation);
     assert!(free.relative_fluctuation > locked.relative_fluctuation);
     assert_eq!(locked.series.len(), 21);

@@ -2,7 +2,7 @@
 //! spectra, qudit states, and purity — exercised together through the
 //! public API.
 
-use qfc::core::purity::{run_purity_analysis, PurityConfig};
+use qfc::core::purity::{try_run_purity_analysis, PurityConfig};
 use qfc::core::source::QfcSource;
 use qfc::photonics::filter::Demultiplexer;
 use qfc::photonics::memory::{filtering_penalty_db, MemoryProfile};
@@ -42,7 +42,8 @@ fn comb_spectrum_consistent_with_opo_threshold() {
 #[test]
 fn qudit_from_actual_channel_rates() {
     let source = QfcSource::paper_device_timebin();
-    let weights: Vec<f64> = (1..=4).map(|m| source.pairs_per_frame(m)).collect();
+    let weights: Vec<f64> =
+        (1..=4).map(|m| source.try_pairs_per_frame(m).expect("double-pulse pump")).collect();
     let state = BipartiteQudit::from_channel_weights(&weights);
     // Nearly flat comb → entropy close to 2 bits.
     let e = state.entanglement_entropy_bits();
@@ -56,7 +57,7 @@ fn qudit_from_actual_channel_rates() {
 #[test]
 fn purity_analysis_supports_memory_claim() {
     let source = QfcSource::paper_device_timebin();
-    let report = run_purity_analysis(&source, &PurityConfig::paper());
+    let report = try_run_purity_analysis(&source, &PurityConfig::paper()).expect("double-pulse pump");
     assert!(report.heralded_purity > 0.9);
     // The ring beats a 1-THz SPDC source by > 30 dB for memory matching.
     let ring_penalty = filtering_penalty_db(

@@ -6,10 +6,10 @@
 
 use qfc::core::crosspol::{run_power_sweep, try_run_crosspol_experiment, CrossPolConfig};
 use qfc::core::heralded::{
-    run_stability_experiment, try_run_heralded_experiment, HeraldedConfig, StabilityConfig,
+    try_run_heralded_experiment, try_run_stability_experiment, HeraldedConfig, StabilityConfig,
 };
 use qfc::core::multiphoton::{try_run_multiphoton_experiment, MultiPhotonConfig};
-use qfc::core::purity::{run_purity_analysis, PurityConfig};
+use qfc::core::purity::{try_run_purity_analysis, PurityConfig};
 use qfc::core::source::QfcSource;
 use qfc::core::timebin::{try_run_timebin_experiment, TimeBinConfig};
 use qfc::faults::FaultSchedule;
@@ -29,7 +29,8 @@ fn f5_opo_threshold_and_exponents() {
 #[test]
 fn f3_stability_under_5_percent() {
     let source = QfcSource::paper_device();
-    let report = run_stability_experiment(&source, &StabilityConfig::paper(), SEED);
+    let report =
+        try_run_stability_experiment(&source, &StabilityConfig::paper(), SEED).expect("CW pump");
     assert!(
         report.relative_fluctuation < 0.05,
         "fluctuation {}",
@@ -40,7 +41,7 @@ fn f3_stability_under_5_percent() {
 #[test]
 fn purity_and_memory_claims() {
     let source = QfcSource::paper_device_timebin();
-    let report = run_purity_analysis(&source, &PurityConfig::paper());
+    let report = try_run_purity_analysis(&source, &PurityConfig::paper()).expect("double-pulse pump");
     assert!(report.heralded_purity > 0.9);
     assert!(report.heralded_g2 < 0.2);
     assert!(report.memory_acceptance > 0.4);

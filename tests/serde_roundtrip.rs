@@ -59,7 +59,10 @@ fn source_and_pump_roundtrip() {
         assert_eq!(back.pump_coupling, source.pump_coupling);
         // Derived emission figures survive to within float-print drift.
         if source.regime() == qfc::core::source::EmissionRegime::HeraldedSinglePhotons {
-            let (a, b) = (back.pair_rate_cw(1), source.pair_rate_cw(1));
+            let (a, b) = (
+                back.try_pair_rate_cw(1).expect("CW pump"),
+                source.try_pair_rate_cw(1).expect("CW pump"),
+            );
             assert!((a - b).abs() / b < 1e-9, "{a} vs {b}");
         }
     }
