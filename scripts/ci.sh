@@ -2,8 +2,8 @@
 # Tier-1 gate: release build, a check that the repository benchmark
 # (perfbench/) still builds, root test suite, every crate's tests, the
 # paper's headline runs, the serial-vs-parallel byte identity of whole
-# drivers and the allocation budget of the hot kernels in an optimized
-# build, the concurrency tests, the coincidence sweep's differential
+# drivers, the allocation budget of the hot kernels and the golden
+# fixtures in an optimized build, the concurrency tests, the coincidence sweep's differential
 # test (the two-lane sweep against the two-pointer oracle) and the Exp(1)
 # sampler's law tests in release,
 # workspace static analysis
@@ -32,9 +32,12 @@ cargo test --release -q --test paper_numbers -- --ignored
 
 # Whole drivers at 1 and N threads must give the same bytes, and the hot
 # kernels must not allocate per shot, iteration or sweep point, also once
-# the optimizer has reordered and inlined them.
-echo "==> thread invariance and allocation budget, optimized"
-cargo test --release -q --test determinism --test alloc_scaling
+# the optimizer has reordered and inlined them. The golden fixtures are
+# written by a release build (`golden_fixtures`), so they must replay
+# under the optimizer as well as in the debug suite: byte_identity runs
+# here too.
+echo "==> thread invariance, allocation budget and golden fixtures, optimized"
+cargo test --release -q --test determinism --test alloc_scaling --test byte_identity
 
 # The worker team's barrier/atomic protocol and the MLE that steps on it,
 # optimized: on x86-64 a too-weak atomic ordering usually passes in a
