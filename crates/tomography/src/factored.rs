@@ -40,7 +40,7 @@ use qfc_mathkit::cast;
 use qfc_mathkit::cmatrix::CMatrix;
 use qfc_mathkit::complex::{Complex64, C_ZERO};
 
-use crate::rank1::{finish, run_schedule, Measured, PAR_SWEEP_MIN_WORK, P_FLOOR};
+use crate::rank1::{check_dimension, run_engine, Measured, SweepSlot, PAR_SWEEP_MIN_WORK, P_FLOOR};
 use crate::reconstruct::{MleOptions, MleResult};
 use crate::settings::{PauliBasis, Setting};
 
@@ -81,7 +81,12 @@ fn label(basis: PauliBasis, bit: usize) -> usize {
 /// of `label`.
 fn contract(parent: &[Complex64], label: usize, child: &mut [Complex64], h: usize) {
     let pi = &PROJECTORS[label];
-    let k = [pi[0][0].conj(), pi[0][1].conj(), pi[1][0].conj(), pi[1][1].conj()];
+    let k = [
+        pi[0][0].conj(),
+        pi[0][1].conj(),
+        pi[1][0].conj(),
+        pi[1][1].conj(),
+    ];
     let m = 2 * h;
     // qfc-lint: hot
     for (i, out) in child.chunks_exact_mut(h).enumerate() {
@@ -147,13 +152,6 @@ impl Forest {
         self.dim >> (q + 1)
     }
 
-    /// Recomputes the slot's first-level blocks of `R` and its partial
-    /// log-likelihood against `rho`.
-    fn sweep(&mut self, rho: &CMatrix) {
-        self.forward(rho);
-        self.adjoint();
-    }
-
     /// The forward pass: every level's blocks from `rho`, down to the
     /// leaves' expectations.
     fn forward(&mut self, rho: &CMatrix) {
@@ -162,10 +160,16 @@ impl Forest {
             let (above, below) = self.blocks.split_at_mut(q);
             let parents = above.last().map_or(rho.as_slice(), Vec::as_slice);
             let step = 4 * side * side;
-            for (&(parent, label), child) in
-                self.links[q].iter().zip(below[0].chunks_exact_mut(side * side))
+            for (&(parent, label), child) in self.links[q]
+                .iter()
+                .zip(below[0].chunks_exact_mut(side * side))
             {
-                contract(&parents[parent * step..(parent + 1) * step], label, child, side);
+                contract(
+                    &parents[parent * step..(parent + 1) * step],
+                    label,
+                    child,
+                    side,
+                );
             }
         }
     }
@@ -195,16 +199,32 @@ impl Forest {
             for (&(parent, label), g) in
                 self.links[q].iter().zip(below[0].chunks_exact(side * side))
             {
-                expand(g, label, &mut parents[parent * step..(parent + 1) * step], side);
+                expand(
+                    g,
+                    label,
+                    &mut parents[parent * step..(parent + 1) * step],
+                    side,
+                );
             }
         }
     }
+}
 
-    /// Expands the slot's first-level blocks into `r` in node order and
-    /// returns its partial log-likelihood.
+impl SweepSlot for Forest {
+    /// The forward pass down to the expectations, then the adjoint pass
+    /// back up to the slot's first-level blocks of `R`.
+    fn sweep(&mut self, rho: &CMatrix) {
+        self.forward(rho);
+        self.adjoint();
+    }
+
+    /// Expands the slot's first-level blocks into `r` in node order.
     fn fold_into(&self, r: &mut CMatrix) -> f64 {
         let side = self.side(0);
-        for (&(_, label), g) in self.links[0].iter().zip(self.blocks[0].chunks_exact(side * side)) {
+        for (&(_, label), g) in self.links[0]
+            .iter()
+            .zip(self.blocks[0].chunks_exact(side * side))
+        {
             expand(g, label, r.as_mut_slice(), side);
         }
         self.ll
@@ -224,16 +244,21 @@ fn forests(settings: &[Setting], measured: &Measured, split: bool) -> Vec<Forest
         .outcomes
         .iter()
         .map(|&(s, o)| {
-            settings[s].0.iter().enumerate().fold(0, |code, (q, &basis)| {
-                code * LABELS + label(basis, (o >> (n - 1 - q)) & 1)
-            })
+            settings[s]
+                .0
+                .iter()
+                .enumerate()
+                .fold(0, |code, (q, &basis)| {
+                    code * LABELS + label(basis, (o >> (n - 1 - q)) & 1)
+                })
         })
         .collect();
     // Level `q`'s nodes: the distinct prefixes of `q + 1` labels, sorted,
     // so each first-level node's descendants are contiguous on every level.
     let levels: Vec<Vec<usize>> = (0..n)
         .map(|q| {
-            let mut prefixes: Vec<usize> = codes.iter().map(|&code| code / base(n - 1 - q)).collect();
+            let mut prefixes: Vec<usize> =
+                codes.iter().map(|&code| code / base(n - 1 - q)).collect();
             prefixes.sort_unstable();
             prefixes.dedup();
             prefixes
@@ -279,7 +304,12 @@ fn forests(settings: &[Setting], measured: &Measured, split: bool) -> Vec<Forest
                 .iter()
                 .zip(&measured.freqs)
                 .filter(|&(&code, _)| (lo..=hi).contains(&(code / base(n - 1))))
-                .map(|(&code, &f)| (leaf_level.partition_point(|&c| c < code) - ranges[n - 1].start, f))
+                .map(|(&code, &f)| {
+                    (
+                        leaf_level.partition_point(|&c| c < code) - ranges[n - 1].start,
+                        f,
+                    )
+                })
                 .unzip();
             Forest {
                 weights: vec![0.0; links[n - 1].len()],
@@ -307,28 +337,11 @@ pub(crate) fn try_mle_settings(
     options: &MleOptions,
 ) -> QfcResult<MleResult> {
     let dim = 1usize << settings.first().map_or(0, Setting::qubits);
+    check_dimension(dim)?;
     let measured = Measured::try_new(counts)?;
     let split = measured.freqs.len() * dim * dim >= PAR_SWEEP_MIN_WORK;
     let mut slots = forests(settings, &measured, split);
-    let (rho, iterations, gap_nats, accelerated_steps) = qfc_runtime::par_team(
-        &mut slots,
-        |rho: &CMatrix, _, slot: &mut Forest| slot.sweep(rho),
-        |team| {
-            run_schedule(dim, &measured, options, |rho, r| {
-                if team.slot_count() == 1 {
-                    team.for_each_slot(|_, slot| slot.sweep(rho));
-                } else {
-                    team.step(rho);
-                }
-                let mut ll = 0.0;
-                r.fill_zero();
-                team.for_each_slot(|_, slot| ll += slot.fold_into(r));
-                r.hermitianize_upper();
-                ll
-            })
-        },
-    )?;
-    finish(rho, iterations, gap_nats, accelerated_steps)
+    run_engine(dim, &measured, &mut slots, options)
 }
 
 #[cfg(test)]
@@ -348,7 +361,10 @@ mod tests {
                 let pi = &PROJECTORS[label(basis, bit)];
                 for (a, row) in pi.iter().enumerate() {
                     for (b, &entry) in row.iter().enumerate() {
-                        assert!(entry.approx_eq(dense[(a, b)], 1e-15), "{basis:?} {bit} [{a}][{b}]");
+                        assert!(
+                            entry.approx_eq(dense[(a, b)], 1e-15),
+                            "{basis:?} {bit} [{a}][{b}]"
+                        );
                     }
                 }
             }
@@ -357,7 +373,11 @@ mod tests {
 
     /// The single-vector forms of the sweep: `p = ⟨ψ|ρ|ψ⟩` per measured
     /// outcome, `R = Σ (f/p)·|ψ⟩⟨ψ|` and `ℓ = Σ f·ln p`.
-    fn vector_sweep(settings: &[Setting], measured: &Measured, rho: &CMatrix) -> (Vec<f64>, CMatrix, f64) {
+    fn vector_sweep(
+        settings: &[Setting],
+        measured: &Measured,
+        rho: &CMatrix,
+    ) -> (Vec<f64>, CMatrix, f64) {
         let dim = rho.rows();
         let mut r = CMatrix::zeros(dim, dim);
         let mut ll = 0.0;
@@ -376,7 +396,12 @@ mod tests {
     /// Runs the factored sweep of every slot against `rho` and returns
     /// each measured outcome's expectation, read off the leaves between
     /// the two passes, `R` and `ℓ`.
-    fn factored_sweep(settings: &[Setting], measured: &Measured, rho: &CMatrix, split: bool) -> (Vec<f64>, CMatrix, f64) {
+    fn factored_sweep(
+        settings: &[Setting],
+        measured: &Measured,
+        rho: &CMatrix,
+        split: bool,
+    ) -> (Vec<f64>, CMatrix, f64) {
         let mut slots = forests(settings, measured, split);
         for slot in &mut slots {
             slot.forward(rho);
@@ -393,7 +418,11 @@ mod tests {
             .outcomes
             .iter()
             .map(|outcome| {
-                let i = if split { tops.partition_point(|&t| t < top(outcome)) } else { 0 };
+                let i = if split {
+                    tops.partition_point(|&t| t < top(outcome))
+                } else {
+                    0
+                };
                 let slot = &slots[i];
                 let leaf = slot.leaves[cursor[i]];
                 cursor[i] += 1;
@@ -421,7 +450,10 @@ mod tests {
         for split in [false, true] {
             let (p, r, ll) = factored_sweep(settings, &measured, rho, split);
             for (k, (a, b)) in p.iter().zip(&p_ref).enumerate() {
-                assert!((a - b).abs() <= 1e-13 * b.abs().max(1e-3), "{name}: p[{k}] {a} vs {b}");
+                assert!(
+                    (a - b).abs() <= 1e-13 * b.abs().max(1e-3),
+                    "{name}: p[{k}] {a} vs {b}"
+                );
             }
             let worst = r
                 .as_slice()
@@ -429,9 +461,20 @@ mod tests {
                 .zip(r_ref.as_slice())
                 .map(|(a, b)| (*a - *b).abs())
                 .fold(0.0, f64::max);
-            assert!(worst <= 1e-13 * scale, "{name}: max |ΔR| = {worst:e} on max |R| = {scale}");
-            assert!((ll - ll_ref).abs() <= 1e-13 * ll_ref.abs().max(1.0), "{name}: ℓ {ll} vs {ll_ref}");
-            bits.push(r.as_slice().iter().flat_map(|z| [z.re.to_bits(), z.im.to_bits()]).collect::<Vec<_>>());
+            assert!(
+                worst <= 1e-13 * scale,
+                "{name}: max |ΔR| = {worst:e} on max |R| = {scale}"
+            );
+            assert!(
+                (ll - ll_ref).abs() <= 1e-13 * ll_ref.abs().max(1.0),
+                "{name}: ℓ {ll} vs {ll_ref}"
+            );
+            bits.push(
+                r.as_slice()
+                    .iter()
+                    .flat_map(|z| [z.re.to_bits(), z.im.to_bits()])
+                    .collect::<Vec<_>>(),
+            );
         }
         assert_eq!(bits[0], bits[1], "{name}: the slot cut moved R's bits");
     }
@@ -448,7 +491,11 @@ mod tests {
             let full: Vec<Vec<u64>> = settings
                 .iter()
                 .enumerate()
-                .map(|(s, setting)| (0..setting.outcomes()).map(|o| 1 + ((s * 7 + o * 3) % 5) as u64).collect())
+                .map(|(s, setting)| {
+                    (0..setting.outcomes())
+                        .map(|o| 1 + ((s * 7 + o * 3) % 5) as u64)
+                        .collect()
+                })
                 .collect();
             check(&format!("{n} qubits, full grid"), &settings, &full, &rho);
             // Zero-count outcomes and a dark setting.
@@ -462,7 +509,12 @@ mod tests {
                         .collect()
                 })
                 .collect();
-            check(&format!("{n} qubits, zero counts"), &settings, &sparse, &rho);
+            check(
+                &format!("{n} qubits, zero counts"),
+                &settings,
+                &sparse,
+                &rho,
+            );
             // A subset of settings, the last one listed twice.
             let mut subset: Vec<Setting> = settings.iter().step_by(2).cloned().collect();
             subset.push(subset[subset.len() - 1].clone());
@@ -470,9 +522,18 @@ mod tests {
             let counts: Vec<Vec<u64>> = subset
                 .iter()
                 .enumerate()
-                .map(|(s, setting)| (0..setting.outcomes()).map(|o| 2 + ((s * 5 + o) % 4) as u64).collect())
+                .map(|(s, setting)| {
+                    (0..setting.outcomes())
+                        .map(|o| 2 + ((s * 5 + o) % 4) as u64)
+                        .collect()
+                })
                 .collect();
-            check(&format!("{n} qubits, subset with duplicates"), &subset, &counts, &rho);
+            check(
+                &format!("{n} qubits, subset with duplicates"),
+                &subset,
+                &counts,
+                &rho,
+            );
         }
     }
 
@@ -511,7 +572,10 @@ mod tests {
         assert!(one.converged, "gap {}", one.gap_nats);
         // The four-qubit problem is past the inline threshold: every R
         // build is one team step.
-        assert!(one_steps > cast::usize_to_u64(one.iterations), "{one_steps} steps");
+        assert!(
+            one_steps > cast::usize_to_u64(one.iterations),
+            "{one_steps} steps"
+        );
         for threads in [2, 3, 8] {
             let (many, steps) = run(threads);
             let at = format!("at {threads} threads");

@@ -388,9 +388,8 @@ struct SweepChunk<'a> {
     ll: f64,
 }
 
-impl SweepChunk<'_> {
-    /// Recomputes the partial `R` and log-likelihood against `rho`: one
-    /// panel pass over `ρ` for every expectation, `ℓ` summed in pair
+impl SweepSlot for SweepChunk<'_> {
+    /// One panel pass over `ρ` for every expectation, `ℓ` summed in pair
     /// order, and one panel pass over `R` for every rank-1 update.
     fn sweep(&mut self, rho: &CMatrix) {
         rho.quadratic_forms_hermitian_panels(&self.panels, &mut self.weights);
@@ -403,6 +402,11 @@ impl SweepChunk<'_> {
         }
         self.r_part.fill_zero();
         self.r_part.ger_hermitian_upper_panels(&self.weights, &self.panels);
+    }
+
+    fn fold_into(&self, r: &mut CMatrix) -> f64 {
+        r.add_scaled_assign(&self.r_part, 1.0);
+        self.ll
     }
 }
 
@@ -438,36 +442,77 @@ fn sweep_chunks<'a>(measured: &'a Measured, set: &ProjectorReprSet) -> Vec<Sweep
         .collect()
 }
 
+/// One slot of a reconstruction's team: a fixed share of the `R` build,
+/// with every buffer it writes.
+pub(crate) trait SweepSlot: Send {
+    /// Recomputes the slot's share of `R` and of `ℓ = Σ f·ln p` against
+    /// `rho`, writing only the slot's own buffers.
+    fn sweep(&mut self, rho: &CMatrix);
+
+    /// Adds the last sweep's share of `R` to `r`, authoritative on the
+    /// diagonal and upper triangle, and returns its share of `ℓ`.
+    fn fold_into(&self, r: &mut CMatrix) -> f64;
+}
+
 /// Builds `R = Σ (f/p)·Π` into `r` and returns the log-likelihood
-/// `Σ f·ln p`. Several chunks sweep as one step of the reconstruction's
-/// team, each into its own buffers, and their partial `R` matrices are
-/// summed in chunk-index order, so the result is bitwise identical at
-/// any thread count. `rho` moves into the team for the step and comes
-/// back unchanged. The sweep accumulates only the upper triangle; one
-/// [`CMatrix::hermitianize_upper`] mirror after the merge (O(d²/2)
-/// copies, no arithmetic) restores the full Hermitian `R`.
-fn build_r(
-    team: &mut qfc_runtime::Team<'_, CMatrix, SweepChunk<'_>>,
+/// `Σ f·ln p`. Several slots sweep as one step of the reconstruction's
+/// team, each into its own buffers; a single slot sweeps inline. The
+/// slots' shares are summed in slot order, so the result is bitwise
+/// identical at any thread count. `rho` moves into the team for the step
+/// and comes back unchanged. One [`CMatrix::hermitianize_upper`] mirror
+/// after the merge (O(d²/2) copies, no arithmetic) restores the full
+/// Hermitian `R`.
+fn build_r<S: SweepSlot>(
+    team: &mut qfc_runtime::Team<'_, CMatrix, S>,
     rho: &mut CMatrix,
     r: &mut CMatrix,
 ) -> f64 {
-    let mut ll = 0.0;
     if team.slot_count() == 1 {
-        team.for_each_slot(|_, chunk| {
-            chunk.sweep(rho);
-            r.copy_from(&chunk.r_part);
-            ll = chunk.ll;
-        });
+        team.for_each_slot(|_, slot| slot.sweep(rho));
     } else {
         team.step(rho);
-        r.fill_zero();
-        team.for_each_slot(|_, chunk| {
-            r.add_scaled_assign(&chunk.r_part, 1.0);
-            ll += chunk.ll;
-        });
     }
+    r.fill_zero();
+    let mut ll = 0.0;
+    team.for_each_slot(|_, slot| ll += slot.fold_into(r));
     r.hermitianize_upper();
     ll
+}
+
+/// Rejects a dimension the engine's result type cannot hold.
+///
+/// # Errors
+///
+/// [`QfcError::InvalidParameter`] unless `dim` is a power of two ≥ 2.
+pub(crate) fn check_dimension(dim: usize) -> QfcResult<()> {
+    if dim < 2 || !dim.is_power_of_two() {
+        return Err(QfcError::invalid(format!(
+            "MLE result is a DensityMatrix: dimension must be a power of \
+             two ≥ 2 (got {dim})"
+        )));
+    }
+    Ok(())
+}
+
+/// The engine on prepared sweep slots: one team for the whole
+/// reconstruction, every `R` build one step of it, and the schedule on
+/// the calling thread between steps.
+///
+/// # Errors
+///
+/// As [`try_mle_repr`].
+pub(crate) fn run_engine<S: SweepSlot>(
+    dim: usize,
+    measured: &Measured,
+    slots: &mut [S],
+    options: &MleOptions,
+) -> QfcResult<MleResult> {
+    let (rho, iterations, gap_nats, accelerated_steps) = qfc_runtime::par_team(
+        slots,
+        |rho: &CMatrix, _, slot: &mut S| slot.sweep(rho),
+        |team| run_schedule(dim, measured, options, |rho, r| build_r(team, rho, r)),
+    )?;
+    finish(rho, iterations, gap_nats, accelerated_steps)
 }
 
 /// Iterative RρR maximum-likelihood reconstruction against a qudit
@@ -531,23 +576,10 @@ pub fn try_mle_repr(
             )));
         }
     }
-    let dim = set.dim();
-    if dim < 2 || !dim.is_power_of_two() {
-        return Err(QfcError::invalid(format!(
-            "MLE result is a DensityMatrix: dimension must be a power of \
-             two ≥ 2 (got {dim})"
-        )));
-    }
+    check_dimension(set.dim())?;
     let measured = Measured::try_new(counts)?;
     let mut chunks = sweep_chunks(&measured, set);
-    // One team for the whole reconstruction: every R build is one step of
-    // it, and the schedule itself runs on the calling thread between steps.
-    let (rho, iterations, gap_nats, accelerated_steps) = qfc_runtime::par_team(
-        &mut chunks,
-        |rho: &CMatrix, _, chunk: &mut SweepChunk<'_>| chunk.sweep(rho),
-        |team| run_schedule(dim, &measured, options, |rho, r| build_r(team, rho, r)),
-    )?;
-    finish(rho, iterations, gap_nats, accelerated_steps)
+    run_engine(set.dim(), &measured, &mut chunks, options)
 }
 
 /// The schedule and stop rule of [`try_mle_repr`], from the maximally
@@ -555,7 +587,7 @@ pub fn try_mle_repr(
 /// returns `ℓ(ρ)`: two in an iteration whose over-relaxed step is rolled
 /// back, one otherwise. Returns the iterate, its iterations, its
 /// certified gap and its over-relaxed steps.
-pub(crate) fn run_schedule(
+fn run_schedule(
     dim: usize,
     measured: &Measured,
     options: &MleOptions,
@@ -645,7 +677,7 @@ pub(crate) fn run_schedule(
 
 /// Counts the reconstruction and projects its iterate onto the physical
 /// states: symmetrize, then clip round-off negativity.
-pub(crate) fn finish(
+fn finish(
     rho: CMatrix,
     iterations: usize,
     gap_nats: f64,

@@ -165,17 +165,12 @@ pub struct MleResult {
 ///
 /// * [`QfcError::InsufficientData`] — empty or mixed-arity setting list;
 /// * [`QfcError::InvalidParameter`] — malformed count table, or settings
-///   of no qubit;
+///   that measure no qubit;
 /// * [`QfcError::SingularSystem`] — zero total events, or an iteration
 ///   whose `RρR` update annihilated the trace;
 /// * [`QfcError::NonFinite`] — an update left the finite range.
 pub fn try_mle_reconstruction(data: &TomographyData, options: &MleOptions) -> QfcResult<MleResult> {
     data.validate()?;
-    if data.try_qubits()? == 0 {
-        return Err(QfcError::invalid(
-            "MLE result is a DensityMatrix: settings must measure at least one qubit",
-        ));
-    }
     try_mle_settings(&data.settings, &data.counts, options)
 }
 
@@ -302,6 +297,13 @@ mod tests {
         };
         let err = try_mle_reconstruction(&mixed, &MleOptions::default()).unwrap_err();
         assert!(err.to_string().contains("mixed-arity"), "{err}");
+
+        let no_qubit = TomographyData {
+            settings: vec![Setting::from_bases(&[])],
+            counts: vec![vec![5]],
+        };
+        let err = try_mle_reconstruction(&no_qubit, &MleOptions::default()).unwrap_err();
+        assert!(matches!(err, QfcError::InvalidParameter { .. }), "{err}");
     }
 
     #[test]
