@@ -121,6 +121,28 @@ fn expand(g: &[Complex64], label: usize, parent: &mut [Complex64], h: usize) {
     }
 }
 
+/// [`contract`] onto a leaf, where only the real part is needed: the
+/// expectation `⟨e|P|e⟩ = Σ_ab Re(conj(Π[a][b])·P_ab)` of the `2 × 2`
+/// row-major `parent`.
+fn expectation(parent: &[Complex64], label: usize) -> f64 {
+    let pi = &PROJECTORS[label];
+    let term = |k: Complex64, z: Complex64| k.re * z.re + k.im * z.im;
+    (term(pi[0][0], parent[0]) + term(pi[1][1], parent[3]))
+        + (term(pi[0][1], parent[1]) + term(pi[1][0], parent[2]))
+}
+
+/// [`expand`] from a leaf: `P_ab += Π[a][b]·w` for the real weight `w`,
+/// into the `2 × 2` row-major `parent`.
+fn fold_leaf(w: f64, label: usize, parent: &mut [Complex64]) {
+    let pi = &PROJECTORS[label];
+    for (p, k) in parent
+        .iter_mut()
+        .zip([pi[0][0], pi[0][1], pi[1][0], pi[1][1]])
+    {
+        *p += k.scale(w);
+    }
+}
+
 /// One slot of the reconstruction's team: a contiguous range of the
 /// trie's first-level nodes with all their descendants, the measured
 /// outcomes under them, and every buffer the sweep writes. It is built
@@ -160,6 +182,16 @@ impl Forest {
             let (above, below) = self.blocks.split_at_mut(q);
             let parents = above.last().map_or(rho.as_slice(), Vec::as_slice);
             let step = 4 * side * side;
+            if side == 1 {
+                // The leaves, the widest level, in one loop of scalar
+                // kernels; a leaf is a Hermitian block's diagonal entry,
+                // so only its real part is formed.
+                // qfc-lint: hot
+                for (&(parent, label), leaf) in self.links[q].iter().zip(below[0].iter_mut()) {
+                    *leaf = Complex64::real(expectation(&parents[parent * 4..][..4], label));
+                }
+                continue;
+            }
             for (&(parent, label), child) in self.links[q]
                 .iter()
                 .zip(below[0].chunks_exact_mut(side * side))
@@ -196,6 +228,13 @@ impl Forest {
             let parents = &mut above[q - 1];
             parents.fill(C_ZERO);
             let step = 4 * side * side;
+            if side == 1 {
+                // qfc-lint: hot
+                for (&(parent, label), w) in self.links[q].iter().zip(&below[0]) {
+                    fold_leaf(w.re, label, &mut parents[parent * 4..][..4]);
+                }
+                continue;
+            }
             for (&(parent, label), g) in
                 self.links[q].iter().zip(below[0].chunks_exact(side * side))
             {
