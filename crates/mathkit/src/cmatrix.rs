@@ -280,40 +280,6 @@ impl CMatrix {
         out
     }
 
-    /// Matrix product `A·B` written into an existing buffer: the oracle
-    /// of [`Self::matmul_packed_into`]'s tests. Bit-identical to
-    /// `matmul`: the output is zeroed, then accumulated with the same
-    /// skip-zero `i, k, j` loop in the same order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if inner dimensions disagree or `out` has the wrong shape.
-    #[cfg(test)]
-    pub(crate) fn matmul_into(&self, other: &Self, out: &mut Self) {
-        assert_eq!(
-            self.cols, other.rows,
-            "matmul dimension mismatch {}x{} · {}x{}",
-            self.rows, self.cols, other.rows, other.cols
-        );
-        assert_eq!(
-            (out.rows, out.cols),
-            (self.rows, other.cols),
-            "matmul_into output shape mismatch"
-        );
-        out.data.fill(C_ZERO);
-        for i in 0..self.rows {
-            for k in 0..self.cols {
-                let aik = self[(i, k)];
-                if aik.approx_zero(0.0) {
-                    continue;
-                }
-                for j in 0..other.cols {
-                    out[(i, j)] += aik * other[(k, j)];
-                }
-            }
-        }
-    }
-
     /// Matrix product `A·B` through a packed right-hand side — the
     /// cache-friendly form of [`Self::matmul`] for hot loops, writing
     /// into an existing buffer.
@@ -709,29 +675,6 @@ impl CMatrix {
         }
     }
 
-    /// Hermitian rank-1 update `self += α·x·x†`, writing only the
-    /// diagonal and strict upper triangle: the single-vector oracle of
-    /// [`Self::ger_hermitian_upper_panels`]'s tests.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `self` is not square or `x.dim() != self.rows()`.
-    #[cfg(test)]
-    pub(crate) fn ger_hermitian_upper(&mut self, alpha: f64, x: &CVector) {
-        assert!(self.is_square(), "ger_hermitian_upper needs a square matrix");
-        assert_eq!(x.dim(), self.rows, "ger_assign row dimension mismatch");
-        let xs = x.as_slice();
-        let n = self.rows;
-        // qfc-lint: hot
-        for (i, &xi) in xs.iter().enumerate() {
-            let xa = xi.scale(alpha);
-            let row = &mut self.data[i * n + i..(i + 1) * n];
-            for (o, &yj) in row.iter_mut().zip(&xs[i..]) {
-                *o += xa * yj.conj();
-            }
-        }
-    }
-
     /// Makes the matrix bitwise Hermitian from its upper triangle: every
     /// strictly-lower element becomes the conjugate of its upper mirror,
     /// and diagonal imaginary parts are zeroed. The upper triangle is
@@ -874,6 +817,65 @@ mod tests {
     use super::*;
     use crate::complex::C_I;
     use proptest::prelude::*;
+
+    // The bitwise oracles of `matmul_packed_into` and
+    // `ger_hermitian_upper_panels`.
+    impl CMatrix {
+        /// Matrix product `A·B` written into an existing buffer: the oracle
+        /// of [`Self::matmul_packed_into`]'s tests. Bit-identical to
+        /// `matmul`: the output is zeroed, then accumulated with the same
+        /// skip-zero `i, k, j` loop in the same order.
+        ///
+        /// # Panics
+        ///
+        /// Panics if inner dimensions disagree or `out` has the wrong shape.
+        fn matmul_into(&self, other: &Self, out: &mut Self) {
+            assert_eq!(
+                self.cols, other.rows,
+                "matmul dimension mismatch {}x{} · {}x{}",
+                self.rows, self.cols, other.rows, other.cols
+            );
+            assert_eq!(
+                (out.rows, out.cols),
+                (self.rows, other.cols),
+                "matmul_into output shape mismatch"
+            );
+            out.data.fill(C_ZERO);
+            for i in 0..self.rows {
+                for k in 0..self.cols {
+                    let aik = self[(i, k)];
+                    if aik.approx_zero(0.0) {
+                        continue;
+                    }
+                    for j in 0..other.cols {
+                        out[(i, j)] += aik * other[(k, j)];
+                    }
+                }
+            }
+        }
+
+        /// Hermitian rank-1 update `self += α·x·x†`, writing only the
+        /// diagonal and strict upper triangle: the single-vector oracle of
+        /// [`Self::ger_hermitian_upper_panels`]'s tests.
+        ///
+        /// # Panics
+        ///
+        /// Panics if `self` is not square or `x.dim() != self.rows()`.
+        fn ger_hermitian_upper(&mut self, alpha: f64, x: &CVector) {
+            assert!(self.is_square(), "ger_hermitian_upper needs a square matrix");
+            assert_eq!(x.dim(), self.rows, "ger_assign row dimension mismatch");
+            let xs = x.as_slice();
+            let n = self.rows;
+            // qfc-lint: hot
+            for (i, &xi) in xs.iter().enumerate() {
+                let xa = xi.scale(alpha);
+                let row = &mut self.data[i * n + i..(i + 1) * n];
+                for (o, &yj) in row.iter_mut().zip(&xs[i..]) {
+                    *o += xa * yj.conj();
+                }
+            }
+        }
+    }
 
     #[test]
     fn identity_and_trace() {

@@ -50,15 +50,16 @@ const LABELS: usize = 6;
 /// `½`, the magnitude of every off-diagonal projector entry.
 const H: f64 = 0.5;
 
-/// The projector `Π = |e⟩⟨e|` of each label, as its exact entries
-/// `Π[a][b] = e_a·conj(e_b)`: `|±⟩`, `|±i⟩ = (|0⟩ ± i|1⟩)/√2`, `|0⟩`, `|1⟩`.
-const PROJECTORS: [[[Complex64; 2]; 2]; LABELS] = [
-    [[c(H, 0.0), c(H, 0.0)], [c(H, 0.0), c(H, 0.0)]],
-    [[c(H, 0.0), c(-H, 0.0)], [c(-H, 0.0), c(H, 0.0)]],
-    [[c(H, 0.0), c(0.0, -H)], [c(0.0, H), c(H, 0.0)]],
-    [[c(H, 0.0), c(0.0, H)], [c(0.0, -H), c(H, 0.0)]],
-    [[c(1.0, 0.0), c(0.0, 0.0)], [c(0.0, 0.0), c(0.0, 0.0)]],
-    [[c(0.0, 0.0), c(0.0, 0.0)], [c(0.0, 0.0), c(1.0, 0.0)]],
+/// The projector `Π = |e⟩⟨e|` of each label as its exact entries
+/// `e_a·conj(e_b)`, row-major `[Π₀₀, Π₀₁, Π₁₀, Π₁₁]`: `|±⟩`,
+/// `|±i⟩ = (|0⟩ ± i|1⟩)/√2`, `|0⟩`, `|1⟩`.
+const PROJECTORS: [[Complex64; 4]; LABELS] = [
+    [c(H, 0.0), c(H, 0.0), c(H, 0.0), c(H, 0.0)],
+    [c(H, 0.0), c(-H, 0.0), c(-H, 0.0), c(H, 0.0)],
+    [c(H, 0.0), c(0.0, -H), c(0.0, H), c(H, 0.0)],
+    [c(H, 0.0), c(0.0, H), c(0.0, -H), c(H, 0.0)],
+    [c(1.0, 0.0), c(0.0, 0.0), c(0.0, 0.0), c(0.0, 0.0)],
+    [c(0.0, 0.0), c(0.0, 0.0), c(0.0, 0.0), c(1.0, 0.0)],
 ];
 
 /// Shorthand for the table above.
@@ -76,17 +77,11 @@ fn label(basis: PauliBasis, bit: usize) -> usize {
     2 * b + bit
 }
 
-/// `child = Σ_ab conj(Π[a][b])·P_ab`: the `h × h` block `⟨e|P|e⟩` of the
+/// `child = Σ_ab conj(Π_ab)·P_ab`: the `h × h` block `⟨e|P|e⟩` of the
 /// `2h × 2h` row-major `parent` on its leading qubit, for the eigenstate
 /// of `label`.
 fn contract(parent: &[Complex64], label: usize, child: &mut [Complex64], h: usize) {
-    let pi = &PROJECTORS[label];
-    let k = [
-        pi[0][0].conj(),
-        pi[0][1].conj(),
-        pi[1][0].conj(),
-        pi[1][1].conj(),
-    ];
+    let k = PROJECTORS[label].map(Complex64::conj);
     let m = 2 * h;
     // qfc-lint: hot
     for (i, out) in child.chunks_exact_mut(h).enumerate() {
@@ -101,7 +96,7 @@ fn contract(parent: &[Complex64], label: usize, child: &mut [Complex64], h: usiz
     }
 }
 
-/// `P_ab += Π[a][b]·G`: the adjoint of [`contract`], folding the `h × h`
+/// `P_ab += Π_ab·G`: the adjoint of [`contract`], folding the `h × h`
 /// block `g` of a child with eigenstate `label` into the `2h × 2h`
 /// row-major `parent`.
 fn expand(g: &[Complex64], label: usize, parent: &mut [Complex64], h: usize) {
@@ -113,32 +108,28 @@ fn expand(g: &[Complex64], label: usize, parent: &mut [Complex64], h: usize) {
         let (p00, p01) = top[i * m..(i + 1) * m].split_at_mut(h);
         let (p10, p11) = bottom[..m].split_at_mut(h);
         for (j, &g) in g.iter().enumerate() {
-            p00[j] += pi[0][0] * g;
-            p01[j] += pi[0][1] * g;
-            p10[j] += pi[1][0] * g;
-            p11[j] += pi[1][1] * g;
+            p00[j] += pi[0] * g;
+            p01[j] += pi[1] * g;
+            p10[j] += pi[2] * g;
+            p11[j] += pi[3] * g;
         }
     }
 }
 
 /// [`contract`] onto a leaf, where only the real part is needed: the
-/// expectation `⟨e|P|e⟩ = Σ_ab Re(conj(Π[a][b])·P_ab)` of the `2 × 2`
-/// row-major `parent`.
+/// expectation `Σ_ab Re(conj(Π_ab)·P_ab)` of the `2 × 2` row-major
+/// `parent`.
 fn expectation(parent: &[Complex64], label: usize) -> f64 {
     let pi = &PROJECTORS[label];
     let term = |k: Complex64, z: Complex64| k.re * z.re + k.im * z.im;
-    (term(pi[0][0], parent[0]) + term(pi[1][1], parent[3]))
-        + (term(pi[0][1], parent[1]) + term(pi[1][0], parent[2]))
+    (term(pi[0], parent[0]) + term(pi[3], parent[3]))
+        + (term(pi[1], parent[1]) + term(pi[2], parent[2]))
 }
 
-/// [`expand`] from a leaf: `P_ab += Π[a][b]·w` for the real weight `w`,
-/// into the `2 × 2` row-major `parent`.
+/// [`expand`] from a leaf: `P_ab += Π_ab·w` for the real weight `w`, into
+/// the `2 × 2` row-major `parent`.
 fn fold_leaf(w: f64, label: usize, parent: &mut [Complex64]) {
-    let pi = &PROJECTORS[label];
-    for (p, k) in parent
-        .iter_mut()
-        .zip([pi[0][0], pi[0][1], pi[1][0], pi[1][1]])
-    {
+    for (p, k) in parent.iter_mut().zip(PROJECTORS[label]) {
         *p += k.scale(w);
     }
 }
@@ -397,14 +388,12 @@ mod tests {
         for basis in PauliBasis::ALL {
             for bit in 0..2 {
                 let dense = basis.projector(u8::from(bit == 1));
-                let pi = &PROJECTORS[label(basis, bit)];
-                for (a, row) in pi.iter().enumerate() {
-                    for (b, &entry) in row.iter().enumerate() {
-                        assert!(
-                            entry.approx_eq(dense[(a, b)], 1e-15),
-                            "{basis:?} {bit} [{a}][{b}]"
-                        );
-                    }
+                for (k, &entry) in PROJECTORS[label(basis, bit)].iter().enumerate() {
+                    let (a, b) = (k / 2, k % 2);
+                    assert!(
+                        entry.approx_eq(dense[(a, b)], 1e-15),
+                        "{basis:?} {bit} [{a}][{b}]"
+                    );
                 }
             }
         }
