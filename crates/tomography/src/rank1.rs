@@ -15,8 +15,9 @@
 //! access contiguous. Qubit settings take
 //! [`try_mle_reconstruction`](crate::reconstruct::try_mle_reconstruction)
 //! instead, whose `R` build contracts `ρ` one qubit at a time and forms no
-//! outcome vector; the single-vector forms here and the dense leg of the
-//! tests are its oracles.
+//! outcome vector; its oracles are the single-vector forms
+//! (`Setting::outcome_vector` with the quadratic form) and the dense leg of
+//! the tests.
 //!
 //! **Panels.** The sweep reads its measured vectors four at a time, as
 //! [`VectorPanels`]: four vectors' real and imaginary parts stored apart,
