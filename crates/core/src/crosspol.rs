@@ -378,18 +378,18 @@ pub fn run_power_sweep(
     }
     let ring = source.ring();
     let p_th = opo::threshold(ring);
-    let below = opo::transfer_curve(
+    let below = opo::try_transfer_curve(
         ring,
         Power::from_w(p_th.w() * 0.05),
         Power::from_w(p_th.w() * 0.85),
         points_per_branch,
-    );
-    let above = opo::transfer_curve(
+    )?;
+    let above = opo::try_transfer_curve(
         ring,
         Power::from_w(p_th.w() * 1.3),
         Power::from_w(p_th.w() * 3.0),
         points_per_branch,
-    );
+    )?;
     let bx: Vec<f64> = below.iter().map(|p| p.pump_w).collect();
     let by: Vec<f64> = below.iter().map(|p| p.output_w).collect();
     let ax: Vec<f64> = above.iter().map(|p| p.pump_w - p_th.w()).collect();

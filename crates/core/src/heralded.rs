@@ -766,26 +766,28 @@ pub struct StabilityReport {
 impl StabilityReport {
     /// Comparison rows (paper: < 5 % fluctuation for self-locked).
     pub fn to_report(&self) -> ExperimentReport {
-        let mut r = ExperimentReport::new("§II long-term stability (F3)");
-        if self.self_locked {
-            r.push(Comparison::new(
-                "F3",
+        let (title, quantity, expectation) = if self.self_locked {
+            (
+                "§II long-term stability (F3)",
                 "self-locked relative fluctuation (weeks)",
-                0.05,
-                self.relative_fluctuation,
-                "",
                 Expectation::AtMost,
-            ));
+            )
         } else {
-            r.push(Comparison::new(
-                "F3",
+            (
+                "§II free-running stability (F3)",
                 "free-running relative fluctuation (weeks)",
-                0.05,
-                self.relative_fluctuation,
-                "",
                 Expectation::AtLeast,
-            ));
-        }
+            )
+        };
+        let mut r = ExperimentReport::new(title);
+        r.push(Comparison::new(
+            "F3",
+            quantity,
+            0.05,
+            self.relative_fluctuation,
+            "",
+            expectation,
+        ));
         r
     }
 }

@@ -17,21 +17,15 @@ use qfc_mathkit::rng::{binomial, rng_from_seed, split_seed};
 use qfc_quantum::bell::{bell_phi, concurrence};
 use qfc_quantum::fidelity::fidelity_with_pure;
 use qfc_quantum::multiphoton::{four_photon_fringe_point, four_photon_product, noisy_four_photon};
-use qfc_tomography::counts::setting_histogram;
 use qfc_tomography::reconstruct::MleOptions;
 use qfc_tomography::settings::all_settings;
-use qfc_tomography::stream::{try_stream_counts_seeded, CountAccumulator};
+use qfc_tomography::stream::try_stream_counts_seeded;
 
 use crate::experiment::{run_in_process, Experiment, ShardSpec};
 use crate::report::{Comparison, Expectation, ExperimentReport};
 use crate::source::QfcSource;
 use crate::supervisor::{self, SupervisorPolicy};
 use crate::timebin::{nominal_duration_s, try_channel_state_model_boosted, TimeBinConfig};
-
-/// Four-qubit tomography settings per T4 count task: the 81 settings
-/// split into six tasks, each sampling its setting range on the
-/// `split_seed(seed + 2, setting_index)` streams.
-const T4_SETTINGS_PER_TASK: usize = 16;
 
 /// Configuration of the §V multi-photon runs.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -266,9 +260,8 @@ pub struct FourPhotonTomography {
 /// T4 in one call: 81-setting four-qubit tomography of the (noisy)
 /// four-photon state at operating point `tb` and pump factor
 /// `pump_factor`, reconstructed with MLE and the divergence fallback
-/// (recorded in `health`). Byte-identical to the T4 stage of the §V
-/// [`Experiment`] driven with `seed.wrapping_add(2)` and the plan's
-/// `tb4`/`pump4`.
+/// (recorded in `health`). The T4 task of the §V [`Experiment`] is this
+/// call, driven with `seed.wrapping_add(2)` and the plan's `tb4`/`pump4`.
 ///
 /// # Errors
 ///
@@ -292,10 +285,7 @@ pub fn try_four_photon_tomography(
     four_photon_tomography_from_data(config, &data, health)
 }
 
-/// The fault-adjusted four-photon state the T4 stage measures: each T4
-/// count task rebuilds it, samples its setting range on the
-/// `split_seed(seed, setting_index)` streams, and returns the
-/// histograms.
+/// The fault-adjusted four-photon state the T4 stage measures.
 ///
 /// # Errors
 ///
@@ -316,7 +306,7 @@ pub fn try_four_photon_state(
 
 /// Reconstruction tail of the T4 stage: MLE with the divergence
 /// fallback, then fidelity against the intended four-photon product
-/// state. The §V assemble step runs it over the folded count table.
+/// state. [`try_four_photon_tomography`] runs it over the streamed counts.
 ///
 /// # Errors
 ///
@@ -467,9 +457,9 @@ impl MultiPhotonRun {
 
 /// The RNG-free planning stage of the §V run: validation, supervisor
 /// outcomes, the fault-scaled pump amplitude, and the adjusted
-/// four-photon operating point. Everything a task needs to run one T3
-/// channel (or the F8 fringe, or a T4 count range) independently — see
-/// the [`Experiment`] impl on [`MultiPhotonConfig`].
+/// four-photon operating point. Everything a task needs to run the T4
+/// tomography, one T3 channel or the F8 fringe independently — see the
+/// [`Experiment`] impl on [`MultiPhotonConfig`].
 #[derive(Debug, Clone)]
 pub struct MultiPhotonPlan {
     /// Nominal wall-clock duration of the underlying time-bin run, s.
@@ -560,9 +550,8 @@ pub fn plan_multiphoton_experiment(
     })
 }
 
-/// Runs the full §V suite: one task per surviving T3 channel, one for
-/// the F8 fringe, and the T4 count ranges; the T4 MLE runs on the caller
-/// thread once every count has arrived.
+/// Runs the full §V suite as tasks: the T4 tomography, one T3 channel
+/// per surviving channel, and the F8 fringe.
 ///
 /// The §V suite is frame-based like §IV, so faults enter as pure
 /// modifiers of the per-frame probabilities: pump faults and lock-loss
@@ -592,26 +581,30 @@ pub fn try_run_multiphoton_experiment(
 /// One task's output of the §V run.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub enum MultiPhotonOutput {
+    /// The T4 tomography and the health record of its MLE.
+    Tomography(FourPhotonTomography, HealthReport),
     /// One T3 channel's result and the health record of its MLE.
     Bell(BellTomographyResult, HealthReport),
     /// The F8 fringe.
     Fringe(FourPhotonFringe),
-    /// One T4 count range: `(setting_index, histogram)` pairs.
-    Counts(Vec<(u64, Vec<u64>)>),
 }
 
-/// §V as plan → tasks → assemble. T3 runs on every surviving channel at
-/// the (fault-scaled) §IV pump on the `split_seed(seed, m)` streams; F8
-/// draws from `seed + 1`; the T4 counts sample each setting on
-/// `split_seed(seed + 2, setting_index)`, so their ranges fold into the
-/// same table in any grouping. Health absorbs in the driver's order:
-/// planning, each T3 channel in channel order, then the T4 MLE.
+/// §V as plan → tasks → assemble. T4 runs as one task on `seed + 2`
+/// (each setting on `split_seed(seed + 2, setting_index)`); T3 runs on
+/// every surviving channel at the (fault-scaled) §IV pump on the
+/// `split_seed(seed, m)` streams; F8 draws from `seed + 1`. Health
+/// absorbs in the driver's order: planning, each T3 channel in channel
+/// order, then the T4 MLE.
 impl Experiment for MultiPhotonConfig {
     const LABEL: &'static str = "multiphoton";
     type Plan = MultiPhotonPlan;
     type Output = MultiPhotonOutput;
     type Run = MultiPhotonRun;
 
+    /// Lists the T4 first, then the T3 channels and the fringe. The T4
+    /// (counts and MLE) is the longest task, longer than all the others
+    /// together, and a team hands out tasks in list order: listed first,
+    /// it runs beside the rest instead of after them.
     fn plan(
         &self,
         source: &QfcSource,
@@ -619,23 +612,12 @@ impl Experiment for MultiPhotonConfig {
         schedule: &FaultSchedule,
     ) -> QfcResult<(MultiPhotonPlan, Vec<ShardSpec>)> {
         let plan = plan_multiphoton_experiment(source, self, seed, schedule)?;
-        let mut tasks: Vec<ShardSpec> = plan
-            .survivors
-            .iter()
-            .enumerate()
-            .map(|(i, m)| ShardSpec::unit(i, format!("bell-{m}"), split_seed(seed, u64::from(*m))))
-            .collect();
-        tasks.push(ShardSpec::unit(tasks.len(), "fringe".to_owned(), seed.wrapping_add(1)));
-        let n_settings = all_settings(4).len();
-        for (t, start) in (0..n_settings).step_by(T4_SETTINGS_PER_TASK).enumerate() {
-            tasks.push(ShardSpec {
-                index: cast::usize_to_u32(tasks.len()),
-                label: format!("tomography-counts-{t}"),
-                start: cast::usize_to_u64(start),
-                len: cast::usize_to_u64(T4_SETTINGS_PER_TASK.min(n_settings - start)),
-                seed: seed.wrapping_add(2),
-            });
+        let mut tasks = vec![ShardSpec::unit(0, "tomography".to_owned(), seed.wrapping_add(2))];
+        for &m in &plan.survivors {
+            let lane = split_seed(seed, u64::from(m));
+            tasks.push(ShardSpec::unit(tasks.len(), format!("bell-{m}"), lane));
         }
+        tasks.push(ShardSpec::unit(tasks.len(), "fringe".to_owned(), seed.wrapping_add(1)));
         Ok((plan, tasks))
     }
 
@@ -648,44 +630,36 @@ impl Experiment for MultiPhotonConfig {
         spec: &ShardSpec,
     ) -> QfcResult<MultiPhotonOutput> {
         let slot = spec.slot();
-        let n_channels = plan.survivors.len();
-        if let Some(&m) = plan.survivors.get(slot) {
+        if slot == 0 {
+            let mut local = HealthReport::pristine();
+            let (tb4, pump4) = (&plan.tb4, plan.pump4);
+            let tomography =
+                try_four_photon_tomography(source, self, spec.seed, tb4, pump4, &mut local)?;
+            return Ok(MultiPhotonOutput::Tomography(tomography, local));
+        }
+        if let Some(&m) = plan.survivors.get(slot - 1) {
             let (result, local) =
                 bell_channel_task(source, self, seed, schedule, plan.duration_s, plan.amp, m)?;
             return Ok(MultiPhotonOutput::Bell(result, local));
         }
-        if slot == n_channels {
+        if slot == plan.survivors.len() + 1 {
             let fringe = try_four_photon_fringe(source, self, spec.seed, &plan.tb4, plan.pump4)?;
             return Ok(MultiPhotonOutput::Fringe(fringe));
         }
-        let settings = all_settings(4);
-        let start = cast::u64_to_usize(spec.start);
-        let end = start + cast::u64_to_usize(spec.len);
-        let range = settings.get(start..end).ok_or_else(|| spec.unplanned(Self::LABEL))?;
-        let rho4 = try_four_photon_state(source, self, &plan.tb4, plan.pump4)?;
-        qfc_obs::counter_add(
-            "shots_simulated",
-            self.four_shots_per_setting.saturating_mul(spec.len),
-        );
-        let shots = self.four_shots_per_setting;
-        let histograms = (cast::usize_to_u64(start)..)
-            .zip(range)
-            .map(|(s, setting)| {
-                (s, setting_histogram(&rho4, setting, shots, split_seed(spec.seed, s)))
-            })
-            .collect();
-        Ok(MultiPhotonOutput::Counts(histograms))
+        Err(spec.unplanned(Self::LABEL))
     }
 
+    /// Sets the T4 output aside and folds it last, so its health (and
+    /// any error of its) comes after every T3 channel's and the fringe's.
     fn assemble(
         &self,
         plan: MultiPhotonPlan,
-        outputs: impl Iterator<Item = QfcResult<MultiPhotonOutput>>,
+        mut outputs: impl Iterator<Item = QfcResult<MultiPhotonOutput>>,
     ) -> QfcResult<MultiPhotonRun> {
+        let four = outputs.next();
         let mut health = plan.health;
         let mut bell = Vec::with_capacity(plan.survivors.len());
         let mut fringe = None;
-        let mut counts = CountAccumulator::try_new(&all_settings(4))?;
         for output in outputs {
             match output? {
                 MultiPhotonOutput::Bell(result, local) => {
@@ -693,19 +667,17 @@ impl Experiment for MultiPhotonConfig {
                     bell.push(result);
                 }
                 MultiPhotonOutput::Fringe(f) => fringe = Some(f),
-                MultiPhotonOutput::Counts(histograms) => {
-                    for (s, histogram) in &histograms {
-                        counts.absorb_histogram(cast::u64_to_usize(*s), histogram)?;
-                    }
+                MultiPhotonOutput::Tomography(..) => {
+                    return Err(QfcError::persistence("multiphoton assembly got a second T4"));
                 }
             }
         }
         let fringe = fringe
             .ok_or_else(|| QfcError::persistence("multiphoton assembly got no F8 fringe"))?;
-        qfc_obs::counter_add("tomography_stream_shards", counts.shards_absorbed());
-        // Every count output is folded and dropped before the MLE runs.
-        let data = counts.finish();
-        let tomography = four_photon_tomography_from_data(self, &data, &mut health)?;
+        let Some(MultiPhotonOutput::Tomography(tomography, local)) = four.transpose()? else {
+            return Err(QfcError::persistence("multiphoton assembly got no T4 first"));
+        };
+        health.absorb(local);
         Ok(MultiPhotonRun {
             report: MultiPhotonReport {
                 bell,
@@ -720,6 +692,7 @@ impl Experiment for MultiPhotonConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qfc_faults::RecoveryAction;
 
     fn source() -> QfcSource {
         QfcSource::paper_device_timebin()
@@ -807,6 +780,98 @@ mod tests {
         assert!(run.report.tomography.fidelity.is_finite());
         let rendered = run.to_report().render();
         assert!(rendered.contains("health:"), "{rendered}");
+    }
+
+    /// The T4 task is listed first, so a team claims it first and runs it
+    /// beside the T3 channels and the fringe; no byte test would see a
+    /// reorder, only the wall time.
+    #[test]
+    fn plan_lists_the_t4_task_first() {
+        let cfg = MultiPhotonConfig::fast_demo();
+        let (plan, tasks) = cfg
+            .plan(&source(), 7, &FaultSchedule::empty())
+            .expect("plan");
+        let labels: Vec<&str> = tasks.iter().map(|t| t.label.as_str()).collect();
+        assert_eq!(labels.first(), Some(&"tomography"), "{labels:?}");
+        assert_eq!(tasks[0].seed, 9);
+        assert_eq!(labels.last(), Some(&"fringe"), "{labels:?}");
+        assert_eq!(tasks.len(), plan.survivors.len() + 2);
+        assert!(tasks.iter().enumerate().all(|(i, t)| t.slot() == i));
+    }
+
+    /// `assemble` folds the T4 last although it arrives first: the run's
+    /// recovery actions read planning, the T3 channels in channel order,
+    /// then T4, and a T3 error wins over a T4 error.
+    #[test]
+    fn assemble_absorbs_the_t4_health_after_the_t3_channels() {
+        let cfg = MultiPhotonConfig::fast_demo();
+        let fallback = |from: &str| {
+            let mut h = HealthReport::pristine();
+            h.record_fallback(from, "linear inversion");
+            h
+        };
+        let mut planning = HealthReport::pristine();
+        planning.record_relock(2, 0.5);
+        let plan = MultiPhotonPlan {
+            duration_s: 1.0,
+            amp: 1.0,
+            survivors: vec![1, 3],
+            tb4: cfg.timebin,
+            pump4: cfg.four_fold_pump_factor,
+            health: planning,
+        };
+        let bell = |m: u32| {
+            let result = BellTomographyResult {
+                m,
+                fidelity: 0.9,
+                concurrence: 0.8,
+                iterations: 10,
+                converged: true,
+                gap_nats: 0.1,
+            };
+            Ok(MultiPhotonOutput::Bell(result, fallback(&format!("T3 channel {m}"))))
+        };
+        let tomography = FourPhotonTomography {
+            fidelity: 0.6,
+            iterations: 50,
+            converged: true,
+            gap_nats: 0.2,
+            total_counts: 81,
+        };
+        let fringe = FourPhotonFringe {
+            points: vec![(0.0, 5), (1.0, 1)],
+            visibility: 0.67,
+        };
+        let outputs = vec![
+            Ok(MultiPhotonOutput::Tomography(tomography, fallback("T4"))),
+            bell(1),
+            bell(3),
+            Ok(MultiPhotonOutput::Fringe(fringe.clone())),
+        ];
+        let run = cfg.assemble(plan.clone(), outputs.into_iter()).expect("assembles");
+        let order: Vec<&str> = run
+            .health
+            .recovery_actions
+            .iter()
+            .map(|a| match a {
+                RecoveryAction::PumpRelock { .. } => "planning",
+                RecoveryAction::Fallback { from, .. } => from.as_str(),
+                RecoveryAction::ChannelQuarantined { .. } => "quarantine",
+            })
+            .collect();
+        assert_eq!(order, ["planning", "T3 channel 1", "T3 channel 3", "T4"]);
+        assert_eq!(run.health.outage_s, 0.5);
+        assert_eq!(run.report.bell.len(), 2);
+        assert_eq!(run.report.tomography.total_counts, 81);
+
+        let outputs = vec![
+            Err(QfcError::invalid("T4 failed")),
+            Err(QfcError::invalid("T3 failed")),
+            bell(3),
+            Ok(MultiPhotonOutput::Fringe(fringe)),
+        ];
+        let err = cfg.assemble(plan, outputs.into_iter()).expect_err("fails");
+        assert!(err.to_string().contains("T3 failed"), "{err}");
     }
 
     #[test]

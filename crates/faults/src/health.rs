@@ -43,11 +43,6 @@ pub enum RecoveryAction {
         /// What was used instead.
         to: String,
     },
-    /// A whole analysis stage was retried.
-    Retry {
-        /// Which stage.
-        stage: String,
-    },
 }
 
 /// Health section of an experiment report.
@@ -170,9 +165,6 @@ impl HealthReport {
                 RecoveryAction::Fallback { from, to } => {
                     out.push_str(&format!("  recover  fallback {from} -> {to}\n"));
                 }
-                RecoveryAction::Retry { stage } => {
-                    out.push_str(&format!("  recover  retried {stage}\n"));
-                }
             }
         }
         if self.outage_s > 0.0 {
@@ -229,14 +221,10 @@ mod tests {
         h.record_fault("dark-count burst ×5 (all channels)".into(), 2.0, 1.0);
         h.record_relock(3, 1.2);
         h.record_fallback("MLE", "linear inversion");
-        h.recovery_actions.push(RecoveryAction::Retry {
-            stage: "linewidth fit".into(),
-        });
         let r = h.render();
         assert!(r.contains("dark-count burst"));
         assert!(r.contains("re-locked after 3"));
         assert!(r.contains("MLE -> linear inversion"));
-        assert!(r.contains("retried linewidth fit"));
         assert!(r.contains("1.200 s"));
     }
 }

@@ -60,7 +60,7 @@ use std::time::Instant;
 
 /// Counters pre-registered (in this order) by [`Collector::new`], so the
 /// exported registry order never depends on instrumentation-touch order.
-pub const REGISTERED_COUNTERS: [&str; 17] = [
+pub const REGISTERED_COUNTERS: [&str; 16] = [
     "shots_simulated",
     "coincidences_counted",
     "mle_iterations",
@@ -72,7 +72,6 @@ pub const REGISTERED_COUNTERS: [&str; 17] = [
     "recovery_relocks",
     "recovery_quarantines",
     "recovery_fallbacks",
-    "recovery_retries",
     "campaign_shards_completed",
     "campaign_shards_resumed",
     "campaign_retries",

@@ -7,6 +7,7 @@
 //! excess pump (classic OPO behaviour). The paper reports the kink at
 //! 14 mW.
 
+use qfc_faults::QfcResult;
 use serde::{Deserialize, Serialize};
 
 use crate::fwm;
@@ -93,20 +94,25 @@ pub struct TransferPoint {
 /// curve (and every power-law fit on it) is bit-for-bit what the scalar
 /// loop produced.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if `n < 2` or the range is empty.
-pub fn transfer_curve(ring: &Microring, min: Power, max: Power, n: usize) -> Vec<TransferPoint> {
-    assert!(n >= 2, "need at least two sweep points");
-    assert!(max.w() > min.w(), "empty power range");
-    let grid = crate::sweep::SweepGrid::linspace(min.w(), max.w(), n);
+/// [`qfc_faults::QfcError::InvalidParameter`] for fewer than two points,
+/// or for a range that is empty or not finite.
+pub fn try_transfer_curve(
+    ring: &Microring,
+    min: Power,
+    max: Power,
+    n: usize,
+) -> QfcResult<Vec<TransferPoint>> {
+    let grid = crate::sweep::SweepGrid::try_linspace(min.w(), max.w(), n)?;
     let mut buf = crate::sweep::BatchBuffers::with_capacity(n);
     crate::sweep::opo_transfer_batch(ring, &grid, &mut buf);
-    grid.points()
+    Ok(grid
+        .points()
         .iter()
         .zip(buf.values())
         .map(|(&pump_w, &output_w)| TransferPoint { pump_w, output_w })
-        .collect()
+        .collect())
 }
 
 #[cfg(test)]
@@ -127,7 +133,8 @@ mod tests {
     #[test]
     fn quadratic_below_threshold() {
         let r = ring();
-        let pts = transfer_curve(&r, Power::from_mw(1.0), Power::from_mw(10.0), 12);
+        let pts = try_transfer_curve(&r, Power::from_mw(1.0), Power::from_mw(10.0), 12)
+            .expect("curve");
         let x: Vec<f64> = pts.iter().map(|p| p.pump_w).collect();
         let y: Vec<f64> = pts.iter().map(|p| p.output_w).collect();
         let f = try_fit_power_law(&x, &y).expect("fit");
@@ -138,12 +145,13 @@ mod tests {
     fn linear_above_threshold() {
         let r = ring();
         let p_th = threshold(&r).w();
-        let pts = transfer_curve(
+        let pts = try_transfer_curve(
             &r,
             Power::from_w(p_th * 1.5),
             Power::from_w(p_th * 3.0),
             12,
-        );
+        )
+        .expect("curve");
         // Fit against the excess pump power.
         let x: Vec<f64> = pts.iter().map(|p| p.pump_w - p_th).collect();
         let y: Vec<f64> = pts.iter().map(|p| p.output_w).collect();
@@ -172,13 +180,27 @@ mod tests {
     #[test]
     fn output_monotone_in_pump() {
         let r = ring();
-        let pts = transfer_curve(&r, Power::from_mw(1.0), Power::from_mw(40.0), 40);
+        let pts = try_transfer_curve(&r, Power::from_mw(1.0), Power::from_mw(40.0), 40)
+            .expect("curve");
         assert!(pts.windows(2).all(|w| w[1].output_w >= w[0].output_w));
     }
 
     #[test]
-    #[should_panic(expected = "at least two")]
-    fn transfer_curve_needs_points() {
-        let _ = transfer_curve(&ring(), Power::from_mw(1.0), Power::from_mw(2.0), 1);
+    fn transfer_curve_rejects_bad_sweeps() {
+        let (lo, hi) = (Power::from_mw(1.0), Power::from_mw(2.0));
+        for (min, max, n) in [
+            (lo, hi, 1),
+            (lo, hi, 0),
+            (hi, hi, 8),
+            (hi, lo, 8),
+            (Power::from_dbm(f64::NAN), hi, 8),
+            (lo, Power::from_w(f64::INFINITY), 8),
+        ] {
+            let err = try_transfer_curve(&ring(), min, max, n).expect_err("bad sweep");
+            assert!(
+                matches!(err, qfc_faults::QfcError::InvalidParameter { .. }),
+                "{min:?}..{max:?} × {n}: {err}"
+            );
+        }
     }
 }

@@ -39,7 +39,7 @@
 //! let ring = Microring::paper_device();
 //! let f0 = ring.resonance(Polarization::Te, 3).hz();
 //! let lw = ring.linewidth().hz();
-//! let grid = SweepGrid::linspace(f0 - 5.0 * lw, f0 + 5.0 * lw, 1001);
+//! let grid = SweepGrid::try_linspace(f0 - 5.0 * lw, f0 + 5.0 * lw, 1001).expect("grid");
 //! let mut buf = BatchBuffers::new();
 //! sweep::ring_power_response_batch(&ring, Polarization::Te, 3, &grid, &mut buf);
 //! // Unity on resonance (grid midpoint), bit-identical to the scalar API.
@@ -66,10 +66,9 @@ pub const SWEEP_CHUNK: usize = 1024;
 
 /// A one-dimensional sweep grid: the sample points of a parameter scan.
 ///
-/// Construct uniform grids with [`SweepGrid::linspace`] /
-/// [`SweepGrid::try_linspace`] (which replicate the historical
-/// `opo::transfer_curve` grid formula bit for bit) or wrap explicit
-/// sample points with [`SweepGrid::from_points`].
+/// Construct uniform grids with [`SweepGrid::try_linspace`] (which
+/// replicates the historical scalar transfer-curve grid formula bit for
+/// bit) or wrap explicit sample points with [`SweepGrid::from_points`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct SweepGrid {
     points: Vec<f64>,
@@ -84,9 +83,15 @@ impl SweepGrid {
     /// Uniform grid of `n` points over `[min, max]`.
     ///
     /// Point `i` is `min + (max - min) * i / (n - 1)` — the exact
-    /// expression (and IEEE operation order) the scalar
-    /// [`opo::transfer_curve`] has always used, so sweeps rebuilt on
-    /// this grid stay byte-identical to their point-by-point history.
+    /// expression (and IEEE operation order) of the historical scalar
+    /// transfer-curve loop, so sweeps rebuilt on this grid (among them
+    /// [`opo::try_transfer_curve`]) stay byte-identical to their
+    /// point-by-point history.
+    ///
+    /// # Errors
+    ///
+    /// [`QfcError::InvalidParameter`] for endpoints that are not finite
+    /// and increasing, or for `n < 2`.
     pub fn try_linspace(min: f64, max: f64, n: usize) -> QfcResult<Self> {
         if !(min.is_finite() && max.is_finite()) {
             return Err(QfcError::invalid("sweep grid endpoints must be finite"));
@@ -102,19 +107,6 @@ impl SweepGrid {
             points.push(min + (max - min) * cast::to_f64(i) / cast::to_f64(n - 1));
         }
         Ok(Self { points })
-    }
-
-    /// Uniform grid of `n` points over `[min, max]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the endpoints are not finite and increasing or `n < 2`
-    /// (see [`Self::try_linspace`]).
-    pub fn linspace(min: f64, max: f64, n: usize) -> Self {
-        match Self::try_linspace(min, max, n) {
-            Ok(g) => g,
-            Err(e) => panic!("{e}"), // qfc-lint: allow(panic-reachability) — documented panicking wrapper over the try_* twin (`# Panics` contract)
-        }
     }
 
     /// The sample points.
@@ -374,8 +366,9 @@ mod tests {
     #[test]
     fn linspace_replicates_transfer_curve_grid() {
         let r = ring();
-        let pts = opo::transfer_curve(&r, Power::from_mw(1.0), Power::from_mw(40.0), 17);
-        let grid = SweepGrid::linspace(1.0e-3, 40.0e-3, 17);
+        let pts = opo::try_transfer_curve(&r, Power::from_mw(1.0), Power::from_mw(40.0), 17)
+            .expect("curve");
+        let grid = SweepGrid::try_linspace(1.0e-3, 40.0e-3, 17).expect("grid");
         for (gp, tp) in grid.points().iter().zip(&pts) {
             assert_eq!(gp.to_bits(), tp.pump_w.to_bits());
         }
@@ -394,18 +387,12 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "at least two")]
-    fn linspace_panics_on_single_point() {
-        let _ = SweepGrid::linspace(0.0, 1.0, 1);
-    }
-
-    #[test]
     fn ring_response_batch_matches_scalar_bits() {
         let r = ring();
         let lw = r.linewidth().hz();
         for m in [-40, -7, 0, 3, 40] {
             let f0 = r.resonance(Polarization::Te, m).hz();
-            let grid = SweepGrid::linspace(f0 - 8.0 * lw, f0 + 8.0 * lw, 1311);
+            let grid = SweepGrid::try_linspace(f0 - 8.0 * lw, f0 + 8.0 * lw, 1311).expect("grid");
             let mut batch = BatchBuffers::new();
             let mut scalar = BatchBuffers::new();
             ring_power_response_batch(&r, Polarization::Te, m, &grid, &mut batch);
@@ -419,7 +406,7 @@ mod tests {
         let r = ring();
         let p_th = opo::threshold(&r).w();
         // Straddles the kink: both branches and the p == p_th boundary.
-        let grid = SweepGrid::linspace(0.05 * p_th, 3.0 * p_th, 2501);
+        let grid = SweepGrid::try_linspace(0.05 * p_th, 3.0 * p_th, 2501).expect("grid");
         let mut batch = BatchBuffers::new();
         let mut scalar = BatchBuffers::new();
         opo_transfer_batch(&r, &grid, &mut batch);
@@ -430,7 +417,7 @@ mod tests {
     #[test]
     fn pair_rate_channels_batch_matches_scalar_bits() {
         let r = ring();
-        let grid = SweepGrid::linspace(1e-3, 20e-3, 97);
+        let grid = SweepGrid::try_linspace(1e-3, 20e-3, 97).expect("grid");
         let mut batch = BatchBuffers::new();
         let mut scalar = BatchBuffers::new();
         pair_rate_channels_batch(&r, Polarization::Te, &grid, 11, &mut batch);
@@ -445,7 +432,8 @@ mod tests {
         let f0 = r.resonance(Polarization::Te, 1).hz();
         let lw = r.linewidth().hz();
         // > 4 × SWEEP_CHUNK so the parallel path genuinely splits.
-        let grid = SweepGrid::linspace(f0 - 5.0 * lw, f0 + 5.0 * lw, 4 * SWEEP_CHUNK + 37);
+        let grid = SweepGrid::try_linspace(f0 - 5.0 * lw, f0 + 5.0 * lw, 4 * SWEEP_CHUNK + 37)
+            .expect("grid");
         let run = || {
             let mut buf = BatchBuffers::new();
             ring_power_response_batch(&r, Polarization::Te, 1, &grid, &mut buf);

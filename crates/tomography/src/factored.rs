@@ -33,7 +33,11 @@
 //! a smaller one a single slot that sweeps inline. Each slot holds every
 //! level of its subtrees and writes only its own buffers; the driver
 //! expands the first-level blocks into `R` and sums `ℓ` in label order, so
-//! the bits do not depend on the thread count or on the cut.
+//! the bits do not depend on the thread count. `R`'s bits do not depend on
+//! the cut either, because the first-level blocks are written, not summed.
+//! `ℓ`'s do: one slot sums it in `(s, o)` order, a split sums it per first
+//! label, and `ℓ` feeds the schedule's rollback test, so moving the cut
+//! can move the iterates.
 
 use qfc_faults::QfcResult;
 use qfc_mathkit::cast;
@@ -285,15 +289,24 @@ fn forests(settings: &[Setting], measured: &Measured, split: bool) -> Vec<Forest
         .collect();
     // Level `q`'s nodes: the distinct prefixes of `q + 1` labels, sorted,
     // so each first-level node's descendants are contiguous on every level.
-    let levels: Vec<Vec<usize>> = (0..n)
-        .map(|q| {
-            let mut prefixes: Vec<usize> =
-                codes.iter().map(|&code| code / base(n - 1 - q)).collect();
-            prefixes.sort_unstable();
-            prefixes.dedup();
-            prefixes
-        })
-        .collect();
+    // The leaf level is the sorted distinct codes; each level above takes
+    // the quotients of the one below, which come sorted, so it only drops
+    // repeats and holds no more than its own nodes.
+    let mut levels: Vec<Vec<usize>> = Vec::with_capacity(n);
+    let mut leaf_level = codes.clone();
+    leaf_level.sort_unstable();
+    leaf_level.dedup();
+    levels.push(leaf_level);
+    while let Some(child) = levels.last().filter(|_| levels.len() < n) {
+        let mut prefixes: Vec<usize> = Vec::new();
+        for code in child.iter().map(|&code| code / LABELS) {
+            if prefixes.last() != Some(&code) {
+                prefixes.push(code);
+            }
+        }
+        levels.push(prefixes);
+    }
+    levels.reverse();
     let tops: Vec<(usize, usize)> = if split {
         levels[0].iter().map(|&t| (t, t)).collect()
     } else {
@@ -368,9 +381,12 @@ pub(crate) fn try_mle_settings(
 ) -> QfcResult<MleResult> {
     let dim = 1usize << settings.first().map_or(0, Setting::qubits);
     check_dimension(dim)?;
-    let measured = Measured::try_new(counts)?;
+    let mut measured = Measured::try_new(counts)?;
     let split = measured.freqs.len() * dim * dim >= PAR_SWEEP_MIN_WORK;
     let mut slots = forests(settings, &measured, split);
+    // The trie holds the outcomes from here on: free their `(s, o)`
+    // table before the schedule allocates its work matrices.
+    drop(std::mem::take(&mut measured.outcomes));
     run_engine(dim, &measured, &mut slots, options)
 }
 

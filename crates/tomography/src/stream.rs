@@ -2,9 +2,8 @@
 //! [`TomographyData`] without materializing per-shot tables.
 //!
 //! The qudit roadmap pushes tomography toward d²×d² density matrices,
-//! where a run's count data arrives as many independent shards — one
-//! split-seed stream per setting from the parallel runtime, or one
-//! checkpointed campaign shard per setting range. [`CountAccumulator`]
+//! where a run's count data arrives as many independent shards, for
+//! example one split-seed stream per setting. [`CountAccumulator`]
 //! is the validated fold target for those histograms: it fixes the
 //! setting list once (rejecting empty or mixed-arity lists up front,
 //! the degenerate inputs that used to surface as NaN cascades deep in
@@ -139,27 +138,13 @@ impl CountAccumulator {
     }
 }
 
-/// Minimum shots per setting before [`try_stream_counts_seeded`] fans out to
-/// the worker pool. Below this grain a one-shot `par_map` costs more
-/// than it saves, so small jobs run the identical per-setting kernels
-/// serially instead. Measured on the rank-1 count path, 81 four-qubit
-/// settings on a 2-vCPU host (medians of 400 interleaved repetitions,
-/// two processes): at 40 shots per setting the serial loop took
-/// 0.45–0.67 ms and `par_map` at 2 threads 0.54–0.76 ms; at 60 shots
-/// 0.44–0.70 ms against 0.50–0.79 ms. At 1 thread both are the same
-/// loop. Outputs are unaffected: each setting's histogram depends only
-/// on its own split seed, never on which thread ran it.
-const PAR_MIN_SHOTS_PER_SETTING: u64 = 1024;
-
 /// Simulates `shots_per_setting` projective measurements of `rho` in
 /// each setting, every setting on its own split-seed stream
 /// (`split_seed(seed, setting_index)`, through [`setting_histogram`]),
-/// and folds the histograms through a [`CountAccumulator`]. Settings
-/// run concurrently on the worker pool, and the counts are
-/// bitwise-identical at any thread count. Jobs below
-/// `PAR_MIN_SHOTS_PER_SETTING` (1024) shots per setting skip the pool
-/// and run the same kernels serially (same bytes, no dispatch
-/// overhead).
+/// and folds the histograms through a [`CountAccumulator`], in setting
+/// order on the calling thread. The program's callers run it inside pool
+/// tasks (a T3 channel, the T4, an ablation row), so the settings
+/// themselves do not fan out.
 ///
 /// # Errors
 ///
@@ -180,25 +165,14 @@ pub fn try_stream_counts_seeded(
             rho.qubits()
         )));
     }
-    let indexed: Vec<usize> = (0..settings.len()).collect();
-    let histogram = |s: usize| {
-        setting_histogram(
+    for (s, setting) in settings.iter().enumerate() {
+        let histogram = setting_histogram(
             rho,
-            &settings[s],
+            setting,
             shots_per_setting,
             split_seed(seed, cast::usize_to_u64(s)),
-        )
-    };
-    // Tiny jobs pay more for pool dispatch than for the sampling
-    // itself, and the per-setting streams make serial and parallel runs
-    // byte-identical anyway.
-    let histograms = if shots_per_setting < PAR_MIN_SHOTS_PER_SETTING {
-        indexed.iter().map(|&s| histogram(s)).collect::<Vec<_>>()
-    } else {
-        qfc_runtime::par_map(&indexed, |&s| histogram(s))
-    };
-    for (s, histogram) in histograms.iter().enumerate() {
-        acc.absorb_histogram(s, histogram)?;
+        );
+        acc.absorb_histogram(s, &histogram)?;
     }
     qfc_obs::counter_add("tomography_stream_shards", acc.shards_absorbed());
     Ok(acc.finish())

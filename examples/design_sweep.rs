@@ -70,7 +70,8 @@ fn main() {
         .iter()
         .map(|&m| {
             let f0 = ring.resonance(Polarization::Te, m).hz();
-            SweepGrid::linspace(f0 - 5.0 * lw, f0 + 5.0 * lw, per_channel)
+            SweepGrid::try_linspace(f0 - 5.0 * lw, f0 + 5.0 * lw, per_channel)
+                .expect("a ±5-linewidth grid of 2048 points")
         })
         .collect();
     let t0 = Instant::now();
@@ -95,7 +96,8 @@ fn main() {
     // OPO transfer sweep: 100k pump powers across the threshold kink.
     let p_th = opo::threshold(&ring).w();
     let n_opo = 100_000usize;
-    let power_grid = SweepGrid::linspace(0.05 * p_th, 3.0 * p_th, n_opo);
+    let power_grid = SweepGrid::try_linspace(0.05 * p_th, 3.0 * p_th, n_opo)
+        .expect("a grid of 100 000 powers across threshold");
     let t0 = Instant::now();
     sweep::opo_transfer_batch(&ring, &power_grid, &mut buf);
     let dt = t0.elapsed().as_secs_f64();

@@ -35,9 +35,10 @@ cargo test --release -q --test paper_numbers -- --ignored
 # the optimizer has reordered and inlined them. The golden fixtures are
 # written by a release build (`golden_fixtures`), so they must replay
 # under the optimizer as well as in the debug suite: byte_identity runs
-# here too.
+# here too. The §V reconstruction (the T4 MLE) now runs inside a campaign
+# shard on the worker pool, so the campaign suite runs here as well.
 echo "==> thread invariance, allocation budget and golden fixtures, optimized"
-cargo test --release -q --test determinism --test alloc_scaling --test byte_identity
+cargo test --release -q --test determinism --test alloc_scaling --test byte_identity --test campaign
 
 # The worker team's barrier/atomic protocol and the MLE that steps on it,
 # optimized: on x86-64 a too-weak atomic ordering usually passes in a

@@ -255,20 +255,21 @@ const COMPLEX_BYTES: i64 = 16;
 const WORD_BYTES: i64 = 8;
 
 /// Heap the T4 MLE may use beyond its trie and per-outcome buffers.
-/// Measured at 78 KB on the data below: the measured-outcome table (one
-/// `(s, o)` and one frequency per outcome slot, 31 KB), the schedule's
-/// six `d × d` work matrices with their GEMM scratch (29 KB), and the
-/// trie build's prefix tables, which live only while it runs; the team
-/// adds nothing measurable at 2 threads. One copy of the 1 134 measured
-/// outcome vectors, 290 KB here, does not fit.
-const MLE_HEAP_SLACK: i64 = 96 * 1024;
+/// Measured at 55 KB on the data below, at the end of the trie build:
+/// the measured-outcome table (one `(s, o)` and one frequency per
+/// outcome slot, 31 KB) and the build's prefix tables, which live only
+/// while it runs. The `(s, o)` pairs are freed before the schedule
+/// allocates its six `d × d` work matrices with their GEMM scratch
+/// (29 KB); the team adds nothing measurable at 2 threads. One copy of
+/// the 1 134 measured outcome vectors, 290 KB here, does not fit.
+const MLE_HEAP_SLACK: i64 = 72 * 1024;
 
 /// The T4 MLE forms no outcome vector: on 60-shot four-qubit data (the
 /// §V paper statistics), `try_mle_reconstruction` peaks below its
 /// factored buffers — for the full grid's trie, every level's blocks
 /// (`6^(q+1)` blocks of side `16/2^(q+1)` at level `q`) and each node's
 /// link, and per measured outcome its leaf index, frequency and leaf
-/// weight — plus [`MLE_HEAP_SLACK`]. The bound, 200 KB here, replaces
+/// weight — plus [`MLE_HEAP_SLACK`]. The bound, 176 KB here, replaces
 /// one of 456 KB for the vector panels.
 fn check_mle_heap(threads: usize) {
     let rho4 = noisy_four_photon(0.0, 0.68, 0.08);
@@ -449,7 +450,7 @@ fn check_sweeps(threads: usize) {
 
     let p_th = opo::threshold(&ring).w();
     assert_flat_in_points("OPO transfer sweep", threads, &sizes, |n| {
-        let grid = SweepGrid::linspace(0.05 * p_th, 3.0 * p_th, n);
+        let grid = SweepGrid::try_linspace(0.05 * p_th, 3.0 * p_th, n).expect("grid");
         let mut buf = BatchBuffers::new();
         allocs(|| sweep::opo_transfer_batch(&ring, &grid, &mut buf))
     });
@@ -457,7 +458,7 @@ fn check_sweeps(threads: usize) {
     let lw = ring.linewidth().hz();
     let f0 = ring.resonance(Polarization::Te, 3).hz();
     assert_flat_in_points("ring dispersion sweep", threads, &sizes, |n| {
-        let grid = SweepGrid::linspace(f0 - 5.0 * lw, f0 + 5.0 * lw, n);
+        let grid = SweepGrid::try_linspace(f0 - 5.0 * lw, f0 + 5.0 * lw, n).expect("grid");
         let mut buf = BatchBuffers::new();
         allocs(|| sweep::ring_power_response_batch(&ring, Polarization::Te, 3, &grid, &mut buf))
     });

@@ -23,6 +23,7 @@ use qfc::core::multiphoton::{try_run_multiphoton_experiment, MultiPhotonConfig};
 use qfc::core::source::QfcSource;
 use qfc::core::timebin::{nominal_duration_s, TimeBinConfig};
 use qfc::faults::{Arm, FaultEvent, FaultKind, FaultSchedule, QfcError};
+use qfc::obs::Collector;
 use qfc::photonics::pump::PumpConfig;
 use qfc::photonics::units::Power;
 use qfc::runtime::with_threads;
@@ -114,6 +115,11 @@ fn heralded_campaign_is_byte_identical_including_shot_shards() {
     );
 }
 
+/// The §V campaign plans the T4 shard first, then one shard per
+/// surviving T3 channel and the fringe. With the empty schedule and with
+/// a physics fault, its merge equals the in-process run, health section
+/// included, both cold and resumed; the resumed merge reconstructs
+/// nothing, because the T4 MLE ran inside its shard.
 #[test]
 fn multiphoton_campaign_is_byte_identical_with_physics_faults() {
     let source = QfcSource::paper_device_timebin();
@@ -122,33 +128,48 @@ fn multiphoton_campaign_is_byte_identical_with_physics_faults() {
     cfg.bell_shots_per_setting = 100;
     cfg.four_fold_phase_steps = 8;
     cfg.four_shots_per_setting = 10;
-    // A physics fault rides along: a detector dropout over the middle
-    // half of the nominal scan. The campaign must reproduce the
-    // fault-adjusted driver run, health section included.
+    // The physics fault: a detector dropout over the middle half of the
+    // nominal scan.
     let run_s = nominal_duration_s(&cfg.timebin);
     let dropout = FaultKind::DetectorDropout {
         channel: 1,
         arm: Arm::Signal,
     };
-    let schedule = FaultSchedule::empty().with(FaultEvent::new(0.25 * run_s, 0.5 * run_s, dropout));
-    let run = try_run_multiphoton_experiment(&source, &cfg, 73, &schedule).expect("driver runs");
-    assert!(
-        run.health
-            .faults_injected
-            .iter()
-            .any(|f| f.description == dropout.label()),
-        "the dropout never fired: {:?}",
-        run.health.faults_injected
-    );
-    let workload = MultiPhotonCampaign {
-        source: &source,
-        config: &cfg,
-        seed: 73,
-        schedule: &schedule,
-    };
-    let opts = proving(fresh_dir("multiphoton-faulted"));
-    let outcome = run_campaign(&workload, &opts).expect("campaign runs");
-    expect_proof(&outcome);
+    let faulted = FaultSchedule::empty().with(FaultEvent::new(0.25 * run_s, 0.5 * run_s, dropout));
+    let empty = FaultSchedule::empty();
+    for (name, schedule) in [("multiphoton-clean", &empty), ("multiphoton-faulted", &faulted)] {
+        let run = try_run_multiphoton_experiment(&source, &cfg, 73, schedule).expect("driver runs");
+        let fired = run.health.faults_injected.iter().any(|f| f.description == dropout.label());
+        assert_eq!(fired, !schedule.is_empty(), "{name}: {:?}", run.health.faults_injected);
+        let reference = serde_json::to_string(&run).expect("json");
+        let workload = MultiPhotonCampaign {
+            source: &source,
+            config: &cfg,
+            seed: 73,
+            schedule,
+        };
+        let labels: Vec<String> =
+            workload.plan().expect("plan").into_iter().map(|spec| spec.label).collect();
+        let mut expected = vec!["tomography".to_owned()];
+        expected.extend(run.report.bell.iter().map(|b| format!("bell-{}", b.m)));
+        expected.push("fringe".to_owned());
+        assert_eq!(labels, expected, "{name}");
+        let opts = CampaignOptions::new(fresh_dir(name));
+        let cold = run_campaign(&workload, &opts).expect("cold campaign");
+        assert_eq!(cold.stats.shards_completed, labels.len(), "{name}");
+        assert_eq!(cold.report_json, reference, "{name}: cold merge");
+        let collector = Collector::new();
+        let resumed = collector
+            .install(|| run_campaign(&workload, &opts))
+            .expect("resumed campaign");
+        assert_eq!(resumed.stats.shards_resumed, labels.len(), "{name}");
+        assert_eq!(resumed.report_json, reference, "{name}: resumed merge");
+        assert_eq!(
+            collector.snapshot().counter("mle_iterations"),
+            Some(0),
+            "{name}: the resumed merge ran an MLE"
+        );
+    }
 }
 
 #[test]

@@ -8,7 +8,9 @@ use qfc::core::crosspol::{try_run_crosspol_experiment, CrossPolConfig, CrossPolR
 use qfc::core::heralded::{try_run_heralded_experiment, HeraldedConfig, HeraldedReport};
 use qfc::core::multiphoton::{try_run_multiphoton_experiment, MultiPhotonConfig};
 use qfc::core::source::QfcSource;
-use qfc::core::timebin::{try_run_timebin_experiment, TimeBinConfig, TimeBinReport};
+use qfc::core::timebin::{
+    nominal_duration_s, try_run_timebin_experiment, TimeBinConfig, TimeBinReport,
+};
 use qfc::faults::FaultSchedule;
 use qfc::runtime::with_threads;
 
@@ -104,24 +106,28 @@ fn timebin_report_identical_across_thread_counts() {
     assert_thread_invariant(|| timebin(&source, &cfg, 4243));
 }
 
-/// The whole §V report — the per-channel Bell tomography (T3), the
-/// four-photon fringe (F8) and the four-photon MLE (T4, whose RρR sweeps
-/// run as the steps of one worker team) — is byte-identical at 1, 2, 4
-/// and 8 workers.
+/// The whole §V run — the four-photon MLE (T4, one task, claimed first
+/// and reconstructed inline while the other members take the rest), the
+/// per-channel Bell tomography (T3), the four-photon fringe (F8) and the
+/// health section — is byte-identical at 1, 2, 4 and 8 workers, clean
+/// and under the stress schedule.
 #[test]
 fn multiphoton_report_identical_across_thread_counts() {
     let source = QfcSource::paper_device_timebin();
     let mut cfg = MultiPhotonConfig::fast_demo();
     cfg.bell_shots_per_setting = 200;
-    let report_at = |threads: usize| {
-        let run = with_threads(threads, || {
-            try_run_multiphoton_experiment(&source, &cfg, 4244, &FaultSchedule::empty())
-        });
-        serde_json::to_string(&run.expect("clean multiphoton run").report).unwrap()
-    };
-    let serial = report_at(1);
-    for threads in [2, 4, 8] {
-        assert_eq!(report_at(threads), serial, "1 vs {threads} threads");
+    let stress = FaultSchedule::stress(11, nominal_duration_s(&cfg.timebin));
+    for schedule in [FaultSchedule::empty(), stress] {
+        let run_at = |threads: usize| {
+            let run = with_threads(threads, || {
+                try_run_multiphoton_experiment(&source, &cfg, 4244, &schedule)
+            });
+            serde_json::to_string(&run.expect("multiphoton run")).unwrap()
+        };
+        let serial = run_at(1);
+        for threads in [2, 4, 8] {
+            assert_eq!(run_at(threads), serial, "1 vs {threads} threads");
+        }
     }
 }
 
@@ -187,7 +193,8 @@ mod spectral_sweeps {
             let ring = Microring::paper_device();
             let lw = ring.linewidth().hz();
             let center = ring.resonance(Polarization::Te, m).hz() + offset_lw * lw;
-            let grid = SweepGrid::linspace(center - span_lw * lw, center + span_lw * lw, n);
+            let grid = SweepGrid::try_linspace(center - span_lw * lw, center + span_lw * lw, n)
+                .expect("grid");
             let mut batch = BatchBuffers::new();
             let mut scalar = BatchBuffers::new();
             sweep::ring_power_response_batch(&ring, Polarization::Te, m, &grid, &mut batch);
@@ -205,7 +212,7 @@ mod spectral_sweeps {
         ) {
             let ring = Microring::paper_device();
             let p_th = opo::threshold(&ring).w();
-            let grid = SweepGrid::linspace(lo * p_th, hi * p_th, n);
+            let grid = SweepGrid::try_linspace(lo * p_th, hi * p_th, n).expect("grid");
             let mut batch = BatchBuffers::new();
             let mut scalar = BatchBuffers::new();
             sweep::opo_transfer_batch(&ring, &grid, &mut batch);
@@ -223,11 +230,12 @@ mod spectral_sweeps {
             n in 2usize..80,
         ) {
             let ring = Microring::paper_device();
-            let grid = SweepGrid::linspace(
+            let grid = SweepGrid::try_linspace(
                 p_min_mw * 1e-3,
                 (p_min_mw + span_mw) * 1e-3,
                 n,
-            );
+            )
+            .expect("grid");
             let mut batch = BatchBuffers::new();
             let mut scalar = BatchBuffers::new();
             sweep::pair_rate_channels_batch(&ring, Polarization::Te, &grid, max_m, &mut batch);
@@ -245,10 +253,11 @@ mod spectral_sweeps {
         let ring = Microring::paper_device();
         let lw = ring.linewidth().hz();
         let f0 = ring.resonance(Polarization::Te, 2).hz();
-        let freq_grid =
-            SweepGrid::linspace(f0 - 6.0 * lw, f0 + 6.0 * lw, 6 * SWEEP_CHUNK + 111);
+        let freq_grid = SweepGrid::try_linspace(f0 - 6.0 * lw, f0 + 6.0 * lw, 6 * SWEEP_CHUNK + 111)
+            .expect("grid");
         let p_th = opo::threshold(&ring).w();
-        let power_grid = SweepGrid::linspace(0.05 * p_th, 3.0 * p_th, 4 * SWEEP_CHUNK + 7);
+        let power_grid = SweepGrid::try_linspace(0.05 * p_th, 3.0 * p_th, 4 * SWEEP_CHUNK + 7)
+            .expect("grid");
         let run = || {
             let mut buf = BatchBuffers::new();
             sweep::ring_power_response_batch(&ring, Polarization::Te, 2, &freq_grid, &mut buf);
