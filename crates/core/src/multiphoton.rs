@@ -602,9 +602,9 @@ impl Experiment for MultiPhotonConfig {
     type Run = MultiPhotonRun;
 
     /// Lists the T4 first, then the T3 channels and the fringe. The T4
-    /// (counts and MLE) is the longest task, longer than all the others
-    /// together, and a team hands out tasks in list order: listed first,
-    /// it runs beside the rest instead of after them.
+    /// (counts and MLE) is the longest task, at the paper config longer
+    /// than all the others together, and a team hands out tasks in list
+    /// order: listed first, it runs beside the rest instead of after them.
     fn plan(
         &self,
         source: &QfcSource,
@@ -612,7 +612,11 @@ impl Experiment for MultiPhotonConfig {
         schedule: &FaultSchedule,
     ) -> QfcResult<(MultiPhotonPlan, Vec<ShardSpec>)> {
         let plan = plan_multiphoton_experiment(source, self, seed, schedule)?;
-        let mut tasks = vec![ShardSpec::unit(0, "tomography".to_owned(), seed.wrapping_add(2))];
+        let mut tasks = vec![ShardSpec::unit(
+            0,
+            "tomography".to_owned(),
+            seed.wrapping_add(2),
+        )];
         for &m in &plan.survivors {
             let lane = split_seed(seed, u64::from(m));
             tasks.push(ShardSpec::unit(tasks.len(), format!("bell-{m}"), lane));
@@ -668,7 +672,9 @@ impl Experiment for MultiPhotonConfig {
                 }
                 MultiPhotonOutput::Fringe(f) => fringe = Some(f),
                 MultiPhotonOutput::Tomography(..) => {
-                    return Err(QfcError::persistence("multiphoton assembly got a second T4"));
+                    return Err(QfcError::persistence(
+                        "multiphoton assembly got a second T4",
+                    ));
                 }
             }
         }

@@ -133,8 +133,8 @@ mod tests {
     #[test]
     fn quadratic_below_threshold() {
         let r = ring();
-        let pts = try_transfer_curve(&r, Power::from_mw(1.0), Power::from_mw(10.0), 12)
-            .expect("curve");
+        let pts =
+            try_transfer_curve(&r, Power::from_mw(1.0), Power::from_mw(10.0), 12).expect("curve");
         let x: Vec<f64> = pts.iter().map(|p| p.pump_w).collect();
         let y: Vec<f64> = pts.iter().map(|p| p.output_w).collect();
         let f = try_fit_power_law(&x, &y).expect("fit");
@@ -145,13 +145,8 @@ mod tests {
     fn linear_above_threshold() {
         let r = ring();
         let p_th = threshold(&r).w();
-        let pts = try_transfer_curve(
-            &r,
-            Power::from_w(p_th * 1.5),
-            Power::from_w(p_th * 3.0),
-            12,
-        )
-        .expect("curve");
+        let pts = try_transfer_curve(&r, Power::from_w(p_th * 1.5), Power::from_w(p_th * 3.0), 12)
+            .expect("curve");
         // Fit against the excess pump power.
         let x: Vec<f64> = pts.iter().map(|p| p.pump_w - p_th).collect();
         let y: Vec<f64> = pts.iter().map(|p| p.output_w).collect();
@@ -180,8 +175,8 @@ mod tests {
     #[test]
     fn output_monotone_in_pump() {
         let r = ring();
-        let pts = try_transfer_curve(&r, Power::from_mw(1.0), Power::from_mw(40.0), 40)
-            .expect("curve");
+        let pts =
+            try_transfer_curve(&r, Power::from_mw(1.0), Power::from_mw(40.0), 40).expect("curve");
         assert!(pts.windows(2).all(|w| w[1].output_w >= w[0].output_w));
     }
 

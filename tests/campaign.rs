@@ -137,10 +137,14 @@ fn multiphoton_campaign_is_byte_identical_with_physics_faults() {
     };
     let faulted = FaultSchedule::empty().with(FaultEvent::new(0.25 * run_s, 0.5 * run_s, dropout));
     let empty = FaultSchedule::empty();
-    for (name, schedule) in [("multiphoton-clean", &empty), ("multiphoton-faulted", &faulted)] {
+    for (name, schedule) in [
+        ("multiphoton-clean", &empty),
+        ("multiphoton-faulted", &faulted),
+    ] {
         let run = try_run_multiphoton_experiment(&source, &cfg, 73, schedule).expect("driver runs");
-        let fired = run.health.faults_injected.iter().any(|f| f.description == dropout.label());
-        assert_eq!(fired, !schedule.is_empty(), "{name}: {:?}", run.health.faults_injected);
+        let faults = &run.health.faults_injected;
+        let fired = faults.iter().any(|f| f.description == dropout.label());
+        assert_eq!(fired, !schedule.is_empty(), "{name}: {faults:?}");
         let reference = serde_json::to_string(&run).expect("json");
         let workload = MultiPhotonCampaign {
             source: &source,
@@ -148,8 +152,12 @@ fn multiphoton_campaign_is_byte_identical_with_physics_faults() {
             seed: 73,
             schedule,
         };
-        let labels: Vec<String> =
-            workload.plan().expect("plan").into_iter().map(|spec| spec.label).collect();
+        let labels: Vec<String> = workload
+            .plan()
+            .expect("plan")
+            .into_iter()
+            .map(|spec| spec.label)
+            .collect();
         let mut expected = vec!["tomography".to_owned()];
         expected.extend(run.report.bell.iter().map(|b| format!("bell-{}", b.m)));
         expected.push("fringe".to_owned());

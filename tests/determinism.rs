@@ -253,11 +253,12 @@ mod spectral_sweeps {
         let ring = Microring::paper_device();
         let lw = ring.linewidth().hz();
         let f0 = ring.resonance(Polarization::Te, 2).hz();
-        let freq_grid = SweepGrid::try_linspace(f0 - 6.0 * lw, f0 + 6.0 * lw, 6 * SWEEP_CHUNK + 111)
-            .expect("grid");
+        let freq_grid =
+            SweepGrid::try_linspace(f0 - 6.0 * lw, f0 + 6.0 * lw, 6 * SWEEP_CHUNK + 111)
+                .expect("grid");
         let p_th = opo::threshold(&ring).w();
-        let power_grid = SweepGrid::try_linspace(0.05 * p_th, 3.0 * p_th, 4 * SWEEP_CHUNK + 7)
-            .expect("grid");
+        let power_grid =
+            SweepGrid::try_linspace(0.05 * p_th, 3.0 * p_th, 4 * SWEEP_CHUNK + 7).expect("grid");
         let run = || {
             let mut buf = BatchBuffers::new();
             sweep::ring_power_response_batch(&ring, Polarization::Te, 2, &freq_grid, &mut buf);

@@ -124,8 +124,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// Streaming accumulation gives the same counts at 1, 4, and 8
-    /// worker threads. From 1 024 shots per setting the settings run on
-    /// the worker pool, so most cases here exercise it.
+    /// worker threads: each setting draws from its own split seed, so
+    /// the pool size never reaches the counts.
     #[test]
     fn streaming_counts_byte_identical_across_thread_counts(
         visibility in 0.5f64..1.0,
